@@ -9,26 +9,13 @@ values are immutable after construction and every operation is pure.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .reports import FAIL, INCONCLUSIVE, PASS, Finding, Report
-
-ASSOC_GATE = 16  # the exhaustive heap associativity sweep is O(n^5)
+from .reports import FAIL, PASS, Finding, Report
 
 
 class StructureError(ValueError):
     """Malformed table, unknown element, or an operation used out of domain."""
-
-
-def worker_count() -> int:
-    """Worker cap for exhaustive sweeps, from TRUSSKIT_THREADS (default 1)."""
-    raw = os.environ.get("TRUSSKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +315,10 @@ def _normalize_ternary(table):
     return rows
 
 
-def _assoc_findings(rows, n, a_range):
-    out = []
-    for a in a_range:
+def _assoc_violations(rows):
+    """Every violated [[a,b,c],d,e] = [a,b,[c,d,e]], in sweep order; O(n^5)."""
+    n = len(rows)
+    for a in range(n):
         ta = rows[a]
         for b in range(n):
             tab = ta[b]
@@ -341,58 +329,73 @@ def _assoc_findings(rows, n, a_range):
                     td = rows[c][d]
                     for e in range(n):
                         if ld[e] != tab[td[e]]:
-                            out.append(Finding("heap associativity", (a, b, c, d, e),
-                                               ld[e], tab[td[e]]))
-    return out
+                            yield Finding("heap associativity", (a, b, c, d, e),
+                                          ld[e], tab[td[e]])
 
 
-def validate_heap(table, abelian=False, *, gate=ASSOC_GATE, force=False, workers=None) -> Report:
-    """Check a ternary table against the heap axioms.
+def _is_group_heap(rows) -> bool:
+    """Whether the table is the heap of its retract at 0; O(n^3).
 
-    Reports every violated instance: the Mal'cev identities over all pairs,
-    associativity over all quintuples, and (when ``abelian`` is set) the
-    symmetry over all triples.  The O(n^5) associativity sweep is skipped
-    above ``gate`` elements unless ``force`` is given, in which case the
-    report comes back inconclusive rather than pass.
+    A ternary table is a heap exactly when [a,0,b] is a group and
+    [a,b,c] = a.b^-1.c in it (Certaine 1943).  The inverse is the retract's
+    own, not [0,b,0]: with that, [a,b,c] = a + c (mod 2) would pass.
     """
-    rows = _normalize_ternary(table)
     n = len(rows)
-    findings = []
+    op = tuple(rows[a][0] for a in range(n))
+    if not validate_group_table(op).ok:
+        return False
+    g = FiniteGroup(op, validate=False)
+    inv = [g.inv(b) for b in range(n)]
+    return all(rows[a][b] == op[op[a][inv[b]]] for a in range(n) for b in range(n))
+
+
+def _heap_violations(rows, abelian):
+    """Every violated heap law, lazily, in the order validate_heap lists them."""
+    n = len(rows)
     for a in range(n):
         for b in range(n):
             if rows[a][b][b] != a:
-                findings.append(Finding("Mal'cev [a,b,b] = a", (a, b), rows[a][b][b], a))
+                yield Finding("Mal'cev [a,b,b] = a", (a, b), rows[a][b][b], a)
             if rows[b][b][a] != a:
-                findings.append(Finding("Mal'cev [b,b,a] = a", (b, a), rows[b][b][a], a))
-    assoc_skipped = False
-    if n > gate and not force:
-        assoc_skipped = True
-    else:
-        workers = workers or worker_count()
-        if workers > 1 and n >= 8:
-            chunks = [range(i, n, workers) for i in range(workers)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(lambda rng: _assoc_findings(rows, n, rng), chunks))
-            assoc = [f for part in parts for f in part]
-            assoc.sort(key=lambda f: f.at)
-            findings.extend(assoc)
-        else:
-            findings.extend(_assoc_findings(rows, n, range(n)))
+                yield Finding("Mal'cev [b,b,a] = a", (b, a), rows[b][b][a], a)
+    if not _is_group_heap(rows):
+        yield from _assoc_violations(rows)
     if abelian:
         for a in range(n):
             for b in range(n):
                 for c in range(a):
                     if rows[a][b][c] != rows[c][b][a]:
-                        findings.append(Finding("Abelian symmetry [a,b,c] = [c,b,a]",
-                                                (a, b, c), rows[a][b][c], rows[c][b][a]))
-    if findings:
-        status = FAIL
-    elif assoc_skipped:
-        status = INCONCLUSIVE
-    else:
-        status = PASS
-    stats = {"size": n, "associativity_checked": not assoc_skipped}
-    return Report("heap table", status, findings, stats)
+                        yield Finding("Abelian symmetry [a,b,c] = [c,b,a]",
+                                      (a, b, c), rows[a][b][c], rows[c][b][a])
+
+
+def validate_heap(table, abelian=False) -> Report:
+    """Check a ternary table against the heap axioms, exactly at every size.
+
+    A pass is decided in O(n^3) from the retract at 0.  A fail reports every
+    violated instance: the Mal'cev identities over all pairs, associativity
+    over all quintuples (an O(n^5) sweep, run only on this path), and (when
+    ``abelian`` is set) the symmetry over all triples.
+    """
+    rows = _normalize_ternary(table)
+    findings = list(_heap_violations(rows, abelian))
+    return Report("heap table", FAIL if findings else PASS, findings, {"size": len(rows)})
+
+
+def _first_unpreserved(source_ternary, target_ternary, mapping):
+    """The first (a, e, c) with e = 0 where f[a,e,c] != [fa,fe,fc], or None.
+
+    For heaps this decides whether f is a heap morphism in O(n^2): preserving
+    [a,e,c] makes f a group map from the retract at e to the retract at f(e),
+    and [a,b,c] = a.b^-1.c in both.
+    """
+    e = 0
+    for a in range(len(mapping)):
+        for c in range(len(mapping)):
+            if mapping[source_ternary(a, e, c)] != target_ternary(mapping[a], mapping[e],
+                                                                   mapping[c]):
+                return (a, e, c)
+    return None
 
 
 class FiniteHeap:
@@ -419,12 +422,13 @@ class FiniteHeap:
         self.abelian = abelian
 
     @classmethod
-    def from_table(cls, table, names=None, *, force=False):
-        """Build a heap from a full ternary table; validation must pass."""
+    def from_table(cls, table, names=None):
+        """Build a heap from a full ternary table, exactly validated at every
+        size; a non-heap raises StructureError naming its first violation."""
         rows = _normalize_ternary(table)
-        report = validate_heap(rows, force=force)
-        if report.status == FAIL:
-            raise StructureError(f"not a heap: {report.findings[0]}")
+        first = next(_heap_violations(rows, False), None)
+        if first is not None:
+            raise StructureError(f"not a heap: {first}")
         n = len(rows)
         abelian = all(rows[a][b][c] == rows[c][b][a]
                       for a in range(n) for b in range(n) for c in range(a + 1))
@@ -529,7 +533,11 @@ def retract(h: FiniteHeap, e: int) -> FiniteGroup:
 
 @dataclass(frozen=True)
 class HeapMorphism:
-    """A ternary-operation-preserving map between finite heaps."""
+    """A ternary-operation-preserving map between finite heaps.
+
+    Checked in O(n^2) at construction: a map that preserves [a,0,c] for all
+    a, c is a group map of retracts and so preserves every [a,b,c].
+    """
 
     source: FiniteHeap
     target: FiniteHeap
@@ -541,14 +549,9 @@ class HeapMorphism:
         for v in self.mapping:
             if not self.target.contains(v):
                 raise StructureError(f"image {v!r} is not in the target carrier")
-        m = self.mapping
-        n = self.source.size
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if m[self.source.ternary(a, b, c)] != self.target.ternary(m[a], m[b], m[c]):
-                        raise StructureError(
-                            f"ternary operation not preserved at ({a},{b},{c})")
+        bad = _first_unpreserved(self.source.ternary, self.target.ternary, self.mapping)
+        if bad is not None:
+            raise StructureError(f"ternary operation not preserved at {bad}")
 
     def __call__(self, a):
         return self.mapping[a]

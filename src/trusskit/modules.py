@@ -19,13 +19,14 @@ from .core import (
     FiniteGroup,
     FiniteHeap,
     StructureError,
+    _first_unpreserved,
     heap_from_group,
     retract,
     SubHeap,
 )
 from .reports import FAIL, INCONCLUSIVE, PASS, Finding, Report
 from .rings import FiniteRing, RModule
-from .trusses import IntegerTruss, retract_ring, truss_from_ring
+from .trusses import IntegerTruss, _default_basepoint, retract_ring, truss_from_ring
 
 
 class FiniteTModule:
@@ -455,11 +456,10 @@ class ModuleMorphism:
             raise StructureError("module morphisms need a common truss")
         if len(self.mapping) != self.source.size:
             raise StructureError("mapping does not cover the source")
+        bad = _first_unpreserved(self.source.ternary, self.target.ternary, self.mapping)
+        if bad is not None:
+            raise StructureError(f"ternary operation not preserved at {bad}")
         n = self.source.size
-        for a, b, c in itertools.product(range(n), repeat=3):
-            if self.mapping[self.source.ternary(a, b, c)] != \
-                    self.target.ternary(self.mapping[a], self.mapping[b], self.mapping[c]):
-                raise StructureError(f"ternary operation not preserved at ({a},{b},{c})")
         for t in self.source.truss.elements():
             for x in range(n):
                 if self.mapping[self.source.act(t, x)] != self.target.act(t, self.mapping[x]):
@@ -500,17 +500,15 @@ def tmodule_homs_to_TN(m: FiniteTModule, n_mod: RModule):
     if t.absorber is None:
         raise StructureError("the target T(N) needs a ring-type truss")
     size_m, size_n = m.size, n_mod.size
+
+    def tn_ternary(x, y, z):
+        return n_mod.plus(n_mod.plus(x, n_mod.neg(y)), z)
+
     out = []
     for mapping in itertools.product(range(size_n), repeat=size_m):
-        ok = True
-        for a, b, c in itertools.product(range(size_m), repeat=3):
-            lhs = mapping[m.ternary(a, b, c)]
-            rhs = n_mod.plus(n_mod.plus(mapping[a], n_mod.neg(mapping[b])), mapping[c])
-            if lhs != rhs:
-                ok = False
-                break
-        if not ok:
+        if _first_unpreserved(m.ternary, tn_ternary, mapping) is not None:
             continue
+        ok = True
         for r in t.elements():
             for x in range(size_m):
                 if mapping[m.act(r, x)] != n_mod.act(r, mapping[x]):
@@ -576,10 +574,8 @@ def sigma(m, x) -> SigmaMorphism:
 
 
 def _source_sum(truss, count):
-    base = truss.absorber if truss.absorber is not None else truss.identity
-    if base is None:
-        base = 0 if truss.is_finite else 0
     carrier = truss.carrier_heap()
+    base = _default_basepoint(truss)
     return DirectSum(tuple(HeapSummand(carrier, base) for _ in range(count)))
 
 

@@ -88,17 +88,3 @@ class Report:
         lines = [head] + [f"  - {f}" for f in self.findings]
         return "\n".join(lines)
 
-
-def passed(subject: str, **stats) -> Report:
-    return Report(subject, PASS, [], dict(stats))
-
-
-def failed(subject: str, findings, **stats) -> Report:
-    findings = list(findings)
-    if not findings:
-        raise ValueError("a fail report needs at least one witness finding")
-    return Report(subject, FAIL, findings, dict(stats))
-
-
-def inconclusive(subject: str, findings=(), **stats) -> Report:
-    return Report(subject, INCONCLUSIVE, list(findings), dict(stats))

@@ -19,11 +19,10 @@ from .trusses import (
     ExtensionTruss,
     FiniteTruss,
     IntegerTruss,
-    ring_extension,
+    _default_basepoint,
     tc2_brace_truss,
     terminal_truss,
     truss_TZn,
-    unital_extension,
 )
 
 
@@ -32,6 +31,16 @@ class SubHeapSpec:
     """A sub-heap given by members only; the parent is supplied at use time."""
 
     members: tuple
+
+
+def _basepoint(x, truss) -> dict:
+    """The "basepoint" entry of an extension or free module: present only
+    when it differs from the default the loader would choose."""
+    if x.basepoint == _default_basepoint(truss):
+        return {}
+    if not isinstance(x.basepoint, int):
+        raise StructureError("only integer basepoints can be serialized")
+    return {"basepoint": x.basepoint}
 
 
 def structure_to_obj(x) -> dict:
@@ -57,7 +66,7 @@ def structure_to_obj(x) -> dict:
         return {"kind": "truss", "builtin": "Zc", "c": x.c}
     if isinstance(x, ExtensionTruss):
         return {"kind": "truss", "extension": x.adjoined,
-                "base": structure_to_obj(x.base)}
+                "base": structure_to_obj(x.base), **_basepoint(x, x.base)}
     if isinstance(x, FiniteTModule):
         return {"kind": "module", "truss": structure_to_obj(x.truss),
                 "heap": structure_to_obj(x.heap),
@@ -66,34 +75,87 @@ def structure_to_obj(x) -> dict:
         return {"kind": "module", "builtin": "ZTrivial"}
     if isinstance(x, FreeTModule):
         return {"kind": "free-module", "truss": structure_to_obj(x.truss),
-                "generators": x.n,
-                "window": getattr(x, "display_window", 5)}
+                "generators": x.n, **_basepoint(x, x.truss)}
     raise StructureError(f"cannot serialize {type(x).__name__}")
 
 
+# ---------------------------------------------------------------------------
+# schema checks: a malformed document raises StructureError before any
+# constructor sees it
+
+
+def _require(obj, key):
+    if key not in obj:
+        raise StructureError(f"document is missing {key!r}")
+    return obj[key]
+
+
+def _integer(value, what) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise StructureError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _nested_ints(value, depth, what):
+    """``value`` as lists nested ``depth`` deep around integers."""
+    if depth == 0:
+        return _integer(value, f"every entry of {what}")
+    if not isinstance(value, list):
+        raise StructureError(f"{what} must be a list nested {depth} deep, got {value!r}")
+    for item in value:
+        _nested_ints(item, depth - 1, what)
+    return value
+
+
+def _id_table(obj, key, rows, cols):
+    """A rows x cols table of ids in 0..cols-1 (products and actions)."""
+    table = _nested_ints(_require(obj, key), 2, repr(key))
+    if len(table) != rows or any(len(r) != cols or not all(0 <= v < cols for v in r)
+                                 for r in table):
+        raise StructureError(f"{key!r} must be a {rows} x {cols} table of ids in 0..{cols - 1}")
+    return table
+
+
+def _names(obj, size):
+    names = obj.get("names")
+    if names is None:
+        return None
+    if (not isinstance(names, list) or len(names) != size
+            or not all(isinstance(v, str) for v in names)):
+        raise StructureError(f"'names' must be a list of {size} strings")
+    return names
+
+
+def _nested(obj, key, cls):
+    """The nested document obj[key], which must load as a ``cls``."""
+    x = obj_to_structure(_require(obj, key))
+    if not isinstance(x, cls):
+        raise StructureError(f"{key!r} must be a {cls.__name__} document")
+    return x
+
+
 def _load_truss(obj):
+    if not isinstance(obj, dict):
+        raise StructureError("a truss document must be an object")
     builtin = obj.get("builtin")
     if builtin is not None:
         if builtin == "TZ":
             return IntegerTruss()
         if builtin == "TZn":
-            return truss_TZn(int(obj["n"]))
+            return truss_TZn(_integer(_require(obj, "n"), "'n'"))
         if builtin == "Zc":
-            return ConstantTruss(int(obj.get("c", 0)))
+            return ConstantTruss(_integer(obj.get("c", 0), "'c'"))
         if builtin == "TC2":
             return tc2_brace_truss()
         if builtin == "star":
             return terminal_truss()
         raise StructureError(f"unknown builtin truss {builtin!r}")
     if "extension" in obj:
-        base = _load_truss(obj["base"])
-        if obj["extension"] == "one":
-            return unital_extension(base)
-        if obj["extension"] == "zero":
-            return ring_extension(base)
-        raise StructureError(f"unknown extension kind {obj['extension']!r}")
-    heap = obj_to_structure(obj["heap"])
-    return FiniteTruss(heap, obj["mul"], names=obj.get("names"))
+        base = _load_truss(_require(obj, "base"))
+        return ExtensionTruss(base, obj["extension"], obj.get("basepoint"))
+    heap = _nested(obj, "heap", FiniteHeap)
+    return FiniteTruss(heap, _id_table(obj, "mul", heap.size, heap.size),
+                       names=_names(obj, heap.size))
 
 
 def obj_to_structure(obj):
@@ -101,27 +163,36 @@ def obj_to_structure(obj):
         raise StructureError("a structure document must be an object with a 'kind'")
     kind = obj["kind"]
     if kind == "group":
-        return FiniteGroup(obj["table"], names=obj.get("names"))
+        table = _nested_ints(_require(obj, "table"), 2, "'table'")
+        return FiniteGroup(table, names=_names(obj, len(table)))
     if kind == "heap":
-        return FiniteHeap.from_table(obj["table"], names=obj.get("names"))
+        table = _nested_ints(_require(obj, "table"), 3, "'table'")
+        return FiniteHeap.from_table(table, names=_names(obj, len(table)))
     if kind == "subheap":
-        return SubHeapSpec(tuple(obj["members"]))
+        members = _require(obj, "members")
+        if not isinstance(members, list) or not all(
+                isinstance(m, (int, str)) and not isinstance(m, bool) for m in members):
+            raise StructureError("'members' must be a list of element ids or names")
+        return SubHeapSpec(tuple(members))
     if kind == "ring":
-        add = FiniteGroup(obj["add"], names=obj.get("names"))
-        return FiniteRing(add, obj["mul"], names=obj.get("names"))
+        table = _nested_ints(_require(obj, "add"), 2, "'add'")
+        names = _names(obj, len(table))
+        add = FiniteGroup(table, names=names)
+        return FiniteRing(add, _id_table(obj, "mul", add.size, add.size), names=names)
     if kind == "truss":
         return _load_truss(obj)
     if kind == "module":
         if obj.get("builtin") == "ZTrivial":
             return TrivialIntModule()
-        truss = _load_truss(obj["truss"])
-        heap = obj_to_structure(obj["heap"])
-        return FiniteTModule(truss, heap, obj["action"])
+        truss = _load_truss(_require(obj, "truss"))
+        if not isinstance(truss, FiniteTruss):
+            raise StructureError("table-backed modules need a finite truss")
+        heap = _nested(obj, "heap", FiniteHeap)
+        return FiniteTModule(truss, heap, _id_table(obj, "action", truss.size, heap.size))
     if kind == "free-module":
-        truss = _load_truss(obj["truss"])
-        fm = free_module(truss, int(obj["generators"]))
-        fm.display_window = int(obj.get("window", 5))
-        return fm
+        truss = _load_truss(_require(obj, "truss"))
+        n = _integer(_require(obj, "generators"), "'generators'")
+        return free_module(truss, n, obj.get("basepoint"))
     raise StructureError(f"unknown structure kind {kind!r}")
 
 

@@ -213,7 +213,7 @@ def _default_basepoint(truss):
         return truss.absorber
     if truss.identity is not None:
         return truss.identity
-    return 0 if truss.is_finite else 0
+    return 0
 
 
 class ExtensionTruss:
@@ -343,7 +343,6 @@ def validate_truss(t, *, samples=10_000, window=5, seed=2026) -> Report:
     findings = []
     if t.is_finite:
         n = t.size
-        rng_elems = None
         for a, b, c in itertools.product(range(n), repeat=3):
             if t.mul(t.mul(a, b), c) != t.mul(a, t.mul(b, c)):
                 findings.append(Finding("product associativity", (a, b, c),

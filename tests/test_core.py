@@ -1,6 +1,7 @@
 """Heap/group kernel: axioms, retracts, sub-heaps, quotients, isomorphism."""
 
 import itertools
+import random
 
 import pytest
 
@@ -10,6 +11,8 @@ from trusskit.core import (
     HeapMorphism,
     StructureError,
     SubHeap,
+    _first_unpreserved,
+    _is_group_heap,
     find_isomorphism,
     generated_subheap,
     group_isomorphism,
@@ -24,6 +27,7 @@ from trusskit.core import (
     validate_heap,
     validate_group_table,
 )
+from trusskit.reports import Finding
 
 Z = FiniteGroup.cyclic
 
@@ -117,20 +121,88 @@ def test_all_two_element_ternary_tables():
     assert valid[0] == heap_from_group(Z(2)).table()
 
 
-def test_associativity_gate():
-    big = heap_from_group(Z(17)).table()
-    report = validate_heap(big)
-    assert report.status == "inconclusive"
-    assert validate_heap(big, force=True).ok
+def test_retract_test_uses_the_retract_inverse():
+    # [a,b,c] = a + c (mod 2) is a.j(b).c for j(b) = [0,b,0], but not a heap
+    assert not _is_group_heap([[[(a + c) % 2 for c in range(2)] for _ in range(2)]
+                               for a in range(2)])
+    assert _is_group_heap(mod_heap_table(2))
 
 
-def test_validate_heap_threaded_matches_serial(monkeypatch):
-    table = mod_heap_table(8)
-    table = [[[v for v in lvl] for lvl in pl] for pl in table]
-    table[3][1][2] = 0  # break something mid-table
-    serial = validate_heap(table, workers=1)
-    threaded = validate_heap(table, workers=4)
-    assert [f.to_obj() for f in serial.findings] == [f.to_obj() for f in threaded.findings]
+def perturbed(table, cell, value):
+    out = [[list(lvl) for lvl in pl] for pl in table]
+    a, b, c = cell
+    out[a][b][c] = value
+    return out
+
+
+def test_cyclic_heaps_pass_exactly_at_every_size():
+    for n in (17, 64):
+        report = validate_heap(mod_heap_table(n), abelian=True)
+        assert report.status == "pass", n
+        assert FiniteHeap.from_table(mod_heap_table(n)).abelian
+
+
+def test_perturbed_c17_fails_with_a_replayable_associativity_witness():
+    table = perturbed(mod_heap_table(17), (0, 1, 2), 0)  # [0,1,2] is 1
+    report = validate_heap(table)
+    assert report.status == "fail"
+    assoc = [f for f in report.findings if f.law == "heap associativity"]
+    assert assoc and len(assoc) == len(report.findings)
+    a, b, c, d, e = assoc[0].at
+    assert assoc[0].lhs == table[table[a][b][c]][d][e] != table[a][b][table[c][d][e]]
+    assert assoc[0].rhs == table[a][b][table[c][d][e]]
+    with pytest.raises(StructureError, match="not a heap: heap associativity"):
+        FiniteHeap.from_table(table)
+
+
+def sweep_findings(rows, abelian):
+    """Oracle: every heap-law violation found by brute force, in the order
+    Mal'cev pairs, associativity quintuples, Abelian symmetry triples."""
+    n = len(rows)
+    out = []
+    for a in range(n):
+        for b in range(n):
+            if rows[a][b][b] != a:
+                out.append(Finding("Mal'cev [a,b,b] = a", (a, b), rows[a][b][b], a))
+            if rows[b][b][a] != a:
+                out.append(Finding("Mal'cev [b,b,a] = a", (b, a), rows[b][b][a], a))
+    for a, b, c, d, e in itertools.product(range(n), repeat=5):
+        lhs, rhs = rows[rows[a][b][c]][d][e], rows[a][b][rows[c][d][e]]
+        if lhs != rhs:
+            out.append(Finding("heap associativity", (a, b, c, d, e), lhs, rhs))
+    if abelian:
+        for a in range(n):
+            for b in range(n):
+                for c in range(a):
+                    if rows[a][b][c] != rows[c][b][a]:
+                        out.append(Finding("Abelian symmetry [a,b,c] = [c,b,a]",
+                                           (a, b, c), rows[a][b][c], rows[c][b][a]))
+    return [f.to_obj() for f in out]
+
+
+def differential_tables():
+    for bits in itertools.product((0, 1), repeat=8):
+        it = iter(bits)
+        yield [[[next(it) for _ in range(2)] for _ in range(2)] for _ in range(2)]
+    rng = random.Random(2026)
+    for _ in range(200):
+        yield [[[rng.randrange(3) for _ in range(3)] for _ in range(3)] for _ in range(3)]
+    for label, g in small_groups(8):
+        if g.size == 1:  # no other value to perturb to
+            continue
+        table = heap_from_group(g).table()
+        rng = random.Random(label)
+        for _ in range(3):
+            cell = tuple(rng.randrange(g.size) for _ in range(3))
+            old = table[cell[0]][cell[1]][cell[2]]
+            yield perturbed(table, cell, rng.choice([v for v in range(g.size) if v != old]))
+
+
+def test_findings_match_the_brute_force_sweep():
+    for table in differential_tables():
+        for abelian in (False, True):
+            got = [f.to_obj() for f in validate_heap(table, abelian).findings]
+            assert got == sweep_findings(table, abelian), (table, abelian)
 
 
 # ---------------------------------------------------------------------------
@@ -407,3 +479,28 @@ def test_morphism_validation_rejects_non_morphism():
     h = heap_from_group(Z(3))
     with pytest.raises(StructureError):
         HeapMorphism(h, h, (0, 0, 1))
+
+
+def brute_force_is_morphism(h, m):
+    n = h.size
+    return all(m[h.ternary(a, b, c)] == h.ternary(m[a], m[b], m[c])
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+@pytest.mark.parametrize("group, endomorphisms", [
+    (Z(4), 4 * 4),                        # translations x End(C4)
+    (FiniteGroup.dihedral(3), 6 * 10),    # translations x End(S3)
+])
+def test_pair_check_matches_brute_force_on_all_self_maps(group, endomorphisms):
+    h = heap_from_group(group)
+    accepted = 0
+    for m in itertools.product(range(h.size), repeat=h.size):
+        bad = _first_unpreserved(h.ternary, h.ternary, m)
+        assert (bad is None) == brute_force_is_morphism(h, m), m
+        if bad is None:
+            accepted += 1
+            HeapMorphism(h, h, m)
+        else:
+            a, e, c = bad
+            assert m[h.ternary(a, e, c)] != h.ternary(m[a], m[e], m[c])
+    assert accepted == endomorphisms
