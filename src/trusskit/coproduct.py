@@ -3,11 +3,19 @@
 The canonical store for an element of a k-fold direct sum is one carrier
 element per summand plus k-1 integer tail coordinates; the direct sum is the
 heap of the direct sum of the summand retracts and Z^{k-1}, combined
-component-wise.  Word forms over the disjoint union of the summands are
-derived from the canonical form, and words normalize back by an alternating
-signed walk.  Injections follow the binary convention iterated on the left:
-the first summand lands with zero tails, summand i >= 1 carries a unit in
-tail i-1.
+component-wise.  Injections follow the binary convention iterated on the
+left: the first summand lands with zero tails, summand i >= 1 carries a unit
+in tail i-1.
+
+Arithmetic never builds words.  In an Abelian heap a - b + c is [a, b, c],
+so ``shift`` computes acc + k(p - q) by doubling in O(log|k|) operations,
+and a heap morphism out of the direct sum is affine, which gives the copair
+of maps f_i on x = (c; t) in closed form:
+
+    f(x) = f_0(c_0) + sum_{i>=1} [(f_i(c_i) - f_i(e_i)) + t_{i-1}(f_i(e_i) - f_0(e_0))]
+
+(``copair_value``).  Word forms over the disjoint union of the summands and
+their alternating signed normalization remain for display and parsing.
 """
 
 from __future__ import annotations
@@ -125,11 +133,13 @@ class DirectSum:
         return self.inject(1, b)
 
     def contains(self, x) -> bool:
-        return (isinstance(x, CoproductElement)
-                and len(x.components) == self.k
-                and len(x.tails) == self.k - 1
-                and all(s.heap.contains(c) for s, c in zip(self.summands, x.components))
-                and all(isinstance(t, int) for t in x.tails))
+        if not (isinstance(x, CoproductElement) and len(x.components) == self.k
+                and len(x.tails) == self.k - 1):
+            return False
+        for s, c in zip(self.summands, x.components):
+            if not s.heap.contains(c):
+                return False
+        return all(isinstance(t, int) for t in x.tails)
 
     # -- the heap operation -------------------------------------------------
 
@@ -142,15 +152,6 @@ class DirectSum:
         return CoproductElement(components, tails)
 
     op = ternary
-
-    def fold(self, values) -> CoproductElement:
-        """Left fold of the operation over an odd sequence of elements."""
-        if len(values) % 2 == 0:
-            raise StructureError("heap folds take an odd number of elements")
-        acc = values[0]
-        for j in range(1, len(values), 2):
-            acc = self.ternary(acc, values[j], values[j + 1])
-        return acc
 
     # -- words over the disjoint union --------------------------------------
 
@@ -273,13 +274,45 @@ class DirectSum:
         return f"DirectSum(k={self.k})"
 
 
+def shift(heap, acc, k: int, p, q):
+    """acc + k(p - q) in an Abelian heap, by doubling: O(log|k|) ternary
+    operations.  Every step is acc + (p - q) = [acc, q, p], so p = q adds
+    nothing."""
+    if k < 0:
+        k, p, q = -k, q, p
+    if p == q:
+        return acc
+    while k:
+        if k & 1:
+            acc = heap.ternary(acc, q, p)
+        k >>= 1
+        if k:
+            p = heap.ternary(p, q, p)   # p - q doubles
+    return acc
+
+
+def copair_value(ds: DirectSum, maps, target, x):
+    """The copair of ``maps`` (summand i into the Abelian ``target``) at the
+    canonical form x = (c; t), in closed form:
+
+        f_0(c_0) + sum_{i>=1} [(f_i(c_i) - f_i(e_i)) + t_{i-1}(f_i(e_i) - f_0(e_0))]
+
+    One call of each map per component and base element; no word is built.
+    """
+    f0e0 = maps[0](ds.summands[0].base)
+    acc = maps[0](x.components[0])
+    for i in range(1, ds.k):
+        fe = maps[i](ds.summands[i].base)
+        acc = shift(target, acc, 1, maps[i](x.components[i]), fe)
+        acc = shift(target, acc, x.tails[i - 1], fe, f0e0)
+    return acc
+
+
 @dataclass(frozen=True)
 class CopairMorphism:
-    """The unique filler through a direct sum: evaluate words letter by letter.
-
-    The i-th map sends summand i into the common Abelian target; evaluation
-    runs over the word form and folds in the target, so it restricts to the
-    given maps along the injections.
+    """The unique filler through a direct sum of the maps f_i from summand i
+    into a common Abelian target; it is affine, so ``copair_value`` gives it
+    in closed form and it restricts to f_i along the i-th injection.
     """
 
     coproduct: DirectSum
@@ -293,12 +326,7 @@ class CopairMorphism:
             raise StructureError("the copair target must be an Abelian heap")
 
     def __call__(self, x):
-        letters = self.coproduct.word_form(x)
-        values = [self.maps[i](a) for i, a in letters]
-        acc = values[0]
-        for j in range(1, len(values), 2):
-            acc = self.target.ternary(acc, values[j], values[j + 1])
-        return acc
+        return copair_value(self.coproduct, self.maps, self.target, x)
 
 
 def direct_sum(*summands) -> DirectSum:

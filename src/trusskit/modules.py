@@ -2,10 +2,11 @@
 free modules, and freeness tests.
 
 Finite modules are table-backed.  Free modules are canonical direct sums of
-copies of the truss; their action is letter-wise over word forms, with a
-component-wise fast path over ring trusses (the tails are then untouched).
-The quotient by the absorber sub-heap turns a module over the truss of a
-ring back into a module over that ring.
+copies of the truss; their action is the closed form of ``FreeTModule.act``
+in canonical coordinates, and maps out of them (universal lifts, copaired
+sigma maps) are direct-sum copairs (``coproduct.copair_value``), so no word
+is built.  The quotient by the absorber sub-heap turns a module over the
+truss of a ring back into a module over that ring.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .coproduct import CoproductElement, DirectSum, HeapSummand
+from .coproduct import CoproductElement, DirectSum, HeapSummand, copair_value, shift
 from .core import (
     FiniteGroup,
     FiniteHeap,
@@ -48,6 +49,9 @@ class FiniteTModule:
         self.action = tuple(tuple(row) for row in action)
         if len(self.action) != truss.size or any(len(r) != heap.size for r in self.action):
             raise StructureError("action table does not match truss x carrier")
+        ids = range(heap.size)
+        if not all(v in ids for r in self.action for v in r):
+            raise StructureError(f"action table entries must be carrier ids 0..{heap.size - 1}")
 
     @classmethod
     def regular(cls, truss) -> "FiniteTModule":
@@ -132,9 +136,14 @@ class FreeTModule:
     truss acting on itself, in canonical component/tail coordinates.
 
     The generator x_i is the injected multiplicative identity of summand i.
-    Over the truss of a ring, with the ring zero as base point, the action
-    multiplies the components and leaves the tails alone; in general the
-    action maps each letter of a word form and renormalizes.
+    The action of t is the copair of the maps u |-> t.u into each summand;
+    with e the base point, in the retract of the truss carrier at e:
+
+        c_0 |-> t.c_0 - sum_i t_{i-1}(te - e)
+        c_i |-> t.c_i + (t_{i-1} - 1)(te - e)      (i >= 1)
+
+    and the tails do not change.  When e is an absorber, te = e and the
+    action just multiplies the components.
     """
 
     is_finite = False
@@ -155,22 +164,20 @@ class FreeTModule:
         self.basepoint = basepoint
         carrier = truss.carrier_heap()
         self.ds = DirectSum(tuple(HeapSummand(carrier, basepoint) for _ in range(n)))
+        # the base point absorbs: absorbers and the quotient need this
         self._fast = truss.absorber is not None and basepoint == truss.absorber
 
     def generators(self):
         return [self.ds.inject(i, self.truss.identity) for i in range(self.n)]
 
     def act(self, t, x) -> CoproductElement:
-        if self._fast:
-            comps = tuple(self.truss.mul(t, c) for c in x.components)
-            return CoproductElement(comps, x.tails)
-        mapped = [(i, self.truss.mul(t, u)) for i, u in self.ds.word_form(x)]
-        return self.ds.normalize_word(mapped)
-
-    def act_letterwise(self, t, x) -> CoproductElement:
-        """The defining letter-by-letter action, bypassing the fast path."""
-        mapped = [(i, self.truss.mul(t, u)) for i, u in self.ds.word_form(x)]
-        return self.ds.normalize_word(mapped)
+        e, heap, mul = self.basepoint, self.ds.summands[0].heap, self.truss.mul
+        te = mul(t, e)
+        comps = [mul(t, c) for c in x.components]
+        comps[0] = shift(heap, comps[0], -sum(x.tails), te, e)
+        for i in range(1, self.n):
+            comps[i] = shift(heap, comps[i], x.tails[i - 1] - 1, te, e)
+        return CoproductElement(tuple(comps), x.tails)
 
     def ternary(self, a, b, c):
         return self.ds.ternary(a, b, c)
@@ -189,19 +196,11 @@ class FreeTModule:
                 and self.n == other.n and self.basepoint == other.basepoint)
 
     def universal_lift(self, target, images):
-        """The unique module map sending generator i to images[i]: evaluate
-        word forms letter-wise, t x_i |-> t . images[i]."""
+        """The unique module map sending generator i to images[i]: the
+        copair of the maps t |-> t.images[i]."""
         if len(images) != self.n:
             raise StructureError("one image per generator is required")
-
-        def lifted(x):
-            values = [target.act(u, images[i]) for i, u in self.ds.word_form(x)]
-            acc = values[0]
-            for j in range(1, len(values), 2):
-                acc = target.ternary(acc, values[j], values[j + 1])
-            return acc
-
-        return lifted
+        return _copaired_sigma(self.ds, target, images)
 
     def __repr__(self):
         return f"FreeTModule(n={self.n} over {self.truss!r})"
@@ -579,24 +578,32 @@ def _source_sum(truss, count):
     return DirectSum(tuple(HeapSummand(carrier, base) for _ in range(count)))
 
 
-def _evaluate(ds: DirectSum, m, candidates, x) -> object:
-    """Evaluate the copaired sigma morphism on a canonical source element."""
-    values = [m.act(u, candidates[i]) for i, u in ds.word_form(x)]
-    acc = values[0]
-    for j in range(1, len(values), 2):
-        acc = m.ternary(acc, values[j], values[j + 1])
-    return acc
+def _copaired_sigma(ds: DirectSum, m, candidates):
+    """The copair of the sigma maps t |-> t.c, one per candidate c, as a
+    function on canonical elements of ``ds``."""
+    maps = [SigmaMorphism(m, c) for c in candidates]
+    return lambda x: copair_value(ds, maps, m, x)
+
+
+def _distinct_generators(m, candidates) -> bool:
+    """Are the candidates distinct generators of a free module?"""
+    if not isinstance(m, FreeTModule):
+        return False
+    gens = m.generators()
+    return all(x in gens for x in candidates) and len(set(candidates)) == len(candidates)
 
 
 def free_set_check(m, candidates, *, window=4, max_window=None) -> Report:
     """Is the candidate set free (the copaired sigma map injective)?
 
-    Finite targets with two or more candidates are decided negatively by a
-    pigeonhole search with an explicit collision witness.  A single
-    candidate over a finite truss is decided exactly.  Otherwise the search
-    is windowed: a collision decides `fail`, exhaustion is `inconclusive`,
-    never a pass.  Pairwise image intersections (one candidate against the
-    span of the others) are reported alongside.
+    Distinct generators of a free module are free by the universal property
+    (algorithm "generators", a pass).  A single candidate over a finite
+    truss is decided exactly ("exhaustive").  Otherwise the search is
+    windowed ("window"): finite targets with two or more candidates are
+    decided negatively by pigeonhole with an explicit collision witness; on
+    infinite carriers a collision decides `fail` and exhaustion is
+    `inconclusive`, never a pass.  Pairwise image intersections (one
+    candidate against the span of the others) are reported alongside.
     """
     candidates = list(candidates)
     if not candidates:
@@ -610,11 +617,17 @@ def free_set_check(m, candidates, *, window=4, max_window=None) -> Report:
     findings = []
     stats = {"candidates": s, "window": window}
 
+    evaluate = _copaired_sigma(ds, m, candidates)
     decided = None
-    if s == 1 and t.is_finite:
+    if _distinct_generators(m, candidates):
+        decided = PASS
+        stats["algorithm"] = "generators"
+        stats["checked"] = 0
+    elif s == 1 and t.is_finite:
+        stats["algorithm"] = "exhaustive"
         seen = {}
         for a in t.elements():
-            v = _evaluate(ds, m, candidates, ds.inject(0, a))
+            v = evaluate(ds.inject(0, a))
             if v in seen:
                 findings.append(Finding("copaired map collision",
                                         (str(seen[v]), str(a)), str(v), str(v),
@@ -626,6 +639,7 @@ def free_set_check(m, candidates, *, window=4, max_window=None) -> Report:
             decided = PASS
         stats["checked"] = len(list(t.elements()))
     else:
+        stats["algorithm"] = "window"
         if m.is_finite:
             bound = m.size + 2
         else:
@@ -640,7 +654,7 @@ def free_set_check(m, candidates, *, window=4, max_window=None) -> Report:
             for x in ds.enumerate_elements(w):
                 if x in seen:
                     continue
-                v = _evaluate(ds, m, candidates, x)
+                v = evaluate(x)
                 seen[x] = v
                 checked += 1
                 if v in by_value:
@@ -666,13 +680,11 @@ def free_set_check(m, candidates, *, window=4, max_window=None) -> Report:
     if s >= 2:
         intersections = []
         for i in range(s):
-            own = {_evaluate(ds, m, candidates, ds.inject(i, a))
+            own = {evaluate(ds.inject(i, a))
                    for a in (t.elements() if t.is_finite else t.sample_elements(window))}
-            rest_idx = [j for j in range(s) if j != i]
             rest_ds = _source_sum(t, s - 1)
-            rest_cands = [candidates[j] for j in rest_idx]
-            rest = {_evaluate(rest_ds, m, rest_cands, y)
-                    for y in rest_ds.enumerate_elements(min(window, 3))}
+            rest = _copaired_sigma(rest_ds, m, candidates[:i] + candidates[i + 1:])
+            rest = {rest(y) for y in rest_ds.enumerate_elements(min(window, 3))}
             overlap = own & rest
             intersections.append(sorted(str(v) for v in overlap))
             if overlap and decided == PASS:
@@ -684,12 +696,15 @@ def free_set_check(m, candidates, *, window=4, max_window=None) -> Report:
 
 def basis_check(m, candidates, *, window=4) -> Report:
     """Free plus spanning.  Finite modules are decided exactly (the span is
-    the closure of the orbit under the heap operation); infinite carriers
-    report the windowed free-set result."""
+    the closure of the orbit under the heap operation); all n distinct
+    generators of a free module are a basis by the universal property;
+    other infinite carriers report the windowed free-set result."""
     free = free_set_check(m, candidates, window=window)
     findings = list(free.findings)
     stats = dict(free.stats)
     if not m.is_finite:
+        if stats["algorithm"] == "generators" and len(candidates) == m.n:
+            return Report("basis check", PASS, findings, stats)
         return Report("basis check", INCONCLUSIVE if free.status != FAIL else FAIL,
                       findings, stats)
     t = m.truss

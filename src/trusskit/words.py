@@ -317,48 +317,76 @@ def parse_word_expr(text):
     """Parse a word expression into nested ('word', letters) / ('op', u, v, w).
 
     Accepts ASCII and unicode heap brackets on input; ASCII is canonical on
-    output everywhere in this package.
+    output everywhere in this package.  The parser keeps the open ternary
+    literals on an explicit stack, so nesting depth is not bounded by the
+    interpreter's recursion limit.
     """
     tokens = _tokenize(text)
     pos = 0
-
-    def parse():
-        nonlocal pos
+    open_parts = []     # one list of parsed parts per open "[ ... ]"
+    while True:
         if pos < len(tokens) and tokens[pos] == "[":
             pos += 1
-            parts = [parse()]
-            for _ in range(2):
-                if pos >= len(tokens) or tokens[pos] != ",":
-                    raise StructureError("ternary literal needs three comma-separated parts")
-                pos += 1
-                parts.append(parse())
-            if pos >= len(tokens) or tokens[pos] != "]":
-                raise StructureError("unclosed ternary literal")
-            pos += 1
-            return ("op", *parts)
+            open_parts.append([])
+            continue
         letters = []
         while pos < len(tokens) and tokens[pos] not in ("[", "]", ","):
             letters.append(tokens[pos])
             pos += 1
         if not letters:
             raise StructureError("empty word in expression")
-        return ("word", tuple(letters))
-
-    node = parse()
+        node = ("word", tuple(letters))
+        while open_parts:
+            parts = open_parts[-1]
+            parts.append(node)
+            if len(parts) < 3:
+                if pos >= len(tokens) or tokens[pos] != ",":
+                    raise StructureError("ternary literal needs three comma-separated parts")
+                pos += 1
+                break
+            if pos >= len(tokens) or tokens[pos] != "]":
+                raise StructureError("unclosed ternary literal")
+            pos += 1
+            open_parts.pop()
+            node = ("op", *parts)
+        else:
+            break
     if pos != len(tokens):
         raise StructureError(f"trailing tokens in word expression: {tokens[pos:]}")
     return node
 
 
+def _leaves(node):
+    """The leaf words of an expression in the order of its flattened word,
+    each with whether it is read backwards: [u, v, w] reads u, then v
+    backwards, then w; reversing it reads w, v, u with the flags flipped."""
+    stack = [(node, False)]
+    while stack:
+        node, backwards = stack.pop()
+        if node[0] == "word":
+            yield node[1], backwards
+            continue
+        _, u, v, w = node
+        parts = [(w, backwards), (v, not backwards), (u, backwards)]
+        stack.extend(reversed(parts) if backwards else parts)
+
+
 def eval_expr_free(node) -> tuple:
-    if node[0] == "word":
-        return prune(node[1])
-    _, u, v, w = node
-    return free_heap_op(eval_expr_free(u), eval_expr_free(v), eval_expr_free(w))
+    """The free heap value.  [u, v, w] prunes u, reversed v, w, and pruning
+    is confluent, so the value is the prune of the flattened word."""
+    word = []
+    for letters, backwards in _leaves(node):
+        letters = check_word(letters)
+        word.extend(reversed(letters) if backwards else letters)
+    return prune(word)
 
 
 def eval_expr_abelian(node) -> SymmetricWord:
-    if node[0] == "word":
-        return abelian_normalize(node[1])
-    _, u, v, w = node
-    return abelian_heap_op(eval_expr_abelian(u), eval_expr_abelian(v), eval_expr_abelian(w))
+    """The free Abelian heap value: the signed sum of the leaves'
+    coefficient maps, a leaf read backwards counting negatively."""
+    coeffs = {}
+    for letters, backwards in _leaves(node):
+        sign = -1 if backwards else 1
+        for s, c in abelian_normalize(letters).items:
+            coeffs[s] = coeffs.get(s, 0) + sign * c
+    return SymmetricWord.from_coeffs(coeffs)

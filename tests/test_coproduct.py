@@ -6,6 +6,7 @@ import random
 import pytest
 
 from trusskit.core import (
+    INT_LINE,
     FiniteGroup,
     FiniteHeap,
     StructureError,
@@ -276,6 +277,33 @@ def test_copair_representative_independence():
         for j in range(1, len(values), 2):
             acc = z6.ternary(acc, values[j], values[j + 1])
         assert both(x) == acc
+
+
+def word_fold(ds, maps, target, x):
+    """The copair by its definition: map each letter of a word form, fold."""
+    values = [maps[i](a) for i, a in ds.word_form(x)]
+    acc = values[0]
+    for j in range(1, len(values), 2):
+        acc = target.ternary(acc, values[j], values[j + 1])
+    return acc
+
+
+def test_copair_matches_word_fold_oracle():
+    z12 = heap_from_group(FiniteGroup.cyclic(12))
+    c4 = heap_from_group(FiniteGroup.cyclic(4))
+    finite = (
+        direct_sum(HeapSummand(C3, 1), HeapSummand(c4, 0), HeapSummand(C3, 2)),
+        (lambda a: (4 * a + 5) % 12, lambda b: (3 * b + 1) % 12, lambda c: (8 * c) % 12),
+        z12, 2)
+    line = (
+        direct_sum(HeapSummand(INT_LINE, 0), HeapSummand(INT_LINE, 3)),
+        (lambda a: 2 * a - 7, lambda b: -5 * b + 4),
+        INT_LINE, 4)
+    single = (direct_sum(HeapSummand(C3, 2)), ((lambda a: (4 * a + 1) % 12),), z12, 3)
+    for ds, maps, target, window in (finite, line, single):
+        both = ds.copair(maps, target)
+        for x in ds.enumerate_elements(window):
+            assert both(x) == word_fold(ds, maps, target, x), x
 
 
 def test_copair_separates_base_points():

@@ -31,7 +31,7 @@ from trusskit.modules import (
     verify_abs_of_free,
 )
 from trusskit.rings import FiniteRing, RModule, rmodule_homs, rmodule_isomorphism
-from trusskit.trusses import tc2_brace_truss, truss_TZn, truss_from_ring
+from trusskit.trusses import integer_truss, tc2_brace_truss, truss_TZn, truss_from_ring
 
 Z2 = FiniteRing.Zn(2)
 Z3 = FiniteRing.Zn(3)
@@ -346,6 +346,15 @@ def test_rank_one_free_module_is_the_truss():
     assert gen == CoproductElement((t.identity,), ())
 
 
+def test_finite_module_rejects_out_of_range_actions():
+    t = truss_TZn(2)
+    heap = heap_from_group(FiniteGroup.cyclic(3))
+    FiniteTModule(t, heap, [[0, 0, 0], [0, 1, 2]])
+    for bad in (3, -1, None):
+        with pytest.raises(StructureError, match="carrier ids 0..2"):
+            FiniteTModule(t, heap, [[0, 0, 0], [0, bad, 2]])
+
+
 def test_free_module_requires_unital_truss():
     from trusskit.trusses import constant_truss
     with pytest.raises(StructureError):
@@ -366,14 +375,25 @@ def test_ring_truss_action_fixes_tails():
         assert got.components == tuple((t * c) % 3 for c in x.components)
 
 
-def test_fast_path_matches_letterwise():
-    fm = free_module(truss_TZn(2), 3)
+def act_letterwise(fm, t, x):
+    """The defining action: multiply each letter of a word form, renormalize."""
+    mapped = [(i, fm.truss.mul(t, u)) for i, u in fm.ds.word_form(x)]
+    return fm.ds.normalize_word(mapped)
+
+
+def test_action_matches_letterwise_oracle():
     rng = random.Random(73)
-    xs = list(itertools.islice(fm.sample_elements(3), 500))
-    for _ in range(300):
-        x = rng.choice(xs)
-        t = rng.randrange(2)
-        assert fm.act(t, x) == fm.act_letterwise(t, x)
+    for truss in (integer_truss(), truss_TZn(3), truss_TZn(5)):
+        scalars = list(truss.sample_elements(4))
+        for n in (1, 2, 3):
+            for basepoint in (truss.absorber, truss.identity):
+                fm = free_module(truss, n, basepoint)
+                for _ in range(150):
+                    x = CoproductElement(
+                        tuple(rng.choice(scalars) for _ in range(n)),
+                        tuple(rng.randint(-6, 6) for _ in range(n - 1)))
+                    t = rng.choice(scalars)
+                    assert fm.act(t, x) == act_letterwise(fm, t, x), (n, basepoint, t, x)
 
 
 def test_two_summand_action_formula():
@@ -465,7 +485,8 @@ def test_free_set_two_candidates_in_finite_module_fails_with_witness():
 def test_free_set_generators_of_free_module_pass_window():
     fm = free_module(truss_TZn(2), 2)
     report = free_set_check(fm, fm.generators(), window=3)
-    assert report.status == "inconclusive"
+    assert report.status == "pass"
+    assert report.stats["algorithm"] == "generators"
     assert not any(f.law == "copaired map collision" for f in report.findings)
     # the intersection property: each generator's line misses the others' span
     assert all(not overlap for overlap in report.stats["image_intersections"])
@@ -490,9 +511,31 @@ def test_no_basis_for_TZ2xZ2_up_to_size_4():
             assert basis_check(m, list(candidates)).status == "fail", candidates
 
 
-def test_basis_check_free_module_inconclusive():
-    fm = free_module(truss_TZn(2), 2)
-    assert basis_check(fm, fm.generators(), window=2).status == "inconclusive"
+def test_basis_check_free_module_generators():
+    for truss in (truss_TZn(2), integer_truss()):
+        fm = free_module(truss, 3)
+        g0, g1, g2 = fm.generators()
+        full = basis_check(fm, [g2, g0, g1], window=2)
+        assert full.status == "pass" and full.stats["algorithm"] == "generators"
+        # a sub-family is free, but its span is left to the windowed path
+        sub = basis_check(fm, [g0, g2], window=2)
+        assert sub.stats["algorithm"] == "generators" and sub.status == "inconclusive"
+
+
+def test_free_set_generator_families():
+    fm = free_module(truss_TZn(3), 3)
+    g0, g1, g2 = fm.generators()
+    for family in ([g1], [g0, g2], [g2, g1, g0]):
+        report = free_set_check(fm, family)
+        assert (report.status, report.stats["algorithm"]) == ("pass", "generators")
+    repeated = free_set_check(fm, [g1, g1], window=2)
+    assert repeated.status == "fail" and repeated.stats["algorithm"] == "window"
+    assert any(f.law == "copaired map collision" for f in repeated.findings)
+    other = fm.ternary(g0, fm.ds.zero(), g1)
+    report = free_set_check(fm, [other, g2], window=1)
+    assert report.stats["algorithm"] == "window" and report.status != "pass"
+    assert basis_check(fm, [g0, g1, g1], window=1).status == "fail"
+    assert basis_check(fm, [other, g1, g2], window=1).status != "pass"
 
 
 def test_freeness_of_TN_positive():

@@ -36,6 +36,14 @@ def test_tz4_valid_unital_ring_type():
     assert report.ok
     assert report.stats["unital"] and report.stats["ring_type"]
     assert t.identity == 1 and t.absorber == 0
+    assert report.stats["checked"] == 4 ** 3 + 2 * 4 ** 4
+    assert report.stats["checked_by_law"] == {
+        "product associativity": 4 ** 3,
+        "left distributivity over [,,]": 4 ** 4,
+        "right distributivity over [,,]": 4 ** 4,
+        "identity law": 4,
+        "absorber law": 4,
+    }
 
 
 def test_constant_truss_flags():
@@ -87,6 +95,13 @@ def test_brace_truss():
     assert t.absorber is None
 
 
+def test_truss_rejects_out_of_range_products():
+    heap = truss_TZn(3).heap
+    for bad in (7, -1, "i1"):
+        with pytest.raises(StructureError, match="element ids 0..2"):
+            FiniteTruss(heap, [[0, 1, bad], [0, 0, 0], [0, 0, 0]])
+
+
 def test_truss_rejects_nonabelian_carrier():
     heap = heap_from_group(FiniteGroup.dihedral(3))
     with pytest.raises(StructureError):
@@ -127,7 +142,19 @@ def test_unital_extension_keeps_absorber():
 
 
 def test_unital_extension_validates_sampled():
-    assert validate_truss(unital_extension(truss_TZn(3)), samples=3000, window=3).ok
+    report = validate_truss(unital_extension(truss_TZn(3)), samples=3000, window=3)
+    assert report.ok and report.stats["checked"] == 3 * 3000
+    # the identity and absorber laws run over the whole window: 3 x 7 elements
+    assert report.stats["checked_by_law"]["identity law"] == 3 * 7
+    assert report.stats["checked_by_law"]["absorber law"] == 3 * 7
+    report = validate_truss(double_extension(integer_truss()), samples=10, window=2)
+    assert report.ok and report.stats["checked_by_law"] == {
+        "product associativity": 10,
+        "left distributivity over [,,]": 10,
+        "right distributivity over [,,]": 10,
+        "identity law": 5 ** 3,
+        "absorber law": 5 ** 3,
+    }
     assert validate_truss(unital_extension(tc2_brace_truss()), samples=3000, window=3).ok
 
 
@@ -308,13 +335,32 @@ def test_star_ring_extension_is_integer_ring():
 # lambda multiplication is representative-independent
 
 
+def heap_fold(heap, values):
+    """Left fold of the ternary operation over an odd list of elements."""
+    acc = values[0]
+    for j in range(1, len(values), 2):
+        acc = heap.ternary(acc, values[j], values[j + 1])
+    return acc
+
+
+def base_times(t: ExtensionTruss):
+    """The base product; letter-wise again when the base is an extension."""
+    if isinstance(t.base, ExtensionTruss):
+        inner = t.base
+        return lambda u, v: mul_via_words(inner, inner.ds.word_form(u), inner.ds.word_form(v))
+    return t.base.mul
+
+
 def mul_via_words(t: ExtensionTruss, word_x, word_y):
-    """Recompute the product from arbitrary word representatives."""
+    """Recompute the product from arbitrary word representatives, letter by
+    letter: t.(letters of y) for each base letter t of x, folded."""
+    times = base_times(t)
+
     def letter_times(u):
         mapped = []
         for j, v in word_y:
             if j == 0:
-                mapped.append((0, t.base.mul(u, v)))
+                mapped.append((0, times(u, v)))
             elif t.adjoined == "one":
                 mapped.append((0, u))
             else:
@@ -328,7 +374,7 @@ def mul_via_words(t: ExtensionTruss, word_x, word_y):
                           else t.adjoined_element)
         else:
             values.append(letter_times(u))
-    return t.ds.fold(values)
+    return heap_fold(t.ds, values)
 
 
 @pytest.mark.parametrize("make", [
@@ -347,6 +393,51 @@ def test_lambda_well_defined_on_representatives(make):
         x = t.ds.normalize_word(wx)
         y = t.ds.normalize_word(wy)
         assert mul_via_words(t, wx, wy) == t.mul(x, y)
+
+
+EXTENSION_BASES = {
+    "TZ": integer_truss,
+    "Zc3": lambda: constant_truss(3),
+    "TZ5": lambda: truss_TZn(5),
+    "TC2": tc2_brace_truss,
+    "TZ3": lambda: truss_TZn(3),
+}
+
+
+@pytest.mark.parametrize("base", sorted(EXTENSION_BASES))
+@pytest.mark.parametrize("kind", ["T1", "T0", "T01"])
+def test_closed_form_product_matches_letterwise_oracle(kind, base):
+    make = {"T1": unital_extension, "T0": ring_extension, "T01": double_extension}[kind]
+    t = make(EXTENSION_BASES[base]())
+    pool = list(t.sample_elements(2 if kind == "T01" else 4))
+    rng = random.Random(f"{kind} {base}")
+    for _ in range(120):
+        x, y = rng.choice(pool), rng.choice(pool)
+        assert t.mul(x, y) == mul_via_words(t, t.ds.word_form(x), t.ds.word_form(y)), (x, y)
+
+
+@pytest.mark.parametrize("adjoined, basepoint", [("one", 1), ("zero", 2)])
+def test_closed_form_product_off_the_default_basepoint(adjoined, basepoint):
+    t = ExtensionTruss(integer_truss(), adjoined, basepoint)
+    pool = list(t.sample_elements(4))
+    rng = random.Random(67 + basepoint)
+    for _ in range(200):
+        x, y = rng.choice(pool), rng.choice(pool)
+        assert t.mul(x, y) == mul_via_words(t, t.ds.word_form(x), t.ds.word_form(y)), (x, y)
+    assert validate_truss(t, samples=300, window=6).ok
+
+
+def test_closed_form_product_rejects_products_outside_the_carrier():
+    class Escaping(IntegerTruss):
+        def mul(self, a, b):
+            return "out" if (a, b) == (2, 3) else a * b
+
+    t1 = unital_extension(Escaping())
+    assert t1.mul(t1.element(2, 0), t1.element(4, 5)) == t1.element(8 + 5 * 2 + 0, 0)
+    for x, y in ((t1.element(2, 0), t1.element(3, 0)),      # gh
+                 (t1.element(2, 1), t1.element(3, -1))):    # gh, with tails
+        with pytest.raises(StructureError):
+            t1.mul(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -471,3 +471,65 @@ def test_parse_errors():
     for bad in ("[a, b]", "[a, b, c", "a ] b", ""):
         with pytest.raises(StructureError):
             parse_word_expr(bad)
+
+
+def nested_text(depth):
+    return "[" * depth + "a" + ", b, c]" * depth
+
+
+def test_deep_nesting_parses_without_recursion():
+    node = parse_word_expr(nested_text(5000))
+    for _ in range(5000):
+        assert node[0] == "op" and node[2:] == (("word", ("b",)), ("word", ("c",)))
+        node = node[1]
+    assert node == ("word", ("a",))
+
+
+@pytest.mark.parametrize("depth", [1, 7, 5000])
+def test_deep_nesting_matches_the_closed_form(depth):
+    node = parse_word_expr(nested_text(depth))
+    want = {"a": 1, "b": -depth, "c": depth}
+    assert eval_expr_abelian(node).coeffs == want
+    word = eval_expr_free(node)
+    assert word == ("a",) + ("b", "c") * depth
+    assert abelian_normalize(word).coeffs == want
+
+
+def recursive_free(node):
+    if node[0] == "word":
+        return prune(node[1])
+    return free_heap_op(*(recursive_free(part) for part in node[1:]))
+
+
+def recursive_abelian(node):
+    if node[0] == "word":
+        return abelian_normalize(node[1])
+    return abelian_heap_op(*(recursive_abelian(part) for part in node[1:]))
+
+
+def random_node(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return ("word", tuple(rng.choice(ABC) for _ in range(rng.choice((1, 3, 5)))))
+    return ("op", *(random_node(rng, depth - 1) for _ in range(3)))
+
+
+def render(node):
+    if node[0] == "word":
+        return " ".join(node[1])
+    return "[" + ", ".join(render(part) for part in node[1:]) + "]"
+
+
+def test_iterative_evaluation_matches_the_recursive_definition():
+    rng = random.Random(83)
+    for _ in range(400):
+        node = random_node(rng, 5)
+        assert parse_word_expr(render(node)) == node
+        assert eval_expr_free(node) == recursive_free(node)
+        assert eval_expr_abelian(node) == recursive_abelian(node)
+
+
+def test_even_leaf_is_rejected_in_both_modes():
+    node = parse_word_expr("[a, b c, a]")
+    for evaluate in (eval_expr_free, eval_expr_abelian):
+        with pytest.raises(StructureError):
+            evaluate(node)
