@@ -21,6 +21,8 @@ their alternating signed normalization remain for display and parsing.
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import StructureError
@@ -259,19 +261,68 @@ class DirectSum:
 
     # -- enumeration -------------------------------------------------------------
 
-    def enumerate_elements(self, window):
+    def enumerate_elements(self, window) -> "Window":
         """All canonical elements with components in each summand's window and
-        tails in [-window, window], in deterministic order."""
-        axes = [list(s.heap.sample(window)) for s in self.summands]
-        axes += [list(range(-window, window + 1))] * (self.k - 1)
-        for coords in itertools.product(*axes):
-            yield CoproductElement(tuple(coords[:self.k]), tuple(coords[self.k:]))
+        tails in [-window, window], as a lazy ``Window`` in
+        ``itertools.product`` order (the last tail varies fastest).
+
+        Nothing is built up front: ``len`` is the product of the axis
+        lengths and indexing decodes a mixed-radix index, so ``rng.choice``
+        draws from the window directly.  Where a law is affine in each tail
+        (the unit laws of ``trusses.ExtensionTruss``), its values at tails
+        {0, 1} fix it on the whole window; ``ExtensionTruss.tail_frame`` is
+        that restriction.
+        """
+        axes = [s.heap.sample(window) for s in self.summands]
+        axes += [range(-window, window + 1)] * (self.k - 1)
+        return Window(self.k, axes)
 
     def sample(self, window):
         return self.enumerate_elements(window)
 
     def __repr__(self):
         return f"DirectSum(k={self.k})"
+
+
+class Window(Sequence):
+    """Canonical elements whose k components and tails range over ``axes``
+    (one indexable axis per coordinate, components first), in
+    ``itertools.product`` order, without materialising them.
+
+    Item i decodes i in mixed radix, the last axis fastest, so
+    ``list(w)[i] == w[i]``.  ``size`` is the exact count; ``len`` gives the
+    same number but, like ``len`` of a range, fails beyond ``sys.maxsize``.
+    """
+
+    __slots__ = ("k", "axes", "radices", "size")
+
+    def __init__(self, k: int, axes):
+        self.k = k
+        self.axes = tuple(axes)
+        self.radices = tuple(a.size if isinstance(a, Window) else len(a) for a in self.axes)
+        self.size = math.prod(self.radices)
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, i):
+        if i < 0:
+            i += self.size
+        if not 0 <= i < self.size:
+            raise IndexError("window index out of range")
+        coords = [None] * len(self.axes)
+        for j in range(len(self.axes) - 1, -1, -1):
+            i, r = divmod(i, self.radices[j])
+            coords[j] = self.axes[j][r]
+        return CoproductElement(tuple(coords[:self.k]), tuple(coords[self.k:]))
+
+    def __iter__(self):
+        k = self.k
+        for coords in itertools.product(*self.axes):
+            yield CoproductElement(coords[:k], coords[k:])
+
+    def __repr__(self):
+        return f"Window(k={self.k}, size={self.size})"
 
 
 def shift(heap, acc, k: int, p, q):

@@ -15,7 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .coproduct import CoproductElement, DirectSum, HeapSummand, copair_value, shift
+from .coproduct import CoproductElement, DirectSum, HeapSummand, Window, copair_value, shift
 from .core import (
     FiniteGroup,
     FiniteHeap,
@@ -214,11 +214,30 @@ def free_module(truss, n: int, basepoint=None) -> FreeTModule:
 # validation
 
 
+UNITALITY_DRAWS = 500
+
+
+def _size(pool) -> int:
+    # exact, where len() stops at sys.maxsize: a free module's window can outgrow it
+    return pool.size if isinstance(pool, Window) else len(pool)
+
+
+def _draw(rng, pool):
+    """A uniform element of an indexable pool: the draw of ``rng.choice``."""
+    return pool[rng.randrange(_size(pool))]
+
+
 def validate_module(m, *, samples=10_000, window=4, seed=2026) -> Report:
     """The three module laws, exhaustively for finite tables, sampled on a
-    window otherwise; unitality is reported when the truss has an identity."""
+    window otherwise; unitality is reported when the truss has an identity.
+
+    Sampled instances are drawn with the seeded rng from the whole lazy
+    window (``sample_elements``), not from a prefix of it.  Unitality runs
+    over a finite carrier, over a window of at most ``UNITALITY_DRAWS``
+    elements, or else over that many seeded draws from the window."""
     findings = []
     t = m.truss
+    rng = random.Random(seed)
     if m.is_finite and t.is_finite:
         ts = list(t.elements())
         ms = list(m.elements())
@@ -247,13 +266,12 @@ def validate_module(m, *, samples=10_000, window=4, seed=2026) -> Report:
                 checked += 1
     else:
         exhaustive = False
-        rng = random.Random(seed)
-        tpool = list(t.elements()) if t.is_finite else list(t.sample_elements(window))
-        mpool = list(itertools.islice(m.sample_elements(window), 4000))
+        tpool = t.elements() if t.is_finite else t.sample_elements(window)
+        mpool = m.sample_elements(window)
         checked = 0
         for _ in range(samples):
-            a, b, c = (rng.choice(tpool) for _ in range(3))
-            x, y, z = (rng.choice(mpool) for _ in range(3))
+            a, b, c = (_draw(rng, tpool) for _ in range(3))
+            x, y, z = (_draw(rng, mpool) for _ in range(3))
             if m.act(a, m.act(b, x)) != m.act(t.mul(a, b), x):
                 findings.append(Finding("action associativity t(t'm) = (tt')m", (a, b),
                                         str(m.act(a, m.act(b, x))), str(m.act(t.mul(a, b), x))))
@@ -268,7 +286,9 @@ def validate_module(m, *, samples=10_000, window=4, seed=2026) -> Report:
             checked += 3
     unital = None
     if t.identity is not None:
-        pool = m.elements() if m.is_finite else itertools.islice(m.sample_elements(window), 500)
+        pool = m.elements() if m.is_finite else m.sample_elements(window)
+        if not m.is_finite and _size(pool) > UNITALITY_DRAWS:
+            pool = [_draw(rng, pool) for _ in range(UNITALITY_DRAWS)]
         unital = True
         for x in pool:
             if m.act(t.identity, x) != x:
@@ -696,17 +716,30 @@ def free_set_check(m, candidates, *, window=4, max_window=None) -> Report:
 
 def basis_check(m, candidates, *, window=4) -> Report:
     """Free plus spanning.  Finite modules are decided exactly (the span is
-    the closure of the orbit under the heap operation); all n distinct
-    generators of a free module are a basis by the universal property;
-    other infinite carriers report the windowed free-set result."""
+    the closure of the orbit under the heap operation).  Distinct generators
+    of a free module are decided by the universal property: all n are a
+    basis; a proper sub-family is not, with the witness (x_j, phi(x_j)) for
+    the first missing generator x_j, where phi is the endomorphism that
+    fixes the sub-family and sends x_j to one of its members, so x_j lies
+    outside their span.  Other infinite carriers report the windowed
+    free-set result."""
     free = free_set_check(m, candidates, window=window)
     findings = list(free.findings)
     stats = dict(free.stats)
     if not m.is_finite:
-        if stats["algorithm"] == "generators" and len(candidates) == m.n:
+        if stats["algorithm"] != "generators":
+            return Report("basis check", INCONCLUSIVE if free.status != FAIL else FAIL,
+                          findings, stats)
+        gens = m.generators()
+        missing = [x for x in gens if x not in candidates]
+        if not missing:
             return Report("basis check", PASS, findings, stats)
-        return Report("basis check", INCONCLUSIVE if free.status != FAIL else FAIL,
-                      findings, stats)
+        phi = m.universal_lift(m, [x if x in candidates else candidates[0] for x in gens])
+        xj = missing[0]
+        findings.append(Finding("not spanning", (str(xj), str(phi(xj))),
+                                note="an endomorphism fixes the candidates and moves"
+                                     " this generator, so it lies outside their span"))
+        return Report("basis check", FAIL, findings, stats)
     t = m.truss
     reach = {m.act(a, x) for a in t.elements() for x in candidates}
     grew = True

@@ -372,6 +372,64 @@ def test_empty_sum_rejected():
 
 
 # ---------------------------------------------------------------------------
+# the lazy window
+
+
+def product_window(ds, window):
+    """The window as an eager list in itertools.product order: the oracle."""
+    axes = [list(s.heap.sample(window)) for s in ds.summands]
+    axes += [list(range(-window, window + 1))] * (ds.k - 1)
+    return [CoproductElement(tuple(c[:ds.k]), tuple(c[ds.k:]))
+            for c in itertools.product(*axes)]
+
+
+@pytest.mark.parametrize("window", [0, 1, 3])
+def test_window_indexing_matches_iteration_order(window):
+    inner = direct_sum(HeapSummand(INT_LINE, 0), HeapSummand(C2, 1))
+    sums = [
+        c2_pair(),
+        nary_sum([HeapSummand(C3, 0), HeapSummand(INT_LINE, 2), HeapSummand(C2, 0)]),
+        nary_sum([HeapSummand(FiniteHeap.singleton(), 0)] * 3),
+        direct_sum(HeapSummand(inner, inner.zero()), HeapSummand(C3, 0)),   # nested
+    ]
+    for ds in sums:
+        w = ds.enumerate_elements(window)
+        want = product_window(ds, window)
+        assert len(w) == w.size == len(want)
+        assert list(w) == want
+        assert [w[i] for i in range(len(w))] == want
+        assert w[-1] == want[-1] and w[-len(w)] == want[0]
+        with pytest.raises(IndexError):
+            w[len(w)]
+        assert ds.sample(window)[len(w) // 2] == want[len(w) // 2]
+
+
+def test_window_size_at_zero_and_nested():
+    ds = c2_pair()
+    assert len(ds.enumerate_elements(0)) == 2 * 2 * 1
+    nested = direct_sum(HeapSummand(ds, ds.zero()), HeapSummand(C3, 0))
+    assert len(nested.enumerate_elements(2)) == (2 * 2 * 5) * 3 * 5
+
+
+def test_window_draws_like_a_list():
+    # random.choice is seq[randbelow(len(seq))], so a lazy window and its
+    # list give the same draws from the same seed
+    ds = nary_sum([HeapSummand(C3, 0), HeapSummand(INT_LINE, 0)])
+    w = ds.enumerate_elements(4)
+    a, b = random.Random(5), random.Random(5)
+    assert [a.choice(w) for _ in range(50)] == [b.choice(list(w)) for _ in range(50)]
+
+
+def test_window_beyond_sys_maxsize_is_indexable():
+    ds = nary_sum([HeapSummand(INT_LINE, 0)] * 12)
+    w = ds.enumerate_elements(4)
+    assert w.size == 9 ** 23
+    x = w[w.size - 1]
+    assert x.components == (4,) * 12 and x.tails == (4,) * 11
+    assert ds.contains(w[random.Random(1).randrange(w.size)])
+
+
+# ---------------------------------------------------------------------------
 # retract comparison: the binary sum is the heap of G(A) + G(B) + Z
 
 

@@ -63,6 +63,29 @@ def test_free_module_validates_sampled():
     assert validate_module(free_module(tc2_brace_truss(), 2), samples=2500, window=3).ok
 
 
+class OddPositiveC0Wrong(FreeTModule):
+    """The free action, except that it also bumps the tail of an element
+    with odd c0 > 0.  Every element of the first 4000 of the window at 50
+    has c0 = -50, and products and heap combinations of them keep c0 even,
+    so a prefix of the window never reaches the wrong elements."""
+
+    def act(self, t, x):
+        y = super().act(t, x)
+        if x.components[0] > 0 and x.components[0] % 2:
+            return CoproductElement(y.components, tuple(k + 1 for k in y.tails))
+        return y
+
+
+def test_sampled_module_laws_draw_from_the_whole_window():
+    fm = OddPositiveC0Wrong(integer_truss(), 2)
+    assert {x.components[0] for x in itertools.islice(fm.sample_elements(50), 4000)} == {-50}
+    report = validate_module(fm, samples=200, window=50)
+    assert report.status == "fail" and report.stats["unital"] is False
+    laws = {f.law for f in report.findings}
+    assert "unitality 1m = m" in laws and "action associativity t(t'm) = (tt')m" in laws
+    assert validate_module(free_module(integer_truss(), 2), samples=200, window=50).ok
+
+
 def test_action_associativity_violation_located():
     # a swap action breaks t(t'm) = (tt')m on two elements
     t = truss_TZn(2)
@@ -517,9 +540,16 @@ def test_basis_check_free_module_generators():
         g0, g1, g2 = fm.generators()
         full = basis_check(fm, [g2, g0, g1], window=2)
         assert full.status == "pass" and full.stats["algorithm"] == "generators"
-        # a sub-family is free, but its span is left to the windowed path
+        # a sub-family is free but not spanning: the endomorphism fixing g0
+        # and g2 sends the missing g1 to g0, so g1 is outside their span
         sub = basis_check(fm, [g0, g2], window=2)
-        assert sub.stats["algorithm"] == "generators" and sub.status == "inconclusive"
+        assert sub.stats["algorithm"] == "generators" and sub.status == "fail"
+        witness = [f for f in sub.findings if f.law == "not spanning"]
+        assert [f.at for f in witness] == [(str(g1), str(g0))]
+        phi = fm.universal_lift(fm, [g0, g0, g2])
+        assert (phi(g0), phi(g2), phi(g1)) == (g0, g2, g0)
+        x = fm.ternary(g0, fm.act(fm.basepoint, g2), g2)
+        assert phi(x) == x   # the span of the sub-family is fixed
 
 
 def test_free_set_generator_families():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from trusskit.core import StructureError, heap_from_group, FiniteGroup, FiniteHeap
+from trusskit.reports import Finding
 from trusskit.rings import FiniteRing
 from trusskit.trusses import (
     ConstantTruss,
@@ -578,3 +579,152 @@ def test_dorroh_z2_coordinate_example():
 def test_dorroh_window_validation():
     with pytest.raises(StructureError):
         dorroh_compare(FiniteRing.Zn(2), window=0)
+
+
+# ---------------------------------------------------------------------------
+# unit laws on the tail frame
+
+
+def unit_law_sweep(t, window):
+    """The identity and absorber laws on every element of the window, in
+    window order: the brute-force loop the tail frame must agree with."""
+    pool = list(t.sample_elements(window))
+    findings = []
+    if t.identity is not None:
+        for x in pool:
+            if t.mul(t.identity, x) != x or t.mul(x, t.identity) != x:
+                findings.append(Finding("identity law", (x,), t.mul(t.identity, x), x))
+    if t.absorber is not None:
+        for x in pool:
+            if t.mul(t.absorber, x) != t.absorber or t.mul(x, t.absorber) != t.absorber:
+                findings.append(Finding("absorber law", (x,), t.mul(t.absorber, x), t.absorber))
+    return findings
+
+
+class MisdeclaredIdentity(IntegerTruss):
+    identity = 2
+
+
+class MisdeclaredAbsorber(IntegerTruss):
+    absorber = 1
+
+
+class ConstantWithIdentity(ConstantTruss):
+    identity = 3
+
+
+def tz3_perturbations():
+    """All 18 one-entry changes of the TZ3 product table."""
+    tz3 = truss_TZn(3)
+    out = {}
+    for a, b, v in itertools.product(range(3), range(3), range(3)):
+        if v != tz3.mul(a, b):
+            table = [list(row) for row in tz3.mul_table]
+            table[a][b] = v
+            out[f"TZ3 {a}.{b}={v}"] = lambda table=table: FiniteTruss(tz3.heap, table)
+    return out
+
+
+UNIT_LAW_BASES = {
+    **EXTENSION_BASES,
+    **tz3_perturbations(),
+    "misdeclared identity": MisdeclaredIdentity,
+    "misdeclared absorber": MisdeclaredAbsorber,
+    "constant with identity": lambda: ConstantWithIdentity(3),
+}
+EXTEND = {
+    "T1": unital_extension,
+    "T0": ring_extension,
+    "T01": double_extension,
+    # nested extensions that inherit the base's units, so a misdeclared
+    # unit reaches the inner tail
+    "T11": lambda t: unital_extension(unital_extension(t)),
+    "T00": lambda t: ring_extension(ring_extension(t)),
+}
+
+
+def test_tail_frame_findings_match_the_full_window_sweep():
+    assert len(UNIT_LAW_BASES) == 5 + 18 + 3
+    algorithms = set()
+    for name, make in UNIT_LAW_BASES.items():
+        for kind, extend in EXTEND.items():
+            for window in (1, 2, 3):
+                t = extend(make())
+                report = validate_truss(t, samples=5, window=window, seed=7)
+                want = unit_law_sweep(t, window)
+                got = [f for f in report.findings if f.law in ("identity law", "absorber law")]
+                assert got == want, (name, kind, window)
+                unit = report.stats["unit_laws"]
+                frame = len(t.tail_frame(window))
+                if want:   # the frame saw a violation and the window was swept
+                    assert unit == {"algorithm": "window",
+                                    "evaluated": frame + len(t.sample_elements(window))}
+                else:
+                    assert unit == {"algorithm": "tail frame", "evaluated": frame}
+                algorithms.add(unit["algorithm"])
+    assert algorithms == {"tail frame", "window"}
+
+
+def test_tail_frame_is_the_window_restricted_to_tails_0_and_1():
+    t = double_extension(integer_truss())
+    frame = t.tail_frame(20)
+    assert len(frame) == 41 * 2 * 2 and len(t.sample_elements(20)) == 41 ** 3
+    assert set(frame) == {x for x in t.sample_elements(20)
+                          if x.tails[0] in (0, 1) and x.components[0].tails[0] in (0, 1)}
+    assert list(unital_extension(integer_truss()).tail_frame(0)) == \
+        list(unital_extension(integer_truss()).sample_elements(0))
+
+
+class ListPool(ExtensionTruss):
+    """An extension whose window is a materialised list, not a lazy one."""
+
+    def sample_elements(self, window):
+        return list(super().sample_elements(window))
+
+
+@pytest.mark.parametrize("name", ["TZ", "Zc3", "TC2", "TZ3 2.2=2", "misdeclared identity"])
+@pytest.mark.parametrize("kind", ["T1", "T0", "T01"])
+def test_reports_match_for_lazy_and_list_windows(kind, name):
+    def make(cls):
+        base = UNIT_LAW_BASES[name]()
+        if kind == "T01":
+            return cls(unital_extension(base), "zero")
+        return cls(base, "one" if kind == "T1" else "zero")
+
+    for window in (1, 3):
+        lazy = validate_truss(make(ExtensionTruss), samples=150, window=window, seed=11)
+        listed = validate_truss(make(ListPool), samples=150, window=window, seed=11)
+        assert lazy.to_obj() == listed.to_obj()
+        assert lazy.findings == listed.findings
+
+
+def test_unit_law_stats_name_the_algorithm():
+    assert validate_truss(truss_TZn(4)).stats["unit_laws"] == \
+        {"algorithm": "exhaustive", "evaluated": 4}
+    assert validate_truss(integer_truss(), samples=10, window=6).stats["unit_laws"] == \
+        {"algorithm": "window", "evaluated": 13}
+    report = validate_truss(double_extension(integer_truss()), samples=25, window=20)
+    assert report.ok and report.stats["unit_laws"] == {"algorithm": "tail frame",
+                                                       "evaluated": 164}
+    assert report.stats["checked_by_law"]["identity law"] == 41 ** 3
+    # no identity and no absorber: nothing to evaluate
+    no_units = unital_extension(constant_truss(0))
+    no_units.identity = no_units.absorber = None
+    assert validate_truss(no_units, samples=5, window=2).stats["unit_laws"] == \
+        {"algorithm": "tail frame", "evaluated": 0}
+
+
+def test_retract_ring_decides_the_absorber_on_every_tail():
+    # every product is 0 except 0.59 = 59.0 = 1, so (0; 0) absorbs every
+    # element of T1 except those with base component 59, which come after
+    # the first 500 of the 540 window elements
+    heap = heap_from_group(FiniteGroup.cyclic(60))
+    table = [[0] * 60 for _ in range(60)]
+    table[0][59] = table[59][0] = 1
+    t1 = unital_extension(FiniteTruss(heap, table))
+    zero = t1.inject(0)
+    window = list(t1.sample_elements(4))
+    assert len(window) == 540
+    assert all(t1.mul(zero, x) == zero == t1.mul(x, zero) for x in window[:500])
+    with pytest.raises(StructureError):
+        retract_ring(t1, zero)
