@@ -333,20 +333,34 @@ def _assoc_violations(rows):
                                           ld[e], tab[td[e]])
 
 
-def _is_group_heap(rows) -> bool:
-    """Whether the table is the heap of its retract at 0; O(n^3).
+def _is_group_heap(carrier) -> bool:
+    """Whether a finite ternary operation is the heap of its retract at 0;
+    O(n^3).
 
-    A ternary table is a heap exactly when [a,0,b] is a group and
+    ``carrier`` is a ternary table or a finite structure with ``size`` and
+    ``ternary`` (a heap, truss or module).  The latter is evaluated entry by
+    entry, so a function-backed heap never builds and caches its table.
+
+    A ternary operation is a heap exactly when [a,0,b] is a group and
     [a,b,c] = a.b^-1.c in it (Certaine 1943).  The inverse is the retract's
     own, not [0,b,0]: with that, [a,b,c] = a + c (mod 2) would pass.
     """
-    n = len(rows)
-    op = tuple(rows[a][0] for a in range(n))
+    if hasattr(carrier, "ternary"):
+        n, ternary = carrier.size, carrier.ternary
+
+        def row(a, b):
+            return [ternary(a, b, c) for c in range(n)]
+    else:
+        n = len(carrier)
+
+        def row(a, b):
+            return carrier[a][b]
+    op = [row(a, 0) for a in range(n)]
     if not validate_group_table(op).ok:
         return False
     g = FiniteGroup(op, validate=False)
     inv = [g.inv(b) for b in range(n)]
-    return all(rows[a][b] == op[op[a][inv[b]]] for a in range(n) for b in range(n))
+    return all(row(a, b) == op[op[a][inv[b]]] for a in range(n) for b in range(n))
 
 
 def _heap_violations(rows, abelian):

@@ -94,3 +94,15 @@ def test_reduce_at_nesting_depth_5000(mode, capsys):
         assert json.loads(out) == {"coeffs": {"a": 1, "b": -5000, "c": 5000}}
     else:
         assert json.loads(out) == {"word": ["a"] + ["b", "c"] * 5000}
+
+
+def test_verify_reports_how_distributivity_was_decided(files, capsys):
+    code, out, _ = run(["verify", files["max_c3"]], capsys)
+    stats = json.loads(out)["stats"]
+    assert code == 1
+    assert set(stats) == {"checked", "checked_by_law", "unital", "ring_type", "identity",
+                          "absorber", "exhaustive", "unit_laws", "distributivity"}
+    assert stats["distributivity"]["algorithm"] == "morphism rows"
+    assert stats["distributivity"]["swept"]
+    code, out, _ = run(["verify", files["tz"]], capsys)
+    assert "distributivity" not in json.loads(out)["stats"]

@@ -1,10 +1,12 @@
 """Modules over trusses: laws, absorbers, quotients, adjunction, freeness."""
 
 import itertools
+import json
 import random
 
 import pytest
 
+from trusskit import modules
 from trusskit.coproduct import CoproductElement
 from trusskit.core import FiniteGroup, FiniteHeap, StructureError, heap_from_group
 from trusskit.modules import (
@@ -31,7 +33,14 @@ from trusskit.modules import (
     verify_abs_of_free,
 )
 from trusskit.rings import FiniteRing, RModule, rmodule_homs, rmodule_isomorphism
-from trusskit.trusses import integer_truss, tc2_brace_truss, truss_TZn, truss_from_ring
+from trusskit.reports import Finding
+from trusskit.trusses import (
+    FiniteTruss,
+    integer_truss,
+    tc2_brace_truss,
+    truss_TZn,
+    truss_from_ring,
+)
 
 Z2 = FiniteRing.Zn(2)
 Z3 = FiniteRing.Zn(3)
@@ -587,3 +596,156 @@ def test_verify_abs_of_free():
     assert verify_abs_of_free(Z2, 2).ok
     assert verify_abs_of_free(Z3, 2).ok
     assert verify_abs_of_free(Z2, 3, window=2).ok
+
+
+# ---------------------------------------------------------------------------
+# linearity from morphism rows, replayable witnesses
+
+
+def module_law_sweep(m):
+    """Every finding of a finite module in the order of the plain
+    O(|T||M|^3 + |T|^3|M|) sweep: the brute-force loop the morphism rows
+    must agree with."""
+    t = m.truss
+    ts, ms = range(t.size), range(m.size)
+    findings = []
+    for a, b in itertools.product(ts, repeat=2):
+        for x in ms:
+            if m.act(a, m.act(b, x)) != m.act(t.mul(a, b), x):
+                findings.append(Finding("action associativity t(t'm) = (tt')m", (a, b, x),
+                                        m.act(a, m.act(b, x)), m.act(t.mul(a, b), x)))
+    for a, b, c in itertools.product(ts, repeat=3):
+        for x in ms:
+            lhs = m.act(t.ternary(a, b, c), x)
+            rhs = m.ternary(m.act(a, x), m.act(b, x), m.act(c, x))
+            if lhs != rhs:
+                findings.append(Finding("distributivity [t,t',t'']m", (a, b, c, x), lhs, rhs))
+    for a in ts:
+        for x, y, z in itertools.product(ms, repeat=3):
+            lhs = m.act(a, m.ternary(x, y, z))
+            rhs = m.ternary(m.act(a, x), m.act(a, y), m.act(a, z))
+            if lhs != rhs:
+                findings.append(Finding("distributivity t[m,m',m'']", (a, x, y, z), lhs, rhs))
+    if t.identity is not None:
+        for x in ms:
+            if m.act(t.identity, x) != x:
+                findings.append(Finding("unitality 1m = m", (x,), str(m.act(t.identity, x)),
+                                        str(x)))
+                break
+    return findings
+
+
+def not_a_heap():
+    """[a,b,c] = a + b + c + ac (mod 3): symmetric in a and c, not a heap."""
+    return FiniteHeap.from_function(3, lambda a, b, c: (a + b + c + a * c) % 3, abelian=True)
+
+
+def test_morphism_rows_match_the_module_law_sweep():
+    runs = fails = 0
+    for n in range(1, 7):
+        tz = truss_TZn(n)
+        tables = [tz.mul_table]
+        for a, b, v in itertools.product(range(n), repeat=3):
+            if v != tz.mul(a, b):
+                tables.append([list(row) for row in tz.mul_table])
+                tables[-1][a][b] = v
+        for table in tables:
+            m = FiniteTModule(tz, tz.heap, table)
+            report = validate_module(m)
+            want = module_law_sweep(m)
+            assert report.findings == want, (n, table)
+            assert report.status == ("fail" if want else "pass")
+            assert report.stats["checked"] == n ** 3 + 2 * n ** 4
+            assert report.stats["distributivity"]["algorithm"] == "morphism rows"
+            runs, fails = runs + 1, fails + bool(want)
+    # 6 actions and 350 one-entry changes; only the trivial action of TZ2
+    # on itself (0.1 = 1) is again a module
+    assert (runs, fails) == (356, 349)
+
+
+def test_a_module_over_a_carrier_that_is_not_a_heap_is_swept():
+    tz3 = truss_TZn(3)
+    odd = FiniteTruss(not_a_heap(), ((0, 0, 0), (0, 0, 0), (0, 0, 2)))
+    for m in (FiniteTModule(tz3, not_a_heap(), tz3.mul_table),   # M is not a heap
+              FiniteTModule(odd, tz3.heap, ((0, 0, 0),) * 3),    # T is not a heap
+              FiniteTModule.regular(odd)):
+        report = validate_module(m)
+        assert report.findings == module_law_sweep(m)
+        assert report.stats["distributivity"] == {
+            "algorithm": "sweep",
+            "swept": [("distributivity [t,t',t'']m", x) for x in range(3)]
+            + [("distributivity t[m,m',m'']", a) for a in range(3)]}
+    assert not validate_module(FiniteTModule(tz3, not_a_heap(), tz3.mul_table)).ok
+
+
+def test_module_distributivity_stats_name_the_algorithm():
+    tz4 = truss_TZn(4)
+    assert validate_module(FiniteTModule.regular(tz4)).stats["distributivity"] == \
+        {"algorithm": "morphism rows", "swept": []}
+    table = [list(row) for row in tz4.mul_table]
+    table[1][2] = 3
+    report = validate_module(FiniteTModule(tz4, tz4.heap, table))
+    assert report.stats["distributivity"] == {
+        "algorithm": "morphism rows",
+        "swept": [("distributivity [t,t',t'']m", 2), ("distributivity t[m,m',m'']", 1)]}
+    assert report.to_obj()["stats"]["distributivity"]["swept"] == \
+        [["distributivity [t,t',t'']m", 2], ["distributivity t[m,m',m'']", 1]]
+    free = validate_module(free_module(truss_TZn(2), 2), samples=10, window=1)
+    assert "distributivity" not in free.stats
+
+
+def test_validating_a_function_backed_module_builds_no_table():
+    m = FiniteTModule.from_rmodule(RModule.regular(Z3))
+    assert validate_module(m).ok
+    assert m.heap._table is None and m.truss.heap._table is None
+
+
+def test_sampled_module_findings_replay_from_their_witnesses():
+    fm = OddPositiveC0Wrong(integer_truss(), 2)
+    t = fm.truss
+    report = validate_module(fm, samples=200, window=50)
+    replay = {
+        "action associativity t(t'm) = (tt')m":
+            lambda a, b, x: fm.act(a, fm.act(b, x)) != fm.act(t.mul(a, b), x),
+        "distributivity [t,t',t'']m":
+            lambda a, b, c, x: fm.act(t.ternary(a, b, c), x)
+            != fm.ternary(fm.act(a, x), fm.act(b, x), fm.act(c, x)),
+        "distributivity t[m,m',m'']":
+            lambda a, x, y, z: fm.act(a, fm.ternary(x, y, z))
+            != fm.ternary(fm.act(a, x), fm.act(a, y), fm.act(a, z)),
+        "unitality 1m = m": lambda x: fm.act(t.identity, x) != x,
+    }
+    assert len(report.findings) > 10
+    for f in report.findings:
+        assert replay[f.law](*f.at), f
+    assert {f.law for f in report.findings} == set(replay) - {"distributivity [t,t',t'']m"}
+    json.dumps(report.to_obj())
+
+
+def test_verify_abs_of_free_sees_every_component_vector_and_the_whole_window(monkeypatch):
+    seen, recording = [], [True]
+    act, quotient = FreeTModule.act, modules.abs_quotient
+
+    def spy(self, t, x):
+        if recording[0]:
+            seen.append((t, x))
+        return act(self, t, x)
+
+    def quiet_quotient(m):
+        # the quotient acts on every component vector itself; leave it out
+        recording[0] = False
+        try:
+            return quotient(m)
+        finally:
+            recording[0] = True
+
+    monkeypatch.setattr(FreeTModule, "act", spy)
+    monkeypatch.setattr(modules, "abs_quotient", quiet_quotient)
+    assert verify_abs_of_free(Z3, 3, window=2).ok
+    assert {x.components for t, x in seen if t == Z3.zero} == \
+        set(itertools.product(range(3), repeat=3))
+    # the absorber checks act on zero components; the projection's draws
+    # are the rest, and they reach every c0 and both ends of the window
+    drawn = [x for t, x in seen if t == Z3.one and any(x.components)]
+    assert {x.components[0] for x in drawn} == {0, 1, 2}
+    assert {k for x in drawn for k in x.tails} == set(range(-2, 3))

@@ -728,3 +728,86 @@ def test_retract_ring_decides_the_absorber_on_every_tail():
     assert all(t1.mul(zero, x) == zero == t1.mul(x, zero) for x in window[:500])
     with pytest.raises(StructureError):
         retract_ring(t1, zero)
+
+
+# ---------------------------------------------------------------------------
+# distributivity from morphism rows
+
+
+def product_law_sweep(t):
+    """Every product-law finding of a finite truss in the order of the plain
+    O(n^4) sweep: the brute-force loop the morphism rows must agree with."""
+    n = t.size
+    findings = []
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if t.mul(t.mul(a, b), c) != t.mul(a, t.mul(b, c)):
+            findings.append(Finding("product associativity", (a, b, c),
+                                    t.mul(t.mul(a, b), c), t.mul(a, t.mul(b, c))))
+    for s, a, b, c in itertools.product(range(n), repeat=4):
+        lhs = t.mul(s, t.ternary(a, b, c))
+        rhs = t.ternary(t.mul(s, a), t.mul(s, b), t.mul(s, c))
+        if lhs != rhs:
+            findings.append(Finding("left distributivity over [,,]", (s, a, b, c), lhs, rhs))
+        lhs = t.mul(t.ternary(a, b, c), s)
+        rhs = t.ternary(t.mul(a, s), t.mul(b, s), t.mul(c, s))
+        if lhs != rhs:
+            findings.append(Finding("right distributivity over [,,]", (s, a, b, c), lhs, rhs))
+    return findings
+
+
+def tzn_product_tables(max_n):
+    """(n, label, table): the TZn product and each of its one-entry changes."""
+    for n in range(1, max_n + 1):
+        tz = truss_TZn(n)
+        yield n, f"TZ{n}", tz.mul_table
+        for a, b, v in itertools.product(range(n), repeat=3):
+            if v != tz.mul(a, b):
+                table = [list(row) for row in tz.mul_table]
+                table[a][b] = v
+                yield n, f"TZ{n} {a}.{b}={v}", table
+
+
+def not_a_heap():
+    """[a,b,c] = a + b + c + ac (mod 3): symmetric in a and c, not a heap."""
+    return FiniteHeap.from_function(3, lambda a, b, c: (a + b + c + a * c) % 3, abelian=True)
+
+
+def test_morphism_rows_match_the_product_law_sweep():
+    runs = fails = 0
+    for n, label, table in tzn_product_tables(6):
+        t = FiniteTruss(truss_TZn(n).heap, table)
+        report = validate_truss(t)
+        want = product_law_sweep(t)
+        assert report.findings == want, label
+        assert report.status == ("fail" if want else "pass")
+        assert report.stats["checked"] == n ** 3 + 2 * n ** 4
+        assert report.stats["distributivity"]["algorithm"] == "morphism rows"
+        runs, fails = runs + 1, fails + bool(want)
+    # 6 products and 350 one-entry changes, of which only the 4 of TZ2 pass
+    assert (runs, fails) == (356, 346)
+
+
+def test_a_carrier_that_is_not_a_heap_is_swept():
+    # every row and column of this product preserves [x,0,y], and yet
+    # distributivity fails: the lemma alone would pass it
+    t = FiniteTruss(not_a_heap(), ((0, 0, 0), (0, 0, 0), (0, 0, 2)))
+    report = validate_truss(t)
+    assert report.stats["distributivity"] == {"algorithm": "sweep", "swept": [0, 1, 2]}
+    assert report.findings == product_law_sweep(t)
+    assert Finding("left distributivity over [,,]", (2, 0, 1, 1), 2, 0) in report.findings
+
+
+def test_distributivity_stats_name_the_algorithm():
+    assert validate_truss(truss_TZn(4)).stats["distributivity"] == \
+        {"algorithm": "morphism rows", "swept": []}
+    table = [list(row) for row in truss_TZn(4).mul_table]
+    table[1][2] = 3
+    report = validate_truss(FiniteTruss(truss_TZn(4).heap, table))
+    assert report.stats["distributivity"] == {"algorithm": "morphism rows", "swept": [1, 2]}
+    assert "distributivity" not in validate_truss(integer_truss(), samples=10).stats
+
+
+def test_validating_a_function_backed_carrier_builds_no_table():
+    t = truss_TZn(5)
+    assert validate_truss(t).ok
+    assert t.heap._table is None
