@@ -153,8 +153,6 @@ class DirectSum:
         tails = tuple(a - b + c for a, b, c in zip(x.tails, y.tails, z.tails))
         return CoproductElement(components, tails)
 
-    op = ternary
-
     # -- words over the disjoint union --------------------------------------
 
     def normalize_word(self, letters) -> CoproductElement:
@@ -381,9 +379,4 @@ class CopairMorphism:
 
 
 def direct_sum(*summands) -> DirectSum:
-    return DirectSum(summands)
-
-
-def nary_sum(summands) -> DirectSum:
-    """Iterated binary direct sum of a family, flattened to components+tails."""
     return DirectSum(summands)

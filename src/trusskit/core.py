@@ -301,7 +301,10 @@ def quotient_group(g: FiniteGroup, members):
 
 
 def _normalize_ternary(table):
-    rows = tuple(tuple(tuple(level) for level in plane) for plane in table)
+    # tuples built from lists, not from generators: CPython 3.11 resizes a
+    # tuple grown from a generator, and the freed tuple then sits in the free
+    # list of its final size instead of being reused
+    rows = tuple([tuple([tuple(level) for level in plane]) for plane in table])
     n = len(rows)
     for a, plane in enumerate(rows):
         if len(plane) != n:
@@ -333,17 +336,19 @@ def _assoc_violations(rows):
                                           ld[e], tab[td[e]])
 
 
-def _is_group_heap(carrier) -> bool:
-    """Whether a finite ternary operation is the heap of its retract at 0;
-    O(n^3).
+def _retract_defects(carrier, e):
+    """The entries where a finite ternary operation differs from the heap of
+    its retract at e, in (a, b, c) order, or None if that retract is not a
+    group; O(n^3).
 
     ``carrier`` is a ternary table or a finite structure with ``size`` and
     ``ternary`` (a heap, truss or module).  The latter is evaluated entry by
     entry, so a function-backed heap never builds and caches its table.
 
-    A ternary operation is a heap exactly when [a,0,b] is a group and
-    [a,b,c] = a.b^-1.c in it (Certaine 1943).  The inverse is the retract's
-    own, not [0,b,0]: with that, [a,b,c] = a + c (mod 2) would pass.
+    A ternary operation is a heap exactly when [a,e,b] is a group and
+    [a,b,c] = a.b^-1.c in it (Certaine 1943), i.e. when the list is empty.
+    The inverse is the retract's own, not [e,b,e]: with that,
+    [a,b,c] = a + c (mod 2) would pass.
     """
     if hasattr(carrier, "ternary"):
         n, ternary = carrier.size, carrier.ternary
@@ -355,16 +360,85 @@ def _is_group_heap(carrier) -> bool:
 
         def row(a, b):
             return carrier[a][b]
-    op = [row(a, 0) for a in range(n)]
+    op = [row(a, e) for a in range(n)]
     if not validate_group_table(op).ok:
-        return False
+        return None
     g = FiniteGroup(op, validate=False)
     inv = [g.inv(b) for b in range(n)]
-    return all(row(a, b) == op[op[a][inv[b]]] for a in range(n) for b in range(n))
+    dirty = []
+    for a in range(n):
+        op_a = op[a]
+        for b in range(n):
+            got, want = row(a, b), op[op_a[inv[b]]]
+            if got != want:
+                dirty += [(a, b, c) for c in range(n) if got[c] != want[c]]
+    return dirty
 
 
-def _heap_violations(rows, abelian):
-    """Every violated heap law, lazily, in the order validate_heap lists them."""
+def _is_group_heap(carrier) -> bool:
+    """Whether a finite ternary operation is the heap of its retract at 0,
+    i.e. a heap; O(n^3).  See ``_retract_defects``."""
+    return _retract_defects(carrier, 0) == []
+
+
+def _dirty_candidates(rows, dirty):
+    """Every quintuple (a, b, c, d, x) whose associativity instance reads a
+    dirty entry, sorted: at (a,b,c), at (c,d,x), at ([a,b,c],d,x) or at
+    (a,b,[c,d,x]).  The last two come from the preimages of the first and
+    third coordinates of the dirty entries, collected in one O(n^3) scan and
+    only for those values, so memory stays O(|D| n^2)."""
+    n = len(rows)
+    ids = range(n)
+    preimage = {v: [] for p, _, r in dirty for v in (p, r)}
+    for a in ids:
+        for b in ids:
+            for c, v in enumerate(rows[a][b]):
+                if v in preimage:
+                    preimage[v].append((a, b, c))
+    candidates = set()
+    for p, q, r in dirty:
+        candidates.update([(p, q, r, d, x) for d in ids for x in ids])
+        candidates.update([(a, b, p, q, r) for a in ids for b in ids])
+        candidates.update([(a, b, c, q, r) for a, b, c in preimage[p]])
+        candidates.update([(p, q, c, d, x) for c, d, x in preimage[r]])
+    return sorted(candidates)
+
+
+def _associativity(rows):
+    """``(stats, findings)``: how associativity is decided (see validate_heap)
+    and a lazy iterator over its violations, in sweep order.
+
+    The first basepoint e in 0, 1, 2 whose retract is a group and whose D
+    is small enough is used; an entry (a, e, b) that differs from a group
+    heap breaks the retract at e.
+    """
+    n = len(rows)
+    for e in range(min(n, 3)):
+        dirty = _retract_defects(rows, e)
+        if dirty is None:
+            continue
+        if not dirty:
+            return {"algorithm": "retract", "basepoint": e, "dirty": 0, "candidates": 0}, iter(())
+        if 4 * len(dirty) * n * n < n ** 5:
+            candidates = _dirty_candidates(rows, dirty)
+            stats = {"algorithm": "dirty entries", "basepoint": e, "dirty": len(dirty),
+                     "candidates": len(candidates)}
+            return stats, _violated(rows, candidates)
+    stats = {"algorithm": "sweep", "basepoint": None, "dirty": None, "candidates": n ** 5}
+    return stats, _assoc_violations(rows)
+
+
+def _violated(rows, candidates):
+    for a, b, c, d, x in candidates:
+        lhs, rhs = rows[rows[a][b][c]][d][x], rows[a][b][rows[c][d][x]]
+        if lhs != rhs:
+            yield Finding("heap associativity", (a, b, c, d, x), lhs, rhs)
+
+
+def _heap_violations(rows, abelian, stats):
+    """Every violated heap law, lazily, in the order validate_heap lists them.
+
+    ``stats["associativity"]`` is set once the Mal'cev pairs are done."""
     n = len(rows)
     for a in range(n):
         for b in range(n):
@@ -372,8 +446,8 @@ def _heap_violations(rows, abelian):
                 yield Finding("Mal'cev [a,b,b] = a", (a, b), rows[a][b][b], a)
             if rows[b][b][a] != a:
                 yield Finding("Mal'cev [b,b,a] = a", (b, a), rows[b][b][a], a)
-    if not _is_group_heap(rows):
-        yield from _assoc_violations(rows)
+    stats["associativity"], violations = _associativity(rows)
+    yield from violations
     if abelian:
         for a in range(n):
             for b in range(n):
@@ -386,14 +460,25 @@ def _heap_violations(rows, abelian):
 def validate_heap(table, abelian=False) -> Report:
     """Check a ternary table against the heap axioms, exactly at every size.
 
-    A pass is decided in O(n^3) from the retract at 0.  A fail reports every
-    violated instance: the Mal'cev identities over all pairs, associativity
-    over all quintuples (an O(n^5) sweep, run only on this path), and (when
-    ``abelian`` is set) the symmetry over all triples.
+    A fail reports every violated instance: the Mal'cev identities over all
+    pairs, associativity over all quintuples, and (when ``abelian`` is set)
+    the symmetry over all triples, in that order.
+
+    Associativity comes from a retract (Certaine 1943).  If the retract at
+    a basepoint e is a group, let H = a.b^-1.c be its heap and D the entries
+    where the table differs from H, found in O(n^3).  D empty: a heap
+    ("retract").  Otherwise, as H is associative, every violated instance
+    (a, b, c, d, x) reads an entry of D at (a,b,c), ([a,b,c],d,x), (c,d,x)
+    or (a,b,[c,d,x]), so only those O(|D| n^2) candidates are checked
+    ("dirty entries").  Basepoints 0, 1 and 2 are tried.  The O(n^5) sweep
+    runs when none of their retracts is a group, or when 4 |D| n^2 reaches
+    n^5.  ``stats["associativity"]`` names the algorithm, the basepoint,
+    |D| and the number of candidate quintuples checked.
     """
     rows = _normalize_ternary(table)
-    findings = list(_heap_violations(rows, abelian))
-    return Report("heap table", FAIL if findings else PASS, findings, {"size": len(rows)})
+    stats = {"size": len(rows)}
+    findings = list(_heap_violations(rows, abelian, stats))
+    return Report("heap table", FAIL if findings else PASS, findings, stats)
 
 
 def _first_unpreserved(source_ternary, target_ternary, mapping):
@@ -440,7 +525,7 @@ class FiniteHeap:
         """Build a heap from a full ternary table, exactly validated at every
         size; a non-heap raises StructureError naming its first violation."""
         rows = _normalize_ternary(table)
-        first = next(_heap_violations(rows, False), None)
+        first = next(_heap_violations(rows, False, {}), None)
         if first is not None:
             raise StructureError(f"not a heap: {first}")
         n = len(rows)
@@ -470,10 +555,10 @@ class FiniteHeap:
         if self._table is None:
             fn = self._fn
             n = self.size
-            self._table = tuple(
-                tuple(tuple(fn(a, b, c) for c in range(n)) for b in range(n))
+            self._table = tuple([
+                tuple([tuple([fn(a, b, c) for c in range(n)]) for b in range(n)])
                 for a in range(n)
-            )
+            ])
         return self._table
 
     def elements(self):
@@ -491,7 +576,14 @@ class FiniteHeap:
     def __eq__(self, other):
         if not isinstance(other, FiniteHeap):
             return NotImplemented
-        return self.size == other.size and self.table() == other.table()
+        if self.size != other.size:
+            return False
+        if self._table is not None and other._table is not None:
+            return self._table == other._table
+        # entry by entry, so a function-backed heap builds no table
+        ids = range(self.size)
+        return all(self.ternary(a, b, c) == other.ternary(a, b, c)
+                   for a in ids for b in ids for c in ids)
 
     def __repr__(self):
         kind = "table" if self._table is not None else "fn"

@@ -62,6 +62,8 @@ def test_verify_has_no_gate_or_thread_flags(flag, files, capsys):
 def test_heap_above_sixteen_elements_is_decided(files, capsys):
     code, out, _ = run(["verify", files["c20"]], capsys)
     assert code == 0 and json.loads(out)["status"] == "pass"
+    assert json.loads(out)["stats"] == {"size": 20, "associativity": {
+        "algorithm": "retract", "basepoint": 0, "candidates": 0, "dirty": 0}}
     code, out, err = run(["verify", files["c20_bad"]], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: not a heap: heap associativity")

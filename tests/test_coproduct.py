@@ -19,7 +19,6 @@ from trusskit.coproduct import (
     DirectSum,
     HeapSummand,
     direct_sum,
-    nary_sum,
 )
 
 C2 = heap_from_group(FiniteGroup.cyclic(2))
@@ -121,7 +120,7 @@ def test_word_form_round_trips_window():
 
 
 def test_word_form_round_trips_nary():
-    ds = nary_sum([HeapSummand(C2, 0), HeapSummand(C3, 0), HeapSummand(C2, 1)])
+    ds = DirectSum([HeapSummand(C2, 0), HeapSummand(C3, 0), HeapSummand(C2, 1)])
     for x in ds.enumerate_elements(2):
         assert ds.normalize_word(ds.word_form(x)) == x
 
@@ -134,8 +133,8 @@ def test_op_malcev():
     ds = c2_pair()
     xs = list(ds.enumerate_elements(2))
     for x, z in itertools.product(xs, repeat=2):
-        assert ds.op(x, x, z) == z
-        assert ds.op(z, x, x) == z
+        assert ds.ternary(x, x, z) == z
+        assert ds.ternary(z, x, x) == z
 
 
 def test_op_example_c2():
@@ -143,18 +142,18 @@ def test_op_example_c2():
     x = ds.make((1, 0), (0,))
     y = ds.make((0, 1), (1,))
     z = ds.make((1, 1), (0,))
-    assert ds.op(x, y, z) == CoproductElement((0, 0), (-1,))
+    assert ds.ternary(x, y, z) == CoproductElement((0, 0), (-1,))
 
 
 def test_op_axioms_window():
     ds = direct_sum(HeapSummand(C2, 0), HeapSummand(C3, 0))
     xs = list(ds.enumerate_elements(1))
     for x, y, z in itertools.product(xs, repeat=3):
-        assert ds.op(x, y, z) == ds.op(z, y, x)
+        assert ds.ternary(x, y, z) == ds.ternary(z, y, x)
     rng = random.Random(23)
     for _ in range(3000):
         a, b, c, d, e = (rng.choice(xs) for _ in range(5))
-        assert ds.op(ds.op(a, b, c), d, e) == ds.op(a, b, ds.op(c, d, e))
+        assert ds.ternary(ds.ternary(a, b, c), d, e) == ds.ternary(a, b, ds.ternary(c, d, e))
 
 
 def test_op_matches_word_level_oracle():
@@ -164,7 +163,7 @@ def test_op_matches_word_level_oracle():
     for _ in range(1000):
         x, y, z = (rng.choice(xs) for _ in range(3))
         concat = ds.word_form(x) + tuple(reversed(ds.word_form(y))) + ds.word_form(z)
-        assert ds.normalize_word(concat) == ds.op(x, y, z)
+        assert ds.normalize_word(concat) == ds.ternary(x, y, z)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +192,7 @@ def test_group_form_is_heap_morphism():
             (gx[1] - gy[1] + gz[1]) % 2,
             gx[2] - gy[2] + gz[2],
         )
-        assert ds.to_group_form(ds.op(x, y, z)) == combined
+        assert ds.to_group_form(ds.ternary(x, y, z)) == combined
 
 
 def test_from_group_form_base_points():
@@ -260,7 +259,7 @@ def test_copair_is_heap_morphism():
     rng = random.Random(31)
     for _ in range(500):
         x, y, z = (rng.choice(xs) for _ in range(3))
-        assert both(ds.op(x, y, z)) == z6.ternary(both(x), both(y), both(z))
+        assert both(ds.ternary(x, y, z)) == z6.ternary(both(x), both(y), both(z))
 
 
 def test_copair_representative_independence():
@@ -342,21 +341,21 @@ def test_copair_rejects_nonabelian_target():
 
 def test_nary_singleton_sum_is_integer_pairs():
     star = FiniteHeap.singleton()
-    ds = nary_sum([HeapSummand(star, 0)] * 3)
+    ds = DirectSum([HeapSummand(star, 0)] * 3)
     xs = list(ds.enumerate_elements(3))
     # components are forced, so elements are exactly the integer tail pairs
     assert len(xs) == 7 * 7
     for x, y, z in itertools.product(xs[:10], repeat=3):
-        out = ds.op(x, y, z)
+        out = ds.ternary(x, y, z)
         assert out.tails == tuple(a - b + c for a, b, c in zip(x.tails, y.tails, z.tails))
 
 
 def test_single_summand_sum_is_the_summand():
-    ds = nary_sum([HeapSummand(C3, 0)])
+    ds = DirectSum([HeapSummand(C3, 0)])
     xs = list(ds.enumerate_elements(0))
     assert len(xs) == 3
     for x, y, z in itertools.product(xs, repeat=3):
-        assert ds.op(x, y, z).components[0] == C3.ternary(
+        assert ds.ternary(x, y, z).components[0] == C3.ternary(
             x.components[0], y.components[0], z.components[0])
 
 
@@ -368,7 +367,7 @@ def test_direct_sum_of_two_points_is_infinite():
 
 def test_empty_sum_rejected():
     with pytest.raises(StructureError):
-        nary_sum([])
+        DirectSum([])
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +387,8 @@ def test_window_indexing_matches_iteration_order(window):
     inner = direct_sum(HeapSummand(INT_LINE, 0), HeapSummand(C2, 1))
     sums = [
         c2_pair(),
-        nary_sum([HeapSummand(C3, 0), HeapSummand(INT_LINE, 2), HeapSummand(C2, 0)]),
-        nary_sum([HeapSummand(FiniteHeap.singleton(), 0)] * 3),
+        DirectSum([HeapSummand(C3, 0), HeapSummand(INT_LINE, 2), HeapSummand(C2, 0)]),
+        DirectSum([HeapSummand(FiniteHeap.singleton(), 0)] * 3),
         direct_sum(HeapSummand(inner, inner.zero()), HeapSummand(C3, 0)),   # nested
     ]
     for ds in sums:
@@ -414,14 +413,14 @@ def test_window_size_at_zero_and_nested():
 def test_window_draws_like_a_list():
     # random.choice is seq[randbelow(len(seq))], so a lazy window and its
     # list give the same draws from the same seed
-    ds = nary_sum([HeapSummand(C3, 0), HeapSummand(INT_LINE, 0)])
+    ds = DirectSum([HeapSummand(C3, 0), HeapSummand(INT_LINE, 0)])
     w = ds.enumerate_elements(4)
     a, b = random.Random(5), random.Random(5)
     assert [a.choice(w) for _ in range(50)] == [b.choice(list(w)) for _ in range(50)]
 
 
 def test_window_beyond_sys_maxsize_is_indexable():
-    ds = nary_sum([HeapSummand(INT_LINE, 0)] * 12)
+    ds = DirectSum([HeapSummand(INT_LINE, 0)] * 12)
     w = ds.enumerate_elements(4)
     assert w.size == 9 ** 23
     x = w[w.size - 1]
@@ -441,6 +440,6 @@ def test_window_retract_matches_group_tables():
     zero = ds.inject_left(0)
     for x in window:
         for y in window:
-            out = ds.op(x, zero, y)  # retract addition at the left base point
+            out = ds.ternary(x, zero, y)  # retract addition at the left base point
             gx, gy = ds.to_group_form(x), ds.to_group_form(y)
             assert ds.to_group_form(out) == ((gx[0] + gy[0]) % 2, (gx[1] + gy[1]) % 2, gx[2] + gy[2])

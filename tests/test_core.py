@@ -180,6 +180,16 @@ def sweep_findings(rows, abelian):
     return [f.to_obj() for f in out]
 
 
+def perturbed_at(table, rng, middles):
+    """The table with one entry changed per middle index (None: any index)."""
+    n = len(table)
+    for mid in middles:
+        a, b, c = rng.randrange(n), rng.randrange(n) if mid is None else mid, rng.randrange(n)
+        old = table[a][b][c]
+        table = perturbed(table, (a, b, c), rng.choice([v for v in range(n) if v != old]))
+    return table
+
+
 def differential_tables():
     for bits in itertools.product((0, 1), repeat=8):
         it = iter(bits)
@@ -196,13 +206,55 @@ def differential_tables():
             cell = tuple(rng.randrange(g.size) for _ in range(3))
             old = table[cell[0]][cell[1]][cell[2]]
             yield perturbed(table, cell, rng.choice([v for v in range(g.size) if v != old]))
+    # one and two entries off every C_n and D_k of order up to 16; an entry
+    # (a, e, b) breaks the retract at e, so middle indices 0 and 1 send the
+    # dirty-entry lister to basepoints 1 and 2
+    groups = [(f"C{n}", Z(n)) for n in range(2, 17)]
+    groups += [(f"D{k}", FiniteGroup.dihedral(k)) for k in range(2, 9)]
+    for label, g in groups:
+        table = heap_from_group(g).table()
+        rng = random.Random(label)
+        for middles in ((None,), (None, None), (0,), (0, 1)):
+            yield perturbed_at(table, rng, middles)
+    yield perturbed_at(heap_from_group(Z(20)).table(), random.Random("C20"), (None,))
+    # no tried retract is a group: the sweep
+    yield perturbed_at(mod_heap_table(5), random.Random("C5"), (0, 1, 2))
 
 
 def test_findings_match_the_brute_force_sweep():
     for table in differential_tables():
+        want = sweep_findings(table, True)
         for abelian in (False, True):
             got = [f.to_obj() for f in validate_heap(table, abelian).findings]
-            assert got == sweep_findings(table, abelian), (table, abelian)
+            assert got == [f for f in want if abelian or not f["law"].startswith("Abelian")], \
+                (table, abelian)
+        if want and not want[0]["law"].startswith("Abelian"):
+            first = want[0]
+            first = Finding(first["law"], tuple(first["at"]), first["lhs"], first["rhs"])
+            with pytest.raises(StructureError) as raised:
+                FiniteHeap.from_table(table)
+            assert str(raised.value) == f"not a heap: {first}"
+        else:
+            FiniteHeap.from_table(table)
+
+
+def test_heap_stats_name_the_algorithm():
+    def assoc(table):
+        return validate_heap(table).stats["associativity"]
+
+    c5 = mod_heap_table(5)
+    assert assoc(c5) == {"algorithm": "retract", "basepoint": 0, "dirty": 0, "candidates": 0}
+    for e, bad in enumerate([perturbed(c5, (1, 2, 3), 0), perturbed(c5, (1, 0, 3), 0),
+                             perturbed(perturbed(c5, (1, 0, 3), 0), (2, 1, 4), 1)]):
+        stats = assoc(bad)
+        assert (stats["algorithm"], stats["basepoint"]) == ("dirty entries", e)
+        assert stats["dirty"] >= 1 and 0 < stats["candidates"] < 5 ** 5
+    swept = perturbed(perturbed(perturbed(c5, (1, 0, 3), 0), (2, 1, 4), 1), (3, 2, 0), 2)
+    assert assoc(swept) == {"algorithm": "sweep", "basepoint": None, "dirty": None,
+                            "candidates": 5 ** 5}
+    # the retract at 0 is a group, but its |D| = 2 gives 4 |D| n^2 = n^5
+    gated = perturbed(perturbed(mod_heap_table(2), (0, 1, 0), 0), (1, 1, 1), 0)
+    assert assoc(gated)["algorithm"] == "sweep"
 
 
 # ---------------------------------------------------------------------------

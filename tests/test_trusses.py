@@ -109,6 +109,16 @@ def test_truss_rejects_nonabelian_carrier():
         FiniteTruss(heap, [[0] * 6 for _ in range(6)])
 
 
+def test_equality_of_function_backed_heaps_builds_no_table():
+    s, t = truss_TZn(6), truss_TZn(6)
+    assert s == t
+    assert s.heap._table is None and t.heap._table is None
+    c6, s3 = heap_from_group(FiniteGroup.cyclic(6)), heap_from_group(FiniteGroup.dihedral(3))
+    assert c6 != s3 and c6._table is None and s3._table is None
+    assert c6 == FiniteHeap.from_table(heap_from_group(FiniteGroup.cyclic(6)).table())
+    assert c6._table is None
+
+
 # ---------------------------------------------------------------------------
 # unital extension
 
