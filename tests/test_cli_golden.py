@@ -1,0 +1,161 @@
+"""Golden outputs of the command line: every verb, on the benchmark fixture
+files, with its exit code and its exact stdout and stderr.
+
+The expected outputs are in ``golden_cli.json``.  Fixture paths are written
+as ``<fixtures>`` in both the arguments and the recorded outputs, and an
+argparse usage error is kept as the name of the command it rejects.  To record
+them again (only when an output is meant to change):
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from trusskit import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = str(ROOT / "perfbench" / "fixtures")
+GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
+F = "<fixtures>/"
+
+CASES = [
+    ["reduce", "--abelian", "[a b a, a, b]"],
+    ["reduce", "--abelian", "--json", "[a b c, [b, c, d], a]"],
+    ["reduce", "--free", "[a b a, a, b]"],
+    ["reduce", "--free", "--json", "a b b c c"],
+    ["reduce", "--free", "[a, b"],
+    ["reduce", "--abelian", "a b"],
+    ["reduce", "a"],
+    ["coproduct", F + "heap_c4.json", F + "heap_c4.json", "--word", "A:1 B:2 A:3 B:0 A:1"],
+    ["coproduct", F + "heap_c4.json", F + "heap_c4.json", "--word", "B:3 A:1 B:2", "--json"],
+    ["coproduct", F + "heap_c4.json", F + "heap_c4.json", "--word", "A:2 A:0 B:1 B:3 B:1",
+     "--base-left", "1", "--base-right", "3"],
+    ["coproduct", F + "heap_c4.json", F + "heap_c4.json", "--word", "B:0"],
+    ["coproduct", F + "heap_s3.json", F + "heap_c4.json", "--word", "A:0"],
+    ["coproduct", F + "heap_c4.json", F + "heap_c4.json", "--word", "C:1"],
+    ["coproduct", F + "heap_c4.json", F + "heap_c4.json", "--word", "A:1 B:2"],
+    ["extend", "--unital", "--builtin", "TZ"],
+    ["extend", "--unital", "--builtin", "TZ", "--json"],
+    ["extend", "--zero", "--builtin", "Zc3", "--json"],
+    ["extend", "--both", "--builtin", "TC2"],
+    ["extend", "--both", "--builtin", "TC2", "table", "--window", "1"],
+    ["extend", "--zero", "--builtin", "TZ", "table", "--window", "2"],
+    ["extend", "--zero", "--builtin", "Zc3", "table", "--window", "1", "--json"],
+    ["extend", "--unital", "--builtin", "TZ3", "table", "--window", "1"],
+    ["extend", "--unital", F + "truss_tz4.json", "table", "--json", "--window", "2"],
+    ["extend", "--unital", "--builtin", "XYZ"],
+    ["extend", "--unital"],
+    ["extend", "--unital", F + "heap_c4.json"],
+    ["retract", "--at", "1", F + "heap_c4.json"],
+    ["retract", "--at", "0", F + "truss_tz4.json"],
+    ["retract", "--at", "9", F + "heap_c4.json"],
+    ["retract", "--at", "0", F + "group_z4.json"],
+    ["quotient", "--by", F + "subheap_c4.json", F + "heap_c4.json"],
+    ["quotient", "--by", F + "subheap_c4.json", F + "heap_c20.json"],
+    ["quotient", "--by", F + "heap_c4.json", F + "heap_c4.json"],
+    ["quotient", "--by", F + "subheap_c4.json", F + "group_z4.json"],
+    ["abs", F + "module_tz4.json"],
+    ["abs", F + "module_ztrivial.json"],
+    ["abs", F + "free_tz3.json"],
+    ["abs", F + "group_z4.json"],
+    ["verify", F + "group_z4.json"],
+    ["verify", F + "heap_c4.json"],
+    ["verify", F + "heap_s3.json"],
+    ["verify", F + "heap_c20.json"],
+    ["verify", F + "ring_z4.json"],
+    ["verify", F + "truss_tz4.json"],
+    ["verify", F + "truss_tz.json"],
+    ["verify", "--samples", "50", F + "truss_zc3.json"],
+    ["verify", "--samples", "50", F + "truss_tc2.json"],
+    ["verify", "--samples", "50", F + "truss_tz5.json"],
+    ["verify", "--samples", "50", F + "truss_t1_tz.json"],
+    ["verify", F + "module_tz4.json"],
+    ["verify", "--samples", "50", F + "module_ztrivial.json"],
+    ["verify", "--samples", "50", F + "free_tz3.json"],
+    ["verify", F + "truss_tz4_bad.json"],
+    ["verify", F + "module_tz4_bad.json"],
+    ["verify", "--samples", "50", F + "truss_t1_bad.json"],
+    ["verify", F + "group_table_int.json"],
+    ["verify", F + "truss_zc_text.json"],
+    ["verify", F + "heap_no_table.json"],
+    ["verify", F + "ring_mul_text.json"],
+    ["verify", F + "not_json.json"],
+    ["verify", F + "unknown_kind.json"],
+    ["verify", F + "heap_ragged.json"],
+    ["verify", F + "group_not_assoc.json"],
+    ["verify", F + "heap_c4_bad.json"],
+    ["verify", F + "ring_z4_bad.json"],
+    ["verify", F + "module_bad_shape.json"],
+    ["verify", "--samples", "0", F + "truss_tz.json"],
+    ["verify", F + "no_such_file.json"],
+    ["verify", F + "subheap_c4.json"],
+    ["table", F + "group_z4.json"],
+    ["table", "--json", F + "group_z4.json"],
+    ["table", F + "ring_z4.json"],
+    ["table", "--json", F + "ring_z4.json"],
+    ["table", F + "heap_c4.json"],
+    ["table", F + "truss_tz4.json"],
+    ["table", "--json", F + "truss_tz4.json"],
+    ["table", "--window", "3", F + "truss_tz.json"],
+    ["table", "--json", "--window", "2", F + "truss_zc3.json"],
+    ["table", "--window", "2", F + "truss_tc2.json"],
+    ["table", "--window", "2", F + "truss_t1_tz.json"],
+    ["table", "--json", "--window", "1", F + "truss_t1_tz.json"],
+    ["table", F + "free_tz3.json"],
+    ["table", F + "module_tz4.json"],
+    ["table", "--window", "0", F + "group_z4.json"],
+    ["basis", "--candidates", "1", F + "module_tz4.json"],
+    ["basis", "--candidates", "2", F + "module_tz4.json"],
+    ["basis", "--candidates", "1,3", F + "module_tz4.json"],
+    ["basis", "--candidates", "g0,g1", F + "free_tz3.json"],
+    ["basis", "--candidates", "g1", F + "free_tz3.json"],
+    ["basis", "--candidates", "g7", F + "free_tz3.json"],
+    ["basis", "--candidates", "1", F + "group_z4.json"],
+    ["dorroh", "--ring", "Z3", "--window", "2"],
+    ["dorroh", "--ring", F + "ring_z4.json", "--window", "2"],
+    ["dorroh", "--ring", "Q"],
+    ["dorroh", "--ring", "Z3", "--window", "0"],
+    [],
+    ["frobnicate"],
+]
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of ``cli.main`` with fixture paths hidden."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([a.replace(F, FIXTURES + "/") for a in argv])
+    stderr = err.getvalue().replace(FIXTURES + "/", F)
+    if stderr.startswith("usage:"):
+        # argparse words its usage and messages differently across Python
+        # versions; keep the line that names the failing command
+        stderr = stderr.splitlines()[-1].partition(" error:")[0] + " error: ..."
+    return {"argv": argv, "code": code,
+            "stdout": out.getvalue().replace(FIXTURES + "/", F), "stderr": stderr}
+
+
+def _golden():
+    return {json.dumps(g["argv"]): g for g in json.loads(GOLDEN.read_text())}
+
+
+def test_every_verb_and_exit_code_is_covered():
+    golden = _golden()
+    assert sorted(golden) == sorted(json.dumps(argv) for argv in CASES)
+    verbs = {g["argv"][0] for g in golden.values() if g["argv"] and g["code"] != 2}
+    assert verbs == {"reduce", "coproduct", "extend", "retract", "quotient", "abs",
+                     "verify", "table", "basis", "dorroh"}
+    assert {g["code"] for g in golden.values()} == {0, 1, 2}
+
+
+@pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv) or "<none>")
+def test_output_matches_the_golden(argv):
+    assert run(argv) == _golden()[json.dumps(argv)]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps([run(argv) for argv in CASES], indent=1) + "\n")
