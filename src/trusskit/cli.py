@@ -14,6 +14,7 @@ free modules are sampled (``verify --samples N``, default 10 000).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -160,51 +161,46 @@ def _grid(labels, cells) -> str:
     return "\n".join(lines)
 
 
-def emit_table(structure, window: int, as_json: bool) -> str:
-    if isinstance(structure, FiniteGroup):
-        labels = list(structure.names)
-        cells = [[structure.names[structure.op(a, b)] for b in structure.elements()]
-                 for a in structure.elements()]
-        if as_json:
-            return _dumps({"kind": "group-table", "labels": labels, "table": cells})
-        return _grid(labels, cells)
-    if isinstance(structure, FiniteRing):
-        labels = list(structure.names)
-        add = [[structure.names[structure.plus(a, b)] for b in structure.elements()]
-               for a in structure.elements()]
-        mul = [[structure.names[structure.mul(a, b)] for b in structure.elements()]
-               for a in structure.elements()]
-        if as_json:
-            return _dumps({"kind": "ring-tables", "labels": labels, "add": add, "mul": mul})
-        return "addition\n" + _grid(labels, add) + "\n\nmultiplication\n" + _grid(labels, mul)
+def _table_form(structure, window: int):
+    """(kind, labels, tables): the display names of the elements and each
+    operation table as rows of display names.  Symbolic trusses show the
+    elements of a window."""
     if isinstance(structure, FiniteHeap):
-        obj = {"kind": "heap-table", "labels": list(structure.names),
-               "table": [[[structure.names[v] for v in lvl] for lvl in pl]
-                         for pl in structure.table()]}
-        return _dumps(obj)
+        names = structure.names
+        return "heap-table", list(names), {
+            "table": [[[names[v] for v in lvl] for lvl in pl] for pl in structure.table()]}
+    if isinstance(structure, FiniteGroup):
+        kind, ops = "group-table", {"table": structure.op}
+    elif isinstance(structure, FiniteRing):
+        kind, ops = "ring-tables", {"add": structure.plus, "mul": structure.mul}
+    elif isinstance(structure, (ExtensionTruss, FiniteTruss, IntegerTruss, ConstantTruss)):
+        kind, ops = "truss-table", {"table": structure.mul}
+    else:
+        raise StructureError("no table form for this structure")
     if isinstance(structure, ExtensionTruss):
         pool = _extension_pool(structure, window)
-        labels = [format_extension_element(structure, x) for x in pool]
-        cells = [[format_extension_element(structure, structure.mul(x, y)) for y in pool]
-                 for x in pool]
-        if as_json:
-            return _dumps({"kind": "truss-table", "labels": labels, "table": cells})
-        return _grid(labels, cells)
-    if isinstance(structure, FiniteTruss):
-        labels = list(structure.names)
-        cells = [[structure.names[structure.mul(a, b)] for b in structure.elements()]
-                 for a in structure.elements()]
-        if as_json:
-            return _dumps({"kind": "truss-table", "labels": labels, "table": cells})
-        return _grid(labels, cells)
-    if isinstance(structure, (IntegerTruss, ConstantTruss)):
-        pool = list(structure.sample_elements(window))
-        labels = [structure.format_element(x) for x in pool]
-        cells = [[structure.format_element(structure.mul(a, b)) for b in pool] for a in pool]
-        if as_json:
-            return _dumps({"kind": "truss-table", "labels": labels, "table": cells})
-        return _grid(labels, cells)
-    raise StructureError("no table form for this structure")
+        fmt = functools.partial(format_extension_element, structure)
+    elif isinstance(structure, (IntegerTruss, ConstantTruss)):
+        pool, fmt = list(structure.sample_elements(window)), structure.format_element
+    else:
+        pool, fmt = structure.elements(), structure.names.__getitem__
+    tables = {name: [[fmt(op(a, b)) for b in pool] for a in pool] for name, op in ops.items()}
+    return kind, [fmt(x) for x in pool], tables
+
+
+TABLE_TITLES = {"add": "addition", "mul": "multiplication"}
+
+
+def emit_table(structure, window: int, as_json: bool) -> str:
+    """A structure's operation tables as JSON, or as grids; a heap's
+    ternary table has no grid form and is always JSON."""
+    kind, labels, tables = _table_form(structure, window)
+    if as_json or kind == "heap-table":
+        return _dumps({"kind": kind, "labels": labels, **tables})
+    if list(tables) == ["table"]:
+        return _grid(labels, tables["table"])
+    return "\n\n".join(f"{TABLE_TITLES[name]}\n{_grid(labels, cells)}"
+                       for name, cells in tables.items())
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ of maps f_i on x = (c; t) in closed form:
 
     f(x) = f_0(c_0) + sum_{i>=1} [(f_i(c_i) - f_i(e_i)) + t_{i-1}(f_i(e_i) - f_0(e_0))]
 
-(``copair_value``).  Word forms over the disjoint union of the summands and
-their alternating signed normalization remain for display and parsing.
+(``copair_value``).  Word forms over the disjoint union of the summands
+remain for display and parsing; a word's value is the one fold of words
+into Abelian heaps, ``words.eval_word_in_heap``, over its injected letters.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import StructureError
+from .words import eval_word_in_heap
 
 
 @dataclass(frozen=True)
@@ -89,9 +91,6 @@ class DirectSum:
 
     def _tern(self, i, a, b, c):
         return self.summands[i].heap.ternary(a, b, c)
-
-    def _add(self, i, a, b):
-        return self._tern(i, a, self.summands[i].base, b)
 
     def _neg(self, i, a):
         e = self.summands[i].base
@@ -160,13 +159,13 @@ class DirectSum:
 
         A letter is a pair (summand index, carrier element); positions count
         +1, -1, +1, ...  Letters from summand i >= 1 also move tail i-1.
+        The value is ``words.eval_word_in_heap``, the left fold of
+        ``ternary``, over the injected letters.
         """
         letters = tuple(letters)
         if len(letters) % 2 == 0:
             raise StructureError(f"word length must be odd, got {len(letters)}")
-        components = list(s.base for s in self.summands)
-        tails = [0] * (self.k - 1)
-        sign = 1
+        word = []
         for letter in letters:
             try:
                 i, a = letter
@@ -176,14 +175,8 @@ class DirectSum:
                 raise StructureError(f"letter {letter!r} names no summand")
             if not self.summands[i].heap.contains(a):
                 raise StructureError(f"letter {letter!r} is outside its summand")
-            if sign == 1:
-                components[i] = self._add(i, components[i], a)
-            else:
-                components[i] = self._add(i, components[i], self._neg(i, a))
-            if i >= 1:
-                tails[i - 1] += sign
-            sign = -sign
-        return CoproductElement(tuple(components), tuple(tails))
+            word.append((i, a))
+        return eval_word_in_heap(word, {x: self.inject(*x) for x in word}, self)
 
     def word_form(self, x) -> tuple:
         """A representative word for a canonical element.

@@ -4,6 +4,13 @@ Element ids are dense integers ``0..n-1``; display names live in a separate
 tuple.  A heap either stores its full ternary table or computes the operation
 on demand from a backing function (e.g. a group), behind one interface.  All
 values are immutable after construction and every operation is pure.
+
+Two routines here are the only ones of their kind in the package:
+``_closure`` closes a finite set under a ternary operation (generated
+sub-heaps, spans of module elements, subgroups in the isomorphism search),
+and ``_quotient_classes`` builds the classes and the projection of a
+quotient by a normal sub-heap (``quotient``, and the absorber quotient of a
+module).
 """
 
 from __future__ import annotations
@@ -204,25 +211,37 @@ def small_groups(max_order=8):
     return [(label, g) for label, g in catalog if g.size <= max_order]
 
 
-def _closure(g: FiniteGroup, seed) -> set:
-    out = set(seed) | {g.neutral}
-    frontier = list(out)
-    while frontier:
-        x = frontier.pop()
-        for y in list(out):
-            for z in (g.op(x, y), g.op(y, x)):
-                if z not in out:
-                    out.add(z)
-                    frontier.append(z)
-    return out
+def _closure(seed, ternary) -> list:
+    """The least superset of a finite seed closed under ``ternary``: the
+    seed's distinct members in order, then each new member as it is found.
+
+    A worklist: when the i-th member arrives, only the triples whose newest
+    member is the i-th are evaluated, so each triple of members is evaluated
+    once, O(k^3) for a closure of k members.
+    """
+    members = list(dict.fromkeys(seed))
+    found = set(members)
+    for i, x in enumerate(members):     # members grows while it is walked
+        upto = members[:i + 1]
+        for a in upto:
+            for b in upto:
+                for c in upto if x in (a, b) else (x,):
+                    v = ternary(a, b, c)
+                    if v not in found:
+                        found.add(v)
+                        members.append(v)
+    return members
 
 
 def _generating_sequence(g: FiniteGroup):
-    gens, closed = [], {g.neutral}
+    """Greedy generators: each is the least element outside the subgroup the
+    earlier ones generate, i.e. the sub-heap of [a,b,c] = a.b^-1.c that they
+    and the neutral element generate."""
+    gens, closed, ternary = [], [g.neutral], heap_from_group(g).ternary
     for x in range(g.size):
         if x not in closed:
             gens.append(x)
-            closed = _closure(g, closed | {x})
+            closed = _closure(closed + [x], ternary)
     return gens
 
 
@@ -741,19 +760,7 @@ def generated_subheap(h: FiniteHeap, xs) -> SubHeap:
     for x in xs:
         if not h.contains(x):
             raise StructureError(f"generator {x!r} is not in the carrier")
-    members = set(xs)
-    grew = True
-    while grew:
-        grew = False
-        snapshot = sorted(members)
-        for a in snapshot:
-            for b in snapshot:
-                for c in snapshot:
-                    v = h.ternary(a, b, c)
-                    if v not in members:
-                        members.add(v)
-                        grew = True
-    return SubHeap(h, tuple(sorted(members)))
+    return SubHeap(h, tuple(sorted(_closure(xs, h.ternary))))
 
 
 @dataclass(frozen=True)
@@ -775,7 +782,6 @@ def is_normal(s: SubHeap) -> NormalityReport:
         return NormalityReport(False, counterexample=())
     h = s.parent
     e = s.members[0]
-    member_set = set(s.members)
     witnesses = {}
     for a in range(h.size):
         for sp in s.members:
@@ -791,12 +797,10 @@ def is_normal(s: SubHeap) -> NormalityReport:
     return NormalityReport(True, base=e, witnesses=witnesses)
 
 
-def quotient(h: FiniteHeap, s: SubHeap):
-    """Quotient heap h/S for a normal sub-heap, with the projection map.
-
-    Classes are the sets {[s,t,a] : s,t in S}, ordered by least member; the
-    class of any member of S is S itself.
-    """
+def _quotient_classes(h: FiniteHeap, s: SubHeap):
+    """The classes of h/S for a normal sub-heap S and the projection: the
+    sets {[s,t,a] : s,t in S}, ordered by least member, and the index of the
+    class of each element.  The class of any member of S is S itself."""
     check = is_normal(s)
     if not check.normal:
         raise StructureError(f"sub-heap is not normal (counterexample {check.counterexample})")
@@ -805,7 +809,16 @@ def quotient(h: FiniteHeap, s: SubHeap):
         classes[a] = frozenset(h.ternary(x, y, a) for x in s.members for y in s.members)
     distinct = sorted(set(classes.values()), key=min)
     index = {c: i for i, c in enumerate(distinct)}
-    proj = tuple(index[classes[a]] for a in range(h.size))
+    return distinct, tuple(index[classes[a]] for a in range(h.size))
+
+
+def quotient(h: FiniteHeap, s: SubHeap):
+    """Quotient heap h/S for a normal sub-heap, with the projection map.
+
+    The classes and the projection are ``_quotient_classes``; the table is
+    taken on the least member of each class, which names the class.
+    """
+    distinct, proj = _quotient_classes(h, s)
     reps = [min(c) for c in distinct]
     table = tuple(
         tuple(tuple(proj[h.ternary(a, b, c)] for c in reps) for b in reps)

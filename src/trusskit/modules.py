@@ -6,7 +6,10 @@ copies of the truss; their action is the closed form of ``FreeTModule.act``
 in canonical coordinates, and maps out of them (universal lifts, copaired
 sigma maps) are direct-sum copairs (``coproduct.copair_value``), so no word
 is built.  The quotient by the absorber sub-heap turns a module over the
-truss of a ring back into a module over that ring.
+truss of a ring back into a module over that ring; its classes and
+projection come from ``core._quotient_classes`` and its heap from
+``core.quotient``.  Spans are closures under the heap operation
+(``core._closure``).
 """
 
 from __future__ import annotations
@@ -20,9 +23,12 @@ from .core import (
     FiniteGroup,
     FiniteHeap,
     StructureError,
+    _closure,
     _first_unpreserved,
     _is_group_heap,
+    _quotient_classes,
     heap_from_group,
+    quotient,
     retract,
     SubHeap,
 )
@@ -414,20 +420,17 @@ def to_ring_module(m: FiniteTModule) -> RModule:
 # the quotient-by-absorbers functor
 
 
-def absorber_classes(m: FiniteTModule):
-    """Equivalence classes of the absorber sub-heap relation, ordered by
-    least member, with the projection of each element."""
+def _absorber_subheap(m: FiniteTModule) -> SubHeap:
     aset = absorbers(m)
     if aset.kind != "finite" or not aset.members:
         raise StructureError("absorber classes need a non-empty finite absorber set")
-    sub = SubHeap(m.heap, aset.members)
-    classes = {}
-    for a in m.elements():
-        classes[a] = frozenset(m.ternary(x, y, a) for x in sub.members for y in sub.members)
-    distinct = sorted(set(classes.values()), key=min)
-    index = {c: i for i, c in enumerate(distinct)}
-    proj = tuple(index[classes[a]] for a in m.elements())
-    return distinct, proj
+    return SubHeap(m.heap, aset.members)
+
+
+def absorber_classes(m: FiniteTModule):
+    """Equivalence classes of the absorber sub-heap relation, ordered by
+    least member, with the projection of each element."""
+    return _quotient_classes(m.heap, _absorber_subheap(m))
 
 
 def abs_quotient(m):
@@ -475,24 +478,19 @@ def abs_quotient(m):
                              " or a canonical free module")
     if m.size == 0:
         raise StructureError("the empty module has no absorber quotient")
-    classes, proj = absorber_classes(m)
-    reps = [min(c) for c in classes]
-    qheap_table = tuple(
-        tuple(tuple(proj[m.ternary(a, b, c)] for c in reps) for b in reps)
-        for a in reps
-    )
-    names = tuple("{" + ",".join(m.names[x] for x in sorted(c)) + "}" for c in classes)
-    qheap = FiniteHeap(len(classes), table=qheap_table, names=names, abelian=True)
+    sub = _absorber_subheap(m)
+    qheap, proj = quotient(m.heap, sub)
+    # classes are ordered by least member, so each first hit is that member
+    reps = [proj.mapping.index(i) for i in range(qheap.size)]
     action = tuple(
-        tuple(proj[m.act(t, rep)] for rep in reps)
+        tuple(proj(m.act(t, rep)) for rep in reps)
         for t in m.truss.elements()
     )
-    abs_class = proj[absorbers(m).members[0]]
     if m.truss.absorber is not None:
         ring = retract_ring(m.truss, m.truss.absorber)
-        group = retract(qheap, abs_class)
-        return RModule(ring, group, action), (lambda a: proj[a])
-    return FiniteTModule(m.truss, qheap, action), (lambda a: proj[a])
+        group = retract(qheap, proj(sub.members[0]))
+        return RModule(ring, group, action), proj
+    return FiniteTModule(m.truss, qheap, action), proj
 
 
 @dataclass(frozen=True)
@@ -529,17 +527,15 @@ def abs_on_morphism(phi: ModuleMorphism):
     """The induced map between absorber quotients (well defined because
     morphisms send absorbers to absorbers).  Returns (source quotient,
     target quotient, class mapping)."""
-    src_classes, src_proj = absorber_classes(phi.source)
-    dst_classes, dst_proj = absorber_classes(phi.target)
-    mapping = [None] * len(src_classes)
+    qsrc, src_proj = abs_quotient(phi.source)
+    qdst, dst_proj = abs_quotient(phi.target)
+    mapping = [None] * qsrc.size
     for x in phi.source.elements():
-        image = dst_proj[phi(x)]
-        if mapping[src_proj[x]] is None:
-            mapping[src_proj[x]] = image
-        elif mapping[src_proj[x]] != image:
+        image = dst_proj(phi(x))
+        if mapping[src_proj(x)] is None:
+            mapping[src_proj(x)] = image
+        elif mapping[src_proj(x)] != image:
             raise StructureError("quotient map is not well defined")
-    qsrc, _ = abs_quotient(phi.source)
-    qdst, _ = abs_quotient(phi.target)
     return qsrc, qdst, tuple(mapping)
 
 
@@ -647,7 +643,7 @@ def _distinct_generators(m, candidates) -> bool:
     return all(x in gens for x in candidates) and len(set(candidates)) == len(candidates)
 
 
-def free_set_check(m, candidates, *, window=4, max_window=None) -> Report:
+def free_set_check(m, candidates, *, window=4) -> Report:
     """Is the candidate set free (the copaired sigma map injective)?
 
     Distinct generators of a free module are free by the universal property
@@ -694,12 +690,9 @@ def free_set_check(m, candidates, *, window=4, max_window=None) -> Report:
         stats["checked"] = len(list(t.elements()))
     else:
         stats["algorithm"] = "window"
-        if m.is_finite:
-            bound = m.size + 2
-        else:
-            bound = window
-        if max_window is not None:
-            bound = max_window
+        # a finite target: more canonical forms than elements, so pigeonhole
+        # guarantees a collision within this bound
+        bound = m.size + 2 if m.is_finite else window
         seen = {}
         by_value = {}
         checked = 0
@@ -724,8 +717,6 @@ def free_set_check(m, candidates, *, window=4, max_window=None) -> Report:
                                     str(v), str(v),
                                     note="two distinct canonical forms share an image"))
             decided = FAIL
-        elif m.is_finite and s >= 2:
-            decided = INCONCLUSIVE  # should not happen: pigeonhole guarantees a hit
         else:
             decided = INCONCLUSIVE
             findings.append(Finding("no collision within window", (),
@@ -774,16 +765,8 @@ def basis_check(m, candidates, *, window=4) -> Report:
                                 note="an endomorphism fixes the candidates and moves"
                                      " this generator, so it lies outside their span"))
         return Report("basis check", FAIL, findings, stats)
-    t = m.truss
-    reach = {m.act(a, x) for a in t.elements() for x in candidates}
-    grew = True
-    while grew:
-        grew = False
-        for a, b, c in itertools.product(sorted(reach), repeat=3):
-            v = m.ternary(a, b, c)
-            if v not in reach:
-                reach.add(v)
-                grew = True
+    reach = _closure([m.act(a, x) for a in m.truss.elements() for x in candidates],
+                     m.ternary)
     spanning = len(reach) == m.size
     stats["span"] = len(reach)
     stats["carrier"] = m.size
@@ -828,6 +811,7 @@ def freeness_of_TN(rm: RModule) -> Report:
 
 PROJECTION_DRAWS = 1000
 PROJECTION_SEED = 2026
+TAIL_DRAWS = 2000
 
 
 def verify_abs_of_free(ring: FiniteRing, n: int, *, window=3) -> Report:
@@ -836,8 +820,9 @@ def verify_abs_of_free(ring: FiniteRing, n: int, *, window=3) -> Report:
     explicit table comparison, and the generator images are a basis.
 
     "0.m is a tail" is decided for every component vector on the {0, 1}
-    tail frame; the projection checks run on ``PROJECTION_DRAWS`` seeded
-    triples drawn from the whole window."""
+    tail frame; the tail heap is checked on ``TAIL_DRAWS`` and the
+    projection on ``PROJECTION_DRAWS`` seeded triples, each drawn from the
+    whole window."""
     findings = []
     t = truss_from_ring(ring)
     fm = free_module(t, n)
@@ -863,7 +848,9 @@ def verify_abs_of_free(ring: FiniteRing, n: int, *, window=3) -> Report:
             findings.append(Finding("0.m outside the tail sub-heap", (str(x),)))
         if aset.contains(x) and any(c != ring.zero for c in x.components):
             findings.append(Finding("non-tail absorber", (str(x),)))
-    for a, b, c in itertools.islice(itertools.product(tails_pool, repeat=3), 2000):
+    rng = random.Random(PROJECTION_SEED)
+    for _ in range(TAIL_DRAWS):
+        a, b, c = (_draw(rng, tails_pool) for _ in range(3))
         xa = CoproductElement(zero_comps, a)
         xb = CoproductElement(zero_comps, b)
         xc = CoproductElement(zero_comps, c)

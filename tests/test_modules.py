@@ -749,3 +749,18 @@ def test_verify_abs_of_free_sees_every_component_vector_and_the_whole_window(mon
     drawn = [x for t, x in seen if t == Z3.one and any(x.components)]
     assert {x.components[0] for x in drawn} == {0, 1, 2}
     assert {k for x in drawn for k in x.tails} == set(range(-2, 3))
+
+
+def test_verify_abs_of_free_draws_tail_triples_from_the_whole_pool(monkeypatch):
+    firsts = set()
+    ternary = FreeTModule.ternary
+
+    def spy(self, x, y, z):
+        if not any(c for w in (x, y, z) for c in w.components):
+            firsts.add(x.tails)
+        return ternary(self, x, y, z)
+
+    monkeypatch.setattr(FreeTModule, "ternary", spy)
+    assert verify_abs_of_free(Z3, 3, window=2).ok
+    # a prefix of the triples holds the first argument at one tail vector
+    assert firsts == set(itertools.product(range(-2, 3), repeat=2))
