@@ -188,7 +188,7 @@ def _table_form(structure, window: int):
     return kind, [fmt(x) for x in pool], tables
 
 
-TABLE_TITLES = {"add": "addition", "mul": "multiplication"}
+_TABLE_TITLES = {"add": "addition", "mul": "multiplication"}
 
 
 def emit_table(structure, window: int, as_json: bool) -> str:
@@ -199,7 +199,7 @@ def emit_table(structure, window: int, as_json: bool) -> str:
         return _dumps({"kind": kind, "labels": labels, **tables})
     if list(tables) == ["table"]:
         return _grid(labels, tables["table"])
-    return "\n\n".join(f"{TABLE_TITLES[name]}\n{_grid(labels, cells)}"
+    return "\n\n".join(f"{_TABLE_TITLES[name]}\n{_grid(labels, cells)}"
                        for name, cells in tables.items())
 
 

@@ -1,9 +1,9 @@
 """The shared closure and quotient routines against brute-force oracles.
 
-``resweep_closure`` is the closure loop the package used before it had one
-worklist routine: it sweeps every triple of the current set until a round
-adds nothing.  ``absorber_classes_oracle`` builds the absorber classes of a
-finite module from their definition.  Both stay here as references.
+``resweep_closure`` is the plain fixed point: it sweeps every triple of the
+current set until a round adds nothing.  ``absorber_classes_oracle`` builds
+the absorber classes of a finite module from their definition.  Both stay
+here as references for ``core._closure`` and ``core._quotient_classes``.
 """
 
 import itertools
@@ -11,7 +11,13 @@ import itertools
 import pytest
 
 from trusskit import core
-from trusskit.core import generated_subheap, heap_from_group, small_groups
+from trusskit.core import (
+    FiniteGroup,
+    StructureError,
+    generated_subheap,
+    heap_from_group,
+    small_groups,
+)
 from trusskit.modules import (
     FiniteTModule,
     ModuleMorphism,
@@ -22,7 +28,6 @@ from trusskit.modules import (
     adjunction_theta_inv,
     basis_check,
 )
-from trusskit.core import FiniteGroup, StructureError
 from trusskit.rings import FiniteRing, RModule
 from trusskit.trusses import truss_TZn
 
