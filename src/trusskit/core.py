@@ -5,12 +5,13 @@ tuple.  A heap either stores its full ternary table or computes the operation
 on demand from a backing function (e.g. a group), behind one interface.  All
 values are immutable after construction and every operation is pure.
 
-Two routines here are the only ones of their kind in the package:
+Three routines here are the only ones of their kind in the package:
 ``_closure`` closes a finite set under a ternary operation (generated
-sub-heaps, spans of module elements, subgroups in the isomorphism search),
-and ``_quotient_classes`` builds the classes and the projection of a
-quotient by a normal sub-heap (``quotient``, and the absorber quotient of a
-module).
+sub-heaps, spans, generating sequences of groups); ``_quotient_classes``
+builds the classes and projection of a quotient by a normal sub-heap
+(``quotient``, absorber quotients of modules); ``_group_maps`` yields the
+group maps or isomorphisms from generator images (``group_isomorphism``
+and the module hom-sets of ``rings`` and ``modules``).
 """
 
 from __future__ import annotations
@@ -263,37 +264,45 @@ def _bfs_recipe(g: FiniteGroup, gens):
     return recipe
 
 
-def group_isomorphism(g1: FiniteGroup, g2: FiniteGroup):
-    """An isomorphism g1 -> g2 as an id mapping, or None.
+def _group_maps(g: FiniteGroup, h: FiniteGroup, iso=False):
+    """Every group map g -> h as an id mapping, lazily; with ``iso``, every
+    isomorphism.
 
-    Backtracks over generator images (matched by element order) instead of
-    trying all n! bijections.
+    A map is fixed by its images of ``_generating_sequence(g)`` and follows
+    them along ``_bfs_recipe``.  A generator of order k is sent, in id order,
+    to each element of h of order dividing k (equal to k with ``iso``).
+    Each candidate is verified on all n^2 pairs: the recipe is not trusted.
     """
+    if g.size == 0 or h.size == 0:
+        yield from ([[]] if g.size == 0 else ())
+        return
+    gens = _generating_sequence(g)
+    recipe = _bfs_recipe(g, gens)
+    pairs = list(itertools.product(range(g.size), repeat=2))
+    orders = [h.element_order(y) for y in range(h.size)]
+    candidates = [[y for y in range(h.size) if (orders[y] == k if iso else k % orders[y] == 0)]
+                  for k in map(g.element_order, gens)]
+    for imgs in itertools.product(*candidates):
+        mapping = [None] * g.size
+        mapping[g.neutral] = h.neutral
+        for x, parent, gi in recipe:
+            mapping[x] = h.op(mapping[parent], imgs[gi])
+        if iso and len(set(mapping)) != g.size:
+            continue
+        if all(mapping[g.op(x, y)] == h.op(mapping[x], mapping[y]) for x, y in pairs):
+            yield mapping
+
+
+def group_isomorphism(g1: FiniteGroup, g2: FiniteGroup):
+    """An isomorphism g1 -> g2 as an id mapping, or None: the first that
+    ``_group_maps`` finds, once the element orders agree."""
     if g1.size != g2.size:
         return None
     orders1 = sorted(g1.element_order(x) for x in range(g1.size))
     orders2 = sorted(g2.element_order(x) for x in range(g2.size))
     if orders1 != orders2:
         return None
-    if g1.size == 0:
-        return []
-    gens = _generating_sequence(g1)
-    recipe = _bfs_recipe(g1, gens)
-    pairs = list(itertools.product(range(g1.size), repeat=2))
-    candidates = [
-        [y for y in range(g2.size) if g2.element_order(y) == g1.element_order(x)]
-        for x in gens
-    ]
-    for imgs in itertools.product(*candidates):
-        mapping = [None] * g1.size
-        mapping[g1.neutral] = g2.neutral
-        for x, parent, gi in recipe:
-            mapping[x] = g2.op(mapping[parent], imgs[gi])
-        if len(set(mapping)) != g1.size:
-            continue
-        if all(mapping[g1.op(x, y)] == g2.op(mapping[x], mapping[y]) for x, y in pairs):
-            return mapping
-    return None
+    return next(_group_maps(g1, g2, iso=True), None)
 
 
 def quotient_group(g: FiniteGroup, members):
@@ -721,14 +730,16 @@ class SubHeap:
         for m in members:
             if not self.parent.contains(m):
                 raise StructureError(f"member {m!r} is not in the parent carrier")
-        mset = set(members)
-        for a in members:
-            for b in members:
-                for c in members:
-                    v = self.parent.ternary(a, b, c)
-                    if v not in mset:
-                        raise StructureError(
-                            f"not closed: [{a},{b},{c}] = {v} falls outside the subset")
+        # closed under [a,e,c] and [e,a,e], e least: a subgroup of the retract at
+        # e, so closed under all [a,b,c]; a failure sweeps for the first witness
+        mset, e, ternary = set(members), members[0], self.parent.ternary
+        if all(ternary(a, e, c) in mset for a in members for c in members) and \
+                all(ternary(e, a, e) in mset for a in members):
+            return
+        for a, b, c in itertools.product(members, repeat=3):
+            v = ternary(a, b, c)
+            if v not in mset:
+                raise StructureError(f"not closed: [{a},{b},{c}] = {v} falls outside the subset")
 
     @classmethod
     def empty(cls, parent: FiniteHeap) -> "SubHeap":

@@ -25,6 +25,7 @@ from .core import (
     StructureError,
     _closure,
     _first_unpreserved,
+    _group_maps,
     _is_group_heap,
     _quotient_classes,
     heap_from_group,
@@ -544,30 +545,25 @@ def abs_on_morphism(phi: ModuleMorphism):
 
 
 def tmodule_homs_to_TN(m: FiniteTModule, n_mod: RModule):
-    """All module maps from m into T(N), as mapping tuples (brute force)."""
+    """All module maps from m into T(N), as mapping tuples in lexicographic
+    order.  A heap map into T(N) is x |-> phi(x) + c for c = f(0) in N and a
+    group map phi from the retract of m at 0 (``core._group_maps``); it is
+    kept when it commutes with every t, and ``_first_unpreserved`` re-checks
+    that it preserves the heap operation."""
     t = m.truss
     if t.absorber is None:
         raise StructureError("the target T(N) needs a ring-type truss")
-    size_m, size_n = m.size, n_mod.size
-
-    def tn_ternary(x, y, z):
-        return n_mod.plus(n_mod.plus(x, n_mod.neg(y)), z)
-
+    if m.size == 0:
+        return [()]
+    tn_ternary, ts, xs = heap_from_group(n_mod.group).ternary, t.elements(), m.elements()
     out = []
-    for mapping in itertools.product(range(size_n), repeat=size_m):
-        if _first_unpreserved(m.ternary, tn_ternary, mapping) is not None:
-            continue
-        ok = True
-        for r in t.elements():
-            for x in range(size_m):
-                if mapping[m.act(r, x)] != n_mod.act(r, mapping[x]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(mapping)
-    return out
+    for phi in _group_maps(retract(m.heap, 0), n_mod.group):
+        for c in n_mod.elements():
+            f = tuple([n_mod.plus(y, c) for y in phi])
+            if (all(f[m.act(r, x)] == n_mod.act(r, f[x]) for r in ts for x in xs)
+                    and _first_unpreserved(m.ternary, tn_ternary, f) is None):
+                out.append(f)
+    return sorted(out)
 
 
 def adjunction_theta(m: FiniteTModule, n_mod: RModule, phi):

@@ -2,14 +2,15 @@
 
 These are the classical (binary-operation) structures that trusses and
 truss modules are compared against: ring retracts, the quotient-by-absorbers
-module, and the hom-set enumeration behind the adjunction checks.
+module, and the hom-sets behind the adjunction checks, built from generator
+images of the additive group (``core._group_maps``).
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .core import FiniteGroup, StructureError, group_isomorphism
+from .core import FiniteGroup, StructureError, _group_maps
 from .reports import FAIL, PASS, Finding, Report
 
 
@@ -226,19 +227,11 @@ def rmodule_isomorphism(m1: RModule, m2: RModule):
 
 
 def rmodule_homs(m1: RModule, m2: RModule):
-    """All R-module homomorphisms m1 -> m2 as mapping tuples (brute force)."""
+    """All R-module homomorphisms m1 -> m2 as mapping tuples, in
+    lexicographic order: the maps of the additive groups from
+    ``core._group_maps`` that commute with the action of every r."""
     if m1.ring != m2.ring:
         raise StructureError("hom-sets need one common ring")
-    n, k = m1.size, m2.size
-    out = []
-    for mapping in itertools.product(range(k), repeat=n):
-        if mapping[m1.zero] != m2.zero:
-            continue
-        if any(mapping[m1.plus(a, b)] != m2.plus(mapping[a], mapping[b])
-               for a in range(n) for b in range(n)):
-            continue
-        if any(mapping[m1.act(r, x)] != m2.act(r, mapping[x])
-               for r in range(m1.ring.size) for x in range(n)):
-            continue
-        out.append(mapping)
-    return out
+    rs, xs = range(m1.ring.size), range(m1.size)
+    return sorted(tuple(f) for f in _group_maps(m1.group, m2.group)
+                  if all(f[m1.act(r, x)] == m2.act(r, f[x]) for r in rs for x in xs))

@@ -1,25 +1,32 @@
-"""The shared closure and quotient routines against brute-force oracles.
+"""The shared closure, quotient and group-map routines against brute-force
+oracles.
 
 ``resweep_closure`` is the plain fixed point: it sweeps every triple of the
 current set until a round adds nothing.  ``absorber_classes_oracle`` builds
 the absorber classes of a finite module from their definition.  Both stay
 here as references for ``core._closure`` and ``core._quotient_classes``.
+``rmodule_homs_oracle`` and ``tmodule_homs_to_TN_oracle`` try all |N|^|M|
+maps; they are the references for the hom-sets built by ``core._group_maps``.
 """
 
 import itertools
+import random
 
 import pytest
 
 from trusskit import core
 from trusskit.core import (
     FiniteGroup,
+    _first_unpreserved,
     StructureError,
     generated_subheap,
+    group_isomorphism,
     heap_from_group,
     small_groups,
 )
 from trusskit.modules import (
     FiniteTModule,
+    empty_module,
     ModuleMorphism,
     abs_on_morphism,
     abs_quotient,
@@ -27,8 +34,9 @@ from trusskit.modules import (
     adjunction_theta,
     adjunction_theta_inv,
     basis_check,
+    tmodule_homs_to_TN,
 )
-from trusskit.rings import FiniteRing, RModule
+from trusskit.rings import FiniteRing, RModule, rmodule_homs
 from trusskit.trusses import truss_TZn
 
 
@@ -157,3 +165,181 @@ def test_absorber_quotient_matches_the_classes_oracle(label, m, ring):
         scale = ModuleMorphism(m, m, tuple(m.act(r, x) for x in range(m.size)))
         _, _, mapping = abs_on_morphism(scale)
         assert mapping == tuple(proj[scale(r_)] for r_ in reps), r
+
+
+# ---------------------------------------------------------------------------
+# hom-sets and isomorphisms from generator images
+
+
+def rmodule_homs_oracle(m1, m2):
+    """All R-module maps m1 -> m2, from all |m2|^|m1| maps."""
+    n, k = m1.size, m2.size
+    out = []
+    for mapping in itertools.product(range(k), repeat=n):
+        if mapping[m1.zero] != m2.zero:
+            continue
+        if any(mapping[m1.plus(a, b)] != m2.plus(mapping[a], mapping[b])
+               for a in range(n) for b in range(n)):
+            continue
+        if any(mapping[m1.act(r, x)] != m2.act(r, mapping[x])
+               for r in range(m1.ring.size) for x in range(n)):
+            continue
+        out.append(mapping)
+    return out
+
+
+def tmodule_homs_to_TN_oracle(m, n_mod):
+    """All module maps m -> T(N), from all |N|^|m| maps."""
+    size_m, size_n = m.size, n_mod.size
+
+    def tn_ternary(x, y, z):
+        return n_mod.plus(n_mod.plus(x, n_mod.neg(y)), z)
+
+    out = []
+    for mapping in itertools.product(range(size_n), repeat=size_m):
+        if _first_unpreserved(m.ternary, tn_ternary, mapping) is not None:
+            continue
+        if all(mapping[m.act(r, x)] == n_mod.act(r, mapping[x])
+               for r in m.truss.elements() for x in range(size_m)):
+            out.append(mapping)
+    return out
+
+
+def group_homs_oracle(g, h):
+    return [f for f in itertools.product(range(h.size), repeat=g.size)
+            if all(f[g.op(a, b)] == h.op(f[a], f[b]) for a in range(g.size)
+                   for b in range(g.size))]
+
+
+def relabel_rmodule(m, perm):
+    """m with element x renamed perm[x]."""
+    n = m.size
+    table = [[0] * n for _ in range(n)]
+    action = [[0] * n for _ in range(m.ring.size)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[m.plus(a, b)]
+        for r in range(m.ring.size):
+            action[r][perm[a]] = perm[m.act(r, a)]
+    return RModule(m.ring, FiniteGroup(table), action)
+
+
+def small(n_mod, m, bound=10 ** 5):
+    """Whether the oracle's |N|^|M| maps are few enough to try."""
+    return n_mod.size ** m.size <= bound
+
+
+def rmodule_pairs():
+    rng = random.Random(20260)
+    for n in range(2, 9):
+        ring = FiniteRing.Zn(n)
+        powers = {a: RModule.power(ring, a) for a in range(1, 5) if n ** a <= 16}
+        for a, m1 in powers.items():
+            for b, m2 in powers.items():
+                if small(m2, m1):
+                    yield f"Z{n}^{a} -> Z{n}^{b}", m1, m2
+                if small(m2, m1, 10 ** 4):
+                    perm = list(range(m1.size))
+                    rng.shuffle(perm)
+                    yield f"relabelled Z{n}^{a} -> Z{n}^{b}", relabel_rmodule(m1, perm), m2
+                    perm = list(range(m2.size))
+                    rng.shuffle(perm)
+                    yield f"Z{n}^{a} -> relabelled Z{n}^{b}", m1, relabel_rmodule(m2, perm)
+    z4 = FiniteRing.Zn(4)
+    z2_over_z4 = RModule(z4, FiniteGroup.cyclic(2), [[r * a % 2 for a in range(2)]
+                                                     for r in range(4)])
+    mixed = RModule.product(z2_over_z4, RModule.regular(z4))
+    yield "Z2 x Z4 -> Z4", mixed, RModule.regular(z4)
+    yield "Z4 -> Z2 x Z4", RModule.regular(z4), mixed
+    yield "Z2 -> Z2 x Z4", z2_over_z4, mixed
+
+
+@pytest.mark.parametrize("label, m1, m2", list(rmodule_pairs()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_rmodule_homs_match_the_oracle(label, m1, m2):
+    assert rmodule_homs(m1, m2) == rmodule_homs_oracle(m1, m2)
+
+
+def two_absorber_module(n):
+    """TZn acting trivially on the C2 factor of C2 x Zn and by multiplication
+    on the Zn factor: the absorbers are (0, 0) and (1, 0)."""
+    t = truss_TZn(n)
+    heap = heap_from_group(FiniteGroup.product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(n)))
+    action = [[(x // n) * n + r * (x % n) % n for x in range(2 * n)] for r in range(n)]
+    return FiniteTModule(t, heap, action)
+
+
+def tmodule_pairs():
+    rng = random.Random(20261)
+    for n in range(2, 9):
+        ring = FiniteRing.Zn(n)
+        powers = {b: RModule.power(ring, b) for b in range(1, 5) if n ** b <= 16}
+        sources = {f"T(Z{n}^{a})": FiniteTModule.from_rmodule(rm) for a, rm in powers.items()}
+        sources[f"regular TZ{n}"] = FiniteTModule.regular(truss_TZn(n))
+        sources[f"trivial action TZ{n} on Z3"] = FiniteTModule(
+            truss_TZn(n), heap_from_group(FiniteGroup.cyclic(3)), [[0, 1, 2]] * n)
+        sources[f"two absorbers C2 x Z{n}"] = two_absorber_module(n)
+        sources[f"empty over TZ{n}"] = empty_module(truss_TZn(n))
+        for label, m in sources.items():
+            for b, n_mod in powers.items():
+                if small(n_mod, m):
+                    yield f"{label} -> Z{n}^{b}", m, n_mod
+                if small(n_mod, m, 10 ** 4):
+                    perm = list(range(n_mod.size))
+                    rng.shuffle(perm)
+                    yield f"{label} -> relabelled Z{n}^{b}", m, relabel_rmodule(n_mod, perm)
+        for a, rm in powers.items():
+            perm = list(range(rm.size))
+            rng.shuffle(perm)
+            m = FiniteTModule.from_rmodule(relabel_rmodule(rm, perm))
+            if small(rm, m, 10 ** 4):
+                yield f"T(relabelled Z{n}^{a}) -> Z{n}^{a}", m, rm
+
+
+@pytest.mark.parametrize("label, m, n_mod", list(tmodule_pairs()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_tmodule_homs_to_TN_match_the_oracle(label, m, n_mod):
+    assert tmodule_homs_to_TN(m, n_mod) == tmodule_homs_to_TN_oracle(m, n_mod)
+
+
+def test_edge_hom_sets():
+    assert tmodule_homs_to_TN(empty_module(truss_TZn(3)), RModule.regular(FiniteRing.Zn(3))) \
+        == [()]
+    assert len(tmodule_homs_to_TN(two_absorber_module(2), RModule.regular(FiniteRing.Zn(2)))) == 2
+
+
+def test_group_maps_match_the_oracle_on_small_groups():
+    groups = small_groups(8)
+    checked = 0
+    for (la, ga), (lb, gb) in itertools.product(groups, repeat=2):
+        if gb.size ** ga.size <= 10 ** 5:
+            got = sorted(tuple(f) for f in core._group_maps(ga, gb))
+            assert got == group_homs_oracle(ga, gb), (la, lb)
+            checked += 1
+    assert checked > 40
+
+
+def is_isomorphism(g, h, f):
+    return (sorted(f) == list(range(h.size))
+            and all(f[g.op(a, b)] == h.op(f[a], f[b]) for a in g.elements() for b in g.elements()))
+
+
+def relabel_group(g, perm):
+    table = [[0] * g.size for _ in range(g.size)]
+    for a in g.elements():
+        for b in g.elements():
+            table[perm[a]][perm[b]] = perm[g.op(a, b)]
+    return FiniteGroup(table)
+
+
+def test_group_isomorphism_verdicts_on_every_small_pair():
+    # the catalog is pairwise non-isomorphic, so a pair is isomorphic exactly
+    # when it is one group twice, relabelled or not
+    rng = random.Random(20262)
+    for (la, ga), (lb, gb) in itertools.product(small_groups(8), repeat=2):
+        perm = list(range(gb.size))
+        rng.shuffle(perm)
+        for target in (gb, relabel_group(gb, perm)):
+            f = group_isomorphism(ga, target)
+            assert (f is not None) == (la == lb), (la, lb)
+            assert f is None or is_isomorphism(ga, target, f), (la, lb)

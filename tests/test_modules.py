@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -361,6 +362,45 @@ def test_hom_set_cardinality_example():
     # linear maps (Z2)^2 -> Z2: exactly four
     m = FiniteTModule.from_rmodule(RModule.power(Z2, 2))
     assert len(tmodule_homs_to_TN(m, RModule.regular(Z2))) == 4
+
+
+# every (n, a, b) with n <= 8, n^a <= 16, n^b <= 16 and n^(ab) <= 256
+SMALL_ADJUNCTIONS = [(n, a, b) for n in range(2, 9) for a in range(1, 5) for b in range(1, 5)
+                     if n ** a <= 16 and n ** b <= 16 and n ** (a * b) <= 256]
+
+
+def test_small_adjunction_triples_are_counted():
+    assert len(SMALL_ADJUNCTIONS) == 24
+
+
+@pytest.mark.parametrize("n, a, b", SMALL_ADJUNCTIONS)
+def test_adjunction_over_every_small_pair(n, a, b):
+    # Hom(M_Abs, N) = Hom(M, T(N)) for M = T(Zn^a), N = Zn^b: both are the
+    # n^(ab) linear maps, and theta is a bijection with inverse theta_inv
+    ring = FiniteRing.Zn(n)
+    m = FiniteTModule.from_rmodule(RModule.power(ring, a))
+    n_mod = RModule.power(ring, b)
+    q, _ = abs_quotient(m)
+    ring_homs = rmodule_homs(q, n_mod)
+    truss_homs = tmodule_homs_to_TN(m, n_mod)
+    assert len(ring_homs) == len(truss_homs) == n ** (a * b)
+    thetas = [adjunction_theta(m, n_mod, phi) for phi in ring_homs]
+    assert sorted(thetas) == truss_homs
+    assert [adjunction_theta_inv(m, n_mod, psi) for psi in thetas] == ring_homs
+    assert [adjunction_theta(m, n_mod, adjunction_theta_inv(m, n_mod, psi))
+            for psi in truss_homs] == truss_homs
+
+
+def test_rmodule_homs_of_z4_squared_to_z4_are_fast():
+    z4 = FiniteRing.Zn(4)
+    m1, m2 = RModule.power(z4, 2), RModule.regular(z4)
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        homs = rmodule_homs(m1, m2)
+        best = min(best, time.perf_counter() - t0)
+    assert len(homs) == 16
+    assert best < 0.1
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,25 @@
-"""JSON structure documents: round trips and rejection of malformed input."""
+"""JSON structure documents: round trips (fixed examples, and Hypothesis draws
+of every document kind) and rejection of malformed input."""
 
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trusskit import cli, modules, serialize
-from trusskit.core import FiniteGroup, StructureError, heap_from_group
-from trusskit.rings import FiniteRing
+from trusskit.core import FiniteGroup, FiniteHeap, StructureError, heap_from_group, small_groups
+from trusskit.rings import FiniteRing, RModule
 from trusskit.trusses import (
     ExtensionTruss,
+    FiniteTruss,
     constant_truss,
     integer_truss,
     ring_extension,
     tc2_brace_truss,
     terminal_truss,
     truss_TZn,
+    truss_from_ring,
     unital_extension,
 )
 
@@ -78,3 +83,121 @@ def test_malformed_document_is_a_structure_error(label, tmp_path, capsys):
     assert cli.main(["verify", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# every kind round-trips: Hypothesis draws relabelled and renamed structures
+
+
+def relabel_binary(table, perm):
+    """A binary table with element x renamed perm[x]."""
+    out = [[0] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, v in enumerate(row):
+            out[perm[a]][perm[b]] = perm[v]
+    return out
+
+
+def names_for(size):
+    return st.one_of(st.none(), st.lists(st.text(max_size=3), min_size=size, max_size=size))
+
+
+@st.composite
+def groups(draw):
+    g = draw(st.sampled_from([g for _, g in small_groups(8)]))
+    perm = draw(st.permutations(range(g.size)))
+    return FiniteGroup(relabel_binary(g.op_table(), perm), names=draw(names_for(g.size)))
+
+
+@st.composite
+def heaps(draw):
+    g = draw(groups())
+    if draw(st.booleans()):
+        return heap_from_group(g)
+    h = heap_from_group(g)
+    return FiniteHeap.from_table(h.table(), names=draw(names_for(g.size)))
+
+
+@st.composite
+def rings(draw):
+    n = draw(st.integers(1, 4))
+    ring = draw(st.sampled_from([FiniteRing.Zn(n), FiniteRing.product(FiniteRing.Zn(2),
+                                                                     FiniteRing.Zn(n))]))
+    perm = draw(st.permutations(range(ring.size)))
+    names = draw(names_for(ring.size))
+    add = FiniteGroup(relabel_binary(ring.add.op_table(), perm), names=names)
+    return FiniteRing(add, relabel_binary(ring.mul_table, perm), names=names)
+
+
+def table_trusses():
+    return st.one_of(rings().map(truss_from_ring), st.integers(1, 6).map(truss_TZn),
+                     st.sampled_from([tc2_brace_truss(), terminal_truss()]))
+
+
+BUILTIN_TRUSSES = st.one_of(st.just(TZ), st.integers(-20, 20).map(constant_truss))
+
+
+@st.composite
+def extensions(draw):
+    base = draw(st.one_of(BUILTIN_TRUSSES, st.integers(1, 5).map(truss_TZn)))
+    if draw(st.booleans()):
+        basepoint = None
+    elif isinstance(base, FiniteTruss):
+        basepoint = draw(st.integers(0, base.size - 1))
+    else:
+        basepoint = draw(st.integers(-20, 20))
+    ext = ExtensionTruss(base, draw(st.sampled_from(["one", "zero"])), basepoint)
+    return unital_extension(ext) if draw(st.booleans()) else ext
+
+
+@st.composite
+def finite_modules(draw):
+    n = draw(st.integers(1, 4))
+    choice = draw(st.sampled_from(["regular", "power", "trivial"]))
+    if choice == "regular":
+        return modules.FiniteTModule.regular(draw(table_trusses()))
+    if choice == "power":
+        return modules.FiniteTModule.from_rmodule(
+            RModule.power(FiniteRing.Zn(n), draw(st.integers(1, 2))))
+    heap = draw(heaps().filter(lambda h: h.abelian))
+    t = draw(table_trusses())
+    return modules.FiniteTModule(t, heap, [list(range(heap.size))] * t.size)
+
+
+@st.composite
+def free_modules(draw):
+    truss = draw(st.one_of(st.just(TZ), st.integers(1, 5).map(truss_TZn)))
+    if draw(st.booleans()):
+        basepoint = None
+    elif isinstance(truss, FiniteTruss):
+        basepoint = draw(st.integers(0, truss.size - 1))
+    else:
+        basepoint = draw(st.integers(-20, 20))
+    return modules.free_module(truss, draw(st.integers(1, 3)), basepoint)
+
+
+KINDS = {
+    "group": ("group", groups()),
+    "heap": ("heap", heaps()),
+    "subheap": ("subheap", st.lists(st.one_of(st.integers(-5, 50), st.text(max_size=3)))
+                .map(lambda ms: serialize.SubHeapSpec(tuple(ms)))),
+    "ring": ("ring", rings()),
+    "table truss": ("truss", table_trusses()),
+    "built-in truss": ("truss", BUILTIN_TRUSSES),
+    "extension": ("truss", extensions()),
+    "module": ("module", finite_modules()),
+    "ZTrivial": ("module", st.just(modules.TrivialIntModule())),
+    "free-module": ("free-module", free_modules()),
+}
+
+
+@pytest.mark.parametrize("label", sorted(KINDS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_every_kind_round_trips(label, data):
+    kind, strategy = KINDS[label]
+    x = data.draw(strategy)
+    text = serialize.dumps(x)
+    assert json.loads(text)["kind"] == kind
+    assert serialize.loads(text) == x
+    assert serialize.dumps(serialize.loads(text)) == text
