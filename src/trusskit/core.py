@@ -5,13 +5,16 @@ tuple.  A heap either stores its full ternary table or computes the operation
 on demand from a backing function (e.g. a group), behind one interface.  All
 values are immutable after construction and every operation is pure.
 
-Three routines here are the only ones of their kind in the package:
+Five routines here are the only ones of their kind in the package:
 ``_closure`` closes a finite set under a ternary operation (generated
 sub-heaps, spans, generating sequences of groups); ``_quotient_classes``
 builds the classes and projection of a quotient by a normal sub-heap
-(``quotient``, absorber quotients of modules); ``_group_maps`` yields the
-group maps or isomorphisms from generator images (``group_isomorphism``
-and the module hom-sets of ``rings`` and ``modules``).
+(``quotient``, absorber quotients of modules), and ``_descend`` turns a map
+on elements into the map on those classes; ``_group_maps`` yields the
+group maps or isomorphisms from generator images (``group_isomorphism``,
+and the module hom-sets and isomorphisms of ``rings`` and ``modules``);
+``_first_unequivariant`` checks that a map of modules commutes with the
+action (every module hom-set, isomorphism and morphism).
 """
 
 from __future__ import annotations
@@ -272,14 +275,18 @@ def _group_maps(g: FiniteGroup, h: FiniteGroup, iso=False):
     them along ``_bfs_recipe``.  A generator of order k is sent, in id order,
     to each element of h of order dividing k (equal to k with ``iso``).
     Each candidate is verified on all n^2 pairs: the recipe is not trusted.
+    With ``iso`` nothing is tried unless g and h have the same multiset of
+    element orders, which also tells groups of different orders apart.
     """
+    orders = [h.element_order(y) for y in range(h.size)]
+    if iso and sorted(orders) != sorted(map(g.element_order, range(g.size))):
+        return
     if g.size == 0 or h.size == 0:
         yield from ([[]] if g.size == 0 else ())
         return
     gens = _generating_sequence(g)
     recipe = _bfs_recipe(g, gens)
     pairs = list(itertools.product(range(g.size), repeat=2))
-    orders = [h.element_order(y) for y in range(h.size)]
     candidates = [[y for y in range(h.size) if (orders[y] == k if iso else k % orders[y] == 0)]
                   for k in map(g.element_order, gens)]
     for imgs in itertools.product(*candidates):
@@ -295,13 +302,7 @@ def _group_maps(g: FiniteGroup, h: FiniteGroup, iso=False):
 
 def group_isomorphism(g1: FiniteGroup, g2: FiniteGroup):
     """An isomorphism g1 -> g2 as an id mapping, or None: the first that
-    ``_group_maps`` finds, once the element orders agree."""
-    if g1.size != g2.size:
-        return None
-    orders1 = sorted(g1.element_order(x) for x in range(g1.size))
-    orders2 = sorted(g2.element_order(x) for x in range(g2.size))
-    if orders1 != orders2:
-        return None
+    ``_group_maps`` finds."""
     return next(_group_maps(g1, g2, iso=True), None)
 
 
@@ -523,6 +524,13 @@ def _first_unpreserved(source_ternary, target_ternary, mapping):
                                                                    mapping[c]):
                 return (a, e, c)
     return None
+
+
+def _first_unequivariant(mapping, src_act, dst_act, scalars, size):
+    """The first (t, x), t in ``scalars`` and x < size, where
+    f(t.x) != t.f(x), or None: whether f commutes with the action."""
+    return next(((t, x) for t in scalars for x in range(size)
+                 if mapping[src_act(t, x)] != dst_act(t, mapping[x])), None)
 
 
 class FiniteHeap:
@@ -823,6 +831,16 @@ def _quotient_classes(h: FiniteHeap, s: SubHeap):
     return distinct, tuple(index[classes[a]] for a in range(h.size))
 
 
+def _descend(proj, images, message):
+    """The map on classes that sends class proj[x] to images[x], indexed by
+    class; StructureError(message) when two members of a class disagree."""
+    out = {}
+    for x, c in enumerate(proj):
+        if out.setdefault(c, images[x]) != images[x]:
+            raise StructureError(message)
+    return tuple(out[c] for c in range(len(out)))
+
+
 def quotient(h: FiniteHeap, s: SubHeap):
     """Quotient heap h/S for a normal sub-heap, with the projection map.
 
@@ -858,16 +876,13 @@ def find_isomorphism(a: FiniteHeap, b: FiniteHeap):
     """A heap isomorphism a -> b, or None if there is none.
 
     Two heaps are isomorphic exactly when their retracts are isomorphic as
-    groups, so the search fixes a basepoint in a and tries each basepoint in
-    b with a generator-image group isomorphism search.
+    groups.  The retracts of b at different basepoints are isomorphic to each
+    other (``translation_iso``), so the retracts at 0 decide, and the
+    mapping is the group isomorphism ``group_isomorphism`` finds between them.
     """
     if a.size != b.size:
         return None
     if a.size == 0:
         return HeapMorphism(a, b, ())
-    ga = retract(a, 0)
-    for f in range(b.size):
-        mapping = group_isomorphism(ga, retract(b, f))
-        if mapping is not None:
-            return HeapMorphism(a, b, tuple(mapping))
-    return None
+    mapping = group_isomorphism(retract(a, 0), retract(b, 0))
+    return None if mapping is None else HeapMorphism(a, b, tuple(mapping))

@@ -8,8 +8,9 @@ sigma maps) are direct-sum copairs (``coproduct.copair_value``), so no word
 is built.  The quotient by the absorber sub-heap turns a module over the
 truss of a ring back into a module over that ring; its classes and
 projection come from ``core._quotient_classes`` and its heap from
-``core.quotient``.  Spans are closures under the heap operation
-(``core._closure``).
+``core.quotient``, and maps descend to it through ``core._descend``.  Spans
+are closures under the heap operation (``core._closure``).  Every check that
+a map commutes with the action is ``core._first_unequivariant``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .core import (
     FiniteHeap,
     StructureError,
     _closure,
+    _descend,
+    _first_unequivariant,
     _first_unpreserved,
     _group_maps,
     _is_group_heap,
@@ -34,7 +37,7 @@ from .core import (
     SubHeap,
 )
 from .reports import FAIL, INCONCLUSIVE, PASS, Finding, Report
-from .rings import FiniteRing, RModule
+from .rings import FiniteRing, RModule, rmodule_isomorphism
 from .trusses import IntegerTruss, _default_basepoint, retract_ring, truss_from_ring
 
 
@@ -503,19 +506,17 @@ class ModuleMorphism:
     mapping: tuple
 
     def __post_init__(self):
-        if self.source.truss is not self.target.truss and \
-                self.source.truss.mul_table != self.target.truss.mul_table:
+        src, dst = self.source, self.target
+        if src.truss is not dst.truss and src.truss != dst.truss:
             raise StructureError("module morphisms need a common truss")
-        if len(self.mapping) != self.source.size:
+        if len(self.mapping) != src.size:
             raise StructureError("mapping does not cover the source")
-        bad = _first_unpreserved(self.source.ternary, self.target.ternary, self.mapping)
+        bad = _first_unpreserved(src.ternary, dst.ternary, self.mapping)
         if bad is not None:
             raise StructureError(f"ternary operation not preserved at {bad}")
-        n = self.source.size
-        for t in self.source.truss.elements():
-            for x in range(n):
-                if self.mapping[self.source.act(t, x)] != self.target.act(t, self.mapping[x]):
-                    raise StructureError(f"action not preserved at ({t},{x})")
+        bad = _first_unequivariant(self.mapping, src.act, dst.act, src.truss.elements(), src.size)
+        if bad is not None:
+            raise StructureError("action not preserved at ({},{})".format(*bad))
 
     def __call__(self, a):
         return self.mapping[a]
@@ -530,14 +531,8 @@ def abs_on_morphism(phi: ModuleMorphism):
     target quotient, class mapping)."""
     qsrc, src_proj = abs_quotient(phi.source)
     qdst, dst_proj = abs_quotient(phi.target)
-    mapping = [None] * qsrc.size
-    for x in phi.source.elements():
-        image = dst_proj(phi(x))
-        if mapping[src_proj(x)] is None:
-            mapping[src_proj(x)] = image
-        elif mapping[src_proj(x)] != image:
-            raise StructureError("quotient map is not well defined")
-    return qsrc, qdst, tuple(mapping)
+    images = [dst_proj(y) for y in phi.mapping]
+    return qsrc, qdst, _descend(src_proj.mapping, images, "quotient map is not well defined")
 
 
 # ---------------------------------------------------------------------------
@@ -546,21 +541,21 @@ def abs_on_morphism(phi: ModuleMorphism):
 
 def tmodule_homs_to_TN(m: FiniteTModule, n_mod: RModule):
     """All module maps from m into T(N), as mapping tuples in lexicographic
-    order.  A heap map into T(N) is x |-> phi(x) + c for c = f(0) in N and a
-    group map phi from the retract of m at 0 (``core._group_maps``); it is
-    kept when it commutes with every t, and ``_first_unpreserved`` re-checks
-    that it preserves the heap operation."""
-    t = m.truss
-    if t.absorber is None:
-        raise StructureError("the target T(N) needs a ring-type truss")
+    order.  m must be a module over T(R) for the ring R of N.  A heap map
+    into T(N) is x |-> phi(x) + c for c = f(0) in N and a group map phi from
+    the retract of m at 0 (``core._group_maps``); it is kept when it commutes
+    with every t (``core._first_unequivariant``), and ``_first_unpreserved``
+    re-checks that it preserves the heap operation."""
+    if m.truss != truss_from_ring(n_mod.ring):
+        raise StructureError("hom-sets into T(N) need a module over T(R) for N's ring R")
     if m.size == 0:
         return [()]
-    tn_ternary, ts, xs = heap_from_group(n_mod.group).ternary, t.elements(), m.elements()
+    tn_ternary, ts = heap_from_group(n_mod.group).ternary, m.truss.elements()
     out = []
     for phi in _group_maps(retract(m.heap, 0), n_mod.group):
         for c in n_mod.elements():
             f = tuple([n_mod.plus(y, c) for y in phi])
-            if (all(f[m.act(r, x)] == n_mod.act(r, f[x]) for r in ts for x in xs)
+            if (_first_unequivariant(f, m.act, n_mod.act, ts, m.size) is None
                     and _first_unpreserved(m.ternary, tn_ternary, f) is None):
                 out.append(f)
     return sorted(out)
@@ -576,14 +571,8 @@ def adjunction_theta(m: FiniteTModule, n_mod: RModule, phi):
 def adjunction_theta_inv(m: FiniteTModule, n_mod: RModule, psi):
     """Turn a module map M -> T(N) into the R-module map M_Abs -> N on
     class representatives; representative independence is re-checked."""
-    classes, proj = absorber_classes(m)
-    out = [None] * len(classes)
-    for x in m.elements():
-        if out[proj[x]] is None:
-            out[proj[x]] = psi[x]
-        elif out[proj[x]] != psi[x]:
-            raise StructureError("map does not descend to the absorber quotient")
-    return tuple(out)
+    _, proj = absorber_classes(m)
+    return _descend(proj, psi, "map does not descend to the absorber quotient")
 
 
 # ---------------------------------------------------------------------------
@@ -782,8 +771,6 @@ def freeness_of_TN(rm: RModule) -> Report:
     absorber, while a free module on two or more generators has the distinct
     absorbers 0x != 0y.
     """
-    from .rings import rmodule_isomorphism
-
     ring = rm.ring
     regular = RModule.regular(ring)
     iso = rmodule_isomorphism(rm, regular)

@@ -2,15 +2,17 @@
 
 These are the classical (binary-operation) structures that trusses and
 truss modules are compared against: ring retracts, the quotient-by-absorbers
-module, and the hom-sets behind the adjunction checks, built from generator
-images of the additive group (``core._group_maps``).
+module, and the hom-sets and isomorphisms behind the adjunction and freeness
+checks, built from generator images of the additive group
+(``core._group_maps``) and kept when they commute with the action
+(``core._first_unequivariant``).
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .core import FiniteGroup, StructureError, _group_maps
+from .core import FiniteGroup, StructureError, _first_unequivariant, _group_maps
 from .reports import FAIL, PASS, Finding, Report
 
 
@@ -198,40 +200,23 @@ def validate_rmodule(m: RModule) -> Report:
 
 
 def rmodule_isomorphism(m1: RModule, m2: RModule):
-    """An R-module isomorphism as an id mapping, or None.
-
-    Brute-force over additive-group bijections with order matching; fine at
-    the handful-of-elements scale these comparisons run at.
-    """
-    if m1.ring != m2.ring or m1.size != m2.size:
+    """An R-module isomorphism m1 -> m2 as an id mapping, or None: the first
+    isomorphism of the additive groups from ``core._group_maps`` that
+    commutes with the action of every r (``core._first_unequivariant``)."""
+    if m1.ring != m2.ring:
         return None
-    n = m1.size
-    if n == 0:
-        return []
-    orders1 = sorted(m1.group.element_order(x) for x in range(n))
-    orders2 = sorted(m2.group.element_order(x) for x in range(n))
-    if orders1 != orders2:
-        return None
-    ids = list(range(n))
-    for perm in itertools.permutations(ids):
-        if perm[m1.zero] != m2.zero:
-            continue
-        if any(perm[m1.plus(a, b)] != m2.plus(perm[a], perm[b])
-               for a in ids for b in ids):
-            continue
-        if any(perm[m1.act(r, x)] != m2.act(r, perm[x])
-               for r in range(m1.ring.size) for x in ids):
-            continue
-        return list(perm)
-    return None
+    rs = range(m1.ring.size)
+    return next((f for f in _group_maps(m1.group, m2.group, iso=True)
+                 if _first_unequivariant(f, m1.act, m2.act, rs, m1.size) is None), None)
 
 
 def rmodule_homs(m1: RModule, m2: RModule):
     """All R-module homomorphisms m1 -> m2 as mapping tuples, in
     lexicographic order: the maps of the additive groups from
-    ``core._group_maps`` that commute with the action of every r."""
+    ``core._group_maps`` that commute with the action of every r
+    (``core._first_unequivariant``)."""
     if m1.ring != m2.ring:
         raise StructureError("hom-sets need one common ring")
-    rs, xs = range(m1.ring.size), range(m1.size)
+    rs = range(m1.ring.size)
     return sorted(tuple(f) for f in _group_maps(m1.group, m2.group)
-                  if all(f[m1.act(r, x)] == m2.act(r, f[x]) for r in rs for x in xs))
+                  if _first_unequivariant(f, m1.act, m2.act, rs, m1.size) is None)

@@ -7,9 +7,14 @@ the absorber classes of a finite module from their definition.  Both stay
 here as references for ``core._closure`` and ``core._quotient_classes``.
 ``rmodule_homs_oracle`` and ``tmodule_homs_to_TN_oracle`` try all |N|^|M|
 maps; they are the references for the hom-sets built by ``core._group_maps``.
+``rmodule_isomorphism_oracle`` tries all n! bijections, and
+``find_isomorphism_basepoint_loop`` tries every basepoint of the target; they
+are the references for the isomorphism searches on the same engine.
 """
 
+import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -17,11 +22,14 @@ import pytest
 from trusskit import core
 from trusskit.core import (
     FiniteGroup,
+    HeapMorphism,
     _first_unpreserved,
     StructureError,
+    find_isomorphism,
     generated_subheap,
     group_isomorphism,
     heap_from_group,
+    retract,
     small_groups,
 )
 from trusskit.modules import (
@@ -34,9 +42,10 @@ from trusskit.modules import (
     adjunction_theta,
     adjunction_theta_inv,
     basis_check,
+    freeness_of_TN,
     tmodule_homs_to_TN,
 )
-from trusskit.rings import FiniteRing, RModule, rmodule_homs
+from trusskit.rings import FiniteRing, RModule, rmodule_homs, rmodule_isomorphism
 from trusskit.trusses import truss_TZn
 
 
@@ -343,3 +352,119 @@ def test_group_isomorphism_verdicts_on_every_small_pair():
             f = group_isomorphism(ga, target)
             assert (f is not None) == (la == lb), (la, lb)
             assert f is None or is_isomorphism(ga, target, f), (la, lb)
+
+
+def find_isomorphism_basepoint_loop(a, b):
+    """A heap isomorphism from a group isomorphism of the retract of a at 0
+    and the retract of b at each basepoint f in turn."""
+    if a.size != b.size:
+        return None
+    if a.size == 0:
+        return HeapMorphism(a, b, ())
+    ga = retract(a, 0)
+    for f in range(b.size):
+        mapping = group_isomorphism(ga, retract(b, f))
+        if mapping is not None:
+            return HeapMorphism(a, b, tuple(mapping))
+    return None
+
+
+def test_find_isomorphism_matches_the_basepoint_loop_on_every_small_pair():
+    rng = random.Random(20264)
+    for (la, ga), (lb, gb) in itertools.product(small_groups(8), repeat=2):
+        perm = list(range(gb.size))
+        rng.shuffle(perm)
+        a = heap_from_group(ga)
+        for b in (heap_from_group(gb), heap_from_group(relabel_group(gb, perm))):
+            got, want = find_isomorphism(a, b), find_isomorphism_basepoint_loop(a, b)
+            assert (got is None) == (want is None) == (la != lb), (la, lb)
+            assert got is None or got.mapping == want.mapping, (la, lb)
+
+
+# ---------------------------------------------------------------------------
+# module isomorphisms and the freeness of T(N)
+
+
+def rmodule_isomorphism_oracle(m1, m2):
+    """The first R-module isomorphism m1 -> m2 among all n! bijections."""
+    if m1.ring != m2.ring or m1.size != m2.size:
+        return None
+    n = m1.size
+    if n == 0:
+        return []
+    orders1 = sorted(m1.group.element_order(x) for x in range(n))
+    orders2 = sorted(m2.group.element_order(x) for x in range(n))
+    if orders1 != orders2:
+        return None
+    ids = list(range(n))
+    for perm in itertools.permutations(ids):
+        if perm[m1.zero] != m2.zero:
+            continue
+        if any(perm[m1.plus(a, b)] != m2.plus(perm[a], perm[b])
+               for a in ids for b in ids):
+            continue
+        if any(perm[m1.act(r, x)] != m2.act(r, perm[x])
+               for r in range(m1.ring.size) for x in ids):
+            continue
+        return list(perm)
+    return None
+
+
+def is_rmodule_isomorphism(m1, m2, f):
+    ids = range(m1.size)
+    return (sorted(f) == list(range(m2.size))
+            and all(f[m1.plus(a, b)] == m2.plus(f[a], f[b]) for a in ids for b in ids)
+            and all(f[m1.act(r, x)] == m2.act(r, f[x])
+                    for r in range(m1.ring.size) for x in ids))
+
+
+def cyclic_products(n, max_size):
+    """(label, ds, N) for every Zn-module N = Z_d1 x ... x Z_dk, d1 >= ... >= dk > 1
+    dividing n, with |N| <= max_size, plain and relabelled; ds = () is the
+    zero module."""
+    ring = FiniteRing.Zn(n)
+    rng = random.Random(20265 + n)
+
+    def cyclic(d):
+        return RModule(ring, FiniteGroup.cyclic(d), [[r * a % d for a in range(d)]
+                                                     for r in range(n)])
+
+    divisors = [d for d in range(n, 1, -1) if n % d == 0]
+    families = [()] + [ds for k in range(1, 5)
+                       for ds in itertools.combinations_with_replacement(divisors, k)
+                       if math.prod(ds) <= max_size]
+    for ds in families:
+        m = functools.reduce(RModule.product, map(cyclic, ds), cyclic(1))
+        perm = list(range(m.size))
+        rng.shuffle(perm)
+        yield f"Z{n}: {ds}", ds, m
+        yield f"Z{n}: relabelled {ds}", ds, relabel_rmodule(m, perm)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_rmodule_isomorphism_matches_the_permutation_oracle(n):
+    modules = list(cyclic_products(n, 8))
+    for (la, _, m1), (lb, _, m2) in itertools.product(modules, repeat=2):
+        got, want = rmodule_isomorphism(m1, m2), rmodule_isomorphism_oracle(m1, m2)
+        assert (got is None) == (want is None), (la, lb)
+        assert got is None or is_rmodule_isomorphism(m1, m2, got), (la, lb)
+
+
+def test_rmodule_isomorphism_needs_one_ring():
+    # Z2 over Z2 and Z2 over Z4: one additive group, two rings
+    z2_over_z4 = RModule(FiniteRing.Zn(4), FiniteGroup.cyclic(2),
+                         [[r * a % 2 for a in range(2)] for r in range(4)])
+    assert rmodule_isomorphism(RModule.regular(FiniteRing.Zn(2)), z2_over_z4) is None
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_TN_is_free_exactly_when_N_is_Zn_on_every_small_module(n):
+    # the paper's criterion: T(N) is free over T(Zn) iff N = Zn as modules,
+    # and a product of cyclic groups is Zn iff it has n elements, one of
+    # additive order lcm(ds) = n
+    for label, ds, m in cyclic_products(n, 16):
+        report = freeness_of_TN(m)
+        assert report.ok == (math.prod(ds) == n == math.lcm(*ds)), label
+        if report.ok:
+            assert is_rmodule_isomorphism(m, RModule.regular(m.ring),
+                                          report.stats["isomorphism"]), label

@@ -310,6 +310,28 @@ def test_abs_preserves_injectivity_for_all_enumerated_morphisms():
                 assert len(set(mapping)) == len(mapping)
 
 
+def test_module_morphisms_need_one_truss_not_one_product_table():
+    # the constant-0 product on the heaps of Z4 and of Z2^2: one product
+    # table, two trusses
+    zero = [[0] * 4] * 4
+    t1 = FiniteTruss(heap_from_group(FiniteGroup.cyclic(4)), zero)
+    t2 = FiniteTruss(heap_from_group(FiniteGroup.product(FiniteGroup.cyclic(2),
+                                                         FiniteGroup.cyclic(2))), zero)
+    assert t1 != t2
+    with pytest.raises(StructureError, match="common truss"):
+        ModuleMorphism(FiniteTModule.regular(t1), FiniteTModule.regular(t2), (0, 2, 0, 2))
+    # equal trusses built twice are one truss
+    ModuleMorphism(FiniteTModule.regular(truss_TZn(4)), FiniteTModule.regular(truss_TZn(4)),
+                   (0, 2, 0, 2))
+
+
+def test_module_morphism_names_the_first_unequivariant_pair():
+    src = trivial_action_module()
+    dst = FiniteTModule.from_rmodule(RModule.regular(Z2))
+    with pytest.raises(StructureError, match=r"^action not preserved at \(0,1\)$"):
+        ModuleMorphism(src, dst, (0, 1))
+
+
 def test_constant_to_absorber_becomes_zero_morphism():
     src = trivial_action_module()
     dst = FiniteTModule.from_rmodule(RModule.regular(Z2))
@@ -356,6 +378,13 @@ def test_theta_of_zero_morphism():
     zero_phi = tuple(n_mod.zero for _ in range(q.size))
     psi = adjunction_theta(m, n_mod, zero_phi)
     assert set(psi) == {n_mod.zero}
+
+
+@pytest.mark.parametrize("n, q", [(5, 3), (2, 4)])
+def test_hom_sets_into_TN_need_a_module_over_T_of_the_ring_of_N(n, q):
+    m = FiniteTModule.regular(truss_TZn(n))
+    with pytest.raises(StructureError, match=r"module over T\(R\) for N's ring"):
+        tmodule_homs_to_TN(m, RModule.regular(FiniteRing.Zn(q)))
 
 
 def test_hom_set_cardinality_example():
