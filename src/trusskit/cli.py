@@ -8,7 +8,9 @@ is printed until a command has fully succeeded.
 Loading a heap file decides exactly, at every size, whether its table is a
 heap; ``verify`` reports every violated instance.  Groups, heaps, rings and
 finite trusses and modules are checked exhaustively; symbolic trusses and
-free modules are sampled (``verify --samples N``, default 10 000).
+modules are decided exactly on a frame of their group form.  Only a carrier
+with no frame would be sampled (``verify --samples N``, default 10 000), and
+no structure file describes one.
 """
 
 from __future__ import annotations
@@ -445,10 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="validate a structure file",
         description="Check a structure file against its axioms.  Finite tables are "
                     "checked exhaustively (heaps exactly, from the retract); symbolic "
-                    "trusses and free modules are sampled.  Exit 0 on pass, 1 on fail.")
+                    "trusses and modules exactly, on a frame: a point and that point "
+                    "moved by each generator.  Exit 0 on pass, 1 on fail.")
     v.add_argument("--samples", type=int, default=None, metavar="N",
-                   help="instances sampled for symbolic structures "
-                        f"(positive; default {DEFAULT_SAMPLES})")
+                   help="instances sampled for a carrier with no frame, which no "
+                        f"structure file has (positive; default {DEFAULT_SAMPLES})")
     v.add_argument("file", help="a JSON structure file")
     v.set_defaults(fn=cmd_verify)
 

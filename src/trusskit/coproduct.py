@@ -258,11 +258,8 @@ class DirectSum:
         ``itertools.product`` order (the last tail varies fastest).
 
         Nothing is built up front: ``len`` is the product of the axis
-        lengths and indexing decodes a mixed-radix index, so ``rng.choice``
-        draws from the window directly.  Where a law is affine in each tail
-        (the unit laws of ``trusses.ExtensionTruss``), its values at tails
-        {0, 1} fix it on the whole window; ``ExtensionTruss.tail_frame`` is
-        that restriction.
+        lengths and indexing decodes a mixed-radix index, so a seeded draw
+        picks from the window directly.
         """
         axes = [s.heap.sample(window) for s in self.summands]
         axes += [range(-window, window + 1)] * (self.k - 1)
@@ -270,6 +267,17 @@ class DirectSum:
 
     def sample(self, window):
         return self.enumerate_elements(window)
+
+    def frame(self, frames):
+        """A frame of the group form (retracts plus Z^{k-1}) from a frame of
+        each summand, a point and that point moved by each generator: the
+        points with tails 0, then one component moved, then one tail 1."""
+        point, tails = tuple(f[0] for f in frames), (0,) * (self.k - 1)
+        return ([CoproductElement(point, tails)]
+                + [CoproductElement(point[:i] + (g,) + point[i + 1:], tails)
+                   for i, f in enumerate(frames) for g in f[1:]]
+                + [CoproductElement(point, tails[:j] + (1,) + tails[j + 1:])
+                   for j in range(self.k - 1)])
 
     def __repr__(self):
         return f"DirectSum(k={self.k})"

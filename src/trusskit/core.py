@@ -510,16 +510,19 @@ def validate_heap(table, abelian=False) -> Report:
     return Report("heap table", FAIL if findings else PASS, findings, stats)
 
 
-def _first_unpreserved(source_ternary, target_ternary, mapping):
-    """The first (a, e, c) with e = 0 where f[a,e,c] != [fa,fe,fc], or None.
+def _first_unpreserved(source_ternary, target_ternary, mapping, pool=None):
+    """The first (a, e, c), a and c in the pool and e its first element,
+    where f[a,e,c] != [fa,fe,fc], or None.  f(x) is ``mapping[x]``; the
+    pool defaults to the ids 0..n-1 of a sequence.
 
     For heaps this decides whether f is a heap morphism in O(n^2): preserving
     [a,e,c] makes f a group map from the retract at e to the retract at f(e),
     and [a,b,c] = a.b^-1.c in both.
     """
-    e = 0
-    for a in range(len(mapping)):
-        for c in range(len(mapping)):
+    pool = range(len(mapping)) if pool is None else pool
+    e = pool[0] if pool else None
+    for a in pool:
+        for c in pool:
             if mapping[source_ternary(a, e, c)] != target_ternary(mapping[a], mapping[e],
                                                                    mapping[c]):
                 return (a, e, c)

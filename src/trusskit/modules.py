@@ -10,13 +10,13 @@ truss of a ring back into a module over that ring; its classes and
 projection come from ``core._quotient_classes`` and its heap from
 ``core.quotient``, and maps descend to it through ``core._descend``.  Spans
 are closures under the heap operation (``core._closure``).  Every check that
-a map commutes with the action is ``core._first_unequivariant``.
+a map commutes with the action is ``core._first_unequivariant``.  The module
+laws run on the law engine of the trusses, exactly.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from .coproduct import CoproductElement, DirectSum, HeapSummand, Window, copair_value, shift
@@ -29,7 +29,6 @@ from .core import (
     _first_unequivariant,
     _first_unpreserved,
     _group_maps,
-    _is_group_heap,
     _quotient_classes,
     heap_from_group,
     quotient,
@@ -38,7 +37,18 @@ from .core import (
 )
 from .reports import FAIL, INCONCLUSIVE, PASS, Finding, Report
 from .rings import FiniteRing, RModule, rmodule_isomorphism
-from .trusses import IntegerTruss, _default_basepoint, retract_ring, truss_from_ring
+from .trusses import (
+    LINEAR_IN_M,
+    LINEAR_IN_T,
+    IntegerTruss,
+    _action_laws,
+    _default_basepoint,
+    _frame,
+    _pool,
+    _product_laws,
+    retract_ring,
+    truss_from_ring,
+)
 
 
 class FiniteTModule:
@@ -135,6 +145,9 @@ class TrivialIntModule:
     def sample_elements(self, window):
         return range(-window, window + 1)
 
+    def frame(self):
+        return [0, 1]
+
     def __eq__(self, other):
         return isinstance(other, TrivialIntModule)
 
@@ -202,6 +215,12 @@ class FreeTModule:
     def sample_elements(self, window):
         return self.ds.enumerate_elements(window)
 
+    def frame(self):
+        """One copy of the truss's frame per summand, combined by
+        ``DirectSum.frame``; None when the truss has no frame."""
+        base = _frame(self.truss)
+        return None if base is None else self.ds.frame([base] * self.n)
+
     def __eq__(self, other):
         return (isinstance(other, FreeTModule) and self.truss == other.truss
                 and self.n == other.n and self.basepoint == other.basepoint)
@@ -225,122 +244,44 @@ def free_module(truss, n: int, basepoint=None) -> FreeTModule:
 # validation
 
 
-UNITALITY_DRAWS = 500
-
-
-def _size(pool) -> int:
-    # exact, where len() stops at sys.maxsize: a free module's window can outgrow it
-    return pool.size if isinstance(pool, Window) else len(pool)
-
-
-def _draw(rng, pool):
-    """A uniform element of an indexable pool: the draw of ``rng.choice``."""
-    return pool[rng.randrange(_size(pool))]
-
-
 def validate_module(m, *, samples=10_000, window=4, seed=2026) -> Report:
-    """The three module laws, exhaustively for finite tables, sampled on a
-    window otherwise; unitality is reported when the truss has an identity.
+    """The three module laws, and unitality when the truss has an
+    identity, on the law engine of ``validate_truss`` over every element of
+    a finite carrier or the ``frame()`` of a symbolic one.  t.m is affine in
+    t and in m over a truss, so a framed module decides its truss's product
+    laws first (``truss``).  Only a carrier with no frame is sampled.
 
-    Sampled instances are drawn with the seeded rng from the whole lazy
-    window (``sample_elements``), not from a prefix of it.  Unitality runs
-    over a finite carrier, over a window of at most ``UNITALITY_DRAWS``
-    elements, or else over that many seeded draws from the window.  A
-    sampled finding is located like an exhaustive one, with the drawn
-    elements: (a, b, x), (a, b, c, x), (a, x, y, z) or, for unitality, (x,).
-
-    The two distributive laws say that t |-> t.m is a heap map T -> M for
-    every m, and m |-> t.m a heap map M -> M for every t.  Between heaps, a
-    map that preserves [x,0,y] is a group map of retracts and so preserves
-    every [x,y,z] (Certaine 1943; ``core._first_unpreserved``).  When both
-    finite carriers pass the retract test (``core._is_group_heap``), each
-    map is decided in O(|T|^2) or O(|M|^2) evaluations, and the sweep runs
-    only over a failing m (inside the (a, b, c) loop) or a failing t: a pass
-    is O(|T|^2|M| + |T||M|^2), and the findings are the sweep's, in its
-    order.  If either carrier is not a heap, every m and t is swept.
-    ``distributivity`` names the algorithm ("morphism rows" or "sweep") and
-    lists the swept (law, element) pairs; ``checked`` counts the instances
-    decided either way."""
-    findings = []
+    Findings are located at (a, b, x), (a, b, c, x), (a, x, y, z) or the
+    first (x,) that breaks unitality; ``distributivity`` names the algorithm
+    and the swept (law, element) pairs.  A symbolic module reports ``frame``
+    (its size) or ``sampled`` (samples, window and seed)."""
     t = m.truss
-    rng = random.Random(seed)
-    distributivity = None
-    if m.is_finite and t.is_finite:
-        ts = list(t.elements())
-        ms = list(m.elements())
-        exhaustive = True
-        acts = [[m.act(a, x) for x in ms] for a in ts]
-        for a, b in itertools.product(ts, repeat=2):
-            ab = acts[t.mul(a, b)]
-            for x in ms:
-                if acts[a][acts[b][x]] != ab[x]:
-                    findings.append(Finding("action associativity t(t'm) = (tt')m",
-                                            (a, b, x), acts[a][acts[b][x]], ab[x]))
-        if _is_group_heap(t) and _is_group_heap(m):
-            # t |-> t.x is a heap map T -> M, m |-> a.m one M -> M
-            swept_m = [x for x in ms if _first_unpreserved(
-                t.ternary, m.ternary, [row[x] for row in acts]) is not None]
-            swept_t = [a for a in ts
-                       if _first_unpreserved(m.ternary, m.ternary, acts[a]) is not None]
-            algorithm = "morphism rows"
-        else:
-            swept_m, swept_t, algorithm = ms, ts, "sweep"
-        for a, b, c in itertools.product(ts, repeat=3) if swept_m else ():
-            abc = acts[t.ternary(a, b, c)]
-            for x in swept_m:
-                lhs, rhs = abc[x], m.ternary(acts[a][x], acts[b][x], acts[c][x])
-                if lhs != rhs:
-                    findings.append(Finding("distributivity [t,t',t'']m", (a, b, c, x), lhs, rhs))
-        for a in swept_t:
-            row = acts[a]
-            for x, y, z in itertools.product(ms, repeat=3):
-                lhs, rhs = row[m.ternary(x, y, z)], m.ternary(row[x], row[y], row[z])
-                if lhs != rhs:
-                    findings.append(Finding("distributivity t[m,m',m'']", (a, x, y, z), lhs, rhs))
-        nt, nm = len(ts), len(ms)
-        checked = nt * nt * nm + nt ** 3 * nm + nt * nm ** 3
-        distributivity = {
+    ts, ms = _pool(t), _pool(m)
+    pools = None if ts is None or ms is None else (ts, ms)
+    stats = {"exhaustive": m.is_finite}
+    if pools is None:
+        stats["sampled"] = {"samples": samples, "window": window, "seed": seed}
+    elif not m.is_finite:
+        stats["frame"] = len(ms)
+        found, per_law, *_ = _product_laws(t, ts)
+        stats["truss"] = FAIL if found else PASS
+        if found:
+            stats.update(checked=per_law[0] + 2 * per_law[1], unital=None)
+            return Report("T-module", FAIL, found, stats)
+    found, per_law, rows, units = _action_laws(t, m.act, m, pools, samples=samples,
+                                               window=window, seed=seed)
+    findings = [Finding(*f) for f in found]
+    bad = None if t.identity is None else next(
+        (x for x in units if m.act(t.identity, x) != x), None)
+    if bad is not None:
+        findings.append(Finding("unitality 1m = m", (bad,), str(m.act(t.identity, bad)), str(bad)))
+    stats.update(checked=sum(per_law.values()), unital=None if t.identity is None else bad is None)
+    if rows is not None:
+        algorithm, swept_m, swept_t = rows
+        stats["distributivity"] = {
             "algorithm": algorithm,
-            "swept": [("distributivity [t,t',t'']m", x) for x in swept_m]
-                     + [("distributivity t[m,m',m'']", a) for a in swept_t],
+            "swept": [(LINEAR_IN_T, x) for x in swept_m] + [(LINEAR_IN_M, a) for a in swept_t],
         }
-    else:
-        exhaustive = False
-        tpool = t.elements() if t.is_finite else t.sample_elements(window)
-        mpool = m.sample_elements(window)
-        checked = 0
-        for _ in range(samples):
-            a, b, c = (_draw(rng, tpool) for _ in range(3))
-            x, y, z = (_draw(rng, mpool) for _ in range(3))
-            if m.act(a, m.act(b, x)) != m.act(t.mul(a, b), x):
-                findings.append(Finding("action associativity t(t'm) = (tt')m", (a, b, x),
-                                        str(m.act(a, m.act(b, x))), str(m.act(t.mul(a, b), x))))
-            lhs = m.act(t.ternary(a, b, c), x)
-            rhs = m.ternary(m.act(a, x), m.act(b, x), m.act(c, x))
-            if lhs != rhs:
-                findings.append(Finding("distributivity [t,t',t'']m", (a, b, c, x),
-                                        str(lhs), str(rhs)))
-            lhs = m.act(a, m.ternary(x, y, z))
-            rhs = m.ternary(m.act(a, x), m.act(a, y), m.act(a, z))
-            if lhs != rhs:
-                findings.append(Finding("distributivity t[m,m',m'']", (a, x, y, z),
-                                        str(lhs), str(rhs)))
-            checked += 3
-    unital = None
-    if t.identity is not None:
-        pool = m.elements() if m.is_finite else m.sample_elements(window)
-        if not m.is_finite and _size(pool) > UNITALITY_DRAWS:
-            pool = [_draw(rng, pool) for _ in range(UNITALITY_DRAWS)]
-        unital = True
-        for x in pool:
-            if m.act(t.identity, x) != x:
-                unital = False
-                findings.append(Finding("unitality 1m = m", (x,),
-                                        str(m.act(t.identity, x)), str(x)))
-                break
-    stats = {"checked": checked, "exhaustive": exhaustive, "unital": unital}
-    if distributivity is not None:
-        stats["distributivity"] = distributivity
     return Report("T-module", FAIL if findings else PASS, findings, stats)
 
 
@@ -792,56 +733,45 @@ def freeness_of_TN(rm: RModule) -> Report:
     return Report("freeness of T(N)", FAIL, findings, stats)
 
 
-PROJECTION_DRAWS = 1000
-PROJECTION_SEED = 2026
-TAIL_DRAWS = 2000
-
-
-def verify_abs_of_free(ring: FiniteRing, n: int, *, window=3) -> Report:
+def verify_abs_of_free(ring: FiniteRing, n: int) -> Report:
     """Build the rank-n free module over T(R) and verify: the absorbers are
     the tail sub-heap (the heap of Z^{n-1}), the quotient retract is R^n by
     explicit table comparison, and the generator images are a basis.
 
-    "0.m is a tail" is decided for every component vector on the {0, 1}
-    tail frame; the tail heap is checked on ``TAIL_DRAWS`` and the
-    projection on ``PROJECTION_DRAWS`` seeded triples, each drawn from the
-    whole window."""
+    Every check equates maps that are affine in each argument, so it is
+    decided on a frame: "0.m is a tail" for every component vector with
+    tails in {0, 1}; the tail heap and the action on it on its frame, zero
+    and each tail unit; the projection on the free module's ``frame()``."""
     findings = []
     t = truss_from_ring(ring)
     fm = free_module(t, n)
     aset = absorbers(fm)
+    frame = fm.frame()
+    zero_comps = (ring.zero,) * n
 
     # absorbers = zero components, any tails; tails combine like Z^{n-1}
-    tails_pool = list(itertools.product(range(-window, window + 1), repeat=n - 1))
-    zero_comps = (ring.zero,) * n
-    for tails in tails_pool:
-        x = CoproductElement(zero_comps, tails)
+    tails = [x for x in frame if x.components == zero_comps]
+    for x in tails:
         if not aset.contains(x):
             findings.append(Finding("tail element not an absorber", (str(x),)))
         for a in t.elements():
             if fm.act(a, x) != x:
                 findings.append(Finding("absorber not fixed by the action",
                                         (a, str(x)), str(fm.act(a, x)), str(x)))
+    for x, y, z in itertools.product(tails, repeat=3):
+        got = fm.ternary(x, y, z)
+        want = tuple(p - q + r for p, q, r in zip(x.tails, y.tails, z.tails))
+        if got.tails != want or got.components != zero_comps:
+            findings.append(Finding("tails do not combine like integers",
+                                    (x.tails, y.tails, z.tails), str(got), str(want)))
     # 0.m is affine in each tail of m, so every component vector with tails
     # in {0, 1} decides "0.m is a tail" for every tail
-    frame = Window(n, [range(ring.size)] * n + [(0, 1)] * (n - 1))
-    for x in frame:
+    for x in Window(n, [range(ring.size)] * n + [(0, 1)] * (n - 1)):
         za = fm.act(ring.zero, x)
         if not aset.contains(za):
             findings.append(Finding("0.m outside the tail sub-heap", (str(x),)))
         if aset.contains(x) and any(c != ring.zero for c in x.components):
             findings.append(Finding("non-tail absorber", (str(x),)))
-    rng = random.Random(PROJECTION_SEED)
-    for _ in range(TAIL_DRAWS):
-        a, b, c = (_draw(rng, tails_pool) for _ in range(3))
-        xa = CoproductElement(zero_comps, a)
-        xb = CoproductElement(zero_comps, b)
-        xc = CoproductElement(zero_comps, c)
-        got = fm.ternary(xa, xb, xc)
-        want = tuple(p - q + r for p, q, r in zip(a, b, c))
-        if got.tails != want or got.components != zero_comps:
-            findings.append(Finding("tails do not combine like integers",
-                                    (a, b, c), str(got), str(want)))
 
     # quotient retract: compare against R^n built independently from tables
     power = RModule.power(ring, n)
@@ -850,15 +780,13 @@ def verify_abs_of_free(ring: FiniteRing, n: int, *, window=3) -> Report:
         findings.append(Finding("quotient addition table differs from R^n", ()))
     if quotient_module.action != power.action:
         findings.append(Finding("quotient action table differs from R^n", ()))
-    rng = random.Random(PROJECTION_SEED)
-    pool = fm.sample_elements(window)
-    for _ in range(PROJECTION_DRAWS):
-        x, y, z = (_draw(rng, pool) for _ in range(3))
+    for x, y, z in itertools.product(frame, repeat=3):
         lhs = project(fm.ternary(x, y, z))
         rhs = power.plus(power.plus(project(x), power.neg(project(y))), project(z))
         if lhs != rhs:
             findings.append(Finding("projection is not a heap morphism",
                                     (str(x), str(y), str(z)), lhs, rhs))
+    for x in frame:
         for a in t.elements():
             if project(fm.act(a, x)) != power.act(a, project(x)):
                 findings.append(Finding("projection does not respect the action",
@@ -879,7 +807,7 @@ def verify_abs_of_free(ring: FiniteRing, n: int, *, window=3) -> Report:
         findings.append(Finding("generator images are not a basis of R^n",
                                 duplicate or (), note=f"span {len(combos)} of {power.size}"))
 
-    stats = {"ring": ring.size, "generators": n,
+    stats = {"ring": ring.size, "generators": n, "frame": len(frame),
              "absorber_heap": f"H(Z^{n - 1})",
              "quotient": f"R^{n}",
              "basis_images": [str(i) for i in images]}

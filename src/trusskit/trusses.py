@@ -7,14 +7,14 @@ identity or absorber by forming the direct sum with a singleton.  Their
 product distributes over the heap operation in each argument, so it is the
 bi-affine closed form of ``ExtensionTruss`` in four base products; the
 letter-wise product over word forms and the closed formulas of the worked
-examples live in the tests as oracles, not here.  Being affine in each tail,
-an extension's identity and absorber laws are decided on the {0, 1}-tail
-frame of a window (``ExtensionTruss.tail_frame``), and sampled laws draw
-from the lazy window itself (``coproduct.Window``).
+examples live in the tests as oracles, not here.  One law engine decides
+trusses and modules exactly, on every element or on a ``frame()``: a point
+and that point moved by each generator of the group form.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -24,6 +24,7 @@ from .core import (
     FiniteHeap,
     StructureError,
     _first_unpreserved,
+    _generating_sequence,
     _is_group_heap,
     heap_from_group,
     retract,
@@ -84,6 +85,12 @@ class FiniteTruss:
     def sample_elements(self, window):
         return range(self.size)
 
+    def frame(self):
+        """The basepoint and the greedy generators of the retract there
+        (``core._generating_sequence``); None when the carrier is no heap."""
+        e = _default_basepoint(self)
+        return [e] + _generating_sequence(retract(self.heap, e)) if _is_group_heap(self) else None
+
     def contains(self, x):
         return self.heap.contains(x)
 
@@ -126,6 +133,9 @@ class IntegerTruss:
     def sample_elements(self, window):
         return range(-window, window + 1)
 
+    def frame(self):
+        return [0, 1]
+
     def carrier_heap(self):
         return INT_LINE
 
@@ -166,6 +176,9 @@ class ConstantTruss:
 
     def sample_elements(self, window):
         return range(self.c - window, self.c + window + 1)
+
+    def frame(self):
+        return [self.c, self.c + 1]
 
     def carrier_heap(self):
         return INT_LINE
@@ -241,13 +254,12 @@ class ExtensionTruss:
     Over the integer truss with e = 0, T1 is the Dorroh product.  A base
     product outside the carrier raises StructureError.
 
-    The base products gh, ge, eh and ee never see a tail.  So for fixed u
-    and fixed base components of x, u.x and x.u are affine in each integer
-    tail of x, the inner tail of a nested extension included; so are x and
-    u.  A map into an Abelian group that is affine in each tail separately
-    is fixed by its values at tails {0, 1}, hence the identity and absorber
-    laws (and "z absorbs") hold on a window exactly when they hold on its
-    ``tail_frame``.
+    The base products never see a tail and, over a base truss, are affine
+    in g and in h.  So every truss law equates maps affine in each
+    argument, which are fixed on a frame of the group form (retract + Z):
+    a point and that point moved by each generator.  Once the base's
+    product laws hold (``validate_truss`` decides them first), ``frame``
+    decides every law exactly.
     """
 
     is_finite = False
@@ -301,15 +313,11 @@ class ExtensionTruss:
     def sample_elements(self, window):
         return self.ds.enumerate_elements(window)
 
-    def tail_frame(self, window):
-        """The window's base components with every tail restricted to
-        {0, 1} (to {0} at window 0), a nested extension restricted the same
-        way: a subset of ``sample_elements(window)`` on which the unit laws
-        are decided for the whole window (see the class docstring)."""
-        base = (self.base.tail_frame(window) if isinstance(self.base, ExtensionTruss)
-                else self.base_heap.sample(window))
-        tails = [k for k in (0, 1) if k <= window]
-        return Window(2, (base, self.ds.summands[1].heap.sample(window), tails))
+    def frame(self):
+        """The base's frame at tail 0 and its first point at tail 1; None
+        when the base has no frame."""
+        base = _frame(self.base)
+        return None if base is None else self.ds.frame((base, (0,)))
 
     def elements(self):
         return None
@@ -363,145 +371,179 @@ def double_extension(t) -> ExtensionTruss:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# validation: one law engine over finite pools
 
 
-def _unit_frame(t, window):
-    """(algorithm, elements) on which the identity and absorber laws are
-    decided for the whole window: every element of a finite truss, the tail
-    frame of an extension (exact by the lemma of ``ExtensionTruss``), the
-    window itself otherwise."""
-    if t.is_finite:
-        return "exhaustive", t.elements()
-    if isinstance(t, ExtensionTruss):
-        return "tail frame", t.tail_frame(window)
-    return "window", t.sample_elements(window)
+ASSOCIATIVE = "action associativity t(t'm) = (tt')m"
+LINEAR_IN_T = "distributivity [t,t',t'']m"
+LINEAR_IN_M = "distributivity t[m,m',m'']"
 
 
-def _unit_law_findings(t, pool):
-    findings = []
-    if t.identity is not None:
-        for x in pool:
-            if t.mul(t.identity, x) != x or t.mul(x, t.identity) != x:
-                findings.append(Finding("identity law", (x,),
-                                        t.mul(t.identity, x), x))
-    if t.absorber is not None:
-        for x in pool:
-            if t.mul(t.absorber, x) != t.absorber or t.mul(x, t.absorber) != t.absorber:
-                findings.append(Finding("absorber law", (x,),
-                                        t.mul(t.absorber, x), t.absorber))
-    return findings
+def _frame(c):
+    return c.frame() if getattr(c, "frame", None) else None
+
+
+def _pool(c):
+    """Every element of a finite carrier, else its frame (None without one)."""
+    return c.elements() if c.is_finite else _frame(c)
+
+
+def _draw(rng, pool):
+    """A uniform element of an indexable pool: the draw of ``rng.choice``,
+    but a ``Window`` gives its exact size, where len() stops at sys.maxsize."""
+    return pool[rng.randrange(pool.size if isinstance(pool, Window) else len(pool))]
+
+
+class _Memo(dict):
+    """x |-> f(x), each value computed once, on first use."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, x):
+        self[x] = value = self.f(x)
+        return value
+
+
+def _action_laws(t, act, m, pools, *, samples=None, window=None, seed=None):
+    """The three laws of an action ``act`` of the truss t on m (of t on
+    itself, for a truss): (law, at, lhs, rhs) findings, the instances per
+    law, the swept maps and the pool for the unit laws.
+
+    On pools (ts, ms), every element of a finite carrier or the frame of a
+    symbolic one, every instance is decided.  Distributivity says that
+    t |-> t.x (T -> M) and x |-> a.x (M -> M) are heap maps, which a map
+    is once it preserves [u,e,v] for u, v in the pool (Certaine 1943,
+    ``core._first_unpreserved``; both sides are affine in u and in v).
+    Only a failing map is swept ("morphism rows"), and every map when a
+    finite carrier is no heap ("sweep").  Without pools, each of
+    ``samples`` seeded draws takes a, b, c and x, y, z from the windows,
+    and the drawn x are the unit pool.
+    """
+    found = []
+    tern_t, tern_m = t.ternary, m.ternary
+    if pools is None:
+        rng, drawn = random.Random(seed), []
+        tw, mw = t.sample_elements(window), m.sample_elements(window)
+        for _ in range(samples):
+            a, b, c, x, y, z = (_draw(rng, w) for w in (tw, tw, tw, mw, mw, mw))
+            found += [f for f in (
+                (ASSOCIATIVE, (a, b, x), act(a, act(b, x)), act(t.mul(a, b), x)),
+                (LINEAR_IN_T, (a, b, c, x), act(tern_t(a, b, c), x),
+                 tern_m(act(a, x), act(b, x), act(c, x))),
+                (LINEAR_IN_M, (a, x, y, z), act(a, tern_m(x, y, z)),
+                 tern_m(act(a, x), act(a, y), act(a, z)))) if f[2] != f[3]]
+            drawn.append(x)
+        return found, dict.fromkeys((ASSOCIATIVE, LINEAR_IN_T, LINEAR_IN_M), samples), None, drawn
+    ts, ms = pools
+    if t.is_finite and m.is_finite:     # rows[a][x] = a.x, precomputed
+        rows = [[act(a, x) for x in ms] for a in ts]
+    else:                               # or computed once, on first use
+        rows = _Memo(lambda a: _Memo(functools.partial(act, a)))
+    for a, b in itertools.product(ts, repeat=2):
+        ra, rb, rab = rows[a], rows[b], rows[t.mul(a, b)]
+        found += [(ASSOCIATIVE, (a, b, x), ra[rb[x]], rab[x]) for x in ms if ra[rb[x]] != rab[x]]
+    if all(_is_group_heap(c) for c in ((t,) if m is t else (t, m)) if c.is_finite):
+        algorithm = "morphism rows"
+        swept_m = [x for x in ms if _first_unpreserved(
+            tern_t, tern_m, _Memo(lambda u: rows[u][x]), ts) is not None]
+        swept_t = [a for a in ts if _first_unpreserved(tern_m, tern_m, rows[a], ms) is not None]
+    else:
+        algorithm, swept_m, swept_t = "sweep", list(ms), list(ts)
+    for a, b, c in itertools.product(ts, repeat=3) if swept_m else ():
+        ra, rb, rc, rabc = rows[a], rows[b], rows[c], rows[tern_t(a, b, c)]
+        for x in swept_m:
+            lhs, rhs = rabc[x], tern_m(ra[x], rb[x], rc[x])
+            if lhs != rhs:
+                found.append((LINEAR_IN_T, (a, b, c, x), lhs, rhs))
+    for a in swept_t:
+        ra = rows[a]
+        for x, y, z in itertools.product(ms, repeat=3):
+            lhs, rhs = ra[tern_m(x, y, z)], tern_m(ra[x], ra[y], ra[z])
+            if lhs != rhs:
+                found.append((LINEAR_IN_M, (a, x, y, z), lhs, rhs))
+    nt, nm = len(ts), len(ms)
+    checked = {ASSOCIATIVE: nt * nt * nm, LINEAR_IN_T: nt ** 3 * nm, LINEAR_IN_M: nt * nm ** 3}
+    return found, checked, (algorithm, swept_m, swept_t), ms
+
+
+def _product_laws(t, pool, **draws):
+    """Associativity and both distributive laws of t acting on itself:
+    (findings in the order of the (s, a, b, c) sweep, instances per law,
+    distributivity, unit pool, base status).  A framed extension decides
+    its base first, recursively (the base's unit laws do not matter); a
+    base finding decides, lifted to tail 0, where the base embeds."""
+    base = None
+    if isinstance(t, ExtensionTruss) and pool is not None:
+        found, per_law, rows, _, _ = _product_laws(t.base, _pool(t.base))
+        if found:
+            up = t.inject
+            return ([Finding(f.law, tuple(map(up, f.at)), up(f.lhs), up(f.rhs)) for f in found],
+                    per_law, {**rows, "swept": list(map(up, rows["swept"]))}, [], FAIL)
+        base = PASS
+    found, per_law, rows, units = _action_laws(
+        t, t.mul, t, None if pool is None else (pool, pool), **draws)
+    findings = [Finding("product associativity", at, rhs, lhs) if law == ASSOCIATIVE  # (ab)c first
+                else Finding("left distributivity over [,,]", at, lhs, rhs) if law == LINEAR_IN_M
+                else Finding("right distributivity over [,,]", at[3:] + at[:3], lhs, rhs)
+                for law, at, lhs, rhs in found]
+    if rows is not None:    # in the order of the (s, a, b, c) sweep, left law first
+        index = {x: i for i, x in enumerate(pool)}
+        findings.sort(key=lambda f: (f.law != "product associativity",
+                                     [index[x] for x in f.at], f.law.startswith("right")))
+        rows = {"algorithm": rows[0], "swept": [s for s in pool if s in rows[1] or s in rows[2]]}
+    per_law = (per_law[ASSOCIATIVE], per_law[LINEAR_IN_M])
+    return findings, per_law, rows, units, base
 
 
 def validate_truss(t, *, samples=10_000, window=5, seed=2026) -> Report:
     """Associativity and both distributive laws, then the identity and
-    absorber laws.
+    absorber laws (scanned for finite trusses, declared otherwise), on the
+    law engine (``_action_laws``) over every element of a finite truss or
+    the ``frame()`` of a symbolic one; an extension decides its base first.
+    Only a carrier with no frame is sampled: ``samples`` seeded draws from
+    ``sample_elements(window)``, the unit laws on the drawn elements.
 
-    Finite trusses are checked exhaustively; symbolic carriers are sampled on
-    a deterministic window, drawn lazily from ``sample_elements(window)``.
-    The identity/absorber elements (scanned for finite trusses, declared by
-    construction otherwise) are decided for every element of the window.
-    On an extension they are evaluated on the tail frame only (164 elements
-    where the window of T01(TZ) at window 20 has 68 921): its values at
-    tails {0, 1} fix each law on the whole window.  Only when the frame
-    shows a violation is the full window swept, so the findings are those
-    of the sweep.  ``checked`` counts the instances of the three product
-    laws; ``checked_by_law`` counts every law, the unit laws by the window
-    elements they are decided for; ``unit_laws`` names the algorithm
-    ("exhaustive", "tail frame" or "window", the last also after a frame
-    violation) and how many elements it evaluated.
-
-    On a finite truss the distributive laws say that every left
-    multiplication x |-> s.x and every right multiplication x |-> x.s is a
-    heap endomorphism.  On a heap, a map that preserves [x,0,y] is a group
-    map from the retract at 0 to the retract at f(0), so it preserves every
-    [x,y,z] (Certaine 1943; ``core._first_unpreserved``).  When the carrier
-    passes the retract test (``core._is_group_heap``), each row and column
-    is decided in O(n^2) and the (a, b, c) sweep of both laws runs only for
-    an s whose row or column fails: a pass is O(n^3), and the findings are
-    the sweep's, in its order.  A carrier that is not a heap is swept for
-    every s.  ``distributivity`` names the algorithm ("morphism rows" or
-    "sweep") and lists the swept s.  ``checked`` counts the instances
-    decided either way.
+    ``checked`` counts the product-law instances; ``checked_by_law`` every
+    law, the unit laws by their pool; ``unit_laws`` names the pool
+    ("exhaustive", "frame" or "sampled") and its size; ``distributivity``
+    the algorithm and the swept s.  A symbolic truss reports ``frame`` (its
+    size) or ``sampled``, an extension whether its ``base`` passed.
     """
-    findings = []
-    distributivity = None
-    if t.is_finite:
-        n = t.size
-        ids = range(n)
-        rows = [[t.mul(s, x) for x in ids] for s in ids]
-        for a, b, c in itertools.product(ids, repeat=3):
-            if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-                findings.append(Finding("product associativity", (a, b, c),
-                                        rows[rows[a][b]][c], rows[a][rows[b][c]]))
-        if _is_group_heap(t):
-            swept = [s for s in ids
-                     if _first_unpreserved(t.ternary, t.ternary, rows[s]) is not None
-                     or _first_unpreserved(t.ternary, t.ternary,
-                                           [row[s] for row in rows]) is not None]
-            distributivity = {"algorithm": "morphism rows", "swept": swept}
-        else:
-            swept = list(ids)
-            distributivity = {"algorithm": "sweep", "swept": swept}
-        for s in swept:
-            row = rows[s]
-            for a, b, c in itertools.product(ids, repeat=3):
-                abc = t.ternary(a, b, c)
-                lhs, rhs = row[abc], t.ternary(row[a], row[b], row[c])
-                if lhs != rhs:
-                    findings.append(Finding("left distributivity over [,,]",
-                                            (s, a, b, c), lhs, rhs))
-                lhs, rhs = rows[abc][s], t.ternary(rows[a][s], rows[b][s], rows[c][s])
-                if lhs != rhs:
-                    findings.append(Finding("right distributivity over [,,]",
-                                            (s, a, b, c), lhs, rhs))
-        per_law = (n ** 3, n ** 4)
-        pool = t.elements()
-    else:
-        rng = random.Random(seed)
-        pool = t.sample_elements(window)
-        for _ in range(samples):
-            a, b, c, s = (rng.choice(pool) for _ in range(4))
-            if t.mul(t.mul(a, b), c) != t.mul(a, t.mul(b, c)):
-                findings.append(Finding("product associativity", (a, b, c),
-                                        t.mul(t.mul(a, b), c), t.mul(a, t.mul(b, c))))
-            lhs = t.mul(s, t.ternary(a, b, c))
-            rhs = t.ternary(t.mul(s, a), t.mul(s, b), t.mul(s, c))
-            if lhs != rhs:
-                findings.append(Finding("left distributivity over [,,]", (s, a, b, c), lhs, rhs))
-            lhs = t.mul(t.ternary(a, b, c), s)
-            rhs = t.ternary(t.mul(a, s), t.mul(b, s), t.mul(c, s))
-            if lhs != rhs:
-                findings.append(Finding("right distributivity over [,,]", (s, a, b, c), lhs, rhs))
-        per_law = (samples, samples)
-    has_units = t.identity is not None or t.absorber is not None
-    algorithm, frame = _unit_frame(t, window)
-    unit_findings = _unit_law_findings(t, frame)
-    evaluated = len(frame) if has_units else 0
-    if unit_findings and algorithm == "tail frame":
-        # the frame decides that the laws hold; a violation is listed in full
-        unit_findings = _unit_law_findings(t, pool)
-        algorithm, evaluated = "window", evaluated + len(pool)
-    findings += unit_findings
-    by_law = {
-        "product associativity": per_law[0],
-        "left distributivity over [,,]": per_law[1],
-        "right distributivity over [,,]": per_law[1],
-        "identity law": 0 if t.identity is None else len(pool),
-        "absorber law": 0 if t.absorber is None else len(pool),
-    }
+    pool = _pool(t)
+    findings, per_law, distributivity, units, base = _product_laws(
+        t, pool, samples=samples, window=window, seed=seed)
+    one, zero, mul = t.identity, t.absorber, t.mul
+    findings += [Finding("identity law", (x,), mul(one, x), x) for x in units
+                 if one is not None and (mul(one, x) != x or mul(x, one) != x)]
+    findings += [Finding("absorber law", (x,), mul(zero, x), zero) for x in units
+                 if zero is not None and (mul(zero, x) != zero or mul(x, zero) != zero)]
+    algorithm = "exhaustive" if t.is_finite else "sampled" if pool is None else "frame"
     stats = {
         "checked": per_law[0] + 2 * per_law[1],
-        "checked_by_law": by_law,
-        "unital": t.identity is not None,
-        "ring_type": t.absorber is not None,
-        "identity": None if t.identity is None else t.format_element(t.identity),
-        "absorber": None if t.absorber is None else t.format_element(t.absorber),
+        "checked_by_law": {
+            "product associativity": per_law[0],
+            "left distributivity over [,,]": per_law[1],
+            "right distributivity over [,,]": per_law[1],
+            "identity law": 0 if one is None else len(units),
+            "absorber law": 0 if zero is None else len(units),
+        },
+        "unital": one is not None,
+        "ring_type": zero is not None,
+        "identity": None if one is None else t.format_element(one),
+        "absorber": None if zero is None else t.format_element(zero),
         "exhaustive": t.is_finite,
-        "unit_laws": {"algorithm": algorithm, "evaluated": evaluated},
+        "unit_laws": {"algorithm": algorithm,
+                      "evaluated": 0 if one is None and zero is None else len(units)},
     }
     if distributivity is not None:
         stats["distributivity"] = distributivity
+    if pool is None:
+        stats["sampled"] = {"samples": samples, "window": window, "seed": seed}
+    elif not t.is_finite:
+        stats["frame"] = len(pool)
+    if base is not None:
+        stats["base"] = base
     return Report("truss", FAIL if findings else PASS, findings, stats)
 
 
@@ -535,21 +577,20 @@ class RetractRing:
     def scale(self, k: int, a):
         return shift(self.truss, self.zero, k, a, self.zero)
 
-    def sample_elements(self, window):
-        return self.truss.sample_elements(window)
-
     def __repr__(self):
         return f"RetractRing({self.truss!r})"
 
 
-def _check_absorber(t, zero, window=4):
-    """Raise unless zero absorbs on both sides over the window, decided on
-    the unit-law frame (exact for every tail of an extension)."""
+def _check_absorber(t, zero):
+    """Raise unless zero absorbs on both sides, decided on the pool of t:
+    every element, or the frame once a symbolic t is a truss."""
     if t.absorber is not None and zero == t.absorber:
         return
-    for x in _unit_frame(t, window)[1]:
-        if t.mul(zero, x) != zero or t.mul(x, zero) != zero:
-            raise StructureError(f"{zero!r} is not a two-sided absorber")
+    pool = _pool(t)
+    if pool is not None and any(t.mul(zero, x) != zero or t.mul(x, zero) != zero for x in pool):
+        raise StructureError(f"{zero!r} is not a two-sided absorber")
+    if pool is None or not t.is_finite and _product_laws(t, pool)[0]:
+        raise StructureError(f"cannot decide that {zero!r} absorbs: not a truss with a frame")
 
 
 def retract_ring(t, zero):

@@ -36,11 +36,19 @@ from trusskit.modules import (
 from trusskit.rings import FiniteRing, RModule, rmodule_homs, rmodule_isomorphism
 from trusskit.reports import Finding
 from trusskit.trusses import (
+    ConstantTruss,
+    ExtensionTruss,
     FiniteTruss,
+    IntegerTruss,
+    constant_truss,
+    double_extension,
     integer_truss,
+    ring_extension,
     tc2_brace_truss,
     truss_TZn,
     truss_from_ring,
+    unital_extension,
+    validate_truss,
 )
 
 Z2 = FiniteRing.Zn(2)
@@ -77,7 +85,10 @@ class OddPositiveC0Wrong(FreeTModule):
     """The free action, except that it also bumps the tail of an element
     with odd c0 > 0.  Every element of the first 4000 of the window at 50
     has c0 = -50, and products and heap combinations of them keep c0 even,
-    so a prefix of the window never reaches the wrong elements."""
+    so a prefix of the window never reaches the wrong elements.  The action
+    is not affine, so it has no frame and is sampled."""
+
+    frame = None
 
     def act(self, t, x):
         y = super().act(t, x)
@@ -664,7 +675,7 @@ def test_verify_abs_of_free():
     assert verify_abs_of_free(Z2, 1).ok
     assert verify_abs_of_free(Z2, 2).ok
     assert verify_abs_of_free(Z3, 2).ok
-    assert verify_abs_of_free(Z2, 3, window=2).ok
+    assert verify_abs_of_free(Z2, 3).ok
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +771,9 @@ def test_module_distributivity_stats_name_the_algorithm():
     assert report.to_obj()["stats"]["distributivity"]["swept"] == \
         [["distributivity [t,t',t'']m", 2], ["distributivity t[m,m',m'']", 1]]
     free = validate_module(free_module(truss_TZn(2), 2), samples=10, window=1)
-    assert "distributivity" not in free.stats
+    assert free.stats["distributivity"] == {"algorithm": "morphism rows", "swept": []}
+    sampled = validate_module(OddPositiveC0Wrong(truss_TZn(2), 2), samples=10, window=1)
+    assert "distributivity" not in sampled.stats
 
 
 def test_validating_a_function_backed_module_builds_no_table():
@@ -769,29 +782,92 @@ def test_validating_a_function_backed_module_builds_no_table():
     assert m.heap._table is None and m.truss.heap._table is None
 
 
+def violated(m, f):
+    """Whether a module finding (or a finding of its truss's product laws)
+    is a genuine violation: its law fails at its witness."""
+    t = m.truss
+    return {
+        "action associativity t(t'm) = (tt')m":
+            lambda a, b, x: m.act(a, m.act(b, x)) != m.act(t.mul(a, b), x),
+        "distributivity [t,t',t'']m":
+            lambda a, b, c, x: m.act(t.ternary(a, b, c), x)
+            != m.ternary(m.act(a, x), m.act(b, x), m.act(c, x)),
+        "distributivity t[m,m',m'']":
+            lambda a, x, y, z: m.act(a, m.ternary(x, y, z))
+            != m.ternary(m.act(a, x), m.act(a, y), m.act(a, z)),
+        "unitality 1m = m": lambda x: m.act(t.identity, x) != x,
+        "product associativity":
+            lambda a, b, c: t.mul(t.mul(a, b), c) != t.mul(a, t.mul(b, c)),
+        "left distributivity over [,,]":
+            lambda s, a, b, c: t.mul(s, t.ternary(a, b, c))
+            != t.ternary(t.mul(s, a), t.mul(s, b), t.mul(s, c)),
+        "right distributivity over [,,]":
+            lambda s, a, b, c: t.mul(t.ternary(a, b, c), s)
+            != t.ternary(t.mul(a, s), t.mul(b, s), t.mul(c, s)),
+    }[f.law](*f.at)
+
+
 def test_sampled_module_findings_replay_from_their_witnesses():
     fm = OddPositiveC0Wrong(integer_truss(), 2)
-    t = fm.truss
     report = validate_module(fm, samples=200, window=50)
-    replay = {
-        "action associativity t(t'm) = (tt')m":
-            lambda a, b, x: fm.act(a, fm.act(b, x)) != fm.act(t.mul(a, b), x),
-        "distributivity [t,t',t'']m":
-            lambda a, b, c, x: fm.act(t.ternary(a, b, c), x)
-            != fm.ternary(fm.act(a, x), fm.act(b, x), fm.act(c, x)),
-        "distributivity t[m,m',m'']":
-            lambda a, x, y, z: fm.act(a, fm.ternary(x, y, z))
-            != fm.ternary(fm.act(a, x), fm.act(a, y), fm.act(a, z)),
-        "unitality 1m = m": lambda x: fm.act(t.identity, x) != x,
-    }
     assert len(report.findings) > 10
     for f in report.findings:
-        assert replay[f.law](*f.at), f
-    assert {f.law for f in report.findings} == set(replay) - {"distributivity [t,t',t'']m"}
+        assert violated(fm, f), f
+    assert {f.law for f in report.findings} == {
+        "action associativity t(t'm) = (tt')m", "distributivity t[m,m',m'']",
+        "unitality 1m = m"}
     json.dumps(report.to_obj())
 
 
-def test_verify_abs_of_free_sees_every_component_vector_and_the_whole_window(monkeypatch):
+def perturbed_tz3(a, b, v):
+    table = [list(row) for row in truss_TZn(3).mul_table]
+    table[a][b] = v
+    return FiniteTruss(truss_TZn(3).heap, table)
+
+
+def test_free_module_frame_verdicts_match_sampled_runs():
+    """Free modules of rank 1-3 at two basepoints: the frame's verdict is
+    that of a seeded sampled run with the frame switched off, and every
+    finding of the frame replays.  Over a truss that is no truss (TZ3 with
+    2.2 changed; 1 stays the identity) the truss decides, at its own laws."""
+    trusses = {"TZ": integer_truss(), "TZ2": truss_TZn(2), "TZ5": truss_TZn(5),
+               "TC2": tc2_brace_truss(), "TZ3 2.2=0": perturbed_tz3(2, 2, 0),
+               "TZ3 2.2=2": perturbed_tz3(2, 2, 2)}
+    verdicts = set()
+    for name, truss in trusses.items():
+        for n, basepoint in itertools.product((1, 2, 3), (0, 1)):
+            fm = free_module(truss, n, basepoint)
+            framed = validate_module(fm, samples=1, window=1)
+            assert framed.stats["frame"] == len(fm.frame()) == 1 + n * 1 + n - 1, name
+            assert all(violated(fm, f) for f in framed.findings), (name, n, basepoint)
+            fm.frame = None
+            sampled = validate_module(fm, samples=200, window=2, seed=11)
+            assert "sampled" in sampled.stats
+            assert framed.status == sampled.status, (name, n, basepoint)
+            verdicts.add((framed.status, framed.stats["truss"]))
+    assert verdicts == {("pass", "pass"), ("fail", "fail")}
+
+
+def test_no_package_carrier_is_sampled(monkeypatch):
+    def refuse(self, window):
+        raise AssertionError(f"{self!r} was sampled")
+
+    for cls in (IntegerTruss, ConstantTruss, FiniteTruss, ExtensionTruss,
+                FiniteTModule, TrivialIntModule, FreeTModule):
+        monkeypatch.setattr(cls, "sample_elements", refuse)
+    for t in (integer_truss(), constant_truss(3), unital_extension(truss_TZn(4)),
+              ring_extension(tc2_brace_truss()), double_extension(constant_truss(2)),
+              unital_extension(unital_extension(integer_truss()))):
+        report = validate_truss(t)
+        assert report.ok and report.stats["frame"] == len(t.frame()) and report.stats["checked"]
+    for m in (TrivialIntModule(), free_module(integer_truss(), 3, 1),
+              free_module(unital_extension(truss_TZn(3)), 2)):
+        report = validate_module(m)
+        assert report.ok and report.stats["frame"] == len(m.frame()) and report.stats["checked"]
+    assert verify_abs_of_free(Z3, 2).ok
+
+
+def test_verify_abs_of_free_sees_every_component_vector_and_the_whole_frame(monkeypatch):
     seen, recording = [], [True]
     act, quotient = FreeTModule.act, modules.abs_quotient
 
@@ -810,26 +886,24 @@ def test_verify_abs_of_free_sees_every_component_vector_and_the_whole_window(mon
 
     monkeypatch.setattr(FreeTModule, "act", spy)
     monkeypatch.setattr(modules, "abs_quotient", quiet_quotient)
-    assert verify_abs_of_free(Z3, 3, window=2).ok
+    assert verify_abs_of_free(Z3, 3).ok
     assert {x.components for t, x in seen if t == Z3.zero} == \
         set(itertools.product(range(3), repeat=3))
-    # the absorber checks act on zero components; the projection's draws
-    # are the rest, and they reach every c0 and both ends of the window
-    drawn = [x for t, x in seen if t == Z3.one and any(x.components)]
-    assert {x.components[0] for x in drawn} == {0, 1, 2}
-    assert {k for x in drawn for k in x.tails} == set(range(-2, 3))
+    # the projection acts on every element of the free module's frame
+    frame = free_module(truss_from_ring(Z3), 3).frame()
+    assert len(frame) == 6 and {x for t, x in seen if t == Z3.one} >= set(frame)
 
 
 def test_verify_abs_of_free_draws_tail_triples_from_the_whole_pool(monkeypatch):
-    firsts = set()
+    triples = set()
     ternary = FreeTModule.ternary
 
     def spy(self, x, y, z):
         if not any(c for w in (x, y, z) for c in w.components):
-            firsts.add(x.tails)
+            triples.add((x.tails, y.tails, z.tails))
         return ternary(self, x, y, z)
 
     monkeypatch.setattr(FreeTModule, "ternary", spy)
-    assert verify_abs_of_free(Z3, 3, window=2).ok
-    # a prefix of the triples holds the first argument at one tail vector
-    assert firsts == set(itertools.product(range(-2, 3), repeat=2))
+    assert verify_abs_of_free(Z3, 3).ok
+    # the tail heap is checked on every triple from its frame: zero and each tail unit
+    assert triples >= set(itertools.product([(0, 0), (1, 0), (0, 1)], repeat=3))

@@ -152,21 +152,38 @@ def test_unital_extension_keeps_absorber():
         assert t1.mul(x, t1.absorber) == t1.absorber
 
 
+class Frameless(ExtensionTruss):
+    """An extension without a frame: validated on seeded draws."""
+
+    frame = None
+
+
 def test_unital_extension_validates_sampled():
-    report = validate_truss(unital_extension(truss_TZn(3)), samples=3000, window=3)
+    # without a frame, the laws are checked on seeded draws from the window
+    report = validate_truss(Frameless(truss_TZn(3), "one"), samples=3000, window=3)
     assert report.ok and report.stats["checked"] == 3 * 3000
-    # the identity and absorber laws run over the whole window: 3 x 7 elements
-    assert report.stats["checked_by_law"]["identity law"] == 3 * 7
-    assert report.stats["checked_by_law"]["absorber law"] == 3 * 7
+    assert report.stats["sampled"] == {"samples": 3000, "window": 3, "seed": 2026}
+    # the identity and absorber laws run on the drawn elements
+    assert report.stats["checked_by_law"]["identity law"] == 3000
+    assert report.stats["checked_by_law"]["absorber law"] == 3000
+    assert report.stats["unit_laws"] == {"algorithm": "sampled", "evaluated": 3000}
+    assert validate_truss(Frameless(tc2_brace_truss(), "one"), samples=3000, window=3).ok
+
+
+def test_extensions_validate_on_their_frames():
+    # TZ3 contributes its basepoint 0 and the generator 1, the tail one more
+    report = validate_truss(unital_extension(truss_TZn(3)))
+    assert report.ok and report.stats["frame"] == 3 and report.stats["base"] == "pass"
+    assert report.stats["checked"] == 3 ** 3 + 2 * 3 ** 4
     report = validate_truss(double_extension(integer_truss()), samples=10, window=2)
     assert report.ok and report.stats["checked_by_law"] == {
-        "product associativity": 10,
-        "left distributivity over [,,]": 10,
-        "right distributivity over [,,]": 10,
-        "identity law": 5 ** 3,
-        "absorber law": 5 ** 3,
+        "product associativity": 4 ** 3,
+        "left distributivity over [,,]": 4 ** 4,
+        "right distributivity over [,,]": 4 ** 4,
+        "identity law": 4,
+        "absorber law": 4,
     }
-    assert validate_truss(unital_extension(tc2_brace_truss()), samples=3000, window=3).ok
+    assert validate_truss(unital_extension(tc2_brace_truss())).ok
 
 
 def test_star_unital_extension_is_integer_ring():
@@ -592,23 +609,7 @@ def test_dorroh_window_validation():
 
 
 # ---------------------------------------------------------------------------
-# unit laws on the tail frame
-
-
-def unit_law_sweep(t, window):
-    """The identity and absorber laws on every element of the window, in
-    window order: the brute-force loop the tail frame must agree with."""
-    pool = list(t.sample_elements(window))
-    findings = []
-    if t.identity is not None:
-        for x in pool:
-            if t.mul(t.identity, x) != x or t.mul(x, t.identity) != x:
-                findings.append(Finding("identity law", (x,), t.mul(t.identity, x), x))
-    if t.absorber is not None:
-        for x in pool:
-            if t.mul(t.absorber, x) != t.absorber or t.mul(x, t.absorber) != t.absorber:
-                findings.append(Finding("absorber law", (x,), t.mul(t.absorber, x), t.absorber))
-    return findings
+# frames: exact verdicts on symbolic trusses
 
 
 class MisdeclaredIdentity(IntegerTruss):
@@ -653,39 +654,64 @@ EXTEND = {
 }
 
 
-def test_tail_frame_findings_match_the_full_window_sweep():
+def violated(t, f):
+    """Whether a truss finding is a genuine violation: its law fails at its
+    witness, recomputed with the truss's own operations."""
+    mul, tern = t.mul, t.ternary
+    return {
+        "product associativity":
+            lambda a, b, c: mul(mul(a, b), c) != mul(a, mul(b, c)),
+        "left distributivity over [,,]":
+            lambda s, a, b, c: mul(s, tern(a, b, c)) != tern(mul(s, a), mul(s, b), mul(s, c)),
+        "right distributivity over [,,]":
+            lambda s, a, b, c: mul(tern(a, b, c), s) != tern(mul(a, s), mul(b, s), mul(c, s)),
+        "identity law":
+            lambda x: mul(t.identity, x) != x or mul(x, t.identity) != x,
+        "absorber law":
+            lambda x: mul(t.absorber, x) != t.absorber or mul(x, t.absorber) != t.absorber,
+    }[f.law](*f.at)
+
+
+def test_frame_verdicts_match_sampled_runs():
+    """Every extension of every base: the frame's verdict is that of a
+    seeded sampled run with the frame switched off, and every finding of
+    the frame replays.  A base that is no truss fails at tail 0."""
     assert len(UNIT_LAW_BASES) == 5 + 18 + 3
-    algorithms = set()
+    verdicts = set()
     for name, make in UNIT_LAW_BASES.items():
         for kind, extend in EXTEND.items():
-            for window in (1, 2, 3):
-                t = extend(make())
-                report = validate_truss(t, samples=5, window=window, seed=7)
-                want = unit_law_sweep(t, window)
-                got = [f for f in report.findings if f.law in ("identity law", "absorber law")]
-                assert got == want, (name, kind, window)
-                unit = report.stats["unit_laws"]
-                frame = len(t.tail_frame(window))
-                if want:   # the frame saw a violation and the window was swept
-                    assert unit == {"algorithm": "window",
-                                    "evaluated": frame + len(t.sample_elements(window))}
-                else:
-                    assert unit == {"algorithm": "tail frame", "evaluated": frame}
-                algorithms.add(unit["algorithm"])
-    assert algorithms == {"tail frame", "window"}
+            t = extend(make())
+            framed = validate_truss(t, samples=1, window=1)
+            assert framed.stats["frame"] == len(t.frame()), (name, kind)
+            assert all(violated(t, f) for f in framed.findings), (name, kind)
+            if framed.stats["base"] == "fail":
+                assert all(x.tails == (0,) for f in framed.findings for x in f.at)
+            t.frame = None
+            sampled = validate_truss(t, samples=100, window=2, seed=7)
+            assert "sampled" in sampled.stats and "base" not in sampled.stats
+            assert framed.status == sampled.status, (name, kind)
+            verdicts.add((framed.status, framed.stats["base"]))
+    assert verdicts == {("pass", "pass"), ("fail", "pass"), ("fail", "fail")}
 
 
-def test_tail_frame_is_the_window_restricted_to_tails_0_and_1():
+def test_frames_are_a_point_and_that_point_moved_by_each_generator():
+    assert integer_truss().frame() == [0, 1]
+    assert constant_truss(3).frame() == [3, 4]
+    assert truss_TZn(6).frame() == [0, 1] and terminal_truss().frame() == [0]
+    c2 = FiniteGroup.cyclic(2)
+    klein = FiniteTruss(heap_from_group(FiniteGroup.product(c2, c2)), [[0] * 4] * 4)
+    assert klein.frame() == [0, 1, 2]
     t = double_extension(integer_truss())
-    frame = t.tail_frame(20)
-    assert len(frame) == 41 * 2 * 2 and len(t.sample_elements(20)) == 41 ** 3
-    assert set(frame) == {x for x in t.sample_elements(20)
-                          if x.tails[0] in (0, 1) and x.components[0].tails[0] in (0, 1)}
-    assert list(unital_extension(integer_truss()).tail_frame(0)) == \
-        list(unital_extension(integer_truss()).sample_elements(0))
+    inner = t.base.element
+    assert t.frame() == [t.element(inner(0, 0), 0), t.element(inner(1, 0), 0),
+                         t.element(inner(0, 1), 0), t.element(inner(0, 0), 1)]
+    # a carrier that is no heap has no group form, so no frame
+    odd = FiniteTruss(not_a_heap(), ((0, 0, 0),) * 3)
+    assert odd.frame() is None and unital_extension(odd).frame() is None
+    assert validate_truss(unital_extension(odd), samples=20, window=1).stats["sampled"]
 
 
-class ListPool(ExtensionTruss):
+class ListPool(Frameless):
     """An extension whose window is a materialised list, not a lazy one."""
 
     def sample_elements(self, window):
@@ -702,26 +728,33 @@ def test_reports_match_for_lazy_and_list_windows(kind, name):
         return cls(base, "one" if kind == "T1" else "zero")
 
     for window in (1, 3):
-        lazy = validate_truss(make(ExtensionTruss), samples=150, window=window, seed=11)
+        lazy = validate_truss(make(Frameless), samples=150, window=window, seed=11)
         listed = validate_truss(make(ListPool), samples=150, window=window, seed=11)
         assert lazy.to_obj() == listed.to_obj()
         assert lazy.findings == listed.findings
+
+
+def test_sampled_draws_reach_past_sys_maxsize():
+    # (2w + 1)^2 window elements, more than an index-sized integer holds
+    report = validate_truss(Frameless(integer_truss(), "one"), samples=5, window=3 * 10 ** 9)
+    assert report.ok and report.stats["checked"] == 3 * 5
 
 
 def test_unit_law_stats_name_the_algorithm():
     assert validate_truss(truss_TZn(4)).stats["unit_laws"] == \
         {"algorithm": "exhaustive", "evaluated": 4}
     assert validate_truss(integer_truss(), samples=10, window=6).stats["unit_laws"] == \
-        {"algorithm": "window", "evaluated": 13}
+        {"algorithm": "frame", "evaluated": 2}
     report = validate_truss(double_extension(integer_truss()), samples=25, window=20)
-    assert report.ok and report.stats["unit_laws"] == {"algorithm": "tail frame",
-                                                       "evaluated": 164}
-    assert report.stats["checked_by_law"]["identity law"] == 41 ** 3
+    assert report.ok and report.stats["unit_laws"] == {"algorithm": "frame", "evaluated": 4}
+    assert report.stats["checked_by_law"]["identity law"] == 4
+    assert validate_truss(Frameless(integer_truss(), "one"), samples=25).stats["unit_laws"] == \
+        {"algorithm": "sampled", "evaluated": 25}
     # no identity and no absorber: nothing to evaluate
     no_units = unital_extension(constant_truss(0))
     no_units.identity = no_units.absorber = None
     assert validate_truss(no_units, samples=5, window=2).stats["unit_laws"] == \
-        {"algorithm": "tail frame", "evaluated": 0}
+        {"algorithm": "frame", "evaluated": 0}
 
 
 def test_retract_ring_decides_the_absorber_on_every_tail():
@@ -814,7 +847,10 @@ def test_distributivity_stats_name_the_algorithm():
     table[1][2] = 3
     report = validate_truss(FiniteTruss(truss_TZn(4).heap, table))
     assert report.stats["distributivity"] == {"algorithm": "morphism rows", "swept": [1, 2]}
-    assert "distributivity" not in validate_truss(integer_truss(), samples=10).stats
+    assert validate_truss(integer_truss(), samples=10).stats["distributivity"] == \
+        {"algorithm": "morphism rows", "swept": []}
+    assert "distributivity" not in validate_truss(Frameless(integer_truss(), "one"),
+                                                  samples=10).stats
 
 
 def test_validating_a_function_backed_carrier_builds_no_table():
