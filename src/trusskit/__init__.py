@@ -18,7 +18,7 @@ from .core import (
     translation_iso,
     validate_heap,
 )
-from .reports import FAIL, INCONCLUSIVE, PASS, Finding, Report
+from .reports import FAIL, PASS, Finding, Report
 
 __all__ = [
     "FAIL",
@@ -26,7 +26,6 @@ __all__ = [
     "FiniteGroup",
     "FiniteHeap",
     "HeapMorphism",
-    "INCONCLUSIVE",
     "IntLineHeap",
     "PASS",
     "Report",

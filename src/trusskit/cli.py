@@ -16,7 +16,6 @@ no structure file describes one.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import re
@@ -111,33 +110,7 @@ def parse_ring_spec(spec: str) -> FiniteRing:
 
 
 # ---------------------------------------------------------------------------
-# element formatting for extension trusses
-
-
-def format_extension_element(t: ExtensionTruss, x) -> str:
-    base = t.base
-    g, m = x.components[0], x.tails[0]
-    if t.adjoined == "one" and base.absorber is not None and t.basepoint == base.absorber:
-        return f"{base.format_element(g)} + {m}*1"
-    if t.adjoined == "zero":
-        if isinstance(base, ConstantTruss):
-            c = base.c
-            if g == c:
-                return f"{1 - m}*i{c}"
-            return f"i{g} + {-m}*i{c}"
-        if base.absorber is not None and t.basepoint == base.absorber:
-            k = 1 - m
-            zero_name = base.format_element(base.absorber)
-            if g == base.absorber:
-                return f"{k}*{zero_name}"
-            return f"u({base.format_element(g)}) + {k}*{zero_name}"
-        if base.identity is not None and t.basepoint == base.identity:
-            n = 1 - m
-            e_name = base.format_element(t.basepoint)
-            if g == t.basepoint:
-                return f"{n}*{e_name}"
-            return f"t + {n}*{e_name}"
-    return f"({base.format_element(g)}; {m})"
+# table rendering
 
 
 def _extension_pool(t: ExtensionTruss, window: int):
@@ -146,10 +119,6 @@ def _extension_pool(t: ExtensionTruss, window: int):
     else:
         pool = list(t.base.sample_elements(window))
     return [t.element(g, m) for g in pool for m in range(-window, window + 1)]
-
-
-# ---------------------------------------------------------------------------
-# table rendering
 
 
 def _grid(labels, cells) -> str:
@@ -180,8 +149,7 @@ def _table_form(structure, window: int):
     else:
         raise StructureError("no table form for this structure")
     if isinstance(structure, ExtensionTruss):
-        pool = _extension_pool(structure, window)
-        fmt = functools.partial(format_extension_element, structure)
+        pool, fmt = _extension_pool(structure, window), structure.format_element
     elif isinstance(structure, (IntegerTruss, ConstantTruss)):
         pool, fmt = list(structure.sample_elements(window)), structure.format_element
     else:
@@ -287,9 +255,8 @@ def cmd_extend(args) -> tuple[int, str]:
         "extension": ext.adjoined if not args.both else "zero of unital",
         "unital": ext.unital,
         "ring_type": ext.ring_type,
-        "identity": None if ext.identity is None else format_extension_element(ext, ext.identity)
-        if not args.both else str(ext.identity),
-        "absorber": None if ext.absorber is None else str(ext.absorber),
+        "identity": None if ext.identity is None else ext.format_element(ext.identity),
+        "absorber": None if ext.absorber is None else ext.format_element(ext.absorber),
     }
     if args.json:
         return 0, _dumps(info)
@@ -377,9 +344,13 @@ def cmd_basis(args) -> tuple[int, str]:
             if not m or int(m.group(1)) >= len(gens):
                 raise StructureError(f"free-module candidates are g0..g{len(gens)-1}, got {t!r}")
             candidates.append(gens[int(m.group(1))])
+    elif isinstance(structure, TrivialIntModule):
+        if not all(re.fullmatch(r"-?\d+", t) for t in tokens):
+            raise StructureError(f"candidates of the integer module are integers, got {tokens!r}")
+        candidates = [int(t) for t in tokens]
     else:
         raise StructureError("basis takes a module file")
-    report = basis_check(structure, candidates, window=args.length_bound)
+    report = basis_check(structure, candidates)
     return (0 if report.status == PASS else 1), report.to_json()
 
 
@@ -461,9 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("file")
     t.set_defaults(fn=cmd_table)
 
-    b = sub.add_parser("basis", help="free-set and basis check for module candidates")
-    b.add_argument("--candidates", required=True, metavar="LIST")
-    b.add_argument("--length-bound", type=int, default=4, dest="length_bound")
+    b = sub.add_parser("basis", help="decide exactly whether module candidates are a basis "
+                                     "(exit 0) or not (exit 1, with a witness)")
+    b.add_argument("--candidates", required=True, metavar="LIST",
+                   help="element names or ids, g0,g1,... of a free module, or integers")
     b.add_argument("file")
     b.set_defaults(fn=cmd_basis)
 

@@ -8,23 +8,25 @@ sigma maps) are direct-sum copairs (``coproduct.copair_value``), so no word
 is built.  The quotient by the absorber sub-heap turns a module over the
 truss of a ring back into a module over that ring; its classes and
 projection come from ``core._quotient_classes`` and its heap from
-``core.quotient``, and maps descend to it through ``core._descend``.  Spans
-are closures under the heap operation (``core._closure``).  Every check that
-a map commutes with the action is ``core._first_unequivariant``.  The module
-laws run on the law engine of the trusses, exactly.
+``core.quotient``, and maps descend to it through ``core._descend``.  Every
+check that a map commutes with the action is ``core._first_unequivariant``.
+The module laws run on the law engine of the trusses, exactly.  Free sets
+and bases are decided exactly from the linear part of the copaired sigma map.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .coproduct import CoproductElement, DirectSum, HeapSummand, Window, copair_value, shift
 from .core import (
     FiniteGroup,
     FiniteHeap,
+    INT_LINE,
     StructureError,
-    _closure,
     _descend,
     _first_unequivariant,
     _first_unpreserved,
@@ -35,7 +37,7 @@ from .core import (
     retract,
     SubHeap,
 )
-from .reports import FAIL, INCONCLUSIVE, PASS, Finding, Report
+from .reports import FAIL, PASS, Finding, Report
 from .rings import FiniteRing, RModule, rmodule_isomorphism
 from .trusses import (
     LINEAR_IN_M,
@@ -87,6 +89,9 @@ class FiniteTModule:
     def act(self, t, m):
         return self.action[t][m]
 
+    def carrier_heap(self):
+        return self.heap
+
     def ternary(self, a, b, c):
         return self.heap.ternary(a, b, c)
 
@@ -132,6 +137,9 @@ class TrivialIntModule:
 
     def act(self, t, m):
         return m
+
+    def carrier_heap(self):
+        return INT_LINE
 
     def ternary(self, a, b, c):
         return a - b + c
@@ -205,6 +213,9 @@ class FreeTModule:
 
     def ternary(self, a, b, c):
         return self.ds.ternary(a, b, c)
+
+    def carrier_heap(self):
+        return self.ds
 
     def contains(self, x):
         return self.ds.contains(x)
@@ -561,148 +572,154 @@ def _copaired_sigma(ds: DirectSum, m, candidates):
     return lambda x: copair_value(ds, maps, m, x)
 
 
-def _distinct_generators(m, candidates) -> bool:
-    """Are the candidates distinct generators of a free module?"""
-    if not isinstance(m, FreeTModule):
-        return False
-    gens = m.generators()
-    return all(x in gens for x in candidates) and len(set(candidates)) == len(candidates)
+def _ints(heap, x) -> tuple:
+    """The integer coordinates of x in the group form of an Abelian heap:
+    none on a finite heap (all torsion), x on the integer line, and on a
+    direct sum its summands' coordinates, then its tails."""
+    if heap.is_finite:
+        return ()
+    if isinstance(heap, DirectSum):
+        return sum(map(_ints, (s.heap for s in heap.summands), x.components), ()) + x.tails
+    return (x,)
 
 
-def free_set_check(m, candidates, *, window=4) -> Report:
-    """Is the candidate set free (the copaired sigma map injective)?
+def _torsion(heap, x) -> list:
+    """The points with x's integer coordinates: every element of each finite
+    summand, the rest fixed."""
+    if heap.is_finite:
+        return list(heap.elements())
+    if not isinstance(heap, DirectSum):
+        return [x]
+    axes = map(_torsion, (s.heap for s in heap.summands), x.components)
+    return [CoproductElement(c, x.tails) for c in itertools.product(*axes)]
 
-    Distinct generators of a free module are free by the universal property
-    (algorithm "generators", a pass).  A single candidate over a finite
-    truss is decided exactly ("exhaustive").  Otherwise the search is
-    windowed ("window"): finite targets with two or more candidates are
-    decided negatively by pigeonhole with an explicit collision witness; on
-    infinite carriers a collision decides `fail` and exhaustion is
-    `inconclusive`, never a pass.  Pairwise image intersections (one
-    candidate against the span of the others) are reported alongside.
-    """
+
+def _reduce(rows, n):
+    """Gauss-Jordan elimination over the rationals on the first n columns:
+    (rows, pivot columns, signed pivot product: det A for an invertible square A)."""
+    rows, pivots, det = [[Fraction(v) for v in row] for row in rows], [], Fraction(1)
+    for c in range(n):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is not None:
+            rows[r], rows[i], det = rows[i], rows[r], det * rows[i][c] * (1 if i == r else -1)
+            rows[r] = [v / rows[r][c] for v in rows[r]]
+            rows = [row if k == r or not row[c] else [v - row[c] * w for v, w in zip(row, rows[r])]
+                    for k, row in enumerate(rows)]
+            pivots.append(c)
+    return rows, pivots, det
+
+
+def _integral(v):
+    """A rational vector scaled to integers by its common denominator."""
+    scale = math.lcm(*(x.denominator for x in v))
+    return [int(x * scale) for x in v]
+
+
+def _free_set(m, candidates):
+    """The free-set report and, on a pass, what ``basis_check`` needs: sigma(p),
+    [A | I] reduced on A's columns, det A, ``offset`` and the torsion images."""
     candidates = list(candidates)
     if not candidates:
         raise StructureError("free-set check needs at least one candidate")
     for x in candidates:
         if not m.contains(x):
             raise StructureError(f"candidate {x!r} is not in the module")
-    t = m.truss
-    s = len(candidates)
-    ds = _source_sum(t, s)
-    findings = []
-    stats = {"candidates": s, "window": window}
+    ds = _source_sum(m.truss, len(candidates))
+    sigma = _copaired_sigma(ds, m, candidates)
+    frame = [ds.summands[0].base] if m.truss.is_finite else _frame(m.truss)  # finite: no free moves
+    p, *moves = ds.frame([frame] * ds.k)
+    moves = [q for q in moves if _ints(ds, q) != _ints(ds, p)]     # the p + e_j
+    carrier, y0 = m.carrier_heap(), sigma(p)
+    origin = _ints(carrier, y0)
 
-    evaluate = _copaired_sigma(ds, m, candidates)
-    decided = None
-    if _distinct_generators(m, candidates):
-        decided = PASS
-        stats["algorithm"] = "generators"
-        stats["checked"] = 0
-    elif s == 1 and t.is_finite:
-        stats["algorithm"] = "exhaustive"
-        seen = {}
-        for a in t.elements():
-            v = evaluate(ds.inject(0, a))
-            if v in seen:
-                findings.append(Finding("copaired map collision",
-                                        (str(seen[v]), str(a)), str(v), str(v),
-                                        note="sigma_x identifies two truss elements"))
-                decided = FAIL
-                break
-            seen[v] = a
-        else:
-            decided = PASS
-        stats["checked"] = len(list(t.elements()))
+    def offset(y):
+        return [c - o for c, o in zip(_ints(carrier, y), origin)]
+
+    columns, a, b = [offset(sigma(q)) for q in moves], len(moves), len(origin)
+    rows, pivots, det = _reduce([[col[i] for col in columns] + [int(i == j) for j in range(b)]
+                                 for i in range(b)], a)
+    stats = {"candidates": ds.k, "linear_part": {"shape": [b, a], "rank": len(pivots)}}
+    kernel = next((c for c in range(a) if c not in pivots), None)
+    images, collision = {}, None
+    if kernel is not None:
+        v = [Fraction(c == kernel) for c in range(a)]
+        for row, c in zip(rows, pivots):
+            v[c] = -row[kernel]
+        v, x1 = _integral(v), p     # x1 = p + v
+        for q, c in zip(moves, v):
+            x1 = shift(ds, x1, c, q, p)
+        # A.v = 0, so sigma(p + v) - sigma(p) is torsion, of some order k
+        y1 = sigma(x1)
+        k = next(k for k in itertools.count(1) if shift(m, y0, k, y1, y0) == y0)
+        collision = (p, shift(ds, p, k, x1, p), f"p and p + {k}v, A.v = 0 for v = {v}")
     else:
-        stats["algorithm"] = "window"
-        # a finite target: more canonical forms than elements, so pigeonhole
-        # guarantees a collision within this bound
-        bound = m.size + 2 if m.is_finite else window
-        seen = {}
-        by_value = {}
-        checked = 0
-        collision = None
-        for w in range(bound + 1):
-            for x in ds.enumerate_elements(w):
-                if x in seen:
-                    continue
-                v = evaluate(x)
-                seen[x] = v
-                checked += 1
-                if v in by_value:
-                    collision = (by_value[v], x, v)
-                    break
-                by_value[v] = x
-            if collision:
+        torsion = _torsion(ds, p)
+        stats["torsion"] = len(torsion)
+        for x in torsion:
+            if images.setdefault(sigma(x), x) != x:
+                collision = (images[sigma(x)], x, "sigma identifies two torsion points at p")
                 break
-        stats["checked"] = checked
-        if collision:
-            other, x, v = collision
-            findings.append(Finding("copaired map collision", (str(other), str(x)),
-                                    str(v), str(v),
-                                    note="two distinct canonical forms share an image"))
-            decided = FAIL
-        else:
-            decided = INCONCLUSIVE
-            findings.append(Finding("no collision within window", (),
-                                    note=f"window {bound}, {checked} elements"))
-
-    if s >= 2:
-        intersections = []
-        for i in range(s):
-            own = {evaluate(ds.inject(i, a))
-                   for a in (t.elements() if t.is_finite else t.sample_elements(window))}
-            rest_ds = _source_sum(t, s - 1)
-            rest = _copaired_sigma(rest_ds, m, candidates[:i] + candidates[i + 1:])
-            rest = {rest(y) for y in rest_ds.enumerate_elements(min(window, 3))}
-            overlap = own & rest
-            intersections.append(sorted(str(v) for v in overlap))
-            if overlap and decided == PASS:
-                decided = FAIL
-        stats["image_intersections"] = intersections
-
-    return Report("free-set check", decided, findings, stats)
+    if collision is None:
+        return Report("free-set check", PASS, [], stats), (y0, rows, det, offset, images)
+    x, x2, note = collision
+    finding = Finding("copaired map collision", (x, x2), sigma(x), sigma(x2), note=note)
+    return Report("free-set check", FAIL, [finding], stats), None
 
 
-def basis_check(m, candidates, *, window=4) -> Report:
-    """Free plus spanning.  Finite modules are decided exactly (the span is
-    the closure of the orbit under the heap operation).  Distinct generators
-    of a free module are decided by the universal property: all n are a
-    basis; a proper sub-family is not, with the witness (x_j, phi(x_j)) for
-    the first missing generator x_j, where phi is the endomorphism that
-    fixes the sub-family and sends x_j to one of its members, so x_j lies
-    outside their span.  Other infinite carriers report the windowed
-    free-set result."""
-    free = free_set_check(m, candidates, window=window)
-    findings = list(free.findings)
-    stats = dict(free.stats)
-    if not m.is_finite:
-        if stats["algorithm"] != "generators":
-            return Report("basis check", INCONCLUSIVE if free.status != FAIL else FAIL,
-                          findings, stats)
-        gens = m.generators()
-        missing = [x for x in gens if x not in candidates]
-        if not missing:
-            return Report("basis check", PASS, findings, stats)
-        phi = m.universal_lift(m, [x if x in candidates else candidates[0] for x in gens])
-        xj = missing[0]
-        findings.append(Finding("not spanning", (str(xj), str(phi(xj))),
-                                note="an endomorphism fixes the candidates and moves"
-                                     " this generator, so it lies outside their span"))
-        return Report("basis check", FAIL, findings, stats)
-    reach = _closure([m.act(a, x) for a in m.truss.elements() for x in candidates],
-                     m.ternary)
-    spanning = len(reach) == m.size
-    stats["span"] = len(reach)
-    stats["carrier"] = m.size
-    if not spanning:
-        findings.append(Finding("not spanning", (),
-                                note=f"orbit closure reaches {len(reach)} of {m.size}"))
-    if free.status == PASS and spanning:
-        return Report("basis check", PASS, findings, stats)
-    return Report("basis check", FAIL, findings or
-                  [Finding("not a basis", ())], stats)
+def free_set_check(m, candidates) -> Report:
+    """Is the family free: is the copaired sigma map F(s) -> m, t |-> t.c on
+    the summand of c, injective?  m must be a module, as for frames.
+
+    sigma is affine between groups finite torsion + Z^r (``_ints``).  Column
+    j of the integer matrix A of its linear part L is ints(sigma(p + e_j)) -
+    ints(sigma(p)), for p and the free moves p + e_j of a frame of F(s).  L
+    is injective iff rank A = a and sigma is injective on the torsion points
+    at p: L(tau, v) = 0 gives A.v = 0, so v = 0, so tau = 0.  Else A.v = 0
+    for an integer v, L(v) is torsion of some order k, and p, p + k.v
+    collide: the finding, with both images.  ``linear_part`` gives the shape
+    (b, a) of A and its rank, ``torsion`` the torsion points evaluated."""
+    return _free_set(m, candidates)[0]
+
+
+def basis_check(m, candidates) -> Report:
+    """Free and spanning: is sigma bijective?  m must be a module, as for
+    frames.  An injective sigma is onto iff a = b, |det A| = 1 and m has as
+    many torsion points at sigma(p) as F(s) at p.  A failure to span is
+    located at a point y outside the span: (y,) for a torsion point that
+    sigma misses, (y, phi, d) for a functional phi that vanishes mod d (d =
+    0: exactly) on the span but not at y, a point of ``m.frame()``.  phi is
+    a left kernel vector of A if rank A < b, else a row of adj(A) = d.A^-1
+    for d = |det A| > 1.  On a finite m this is "sigma is injective and |T|
+    = |m|"."""
+    free, witness = _free_set(m, candidates)
+    stats = free.stats
+    if witness is None:
+        return Report("basis check", FAIL, free.findings, stats)
+    y0, rows, det, offset, images = witness
+    b, a = stats["linear_part"]["shape"]
+    if a < b:       # row a of [A | I] reduced: its right part sends A to 0
+        phi, d = _integral(rows[a][a:]), 0
+    else:
+        d = stats["det"] = abs(int(det))
+        phi = next((r for r in ([int(det * v) for v in row[a:]] for row in rows)
+                    if any(v % d for v in r)), None)
+    if phi is not None:
+        def value(y):
+            u = sum(f * c for f, c in zip(phi, offset(y)))
+            return u % d if d else u
+
+        y = next(y for y in _frame(m) if value(y))
+        return Report("basis check", FAIL, [Finding(
+            "not spanning", (y, tuple(phi), d), value(y), 0,
+            note="phi vanishes mod d on the span, not at y")], stats)
+    target = _torsion(m.carrier_heap(), y0)
+    stats["target_torsion"] = len(target)
+    y = next((y for y in target if y not in images), None)
+    if y is None:
+        return Report("basis check", PASS, [], stats)
+    return Report("basis check", FAIL, [Finding(
+        "not spanning", (y,), note="a torsion point at sigma(p) that sigma misses")], stats)
 
 
 def freeness_of_TN(rm: RModule) -> Report:

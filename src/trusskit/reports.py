@@ -1,4 +1,4 @@
-"""Structured pass/fail/inconclusive reports shared by every validator."""
+"""Structured pass/fail reports shared by every validator."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import json
 
 PASS = "pass"
 FAIL = "fail"
-INCONCLUSIVE = "inconclusive"
 
 
 def _plain(value):
@@ -25,7 +24,7 @@ def _plain(value):
 
 @dataclasses.dataclass(frozen=True)
 class Finding:
-    """One located fact: a violated law, a witness, or a bounded-search note."""
+    """One located fact: a violated law or a witness."""
 
     law: str
     at: tuple = ()
@@ -54,11 +53,8 @@ class Finding:
 
 @dataclasses.dataclass
 class Report:
-    """Outcome of a validation or bounded search.
-
-    A ``fail`` report always carries at least one witness finding;
-    ``inconclusive`` is only produced by bounded searches that ran out of
-    window before deciding.
+    """Outcome of a validation or search: ``pass`` or ``fail``, each decided
+    exactly.  A ``fail`` report always carries at least one witness finding.
     """
 
     subject: str

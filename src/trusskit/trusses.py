@@ -342,7 +342,20 @@ class ExtensionTruss:
         return CoproductElement((shift(heap, c, m * n, ee, e), 0), (tail,))
 
     def format_element(self, x) -> str:
-        return f"({self.base.format_element(x.components[0])}; {x.tails[0]})"
+        """(g; m) as g + m*1 in T1 at an absorber, in T0 as a multiple of the
+        constant, absorber or identity basepoint, else as the pair (g; m)."""
+        base, e = self.base, self.basepoint
+        g, m = x.components[0], x.tails[0]
+        if self.adjoined == "one" and e == base.absorber:
+            return f"{base.format_element(g)} + {m}*1"
+        if self.adjoined == "zero":
+            if isinstance(base, ConstantTruss):
+                return f"{1 - m}*i{g}" if g == base.c else f"i{g} + {-m}*i{base.c}"
+            if e in (base.absorber, base.identity):
+                head = ("" if g == e else f"u({base.format_element(g)}) + " if e == base.absorber
+                        else "t + ")
+                return f"{head}{1 - m}*{base.format_element(e)}"
+        return f"({base.format_element(g)}; {m})"
 
     def __eq__(self, other):
         return (isinstance(other, ExtensionTruss)

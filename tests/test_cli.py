@@ -3,12 +3,15 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
 from trusskit import cli, serialize
 from trusskit.core import FiniteGroup, heap_from_group
 from trusskit.trusses import FiniteTruss, integer_truss
+
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
 
 @pytest.fixture
@@ -110,3 +113,12 @@ def test_verify_reports_how_distributivity_was_decided(files, capsys):
     code, out, _ = run(["verify", files["tz"]], capsys)
     assert json.loads(out)["stats"]["distributivity"] == \
         {"algorithm": "morphism rows", "swept": []}
+
+
+@pytest.mark.parametrize("token, code", [("1", 1), ("-2,0", 1), ("x", 2), ("1.5", 2), ("g0", 2)])
+def test_basis_takes_integer_candidates_of_the_integer_module(token, code, capsys):
+    path = str(FIXTURES / "module_ztrivial.json")
+    got, out, err = run(["basis", f"--candidates={token}", path], capsys)
+    # t.m = m identifies every pair of scalars, so no family is free
+    assert got == code and (json.loads(out)["status"] == "fail" if code == 1 else
+                            out == "" and "integers" in err)

@@ -115,6 +115,9 @@ CASES = [
     ["basis", "--candidates", "g0,g1", F + "free_tz3.json"],
     ["basis", "--candidates", "g1", F + "free_tz3.json"],
     ["basis", "--candidates", "g7", F + "free_tz3.json"],
+    ["basis", "--candidates", "g1,g1", F + "free_tz3.json"],
+    ["basis", "--length-bound", "4", "--candidates", "g0,g1", F + "free_tz3.json"],
+    ["basis", "--candidates", "1", F + "module_ztrivial.json"],
     ["basis", "--candidates", "1", F + "group_z4.json"],
     ["dorroh", "--ring", "Z3", "--window", "2"],
     ["dorroh", "--ring", F + "ring_z4.json", "--window", "2"],

@@ -10,6 +10,10 @@ maps; they are the references for the hom-sets built by ``core._group_maps``.
 ``rmodule_isomorphism_oracle`` tries all n! bijections, and
 ``find_isomorphism_basepoint_loop`` tries every basepoint of the target; they
 are the references for the isomorphism searches on the same engine.
+``windowed_collision``, the collision search over windows of F(s) that
+``free_set_check`` ran before it read the linear part of sigma, and the
+orbit closure ``resweep_closure`` are the references for the free-set and
+basis verdicts; ``sigma_oracle`` folds sigma over word forms.
 """
 
 import functools
@@ -19,7 +23,7 @@ import random
 
 import pytest
 
-from trusskit import core
+from trusskit import core, modules
 from trusskit.core import (
     FiniteGroup,
     HeapMorphism,
@@ -34,6 +38,7 @@ from trusskit.core import (
 )
 from trusskit.modules import (
     FiniteTModule,
+    TrivialIntModule,
     empty_module,
     ModuleMorphism,
     abs_on_morphism,
@@ -42,11 +47,14 @@ from trusskit.modules import (
     adjunction_theta,
     adjunction_theta_inv,
     basis_check,
+    free_module,
+    free_set_check,
     freeness_of_TN,
     tmodule_homs_to_TN,
 )
 from trusskit.rings import FiniteRing, RModule, rmodule_homs, rmodule_isomorphism
-from trusskit.trusses import truss_TZn
+from trusskit.trusses import integer_truss, tc2_brace_truss, truss_TZn
+from trusskit.words import eval_word_in_heap
 
 
 def resweep_closure(seed, ternary):
@@ -118,8 +126,137 @@ def test_orbit_spans_of_regular_TZn_match_the_resweep(n):
         orbit = [m.act(a, u) for a in m.truss.elements()]
         want = resweep_closure(orbit, m.ternary)
         assert set(core._closure(orbit, m.ternary)) == want
-        stats = basis_check(m, [u]).stats
-        assert (stats["span"], stats["carrier"]) == (len(want), n), u
+        # u is a basis exactly when sigma_u is injective and its span, the
+        # orbit closure, is the whole carrier
+        assert basis_check(m, [u]).ok == (len(set(orbit)) == n == len(want)), u
+
+
+# ---------------------------------------------------------------------------
+# free sets and bases
+
+
+def sigma_oracle(ds, m, candidates, x):
+    """The copaired sigma map F(s) = ds -> m at x, folded over the word form
+    of x: each letter (i, a) has the value a.c_i."""
+    word = ds.word_form(x)
+    return eval_word_in_heap(word, {(i, a): m.act(a, candidates[i]) for i, a in word}, m)
+
+
+def windowed_collision(m, candidates, bound):
+    """Two canonical forms of F(s) in the window of the given bound with one
+    image, or None: the search that ``free_set_check`` ran, window by window,
+    before it read the linear part of sigma."""
+    ds = modules._source_sum(m.truss, len(candidates))
+    seen = {}
+    for w in range(bound + 1):
+        for x in ds.enumerate_elements(w):
+            v = sigma_oracle(ds, m, candidates, x)
+            if seen.setdefault(v, x) != x:
+                return seen[v], x
+    return None
+
+
+def coords(m, y):
+    """The integer coordinates of a point of m: the components over an
+    infinite truss, then the tails; an integer of the integer module."""
+    if m.is_finite:
+        return ()
+    if isinstance(m, TrivialIntModule):
+        return (y,)
+    return (() if m.truss.is_finite else y.components) + y.tails
+
+
+def replays(m, candidates, finding):
+    """Does a finding of ``basis_check`` hold, recomputed by the oracles?"""
+    ds = modules._source_sum(m.truss, len(candidates))
+    image = functools.partial(sigma_oracle, ds, m, candidates)
+    if finding.law == "copaired map collision":
+        x, x2 = finding.at
+        return x != x2 and image(x) == image(x2) == finding.lhs == finding.rhs
+    assert finding.law == "not spanning"
+    near = [image(x) for x in ds.enumerate_elements(2)]
+    if len(finding.at) == 1:
+        # a missed torsion point: no point with its integer coordinates is hit
+        y, = finding.at
+        hits = [v for v in near if coords(m, v) == coords(m, y)]
+        return bool(hits) and y not in hits
+    y, phi, d = finding.at
+    origin = coords(m, near[0])
+
+    def value(v):
+        u = sum(f * (c - o) for f, c, o in zip(phi, coords(m, v), origin))
+        return u % d if d else u
+
+    return all(value(v) == 0 for v in near) and value(y) != 0
+
+
+def evidence_modules():
+    for label, t in (("TZ2", truss_TZn(2)), ("TZ3", truss_TZn(3)),
+                     ("TZ", integer_truss()), ("TC2", tc2_brace_truss())):
+        for n in (1, 2):
+            yield f"F({n}) over {label}", free_module(t, n)
+    yield "Z with t.m = m", TrivialIntModule()
+
+
+def finite_modules():
+    for n in (2, 3, 4, 6):
+        ring = FiniteRing.Zn(n)
+        yield f"T(Z{n})", FiniteTModule.regular(truss_TZn(n))
+        yield f"T(Z{n}^2)", FiniteTModule.from_rmodule(RModule.power(ring, 2))
+
+
+def families(m, most):
+    """Every family of at most ``most`` window-1 elements, up to order."""
+    elements = list(m.sample_elements(1))
+    for s in range(1, most + 1):
+        yield from map(list, itertools.combinations_with_replacement(elements, s))
+
+
+EVIDENCE = list(evidence_modules())
+
+
+@pytest.mark.parametrize("label, m", EVIDENCE, ids=[label for label, _ in EVIDENCE])
+def test_windowed_collisions_are_exact_fails(label, m):
+    for family in families(m, 2):
+        report = free_set_check(m, family)
+        assert report.status in ("pass", "fail")
+        if windowed_collision(m, family, 1) is not None:
+            assert report.status == "fail", family
+
+
+@pytest.mark.parametrize("label, m", EVIDENCE, ids=[label for label, _ in EVIDENCE])
+def test_every_fail_witness_replays(label, m):
+    for family in families(m, 3):
+        report = basis_check(m, family)
+        assert report.ok or len(report.findings) == 1, family
+        for finding in report.findings:
+            assert replays(m, family, finding), (family, finding)
+
+
+@pytest.mark.parametrize("label, m", EVIDENCE, ids=[label for label, _ in EVIDENCE])
+def test_bases_reach_every_window_1_element(label, m):
+    for family in families(m, 2):
+        if basis_check(m, family).ok:
+            ds = modules._source_sum(m.truss, len(family))
+            reached = {sigma_oracle(ds, m, family, x) for x in ds.enumerate_elements(4)}
+            assert set(m.sample_elements(1)) <= reached, family
+
+
+FINITE = list(finite_modules())
+
+
+@pytest.mark.parametrize("label, m", FINITE, ids=[label for label, _ in FINITE])
+def test_finite_verdicts_match_brute_force(label, m):
+    for family in families(m, 2):
+        if len(family) == 1:
+            free = len({m.act(a, family[0]) for a in m.truss.elements()}) == m.truss.size
+        else:   # pigeonhole: F(s) has more forms than m has elements
+            free = windowed_collision(m, family, m.size + 2) is None
+        orbit = [m.act(a, c) for a in m.truss.elements() for c in family]
+        assert free_set_check(m, family).ok == free, family
+        report = basis_check(m, family)
+        assert report.ok == (free and len(resweep_closure(orbit, m.ternary)) == m.size), family
+        assert all(replays(m, family, finding) for finding in report.findings), family
 
 
 # ---------------------------------------------------------------------------

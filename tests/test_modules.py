@@ -594,21 +594,23 @@ def test_free_set_two_candidates_in_finite_module_fails_with_witness():
     assert any("collision" in f.law for f in report.findings)
 
 
-def test_free_set_generators_of_free_module_pass_window():
+def test_free_set_generators_of_free_module_pass():
     fm = free_module(truss_TZn(2), 2)
-    report = free_set_check(fm, fm.generators(), window=3)
-    assert report.status == "pass"
-    assert report.stats["algorithm"] == "generators"
-    assert not any(f.law == "copaired map collision" for f in report.findings)
-    # the intersection property: each generator's line misses the others' span
-    assert all(not overlap for overlap in report.stats["image_intersections"])
+    report = free_set_check(fm, fm.generators())
+    assert report.status == "pass" and not report.findings
+    # F(2) over T(Z2) is Z2^2 + Z: one tail on each side, and the torsion
+    # of the source is all four component pairs
+    assert report.stats == {"candidates": 2, "linear_part": {"shape": [1, 1], "rank": 1},
+                            "torsion": 4}
 
 
 def test_free_set_intersection_nonempty_for_collapsing_candidates():
     m = FiniteTModule.from_rmodule(RModule.power(Z2, 2))
     report = free_set_check(m, [1, 1])
     assert report.status == "fail"
-    assert any(overlap for overlap in report.stats["image_intersections"])
+    # the two lines t |-> t.1 meet: two forms of F(2) share an image on them
+    (x, y), value = report.findings[0].at, report.findings[0].lhs
+    assert x != y and report.findings[0].rhs == value in sigma(m, 1).image()
 
 
 def test_basis_regular_module():
@@ -627,14 +629,18 @@ def test_basis_check_free_module_generators():
     for truss in (truss_TZn(2), integer_truss()):
         fm = free_module(truss, 3)
         g0, g1, g2 = fm.generators()
-        full = basis_check(fm, [g2, g0, g1], window=2)
-        assert full.status == "pass" and full.stats["algorithm"] == "generators"
-        # a sub-family is free but not spanning: the endomorphism fixing g0
-        # and g2 sends the missing g1 to g0, so g1 is outside their span
-        sub = basis_check(fm, [g0, g2], window=2)
-        assert sub.stats["algorithm"] == "generators" and sub.status == "fail"
-        witness = [f for f in sub.findings if f.law == "not spanning"]
-        assert [f.at for f in witness] == [(str(g1), str(g0))]
+        full = basis_check(fm, [g2, g0, g1])
+        assert full.status == "pass" and full.stats["det"] == 1 and not full.findings
+        # a sub-family is free but not spanning: a functional on the integer
+        # coordinates vanishes on its span and not at a frame point y
+        sub = basis_check(fm, [g0, g2])
+        assert free_set_check(fm, [g0, g2]).ok and sub.status == "fail"
+        [witness] = sub.findings
+        y, _, d = witness.at
+        assert witness.law == "not spanning" and d == 0 and y in fm.frame()
+        assert witness.lhs != 0 == witness.rhs
+        # the endomorphism fixing g0 and g2 and sending g1 to g0 fixes their
+        # span and moves g1, which is outside it
         phi = fm.universal_lift(fm, [g0, g0, g2])
         assert (phi(g0), phi(g2), phi(g1)) == (g0, g2, g0)
         x = fm.ternary(g0, fm.act(fm.basepoint, g2), g2)
@@ -645,16 +651,31 @@ def test_free_set_generator_families():
     fm = free_module(truss_TZn(3), 3)
     g0, g1, g2 = fm.generators()
     for family in ([g1], [g0, g2], [g2, g1, g0]):
-        report = free_set_check(fm, family)
-        assert (report.status, report.stats["algorithm"]) == ("pass", "generators")
-    repeated = free_set_check(fm, [g1, g1], window=2)
-    assert repeated.status == "fail" and repeated.stats["algorithm"] == "window"
-    assert any(f.law == "copaired map collision" for f in repeated.findings)
+        assert free_set_check(fm, family).status == "pass"
+    repeated = free_set_check(fm, [g1, g1])
+    assert repeated.status == "fail"
+    assert [f.law for f in repeated.findings] == ["copaired map collision"]
+    # g0 + g1 and g2 are free; with g1 they are not, since 0.(g0 + g1) =
+    # 0.g1 and so the first tail of the source moves nothing
     other = fm.ternary(g0, fm.ds.zero(), g1)
-    report = free_set_check(fm, [other, g2], window=1)
-    assert report.stats["algorithm"] == "window" and report.status != "pass"
-    assert basis_check(fm, [g0, g1, g1], window=1).status == "fail"
-    assert basis_check(fm, [other, g1, g2], window=1).status != "pass"
+    assert free_set_check(fm, [other, g2]).status == "pass"
+    assert basis_check(fm, [g0, g1, g1]).status == "fail"
+    assert basis_check(fm, [other, g1, g2]).status == "fail"
+    assert fm.act(0, other) == fm.act(0, g1)
+
+
+def test_exact_verdicts_on_the_free_module_of_rank_two_over_TZ():
+    fm = free_module(integer_truss(), 2)
+    g0, g1 = fm.generators()
+    # t |-> 2t is injective on Z, so 2.g0 is free; no window decides that
+    assert free_set_check(fm, [fm.act(2, g0)]).ok
+    alone = basis_check(fm, [g0])
+    [witness] = alone.findings
+    assert alone.status == "fail" and witness.law == "not spanning" and len(witness.at) == 3
+    assert basis_check(fm, [g0, g1]).ok and basis_check(fm, [g1, g0]).ok
+    # 2.g0 and g1 span an index-2 sub-heap: a functional mod 2 sees it
+    doubled = basis_check(fm, [fm.act(2, g0), g1])
+    assert doubled.stats["det"] == 2 and doubled.findings[0].at[2] == 2
 
 
 def test_freeness_of_TN_positive():
