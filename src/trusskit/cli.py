@@ -114,11 +114,8 @@ def parse_ring_spec(spec: str) -> FiniteRing:
 
 
 def _extension_pool(t: ExtensionTruss, window: int):
-    if t.base.is_finite:
-        pool = list(t.base.elements())
-    else:
-        pool = list(t.base.sample_elements(window))
-    return [t.element(g, m) for g in pool for m in range(-window, window + 1)]
+    return [t.element(g, m) for g in t.base.sample_elements(window)
+            for m in range(-window, window + 1)]
 
 
 def _grid(labels, cells) -> str:
@@ -150,8 +147,8 @@ def _table_form(structure, window: int):
         raise StructureError("no table form for this structure")
     if isinstance(structure, ExtensionTruss):
         pool, fmt = _extension_pool(structure, window), structure.format_element
-    elif isinstance(structure, (IntegerTruss, ConstantTruss)):
-        pool, fmt = list(structure.sample_elements(window)), structure.format_element
+    elif kind == "truss-table":
+        pool, fmt = structure.sample_elements(window), structure.format_element
     else:
         pool, fmt = structure.elements(), structure.names.__getitem__
     tables = {name: [[fmt(op(a, b)) for b in pool] for a in pool] for name, op in ops.items()}
@@ -435,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("basis", help="decide exactly whether module candidates are a basis "
                                      "(exit 0) or not (exit 1, with a witness)")
     b.add_argument("--candidates", required=True, metavar="LIST",
-                   help="element names or ids, g0,g1,... of a free module, or integers")
+                   help="element names or ids, g0,g1,... of a free module, or integers; "
+                        "a list that starts with '-' needs the --candidates=-1,2 form")
     b.add_argument("file")
     b.set_defaults(fn=cmd_basis)
 

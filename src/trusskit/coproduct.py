@@ -72,8 +72,10 @@ class CoproductElement:
 class DirectSum:
     """The direct sum of one or more Abelian heap summands.
 
-    Satisfies the same carrier protocol as the finite heaps (ternary,
-    contains, sample, abelian), so direct sums can themselves be summands.
+    Satisfies the same carrier protocol as the finite heaps and the integer
+    line (ternary, contains, sample, abelian, is_finite), so direct sums can
+    themselves be summands, and they are the carrier ``heap`` of the
+    extension trusses and the free modules.
     """
 
     is_finite = False
@@ -252,7 +254,7 @@ class DirectSum:
 
     # -- enumeration -------------------------------------------------------------
 
-    def enumerate_elements(self, window) -> "Window":
+    def sample(self, window) -> "Window":
         """All canonical elements with components in each summand's window and
         tails in [-window, window], as a lazy ``Window`` in
         ``itertools.product`` order (the last tail varies fastest).
@@ -264,9 +266,6 @@ class DirectSum:
         axes = [s.heap.sample(window) for s in self.summands]
         axes += [range(-window, window + 1)] * (self.k - 1)
         return Window(self.k, axes)
-
-    def sample(self, window):
-        return self.enumerate_elements(window)
 
     def frame(self, frames):
         """A frame of the group form (retracts plus Z^{k-1}) from a frame of

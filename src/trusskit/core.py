@@ -370,9 +370,9 @@ def _retract_defects(carrier, e):
     its retract at e, in (a, b, c) order, or None if that retract is not a
     group; O(n^3).
 
-    ``carrier`` is a ternary table or a finite structure with ``size`` and
-    ``ternary`` (a heap, truss or module).  The latter is evaluated entry by
-    entry, so a function-backed heap never builds and caches its table.
+    ``carrier`` is a ternary table or a ``FiniteHeap``; a heap is evaluated
+    entry by entry, so a function-backed heap never builds and caches its
+    table.  A truss or module passes its carrier, ``heap``.
 
     A ternary operation is a heap exactly when [a,e,b] is a group and
     [a,b,c] = a.b^-1.c in it (Certaine 1943), i.e. when the list is empty.
@@ -758,17 +758,6 @@ class SubHeap:
         object.__setattr__(obj, "parent", parent)
         object.__setattr__(obj, "members", ())
         return obj
-
-    def as_heap(self) -> FiniteHeap:
-        index = {m: i for i, m in enumerate(self.members)}
-        table = tuple(
-            tuple(tuple(index[self.parent.ternary(a, b, c)] for c in self.members)
-                  for b in self.members)
-            for a in self.members
-        )
-        names = tuple(self.parent.names[m] for m in self.members)
-        return FiniteHeap(len(self.members), table=table, names=names,
-                          abelian=self.parent.abelian)
 
     def __len__(self):
         return len(self.members)

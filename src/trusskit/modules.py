@@ -1,17 +1,21 @@
 """Modules over trusses: validation, absorbers, the quotient-to-ring functor,
 free modules, and freeness tests.
 
-Finite modules are table-backed.  Free modules are canonical direct sums of
-copies of the truss; their action is the closed form of ``FreeTModule.act``
-in canonical coordinates, and maps out of them (universal lifts, copaired
-sigma maps) are direct-sum copairs (``coproduct.copair_value``), so no word
-is built.  The quotient by the absorber sub-heap turns a module over the
-truss of a ring back into a module over that ring; its classes and
-projection come from ``core._quotient_classes`` and its heap from
-``core.quotient``, and maps descend to it through ``core._descend``.  Every
-check that a map commutes with the action is ``core._first_unequivariant``.
-The module laws run on the law engine of the trusses, exactly.  Free sets
-and bases are decided exactly from the linear part of the copaired sigma map.
+A module holds its carrier as ``heap`` and adds only the action: finite
+modules have a table over a ``FiniteHeap``, the trivial integer module lives
+on the integer line ``INT_LINE``, and a free module's carrier is the
+``DirectSum`` of copies of the truss's heap.  Heap operations go through
+``heap``.  The free action is the closed form of ``FreeTModule.act`` in
+canonical coordinates, and maps out of a free module (universal lifts,
+copaired sigma maps) are direct-sum copairs into the target's carrier
+(``coproduct.copair_value``), so no word is built.  The quotient by the
+absorber sub-heap turns a module over the truss of a ring back into a module
+over that ring; its classes and projection come from
+``core._quotient_classes`` and its heap from ``core.quotient``, and maps
+descend to it through ``core._descend``.  Every check that a map commutes
+with the action is ``core._first_unequivariant``.  The module laws run on the
+law engine of the trusses, exactly.  Free sets and bases are decided exactly
+from the linear part of the copaired sigma map.
 """
 
 from __future__ import annotations
@@ -58,10 +62,8 @@ class FiniteTModule:
 
     __slots__ = ("truss", "heap", "action", "size", "names")
 
-    is_finite = True
-
     def __init__(self, truss, heap: FiniteHeap, action):
-        if not truss.is_finite:
+        if not truss.heap.is_finite:
             raise StructureError("table-backed modules need a finite truss")
         if not heap.abelian:
             raise StructureError("a module carrier must be an Abelian heap")
@@ -89,23 +91,8 @@ class FiniteTModule:
     def act(self, t, m):
         return self.action[t][m]
 
-    def carrier_heap(self):
-        return self.heap
-
-    def ternary(self, a, b, c):
-        return self.heap.ternary(a, b, c)
-
-    def contains(self, x):
-        return self.heap.contains(x)
-
-    def elements(self):
-        return range(self.size)
-
     def sample_elements(self, window):
-        return range(self.size)
-
-    def __len__(self):
-        return self.size
+        return self.heap.elements()
 
     def __eq__(self, other):
         return (isinstance(other, FiniteTModule) and self.truss == other.truss
@@ -117,7 +104,7 @@ class FiniteTModule:
 
 def empty_module(truss) -> FiniteTModule:
     """The empty module, the initial object; most operations reject it."""
-    if not truss.is_finite:
+    if not truss.heap.is_finite:
         raise StructureError("the empty module constructor needs a finite truss")
     return FiniteTModule(truss, FiniteHeap.empty(), [[] for _ in range(truss.size)])
 
@@ -129,26 +116,13 @@ class TrivialIntModule:
     integers but not a module over the ring of integers.
     """
 
-    is_finite = False
-    size = None
+    heap = INT_LINE
 
     def __init__(self):
         self.truss = IntegerTruss()
 
     def act(self, t, m):
         return m
-
-    def carrier_heap(self):
-        return INT_LINE
-
-    def ternary(self, a, b, c):
-        return a - b + c
-
-    def contains(self, x):
-        return isinstance(x, int)
-
-    def elements(self):
-        return None
 
     def sample_elements(self, window):
         return range(-window, window + 1)
@@ -178,9 +152,6 @@ class FreeTModule:
     action just multiplies the components.
     """
 
-    is_finite = False
-    size = None
-
     def __init__(self, truss, n: int, basepoint=None):
         if n < 1:
             raise StructureError("a free module needs at least one generator"
@@ -189,21 +160,20 @@ class FreeTModule:
             raise StructureError("free modules are built over unital trusses")
         if basepoint is None:
             basepoint = truss.absorber if truss.absorber is not None else truss.identity
-        if not truss.contains(basepoint):
+        if not truss.heap.contains(basepoint):
             raise StructureError(f"base point {basepoint!r} is not in the truss")
         self.truss = truss
         self.n = n
         self.basepoint = basepoint
-        carrier = truss.carrier_heap()
-        self.ds = DirectSum(tuple(HeapSummand(carrier, basepoint) for _ in range(n)))
+        self.heap = DirectSum(tuple(HeapSummand(truss.heap, basepoint) for _ in range(n)))
         # the base point absorbs: absorbers and the quotient need this
         self._fast = truss.absorber is not None and basepoint == truss.absorber
 
     def generators(self):
-        return [self.ds.inject(i, self.truss.identity) for i in range(self.n)]
+        return [self.heap.inject(i, self.truss.identity) for i in range(self.n)]
 
     def act(self, t, x) -> CoproductElement:
-        e, heap, mul = self.basepoint, self.ds.summands[0].heap, self.truss.mul
+        e, heap, mul = self.basepoint, self.truss.heap, self.truss.mul
         te = mul(t, e)
         comps = [mul(t, c) for c in x.components]
         comps[0] = shift(heap, comps[0], -sum(x.tails), te, e)
@@ -211,26 +181,14 @@ class FreeTModule:
             comps[i] = shift(heap, comps[i], x.tails[i - 1] - 1, te, e)
         return CoproductElement(tuple(comps), x.tails)
 
-    def ternary(self, a, b, c):
-        return self.ds.ternary(a, b, c)
-
-    def carrier_heap(self):
-        return self.ds
-
-    def contains(self, x):
-        return self.ds.contains(x)
-
-    def elements(self):
-        return None
-
     def sample_elements(self, window):
-        return self.ds.enumerate_elements(window)
+        return self.heap.sample(window)
 
     def frame(self):
         """One copy of the truss's frame per summand, combined by
         ``DirectSum.frame``; None when the truss has no frame."""
         base = _frame(self.truss)
-        return None if base is None else self.ds.frame([base] * self.n)
+        return None if base is None else self.heap.frame([base] * self.n)
 
     def __eq__(self, other):
         return (isinstance(other, FreeTModule) and self.truss == other.truss
@@ -241,7 +199,7 @@ class FreeTModule:
         copair of the maps t |-> t.images[i]."""
         if len(images) != self.n:
             raise StructureError("one image per generator is required")
-        return _copaired_sigma(self.ds, target, images)
+        return _copaired_sigma(self.heap, target, images)
 
     def __repr__(self):
         return f"FreeTModule(n={self.n} over {self.truss!r})"
@@ -269,10 +227,10 @@ def validate_module(m, *, samples=10_000, window=4, seed=2026) -> Report:
     t = m.truss
     ts, ms = _pool(t), _pool(m)
     pools = None if ts is None or ms is None else (ts, ms)
-    stats = {"exhaustive": m.is_finite}
+    stats = {"exhaustive": m.heap.is_finite}
     if pools is None:
         stats["sampled"] = {"samples": samples, "window": window, "seed": seed}
-    elif not m.is_finite:
+    elif not m.heap.is_finite:
         stats["frame"] = len(ms)
         found, per_law, *_ = _product_laws(t, ts)
         stats["truss"] = FAIL if found else PASS
@@ -320,9 +278,9 @@ class AbsorberSet:
         if self.kind == "finite":
             return x in self.members
         if self.kind == "all":
-            return self.module.contains(x)
+            return self.module.heap.contains(x)
         zero = self.module.truss.absorber
-        return (self.module.contains(x)
+        return (self.module.heap.contains(x)
                 and all(c == zero for c in x.components))
 
     def __len__(self):
@@ -343,12 +301,12 @@ def absorbers(m) -> AbsorberSet:
         return AbsorberSet(m, "tails")
     if isinstance(m, TrivialIntModule):
         return AbsorberSet(m, "all")
-    if m.is_finite and t.is_finite:
-        members = tuple(x for x in m.elements()
-                        if all(m.act(a, x) == x for a in t.elements()))
+    if m.heap.is_finite and t.heap.is_finite:
+        members = tuple(x for x in m.heap.elements()
+                        if all(m.act(a, x) == x for a in t.heap.elements()))
         return AbsorberSet(m, "finite", members)
-    if m.is_finite and t.absorber is not None:
-        members = sorted({m.act(t.absorber, x) for x in m.elements()})
+    if m.heap.is_finite and t.absorber is not None:
+        members = sorted({m.act(t.absorber, x) for x in m.heap.elements()})
         return AbsorberSet(m, "finite", tuple(members))
     raise StructureError("cannot decide the absorber set for this module")
 
@@ -419,17 +377,17 @@ def abs_quotient(m):
 
         zero_class = vectors.index((ring.zero,) * n)
         add_table = [
-            [project(m.ternary(rep(i, i + 1), rep(zero_class, 7), rep(j, 2 * j)))
+            [project(m.heap.ternary(rep(i, i + 1), rep(zero_class, 7), rep(j, 2 * j)))
              for j in range(len(vectors))]
             for i in range(len(vectors))
         ]
         group = FiniteGroup(add_table)
         action = [
             [project(m.act(t, rep(i, t + i))) for i in range(len(vectors))]
-            for t in m.truss.elements()
+            for t in m.truss.heap.elements()
         ]
         return RModule(ring, group, action), project
-    if not (m.is_finite and m.truss.is_finite):
+    if not (m.heap.is_finite and m.truss.heap.is_finite):
         raise StructureError("the absorber quotient needs a finite carrier"
                              " or a canonical free module")
     if m.size == 0:
@@ -440,7 +398,7 @@ def abs_quotient(m):
     reps = [proj.mapping.index(i) for i in range(qheap.size)]
     action = tuple(
         tuple(proj(m.act(t, rep)) for rep in reps)
-        for t in m.truss.elements()
+        for t in m.truss.heap.elements()
     )
     if m.truss.absorber is not None:
         ring = retract_ring(m.truss, m.truss.absorber)
@@ -463,10 +421,11 @@ class ModuleMorphism:
             raise StructureError("module morphisms need a common truss")
         if len(self.mapping) != src.size:
             raise StructureError("mapping does not cover the source")
-        bad = _first_unpreserved(src.ternary, dst.ternary, self.mapping)
+        bad = _first_unpreserved(src.heap.ternary, dst.heap.ternary, self.mapping)
         if bad is not None:
             raise StructureError(f"ternary operation not preserved at {bad}")
-        bad = _first_unequivariant(self.mapping, src.act, dst.act, src.truss.elements(), src.size)
+        bad = _first_unequivariant(self.mapping, src.act, dst.act, src.truss.heap.elements(),
+                                   src.size)
         if bad is not None:
             raise StructureError("action not preserved at ({},{})".format(*bad))
 
@@ -502,13 +461,13 @@ def tmodule_homs_to_TN(m: FiniteTModule, n_mod: RModule):
         raise StructureError("hom-sets into T(N) need a module over T(R) for N's ring R")
     if m.size == 0:
         return [()]
-    tn_ternary, ts = heap_from_group(n_mod.group).ternary, m.truss.elements()
+    tn_ternary, ts = heap_from_group(n_mod.group).ternary, m.truss.heap.elements()
     out = []
     for phi in _group_maps(retract(m.heap, 0), n_mod.group):
         for c in n_mod.elements():
             f = tuple([n_mod.plus(y, c) for y in phi])
             if (_first_unequivariant(f, m.act, n_mod.act, ts, m.size) is None
-                    and _first_unpreserved(m.ternary, tn_ternary, f) is None):
+                    and _first_unpreserved(m.heap.ternary, tn_ternary, f) is None):
                 out.append(f)
     return sorted(out)
 
@@ -517,7 +476,7 @@ def adjunction_theta(m: FiniteTModule, n_mod: RModule, phi):
     """Turn an R-module map M_Abs -> N into the module map M -> T(N),
     m |-> phi(class of m)."""
     _, proj = absorber_classes(m)
-    return tuple(phi[proj[x]] for x in m.elements())
+    return tuple(phi[proj[x]] for x in m.heap.elements())
 
 
 def adjunction_theta_inv(m: FiniteTModule, n_mod: RModule, psi):
@@ -543,10 +502,10 @@ class SigmaMorphism:
 
     def image(self):
         t = self.module.truss
-        if not t.is_finite:
+        if not t.heap.is_finite:
             raise StructureError("enumerating the image needs a finite truss")
         seen = []
-        for a in t.elements():
+        for a in t.heap.elements():
             v = self(a)
             if v not in seen:
                 seen.append(v)
@@ -554,22 +513,21 @@ class SigmaMorphism:
 
 
 def sigma(m, x) -> SigmaMorphism:
-    if not m.contains(x):
+    if not m.heap.contains(x):
         raise StructureError(f"{x!r} is not in the module carrier")
     return SigmaMorphism(m, x)
 
 
 def _source_sum(truss, count):
-    carrier = truss.carrier_heap()
     base = _default_basepoint(truss)
-    return DirectSum(tuple(HeapSummand(carrier, base) for _ in range(count)))
+    return DirectSum(tuple(HeapSummand(truss.heap, base) for _ in range(count)))
 
 
 def _copaired_sigma(ds: DirectSum, m, candidates):
     """The copair of the sigma maps t |-> t.c, one per candidate c, as a
-    function on canonical elements of ``ds``."""
+    function on canonical elements of ``ds`` into the carrier of m."""
     maps = [SigmaMorphism(m, c) for c in candidates]
-    return lambda x: copair_value(ds, maps, m, x)
+    return lambda x: copair_value(ds, maps, m.heap, x)
 
 
 def _ints(heap, x) -> tuple:
@@ -623,14 +581,14 @@ def _free_set(m, candidates):
     if not candidates:
         raise StructureError("free-set check needs at least one candidate")
     for x in candidates:
-        if not m.contains(x):
+        if not m.heap.contains(x):
             raise StructureError(f"candidate {x!r} is not in the module")
     ds = _source_sum(m.truss, len(candidates))
     sigma = _copaired_sigma(ds, m, candidates)
-    frame = [ds.summands[0].base] if m.truss.is_finite else _frame(m.truss)  # finite: no free moves
+    frame = [ds.summands[0].base] if m.truss.heap.is_finite else _frame(m.truss)  # no free moves
     p, *moves = ds.frame([frame] * ds.k)
     moves = [q for q in moves if _ints(ds, q) != _ints(ds, p)]     # the p + e_j
-    carrier, y0 = m.carrier_heap(), sigma(p)
+    carrier, y0 = m.heap, sigma(p)
     origin = _ints(carrier, y0)
 
     def offset(y):
@@ -651,7 +609,7 @@ def _free_set(m, candidates):
             x1 = shift(ds, x1, c, q, p)
         # A.v = 0, so sigma(p + v) - sigma(p) is torsion, of some order k
         y1 = sigma(x1)
-        k = next(k for k in itertools.count(1) if shift(m, y0, k, y1, y0) == y0)
+        k = next(k for k in itertools.count(1) if shift(carrier, y0, k, y1, y0) == y0)
         collision = (p, shift(ds, p, k, x1, p), f"p and p + {k}v, A.v = 0 for v = {v}")
     else:
         torsion = _torsion(ds, p)
@@ -713,7 +671,7 @@ def basis_check(m, candidates) -> Report:
         return Report("basis check", FAIL, [Finding(
             "not spanning", (y, tuple(phi), d), value(y), 0,
             note="phi vanishes mod d on the span, not at y")], stats)
-    target = _torsion(m.carrier_heap(), y0)
+    target = _torsion(m.heap, y0)
     stats["target_torsion"] = len(target)
     y = next((y for y in target if y not in images), None)
     if y is None:
@@ -741,8 +699,8 @@ def freeness_of_TN(rm: RModule) -> Report:
         stats["isomorphism"] = list(iso)
         return Report("freeness of T(N)", PASS, [], stats)
     fm = free_module(truss_from_ring(ring), 2)
-    zx = fm.ds.inject(0, ring.zero)
-    zy = fm.ds.inject(1, ring.zero)
+    zx = fm.heap.inject(0, ring.zero)
+    zy = fm.heap.inject(1, ring.zero)
     findings.append(Finding("no module isomorphism between N and R", ()))
     findings.append(Finding("rank >= 2 free modules have distinct absorbers",
                             (str(zx), str(zy)),
@@ -771,12 +729,12 @@ def verify_abs_of_free(ring: FiniteRing, n: int) -> Report:
     for x in tails:
         if not aset.contains(x):
             findings.append(Finding("tail element not an absorber", (str(x),)))
-        for a in t.elements():
+        for a in t.heap.elements():
             if fm.act(a, x) != x:
                 findings.append(Finding("absorber not fixed by the action",
                                         (a, str(x)), str(fm.act(a, x)), str(x)))
     for x, y, z in itertools.product(tails, repeat=3):
-        got = fm.ternary(x, y, z)
+        got = fm.heap.ternary(x, y, z)
         want = tuple(p - q + r for p, q, r in zip(x.tails, y.tails, z.tails))
         if got.tails != want or got.components != zero_comps:
             findings.append(Finding("tails do not combine like integers",
@@ -798,13 +756,13 @@ def verify_abs_of_free(ring: FiniteRing, n: int) -> Report:
     if quotient_module.action != power.action:
         findings.append(Finding("quotient action table differs from R^n", ()))
     for x, y, z in itertools.product(frame, repeat=3):
-        lhs = project(fm.ternary(x, y, z))
+        lhs = project(fm.heap.ternary(x, y, z))
         rhs = power.plus(power.plus(project(x), power.neg(project(y))), project(z))
         if lhs != rhs:
             findings.append(Finding("projection is not a heap morphism",
                                     (str(x), str(y), str(z)), lhs, rhs))
     for x in frame:
-        for a in t.elements():
+        for a in t.heap.elements():
             if project(fm.act(a, x)) != power.act(a, project(x)):
                 findings.append(Finding("projection does not respect the action",
                                         (a, str(x))))

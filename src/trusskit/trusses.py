@@ -1,15 +1,16 @@
 """Trusses: Abelian heaps with an associative, two-sided distributive product.
 
-Finite trusses are table-backed; the built-in symbolic trusses (the integer
-truss, the constant-product trusses on the integer heap, the C2 brace truss)
-never materialise their carriers.  Unital and ring extensions adjoin a new
-identity or absorber by forming the direct sum with a singleton.  Their
-product distributes over the heap operation in each argument, so it is the
-bi-affine closed form of ``ExtensionTruss`` in four base products; the
-letter-wise product over word forms and the closed formulas of the worked
-examples live in the tests as oracles, not here.  One law engine decides
-trusses and modules exactly, on every element or on a ``frame()``: a point
-and that point moved by each generator of the group form.
+A truss holds its carrier as ``heap`` and adds only the product: finite
+trusses have a table over a ``FiniteHeap``, the symbolic ones (the integer
+truss, the constant-product trusses) live on the integer line ``INT_LINE``,
+and unital and ring extensions adjoin a new identity or absorber by forming
+the ``DirectSum`` with a singleton.  An extension's product distributes over
+the heap operation in each argument, so it is the bi-affine closed form of
+``ExtensionTruss`` in four base products; the letter-wise product over word
+forms and the closed formulas of the worked examples live in the tests as
+oracles, not here.  One law engine decides trusses and modules exactly, on
+every element or on a ``frame()``: a point and that point moved by each
+generator of the group form.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ class FiniteTruss:
     """A truss on a finite Abelian heap, with an explicit product table."""
 
     __slots__ = ("heap", "mul_table", "size", "names", "identity", "absorber")
-
-    is_finite = True
 
     def __init__(self, heap: FiniteHeap, mul_table, names=None):
         if not heap.abelian:
@@ -73,35 +72,21 @@ class FiniteTruss:
     def ring_type(self):
         return self.absorber is not None
 
-    def ternary(self, a, b, c):
-        return self.heap.ternary(a, b, c)
-
     def mul(self, a, b):
         return self.mul_table[a][b]
 
-    def elements(self):
-        return range(self.size)
-
     def sample_elements(self, window):
-        return range(self.size)
+        return self.heap.elements()
 
     def frame(self):
         """The basepoint and the greedy generators of the retract there
         (``core._generating_sequence``); None when the carrier is no heap."""
         e = _default_basepoint(self)
-        return [e] + _generating_sequence(retract(self.heap, e)) if _is_group_heap(self) else None
-
-    def contains(self, x):
-        return self.heap.contains(x)
-
-    def carrier_heap(self):
-        return self.heap
+        return ([e] + _generating_sequence(retract(self.heap, e))
+                if _is_group_heap(self.heap) else None)
 
     def format_element(self, x) -> str:
         return self.names[x]
-
-    def __len__(self):
-        return self.size
 
     def __eq__(self, other):
         return (isinstance(other, FiniteTruss)
@@ -114,30 +99,20 @@ class FiniteTruss:
 class IntegerTruss:
     """The truss of the ring of integers: integer heap, ordinary product."""
 
-    is_finite = False
-    size = None
+    heap = INT_LINE
     identity = 1
     absorber = 0
     unital = True
     ring_type = True
 
-    def ternary(self, a, b, c):
-        return a - b + c
-
     def mul(self, a, b):
         return a * b
-
-    def contains(self, x):
-        return isinstance(x, int)
 
     def sample_elements(self, window):
         return range(-window, window + 1)
 
     def frame(self):
         return [0, 1]
-
-    def carrier_heap(self):
-        return INT_LINE
 
     def format_element(self, x) -> str:
         return str(x)
@@ -155,8 +130,7 @@ class ConstantTruss:
     The constant c is the absorber; there is no identity.
     """
 
-    is_finite = False
-    size = None
+    heap = INT_LINE
     identity = None
     unital = False
     ring_type = True
@@ -165,23 +139,14 @@ class ConstantTruss:
         self.c = c
         self.absorber = c
 
-    def ternary(self, a, b, c):
-        return a - b + c
-
     def mul(self, a, b):
         return self.c
-
-    def contains(self, x):
-        return isinstance(x, int)
 
     def sample_elements(self, window):
         return range(self.c - window, self.c + window + 1)
 
     def frame(self):
         return [self.c, self.c + 1]
-
-    def carrier_heap(self):
-        return INT_LINE
 
     def format_element(self, x) -> str:
         return f"i{x}"
@@ -262,9 +227,6 @@ class ExtensionTruss:
     decides every law exactly.
     """
 
-    is_finite = False
-    size = None
-
     def __init__(self, base, adjoined: str, basepoint=None):
         if adjoined not in ("one", "zero"):
             raise StructureError("adjoined element must be 'one' or 'zero'")
@@ -272,13 +234,13 @@ class ExtensionTruss:
         self.adjoined = adjoined
         self.basepoint = _default_basepoint(base) if basepoint is None else basepoint
         symbol = "1" if adjoined == "one" else "0"
-        self.base_heap = base.carrier_heap()
+        self.base_heap = base.heap
         self._ee = self._base_mul(self.basepoint, self.basepoint)
-        self.ds = DirectSum((
+        self.heap = DirectSum((
             HeapSummand(self.base_heap, self.basepoint),
             HeapSummand(FiniteHeap.singleton(symbol), 0),
         ))
-        self.adjoined_element = self.ds.inject(1, 0)
+        self.adjoined_element = self.heap.inject(1, 0)
         if adjoined == "one":
             self.identity = self.adjoined_element
             self.absorber = None if base.absorber is None else self.inject(base.absorber)
@@ -295,32 +257,20 @@ class ExtensionTruss:
         return self.absorber is not None
 
     def inject(self, t) -> CoproductElement:
-        return self.ds.inject(0, t)
+        return self.heap.inject(0, t)
 
     def element(self, g, n: int) -> CoproductElement:
         """The canonical element with base-carrier component g and tail n."""
-        return self.ds.make((g, 0), (n,))
-
-    def ternary(self, x, y, z):
-        return self.ds.ternary(x, y, z)
-
-    def contains(self, x):
-        return self.ds.contains(x)
-
-    def carrier_heap(self):
-        return self.ds
+        return self.heap.make((g, 0), (n,))
 
     def sample_elements(self, window):
-        return self.ds.enumerate_elements(window)
+        return self.heap.sample(window)
 
     def frame(self):
         """The base's frame at tail 0 and its first point at tail 1; None
         when the base has no frame."""
         base = _frame(self.base)
-        return None if base is None else self.ds.frame((base, (0,)))
-
-    def elements(self):
-        return None
+        return None if base is None else self.heap.frame((base, (0,)))
 
     def _base_mul(self, a, b):
         v = self.base.mul(a, b)
@@ -343,7 +293,8 @@ class ExtensionTruss:
 
     def format_element(self, x) -> str:
         """(g; m) as g + m*1 in T1 at an absorber, in T0 as a multiple of the
-        constant, absorber or identity basepoint, else as the pair (g; m)."""
+        constant, absorber or identity basepoint e plus u(g) = g - e when g
+        != e, else as the pair (g; m); distinct elements get distinct labels."""
         base, e = self.base, self.basepoint
         g, m = x.components[0], x.tails[0]
         if self.adjoined == "one" and e == base.absorber:
@@ -352,8 +303,7 @@ class ExtensionTruss:
             if isinstance(base, ConstantTruss):
                 return f"{1 - m}*i{g}" if g == base.c else f"i{g} + {-m}*i{base.c}"
             if e in (base.absorber, base.identity):
-                head = ("" if g == e else f"u({base.format_element(g)}) + " if e == base.absorber
-                        else "t + ")
+                head = "" if g == e else f"u({base.format_element(g)}) + "
                 return f"{head}{1 - m}*{base.format_element(e)}"
         return f"({base.format_element(g)}; {m})"
 
@@ -398,7 +348,7 @@ def _frame(c):
 
 def _pool(c):
     """Every element of a finite carrier, else its frame (None without one)."""
-    return c.elements() if c.is_finite else _frame(c)
+    return c.heap.elements() if c.heap.is_finite else _frame(c)
 
 
 def _draw(rng, pool):
@@ -434,7 +384,7 @@ def _action_laws(t, act, m, pools, *, samples=None, window=None, seed=None):
     and the drawn x are the unit pool.
     """
     found = []
-    tern_t, tern_m = t.ternary, m.ternary
+    tern_t, tern_m = t.heap.ternary, m.heap.ternary
     if pools is None:
         rng, drawn = random.Random(seed), []
         tw, mw = t.sample_elements(window), m.sample_elements(window)
@@ -449,14 +399,15 @@ def _action_laws(t, act, m, pools, *, samples=None, window=None, seed=None):
             drawn.append(x)
         return found, dict.fromkeys((ASSOCIATIVE, LINEAR_IN_T, LINEAR_IN_M), samples), None, drawn
     ts, ms = pools
-    if t.is_finite and m.is_finite:     # rows[a][x] = a.x, precomputed
+    if t.heap.is_finite and m.heap.is_finite:   # rows[a][x] = a.x, precomputed
         rows = [[act(a, x) for x in ms] for a in ts]
-    else:                               # or computed once, on first use
+    else:                                       # or computed once, on first use
         rows = _Memo(lambda a: _Memo(functools.partial(act, a)))
     for a, b in itertools.product(ts, repeat=2):
         ra, rb, rab = rows[a], rows[b], rows[t.mul(a, b)]
         found += [(ASSOCIATIVE, (a, b, x), ra[rb[x]], rab[x]) for x in ms if ra[rb[x]] != rab[x]]
-    if all(_is_group_heap(c) for c in ((t,) if m is t else (t, m)) if c.is_finite):
+    if all(_is_group_heap(h) for h in ((t.heap,) if m.heap is t.heap else (t.heap, m.heap))
+           if h.is_finite):
         algorithm = "morphism rows"
         swept_m = [x for x in ms if _first_unpreserved(
             tern_t, tern_m, _Memo(lambda u: rows[u][x]), ts) is not None]
@@ -531,7 +482,8 @@ def validate_truss(t, *, samples=10_000, window=5, seed=2026) -> Report:
                  if one is not None and (mul(one, x) != x or mul(x, one) != x)]
     findings += [Finding("absorber law", (x,), mul(zero, x), zero) for x in units
                  if zero is not None and (mul(zero, x) != zero or mul(x, zero) != zero)]
-    algorithm = "exhaustive" if t.is_finite else "sampled" if pool is None else "frame"
+    finite = t.heap.is_finite
+    algorithm = "exhaustive" if finite else "sampled" if pool is None else "frame"
     stats = {
         "checked": per_law[0] + 2 * per_law[1],
         "checked_by_law": {
@@ -545,7 +497,7 @@ def validate_truss(t, *, samples=10_000, window=5, seed=2026) -> Report:
         "ring_type": zero is not None,
         "identity": None if one is None else t.format_element(one),
         "absorber": None if zero is None else t.format_element(zero),
-        "exhaustive": t.is_finite,
+        "exhaustive": finite,
         "unit_laws": {"algorithm": algorithm,
                       "evaluated": 0 if one is None and zero is None else len(units)},
     }
@@ -553,7 +505,7 @@ def validate_truss(t, *, samples=10_000, window=5, seed=2026) -> Report:
         stats["distributivity"] = distributivity
     if pool is None:
         stats["sampled"] = {"samples": samples, "window": window, "seed": seed}
-    elif not t.is_finite:
+    elif not finite:
         stats["frame"] = len(pool)
     if base is not None:
         stats["base"] = base
@@ -579,16 +531,16 @@ class RetractRing:
         return self.truss.identity
 
     def plus(self, a, b):
-        return self.truss.ternary(a, self.zero, b)
+        return self.truss.heap.ternary(a, self.zero, b)
 
     def neg(self, a):
-        return self.truss.ternary(self.zero, a, self.zero)
+        return self.truss.heap.ternary(self.zero, a, self.zero)
 
     def mul(self, a, b):
         return self.truss.mul(a, b)
 
     def scale(self, k: int, a):
-        return shift(self.truss, self.zero, k, a, self.zero)
+        return shift(self.truss.heap, self.zero, k, a, self.zero)
 
     def __repr__(self):
         return f"RetractRing({self.truss!r})"
@@ -602,16 +554,16 @@ def _check_absorber(t, zero):
     pool = _pool(t)
     if pool is not None and any(t.mul(zero, x) != zero or t.mul(x, zero) != zero for x in pool):
         raise StructureError(f"{zero!r} is not a two-sided absorber")
-    if pool is None or not t.is_finite and _product_laws(t, pool)[0]:
+    if pool is None or not t.heap.is_finite and _product_laws(t, pool)[0]:
         raise StructureError(f"cannot decide that {zero!r} absorbs: not a truss with a frame")
 
 
 def retract_ring(t, zero):
     """The ring on a ring-type truss with the given absorber as its zero."""
-    if not t.contains(zero):
+    if not t.heap.contains(zero):
         raise StructureError(f"{zero!r} is not in the carrier")
     _check_absorber(t, zero)
-    if t.is_finite:
+    if t.heap.is_finite:
         add = retract(t.heap, zero)
         return FiniteRing(add, t.mul_table, names=t.names)
     return RetractRing(t, zero)

@@ -122,3 +122,14 @@ def test_basis_takes_integer_candidates_of_the_integer_module(token, code, capsy
     # t.m = m identifies every pair of scalars, so no family is free
     assert got == code and (json.loads(out)["status"] == "fail" if code == 1 else
                             out == "" and "integers" in err)
+
+
+def test_basis_candidates_that_start_with_a_minus_need_the_equals_form(capsys):
+    path = str(FIXTURES / "module_ztrivial.json")
+    code, out, _ = run(["basis", "--candidates=-1,2", path], capsys)
+    assert code == 1 and json.loads(out)["status"] == "fail"
+    # argparse reads "-1,2" after a space as an option, not as the list
+    code, out, err = run(["basis", "--candidates", "-1,2", path], capsys)
+    assert code == 2 and out == "" and "--candidates" in err and "Traceback" not in err
+    code, out, _ = run(["basis", "--help"], capsys)
+    assert code == 0 and "--candidates=-1,2" in out

@@ -7,6 +7,9 @@ argparse usage error is kept as the name of the command it rejects.  To record
 them again (only when an output is meant to change):
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+which prints the command line of every entry whose exit code, stdout or stderr
+changed, and of every entry added or removed.
 """
 
 import contextlib
@@ -146,6 +149,10 @@ def _golden():
     return {json.dumps(g["argv"]): g for g in json.loads(GOLDEN.read_text())}
 
 
+def _name(argv):
+    return " ".join(argv) or "<none>"
+
+
 def test_every_verb_and_exit_code_is_covered():
     golden = _golden()
     assert sorted(golden) == sorted(json.dumps(argv) for argv in CASES)
@@ -155,10 +162,17 @@ def test_every_verb_and_exit_code_is_covered():
     assert {g["code"] for g in golden.values()} == {0, 1, 2}
 
 
-@pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv) or "<none>")
+@pytest.mark.parametrize("argv", CASES, ids=_name)
 def test_output_matches_the_golden(argv):
     assert run(argv) == _golden()[json.dumps(argv)]
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps([run(argv) for argv in CASES], indent=1) + "\n")
+    old, new = _golden(), [run(argv) for argv in CASES]
+    for g in new:
+        was = old.pop(json.dumps(g["argv"]), None)
+        if was != g:
+            print("added" if was is None else "changed", _name(g["argv"]))
+    for g in old.values():
+        print("removed", _name(g["argv"]))
+    GOLDEN.write_text(json.dumps(new, indent=1) + "\n")

@@ -113,7 +113,7 @@ def test_normalize_rejects_even_and_foreign():
 
 def test_word_form_round_trips_window():
     ds = c2_pair()
-    for x in ds.enumerate_elements(4):
+    for x in ds.sample(4):
         word = ds.word_form(x)
         assert len(word) % 2 == 1
         assert ds.normalize_word(word) == x
@@ -121,7 +121,7 @@ def test_word_form_round_trips_window():
 
 def test_word_form_round_trips_nary():
     ds = DirectSum([HeapSummand(C2, 0), HeapSummand(C3, 0), HeapSummand(C2, 1)])
-    for x in ds.enumerate_elements(2):
+    for x in ds.sample(2):
         assert ds.normalize_word(ds.word_form(x)) == x
 
 
@@ -131,7 +131,7 @@ def test_word_form_round_trips_nary():
 
 def test_op_malcev():
     ds = c2_pair()
-    xs = list(ds.enumerate_elements(2))
+    xs = list(ds.sample(2))
     for x, z in itertools.product(xs, repeat=2):
         assert ds.ternary(x, x, z) == z
         assert ds.ternary(z, x, x) == z
@@ -147,7 +147,7 @@ def test_op_example_c2():
 
 def test_op_axioms_window():
     ds = direct_sum(HeapSummand(C2, 0), HeapSummand(C3, 0))
-    xs = list(ds.enumerate_elements(1))
+    xs = list(ds.sample(1))
     for x, y, z in itertools.product(xs, repeat=3):
         assert ds.ternary(x, y, z) == ds.ternary(z, y, x)
     rng = random.Random(23)
@@ -158,7 +158,7 @@ def test_op_axioms_window():
 
 def test_op_matches_word_level_oracle():
     ds = direct_sum(HeapSummand(C2, 0), HeapSummand(C3, 0))
-    xs = list(ds.enumerate_elements(3))
+    xs = list(ds.sample(3))
     rng = random.Random(29)
     for _ in range(1000):
         x, y, z = (rng.choice(xs) for _ in range(3))
@@ -184,7 +184,7 @@ def test_group_form_round_trip_window_8():
 
 def test_group_form_is_heap_morphism():
     ds = c2_pair()
-    xs = list(ds.enumerate_elements(2))
+    xs = list(ds.sample(2))
     for x, y, z in itertools.product(xs[:8], xs[:8], xs[:8]):
         gx, gy, gz = (ds.to_group_form(v) for v in (x, y, z))
         combined = (
@@ -237,7 +237,7 @@ def test_copair_restricts_to_injections():
 def test_copair_of_injections_is_identity():
     ds = c2_pair()
     ident = ds.copair((ds.inject_left, ds.inject_right), ds)
-    for x in ds.enumerate_elements(5):
+    for x in ds.sample(5):
         assert ident(x) == x
 
 
@@ -255,7 +255,7 @@ def test_copair_is_heap_morphism():
     z6 = heap_from_group(FiniteGroup.cyclic(6))
     ds = c2_pair()
     both = ds.copair((lambda a: (3 * a) % 6, lambda b: (3 * b + 1) % 6), z6)
-    xs = list(ds.enumerate_elements(2))
+    xs = list(ds.sample(2))
     rng = random.Random(31)
     for _ in range(500):
         x, y, z = (rng.choice(xs) for _ in range(3))
@@ -301,7 +301,7 @@ def test_copair_matches_word_fold_oracle():
     single = (direct_sum(HeapSummand(C3, 2)), ((lambda a: (4 * a + 1) % 12),), z12, 3)
     for ds, maps, target, window in (finite, line, single):
         both = ds.copair(maps, target)
-        for x in ds.enumerate_elements(window):
+        for x in ds.sample(window):
             assert both(x) == word_fold(ds, maps, target, x), x
 
 
@@ -324,7 +324,7 @@ def test_copair_uniqueness_by_perturbation():
     psi = lambda b: (3 * b) % 6
     both = ds.copair((phi, psi), z6)
     wrong = ds.copair((phi, lambda b: (3 * b + 3) % 6), z6)
-    assert any(both(x) != wrong(x) for x in ds.enumerate_elements(2))
+    assert any(both(x) != wrong(x) for x in ds.sample(2))
     assert wrong(ds.inject_right(0)) != psi(0)
 
 
@@ -342,7 +342,7 @@ def test_copair_rejects_nonabelian_target():
 def test_nary_singleton_sum_is_integer_pairs():
     star = FiniteHeap.singleton()
     ds = DirectSum([HeapSummand(star, 0)] * 3)
-    xs = list(ds.enumerate_elements(3))
+    xs = list(ds.sample(3))
     # components are forced, so elements are exactly the integer tail pairs
     assert len(xs) == 7 * 7
     for x, y, z in itertools.product(xs[:10], repeat=3):
@@ -352,7 +352,7 @@ def test_nary_singleton_sum_is_integer_pairs():
 
 def test_single_summand_sum_is_the_summand():
     ds = DirectSum([HeapSummand(C3, 0)])
-    xs = list(ds.enumerate_elements(0))
+    xs = list(ds.sample(0))
     assert len(xs) == 3
     for x, y, z in itertools.product(xs, repeat=3):
         assert ds.ternary(x, y, z).components[0] == C3.ternary(
@@ -361,7 +361,7 @@ def test_single_summand_sum_is_the_summand():
 
 def test_direct_sum_of_two_points_is_infinite():
     ds = c2_pair()
-    distinct = set(itertools.islice(ds.enumerate_elements(30), 0, 1000))
+    distinct = set(itertools.islice(ds.sample(30), 0, 1000))
     assert len(distinct) >= 100
 
 
@@ -392,7 +392,7 @@ def test_window_indexing_matches_iteration_order(window):
         direct_sum(HeapSummand(inner, inner.zero()), HeapSummand(C3, 0)),   # nested
     ]
     for ds in sums:
-        w = ds.enumerate_elements(window)
+        w = ds.sample(window)
         want = product_window(ds, window)
         assert len(w) == w.size == len(want)
         assert list(w) == want
@@ -405,23 +405,23 @@ def test_window_indexing_matches_iteration_order(window):
 
 def test_window_size_at_zero_and_nested():
     ds = c2_pair()
-    assert len(ds.enumerate_elements(0)) == 2 * 2 * 1
+    assert len(ds.sample(0)) == 2 * 2 * 1
     nested = direct_sum(HeapSummand(ds, ds.zero()), HeapSummand(C3, 0))
-    assert len(nested.enumerate_elements(2)) == (2 * 2 * 5) * 3 * 5
+    assert len(nested.sample(2)) == (2 * 2 * 5) * 3 * 5
 
 
 def test_window_draws_like_a_list():
     # random.choice is seq[randbelow(len(seq))], so a lazy window and its
     # list give the same draws from the same seed
     ds = DirectSum([HeapSummand(C3, 0), HeapSummand(INT_LINE, 0)])
-    w = ds.enumerate_elements(4)
+    w = ds.sample(4)
     a, b = random.Random(5), random.Random(5)
     assert [a.choice(w) for _ in range(50)] == [b.choice(list(w)) for _ in range(50)]
 
 
 def test_window_beyond_sys_maxsize_is_indexable():
     ds = DirectSum([HeapSummand(INT_LINE, 0)] * 12)
-    w = ds.enumerate_elements(4)
+    w = ds.sample(4)
     assert w.size == 9 ** 23
     x = w[w.size - 1]
     assert x.components == (4,) * 12 and x.tails == (4,) * 11

@@ -123,9 +123,9 @@ def test_generating_sequences_are_greedy_and_generate():
 def test_orbit_spans_of_regular_TZn_match_the_resweep(n):
     m = FiniteTModule.regular(truss_TZn(n))
     for u in range(n):
-        orbit = [m.act(a, u) for a in m.truss.elements()]
-        want = resweep_closure(orbit, m.ternary)
-        assert set(core._closure(orbit, m.ternary)) == want
+        orbit = [m.act(a, u) for a in m.truss.heap.elements()]
+        want = resweep_closure(orbit, m.heap.ternary)
+        assert set(core._closure(orbit, m.heap.ternary)) == want
         # u is a basis exactly when sigma_u is injective and its span, the
         # orbit closure, is the whole carrier
         assert basis_check(m, [u]).ok == (len(set(orbit)) == n == len(want)), u
@@ -139,7 +139,7 @@ def sigma_oracle(ds, m, candidates, x):
     """The copaired sigma map F(s) = ds -> m at x, folded over the word form
     of x: each letter (i, a) has the value a.c_i."""
     word = ds.word_form(x)
-    return eval_word_in_heap(word, {(i, a): m.act(a, candidates[i]) for i, a in word}, m)
+    return eval_word_in_heap(word, {(i, a): m.act(a, candidates[i]) for i, a in word}, m.heap)
 
 
 def windowed_collision(m, candidates, bound):
@@ -149,7 +149,7 @@ def windowed_collision(m, candidates, bound):
     ds = modules._source_sum(m.truss, len(candidates))
     seen = {}
     for w in range(bound + 1):
-        for x in ds.enumerate_elements(w):
+        for x in ds.sample(w):
             v = sigma_oracle(ds, m, candidates, x)
             if seen.setdefault(v, x) != x:
                 return seen[v], x
@@ -159,11 +159,11 @@ def windowed_collision(m, candidates, bound):
 def coords(m, y):
     """The integer coordinates of a point of m: the components over an
     infinite truss, then the tails; an integer of the integer module."""
-    if m.is_finite:
+    if m.heap.is_finite:
         return ()
     if isinstance(m, TrivialIntModule):
         return (y,)
-    return (() if m.truss.is_finite else y.components) + y.tails
+    return (() if m.truss.heap.is_finite else y.components) + y.tails
 
 
 def replays(m, candidates, finding):
@@ -174,7 +174,7 @@ def replays(m, candidates, finding):
         x, x2 = finding.at
         return x != x2 and image(x) == image(x2) == finding.lhs == finding.rhs
     assert finding.law == "not spanning"
-    near = [image(x) for x in ds.enumerate_elements(2)]
+    near = [image(x) for x in ds.sample(2)]
     if len(finding.at) == 1:
         # a missed torsion point: no point with its integer coordinates is hit
         y, = finding.at
@@ -238,7 +238,7 @@ def test_bases_reach_every_window_1_element(label, m):
     for family in families(m, 2):
         if basis_check(m, family).ok:
             ds = modules._source_sum(m.truss, len(family))
-            reached = {sigma_oracle(ds, m, family, x) for x in ds.enumerate_elements(4)}
+            reached = {sigma_oracle(ds, m, family, x) for x in ds.sample(4)}
             assert set(m.sample_elements(1)) <= reached, family
 
 
@@ -249,13 +249,13 @@ FINITE = list(finite_modules())
 def test_finite_verdicts_match_brute_force(label, m):
     for family in families(m, 2):
         if len(family) == 1:
-            free = len({m.act(a, family[0]) for a in m.truss.elements()}) == m.truss.size
+            free = len({m.act(a, family[0]) for a in m.truss.heap.elements()}) == m.truss.size
         else:   # pigeonhole: F(s) has more forms than m has elements
             free = windowed_collision(m, family, m.size + 2) is None
-        orbit = [m.act(a, c) for a in m.truss.elements() for c in family]
+        orbit = [m.act(a, c) for a in m.truss.heap.elements() for c in family]
         assert free_set_check(m, family).ok == free, family
         report = basis_check(m, family)
-        assert report.ok == (free and len(resweep_closure(orbit, m.ternary)) == m.size), family
+        assert report.ok == (free and len(resweep_closure(orbit, m.heap.ternary)) == m.size), family
         assert all(replays(m, family, finding) for finding in report.findings), family
 
 
@@ -264,9 +264,9 @@ def test_finite_verdicts_match_brute_force(label, m):
 
 
 def absorber_classes_oracle(m):
-    ts = list(m.truss.elements())
+    ts = list(m.truss.heap.elements())
     absorbers = [x for x in range(m.size) if all(m.act(t, x) == x for t in ts)]
-    cls = {a: frozenset(m.ternary(x, y, a) for x in absorbers for y in absorbers)
+    cls = {a: frozenset(m.heap.ternary(x, y, a) for x in absorbers for y in absorbers)
            for a in range(m.size)}
     order = sorted(set(cls.values()), key=min)
     return absorbers, order, tuple(order.index(cls[a]) for a in range(m.size))
@@ -294,9 +294,9 @@ def test_absorber_quotient_matches_the_classes_oracle(label, m, ring):
     reps = [min(c) for c in classes]
     e = absorbers[0]
     assert q.group.op_table() == tuple(
-        tuple(proj[m.ternary(a, e, b)] for b in reps) for a in reps)
+        tuple(proj[m.heap.ternary(a, e, b)] for b in reps) for a in reps)
     assert q.action == tuple(tuple(proj[m.act(t, r)] for r in reps)
-                             for t in m.truss.elements())
+                             for t in m.truss.heap.elements())
 
     n_mod = RModule.regular(ring)
     phi = tuple((3 * i + 1) % n_mod.size for i in range(len(classes)))
@@ -307,7 +307,7 @@ def test_absorber_quotient_matches_the_classes_oracle(label, m, ring):
         with pytest.raises(StructureError, match="does not descend"):
             adjunction_theta_inv(m, n_mod, tuple(range(m.size)))
 
-    for r in m.truss.elements():
+    for r in m.truss.heap.elements():
         scale = ModuleMorphism(m, m, tuple(m.act(r, x) for x in range(m.size)))
         _, _, mapping = abs_on_morphism(scale)
         assert mapping == tuple(proj[scale(r_)] for r_ in reps), r
@@ -343,10 +343,10 @@ def tmodule_homs_to_TN_oracle(m, n_mod):
 
     out = []
     for mapping in itertools.product(range(size_n), repeat=size_m):
-        if _first_unpreserved(m.ternary, tn_ternary, mapping) is not None:
+        if _first_unpreserved(m.heap.ternary, tn_ternary, mapping) is not None:
             continue
         if all(mapping[m.act(r, x)] == n_mod.act(r, mapping[x])
-               for r in m.truss.elements() for x in range(size_m)):
+               for r in m.truss.heap.elements() for x in range(size_m)):
             out.append(mapping)
     return out
 

@@ -8,8 +8,8 @@ import time
 import pytest
 
 from trusskit import modules
-from trusskit.coproduct import CoproductElement
-from trusskit.core import FiniteGroup, FiniteHeap, StructureError, heap_from_group
+from trusskit.coproduct import CoproductElement, DirectSum
+from trusskit.core import FiniteGroup, FiniteHeap, IntLineHeap, StructureError, heap_from_group
 from trusskit.modules import (
     AbsorberSet,
     FiniteTModule,
@@ -50,6 +50,8 @@ from trusskit.trusses import (
     unital_extension,
     validate_truss,
 )
+
+from test_trusses import Frameless, ListPool
 
 Z2 = FiniteRing.Zn(2)
 Z3 = FiniteRing.Zn(3)
@@ -130,7 +132,8 @@ def test_distributivity_in_truss_slot_violation_located():
     hit = [f for f in report.findings if "[t,t',t'']m" in f.law]
     assert hit
     a, b, c, x = hit[0].at  # the witness recomputes to a genuine violation
-    assert m.act(t.ternary(a, b, c), x) != m.ternary(m.act(a, x), m.act(b, x), m.act(c, x))
+    assert m.act(t.heap.ternary(a, b, c), x) != \
+        m.heap.ternary(m.act(a, x), m.act(b, x), m.act(c, x))
 
 
 def test_empty_module_constructor():
@@ -185,15 +188,15 @@ def test_absorber_set_is_submodule():
         aset = absorbers(m)
         mem = set(aset.members)
         for a, b, c in itertools.product(aset.members, repeat=3):
-            assert m.ternary(a, b, c) in mem
-        for t in m.truss.elements():
+            assert m.heap.ternary(a, b, c) in mem
+        for t in m.truss.heap.elements():
             for a in aset.members:
                 assert m.act(t, a) in mem
     fm = free_module(truss_TZn(2), 2)
     tails = [CoproductElement((0, 0), (k,)) for k in range(-3, 4)]
     for a, b, c in itertools.product(tails, repeat=3):
-        assert absorbers(fm).contains(fm.ternary(a, b, c))
-    for t in fm.truss.elements():
+        assert absorbers(fm).contains(fm.heap.ternary(a, b, c))
+    for t in fm.truss.heap.elements():
         for a in tails:
             assert absorbers(fm).contains(fm.act(t, a))
 
@@ -207,8 +210,8 @@ def test_is_ring_module():
 
 def test_free_module_two_absorber_witness():
     fm = free_module(truss_TZn(2), 2)
-    zx = fm.ds.inject(0, 0)
-    zy = fm.ds.inject(1, 0)
+    zx = fm.heap.inject(0, 0)
+    zy = fm.heap.inject(1, 0)
     assert zx != zy
     aset = absorbers(fm)
     assert aset.contains(zx) and aset.contains(zy)
@@ -257,10 +260,10 @@ def test_quotient_projection_respects_structure():
     rng = random.Random(67)
     for _ in range(300):
         x, y, z = (rng.choice(xs) for _ in range(3))
-        lhs = proj(fm.ternary(x, y, z))
+        lhs = proj(fm.heap.ternary(x, y, z))
         rhs = q.plus(q.plus(proj(x), q.neg(proj(y))), proj(z))
         assert lhs == rhs
-    for t in fm.truss.elements():
+    for t in fm.truss.heap.elements():
         for x in xs:
             assert proj(fm.act(t, x)) == q.act(t, proj(x))
 
@@ -450,8 +453,8 @@ def test_rmodule_homs_of_z4_squared_to_z4_are_fast():
 def test_rank_one_free_module_is_the_truss():
     t = truss_TZn(3)
     fm = free_module(t, 1)
-    for a in t.elements():
-        for x in t.elements():
+    for a in t.heap.elements():
+        for x in t.heap.elements():
             got = fm.act(a, CoproductElement((x,), ()))
             assert got == CoproductElement((t.mul(a, x),), ())
     (gen,) = fm.generators()
@@ -489,8 +492,8 @@ def test_ring_truss_action_fixes_tails():
 
 def act_letterwise(fm, t, x):
     """The defining action: multiply each letter of a word form, renormalize."""
-    mapped = [(i, fm.truss.mul(t, u)) for i, u in fm.ds.word_form(x)]
-    return fm.ds.normalize_word(mapped)
+    mapped = [(i, fm.truss.mul(t, u)) for i, u in fm.heap.word_form(x)]
+    return fm.heap.normalize_word(mapped)
 
 
 def test_action_matches_letterwise_oracle():
@@ -540,7 +543,7 @@ def test_universal_lift():
     rng = random.Random(79)
     for _ in range(200):
         x, y, z = (rng.choice(xs) for _ in range(3))
-        assert lift(fm.ternary(x, y, z)) == target.ternary(lift(x), lift(y), lift(z))
+        assert lift(fm.heap.ternary(x, y, z)) == target.heap.ternary(lift(x), lift(y), lift(z))
         s = rng.randrange(2)
         assert lift(fm.act(s, x)) == target.act(s, lift(x))
 
@@ -560,7 +563,7 @@ def test_universal_lift_unique_under_perturbation():
 
 def test_sigma_of_identity_gives_the_element():
     m = FiniteTModule.from_rmodule(RModule.power(Z2, 2))
-    for x in m.elements():
+    for x in m.heap.elements():
         assert sigma(m, x)(m.truss.identity) == x
 
 
@@ -568,13 +571,13 @@ def test_sigma_one_is_identity_on_regular_module():
     t = truss_TZn(3)
     m = FiniteTModule.regular(t)
     s = sigma(m, t.identity)
-    assert [s(a) for a in t.elements()] == list(t.elements())
+    assert [s(a) for a in t.heap.elements()] == list(t.heap.elements())
 
 
 def test_sigma_constant_iff_absorber():
     m = FiniteTModule.from_rmodule(RModule.power(Z2, 2))
     abs_members = set(absorbers(m).members)
-    for x in m.elements():
+    for x in m.heap.elements():
         assert (len(sigma(m, x).image()) == 1) == (x in abs_members)
 
 
@@ -643,7 +646,7 @@ def test_basis_check_free_module_generators():
         # span and moves g1, which is outside it
         phi = fm.universal_lift(fm, [g0, g0, g2])
         assert (phi(g0), phi(g2), phi(g1)) == (g0, g2, g0)
-        x = fm.ternary(g0, fm.act(fm.basepoint, g2), g2)
+        x = fm.heap.ternary(g0, fm.act(fm.basepoint, g2), g2)
         assert phi(x) == x   # the span of the sub-family is fixed
 
 
@@ -657,7 +660,7 @@ def test_free_set_generator_families():
     assert [f.law for f in repeated.findings] == ["copaired map collision"]
     # g0 + g1 and g2 are free; with g1 they are not, since 0.(g0 + g1) =
     # 0.g1 and so the first tail of the source moves nothing
-    other = fm.ternary(g0, fm.ds.zero(), g1)
+    other = fm.heap.ternary(g0, fm.heap.zero(), g1)
     assert free_set_check(fm, [other, g2]).status == "pass"
     assert basis_check(fm, [g0, g1, g1]).status == "fail"
     assert basis_check(fm, [other, g1, g2]).status == "fail"
@@ -717,14 +720,14 @@ def module_law_sweep(m):
                                         m.act(a, m.act(b, x)), m.act(t.mul(a, b), x)))
     for a, b, c in itertools.product(ts, repeat=3):
         for x in ms:
-            lhs = m.act(t.ternary(a, b, c), x)
-            rhs = m.ternary(m.act(a, x), m.act(b, x), m.act(c, x))
+            lhs = m.act(t.heap.ternary(a, b, c), x)
+            rhs = m.heap.ternary(m.act(a, x), m.act(b, x), m.act(c, x))
             if lhs != rhs:
                 findings.append(Finding("distributivity [t,t',t'']m", (a, b, c, x), lhs, rhs))
     for a in ts:
         for x, y, z in itertools.product(ms, repeat=3):
-            lhs = m.act(a, m.ternary(x, y, z))
-            rhs = m.ternary(m.act(a, x), m.act(a, y), m.act(a, z))
+            lhs = m.act(a, m.heap.ternary(x, y, z))
+            rhs = m.heap.ternary(m.act(a, x), m.act(a, y), m.act(a, z))
             if lhs != rhs:
                 findings.append(Finding("distributivity t[m,m',m'']", (a, x, y, z), lhs, rhs))
     if t.identity is not None:
@@ -811,20 +814,20 @@ def violated(m, f):
         "action associativity t(t'm) = (tt')m":
             lambda a, b, x: m.act(a, m.act(b, x)) != m.act(t.mul(a, b), x),
         "distributivity [t,t',t'']m":
-            lambda a, b, c, x: m.act(t.ternary(a, b, c), x)
-            != m.ternary(m.act(a, x), m.act(b, x), m.act(c, x)),
+            lambda a, b, c, x: m.act(t.heap.ternary(a, b, c), x)
+            != m.heap.ternary(m.act(a, x), m.act(b, x), m.act(c, x)),
         "distributivity t[m,m',m'']":
-            lambda a, x, y, z: m.act(a, m.ternary(x, y, z))
-            != m.ternary(m.act(a, x), m.act(a, y), m.act(a, z)),
+            lambda a, x, y, z: m.act(a, m.heap.ternary(x, y, z))
+            != m.heap.ternary(m.act(a, x), m.act(a, y), m.act(a, z)),
         "unitality 1m = m": lambda x: m.act(t.identity, x) != x,
         "product associativity":
             lambda a, b, c: t.mul(t.mul(a, b), c) != t.mul(a, t.mul(b, c)),
         "left distributivity over [,,]":
-            lambda s, a, b, c: t.mul(s, t.ternary(a, b, c))
-            != t.ternary(t.mul(s, a), t.mul(s, b), t.mul(s, c)),
+            lambda s, a, b, c: t.mul(s, t.heap.ternary(a, b, c))
+            != t.heap.ternary(t.mul(s, a), t.mul(s, b), t.mul(s, c)),
         "right distributivity over [,,]":
-            lambda s, a, b, c: t.mul(t.ternary(a, b, c), s)
-            != t.ternary(t.mul(a, s), t.mul(b, s), t.mul(c, s)),
+            lambda s, a, b, c: t.mul(t.heap.ternary(a, b, c), s)
+            != t.heap.ternary(t.mul(a, s), t.mul(b, s), t.mul(c, s)),
     }[f.law](*f.at)
 
 
@@ -888,6 +891,52 @@ def test_no_package_carrier_is_sampled(monkeypatch):
     assert verify_abs_of_free(Z3, 2).ok
 
 
+def package_structures():
+    bases = {"TZ": integer_truss(), "Zc3": constant_truss(3), "TZ3": truss_TZn(3),
+             "TC2": tc2_brace_truss()}
+    for name, t in bases.items():
+        yield name, t
+        for kind, make in (("T1", unital_extension), ("T0", ring_extension),
+                           ("T01", double_extension)):
+            yield f"{kind}({name})", make(t)
+    yield "regular TZ3", FiniteTModule.regular(truss_TZn(3))
+    yield "T(Z2^2)", FiniteTModule.from_rmodule(RModule.power(Z2, 2))
+    yield "Z with t.m = m", TrivialIntModule()
+    for name in ("TZ", "TZ3", "TC2"):
+        for basepoint in (None, 1):
+            yield f"F(2) over {name} at {basepoint}", free_module(bases[name], 2, basepoint)
+    yield "F(2) over T1(TZ3)", free_module(unital_extension(truss_TZn(3)), 2)
+
+
+STRUCTURES = list(package_structures())
+
+
+@pytest.mark.parametrize("name, s", STRUCTURES, ids=[name for name, _ in STRUCTURES])
+def test_every_structure_holds_its_carrier_as_heap(name, s):
+    assert isinstance(s.heap, (FiniteHeap, IntLineHeap, DirectSum))
+    points = list(s.frame() if hasattr(s, "frame") else s.heap.elements())
+    assert points and all(s.heap.contains(x) for x in points)
+
+
+def test_no_structure_class_forwards_the_heap_protocol():
+    for cls in (FiniteTruss, IntegerTruss, ConstantTruss, ExtensionTruss,
+                FiniteTModule, TrivialIntModule, FreeTModule):
+        assert not {"ternary", "contains", "carrier_heap", "elements", "__len__",
+                    "is_finite"} & set(vars(cls)), cls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Frameless(truss_TZn(3), "one"),
+    lambda: ListPool(integer_truss(), "zero"),
+    lambda: OddPositiveC0Wrong(integer_truss(), 2),
+], ids=["Frameless", "ListPool", "OddPositiveC0Wrong"])
+def test_carriers_without_a_frame_are_still_sampled(make):
+    s = make()
+    validate = validate_module if isinstance(s, FreeTModule) else validate_truss
+    report = validate(s, samples=20, window=2)
+    assert report.stats["sampled"] == {"samples": 20, "window": 2, "seed": 2026}
+
+
 def test_verify_abs_of_free_sees_every_component_vector_and_the_whole_frame(monkeypatch):
     seen, recording = [], [True]
     act, quotient = FreeTModule.act, modules.abs_quotient
@@ -917,14 +966,14 @@ def test_verify_abs_of_free_sees_every_component_vector_and_the_whole_frame(monk
 
 def test_verify_abs_of_free_draws_tail_triples_from_the_whole_pool(monkeypatch):
     triples = set()
-    ternary = FreeTModule.ternary
+    ternary = DirectSum.ternary
 
     def spy(self, x, y, z):
         if not any(c for w in (x, y, z) for c in w.components):
             triples.add((x.tails, y.tails, z.tails))
         return ternary(self, x, y, z)
 
-    monkeypatch.setattr(FreeTModule, "ternary", spy)
+    monkeypatch.setattr(DirectSum, "ternary", spy)
     assert verify_abs_of_free(Z3, 3).ok
     # the tail heap is checked on every triple from its frame: zero and each tail unit
     assert triples >= set(itertools.product([(0, 0), (1, 0), (0, 1)], repeat=3))

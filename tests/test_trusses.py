@@ -375,7 +375,7 @@ def base_times(t: ExtensionTruss):
     """The base product; letter-wise again when the base is an extension."""
     if isinstance(t.base, ExtensionTruss):
         inner = t.base
-        return lambda u, v: mul_via_words(inner, inner.ds.word_form(u), inner.ds.word_form(v))
+        return lambda u, v: mul_via_words(inner, inner.heap.word_form(u), inner.heap.word_form(v))
     return t.base.mul
 
 
@@ -393,16 +393,16 @@ def mul_via_words(t: ExtensionTruss, word_x, word_y):
                 mapped.append((0, u))
             else:
                 mapped.append((1, 0))
-        return t.ds.normalize_word(mapped)
+        return t.heap.normalize_word(mapped)
 
     values = []
     for i, u in word_x:
         if i == 1:
-            values.append(t.ds.normalize_word(word_y) if t.adjoined == "one"
+            values.append(t.heap.normalize_word(word_y) if t.adjoined == "one"
                           else t.adjoined_element)
         else:
             values.append(letter_times(u))
-    return heap_fold(t.ds, values)
+    return heap_fold(t.heap, values)
 
 
 @pytest.mark.parametrize("make", [
@@ -418,8 +418,8 @@ def test_lambda_well_defined_on_representatives(make):
     for _ in range(300):
         wx = tuple(rng.choice(letters) for _ in range(rng.choice((1, 3, 5, 7))))
         wy = tuple(rng.choice(letters) for _ in range(rng.choice((1, 3, 5, 7))))
-        x = t.ds.normalize_word(wx)
-        y = t.ds.normalize_word(wy)
+        x = t.heap.normalize_word(wx)
+        y = t.heap.normalize_word(wy)
         assert mul_via_words(t, wx, wy) == t.mul(x, y)
 
 
@@ -441,7 +441,7 @@ def test_closed_form_product_matches_letterwise_oracle(kind, base):
     rng = random.Random(f"{kind} {base}")
     for _ in range(120):
         x, y = rng.choice(pool), rng.choice(pool)
-        assert t.mul(x, y) == mul_via_words(t, t.ds.word_form(x), t.ds.word_form(y)), (x, y)
+        assert t.mul(x, y) == mul_via_words(t, t.heap.word_form(x), t.heap.word_form(y)), (x, y)
 
 
 @pytest.mark.parametrize("adjoined, basepoint", [("one", 1), ("zero", 2)])
@@ -451,7 +451,7 @@ def test_closed_form_product_off_the_default_basepoint(adjoined, basepoint):
     rng = random.Random(67 + basepoint)
     for _ in range(200):
         x, y = rng.choice(pool), rng.choice(pool)
-        assert t.mul(x, y) == mul_via_words(t, t.ds.word_form(x), t.ds.word_form(y)), (x, y)
+        assert t.mul(x, y) == mul_via_words(t, t.heap.word_form(x), t.heap.word_form(y)), (x, y)
     assert validate_truss(t, samples=300, window=6).ok
 
 
@@ -654,10 +654,19 @@ EXTEND = {
 }
 
 
+@pytest.mark.parametrize("name", ["TZ", "Zc3", "TZ3", "TC2"])
+@pytest.mark.parametrize("kind", ["T1", "T0", "T01"])
+def test_extension_labels_are_distinct(kind, name):
+    t = EXTEND[kind](EXTENSION_BASES[name]())
+    window = t.base.sample_elements(2)
+    pool = {t.element(g, m) for g in window for m in range(-2, 3)}
+    assert len({t.format_element(x) for x in pool}) == len(pool) == len(window) * 5
+
+
 def violated(t, f):
     """Whether a truss finding is a genuine violation: its law fails at its
     witness, recomputed with the truss's own operations."""
-    mul, tern = t.mul, t.ternary
+    mul, tern = t.mul, t.heap.ternary
     return {
         "product associativity":
             lambda a, b, c: mul(mul(a, b), c) != mul(a, mul(b, c)),
@@ -787,12 +796,12 @@ def product_law_sweep(t):
             findings.append(Finding("product associativity", (a, b, c),
                                     t.mul(t.mul(a, b), c), t.mul(a, t.mul(b, c))))
     for s, a, b, c in itertools.product(range(n), repeat=4):
-        lhs = t.mul(s, t.ternary(a, b, c))
-        rhs = t.ternary(t.mul(s, a), t.mul(s, b), t.mul(s, c))
+        lhs = t.mul(s, t.heap.ternary(a, b, c))
+        rhs = t.heap.ternary(t.mul(s, a), t.mul(s, b), t.mul(s, c))
         if lhs != rhs:
             findings.append(Finding("left distributivity over [,,]", (s, a, b, c), lhs, rhs))
-        lhs = t.mul(t.ternary(a, b, c), s)
-        rhs = t.ternary(t.mul(a, s), t.mul(b, s), t.mul(c, s))
+        lhs = t.mul(t.heap.ternary(a, b, c), s)
+        rhs = t.heap.ternary(t.mul(a, s), t.mul(b, s), t.mul(c, s))
         if lhs != rhs:
             findings.append(Finding("right distributivity over [,,]", (s, a, b, c), lhs, rhs))
     return findings
