@@ -119,8 +119,7 @@ def _extension_pool(t: ExtensionTruss, window: int):
 
 
 def _grid(labels, cells) -> str:
-    width = max(len(s) for row in cells for s in row)
-    width = max(width, max(len(s) for s in labels))
+    width = max([len(s) for row in [labels, *cells] for s in row], default=0)
     head = " " * (width + 2) + "| " + "  ".join(s.rjust(width) for s in labels)
     sep = "-" * len(head)
     lines = [head, sep]

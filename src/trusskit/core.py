@@ -14,7 +14,8 @@ on elements into the map on those classes; ``_group_maps`` yields the
 group maps or isomorphisms from generator images (``group_isomorphism``,
 and the module hom-sets and isomorphisms of ``rings`` and ``modules``);
 ``_first_unequivariant`` checks that a map of modules commutes with the
-action (every module hom-set, isomorphism and morphism).
+action (every module hom-set, isomorphism and morphism, and the projection
+of a free module onto R^n).
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ def validate_group_table(op_table) -> Report:
         if all(rows[e][x] == x == rows[x][e] for x in range(n)):
             neutral = e
             break
-    if neutral is None and n > 0:
+    if neutral is None:
         findings.append(Finding("two-sided identity", (), note="no identity element"))
-    elif neutral is not None:
+    else:
         for a in range(n):
             if not any(rows[a][b] == neutral == rows[b][a] for b in range(n)):
                 findings.append(Finding("two-sided inverse", (a,), note="no inverse"))
@@ -91,7 +92,7 @@ class FiniteGroup:
              if all(rows[e][x] == x == rows[x][e] for x in range(self.size))),
             None,
         )
-        if self.neutral is None and self.size > 0:
+        if self.neutral is None:
             raise StructureError("no identity element")
         self._inv = tuple(
             next(b for b in range(self.size) if rows[a][b] == self.neutral == rows[b][a])
@@ -131,7 +132,7 @@ class FiniteGroup:
         return hash((self._op, self.neutral))
 
     def __repr__(self):
-        return f"FiniteGroup(order={self.size}, neutral={self.names[self.neutral] if self.size else '-'})"
+        return f"FiniteGroup(order={self.size}, neutral={self.names[self.neutral]})"
 
     # -- standard constructions ------------------------------------------
 
@@ -281,9 +282,6 @@ def _group_maps(g: FiniteGroup, h: FiniteGroup, iso=False):
     orders = [h.element_order(y) for y in range(h.size)]
     if iso and sorted(orders) != sorted(map(g.element_order, range(g.size))):
         return
-    if g.size == 0 or h.size == 0:
-        yield from ([[]] if g.size == 0 else ())
-        return
     gens = _generating_sequence(g)
     recipe = _bfs_recipe(g, gens)
     pairs = list(itertools.product(range(g.size), repeat=2))
@@ -406,7 +404,7 @@ def _retract_defects(carrier, e):
 
 def _is_group_heap(carrier) -> bool:
     """Whether a finite ternary operation is the heap of its retract at 0,
-    i.e. a heap; O(n^3).  See ``_retract_defects``."""
+    i.e. a non-empty heap; O(n^3).  See ``_retract_defects``."""
     return _retract_defects(carrier, 0) == []
 
 
@@ -529,10 +527,15 @@ def _first_unpreserved(source_ternary, target_ternary, mapping, pool=None):
     return None
 
 
-def _first_unequivariant(mapping, src_act, dst_act, scalars, size):
-    """The first (t, x), t in ``scalars`` and x < size, where
-    f(t.x) != t.f(x), or None: whether f commutes with the action."""
-    return next(((t, x) for t in scalars for x in range(size)
+def _first_unequivariant(mapping, src_act, dst_act, scalars, pool):
+    """The first (t, x), t in ``scalars`` and x in ``pool``, where
+    f(t.x) != t.f(x), or None; f(x) is ``mapping[x]``.
+
+    Over every element of a finite module this decides whether f commutes
+    with the action.  Both sides are affine in t and in x when f is a heap
+    map, so a frame of a symbolic module (and of its truss) decides it too.
+    """
+    return next(((t, x) for t in scalars for x in pool
                  if mapping[src_act(t, x)] != dst_act(t, mapping[x])), None)
 
 
@@ -724,11 +727,7 @@ def translation_iso(h: FiniteHeap, e: int, f: int) -> HeapMorphism:
 
 @dataclass(frozen=True)
 class SubHeap:
-    """A subset closed under the parent's ternary operation.
-
-    The default constructor rejects the empty subset; use ``SubHeap.empty``
-    when the empty sub-heap is genuinely wanted.
-    """
+    """A non-empty subset closed under the parent's ternary operation."""
 
     parent: FiniteHeap
     members: tuple
@@ -737,7 +736,7 @@ class SubHeap:
         members = tuple(sorted(set(self.members)))
         object.__setattr__(self, "members", members)
         if not members:
-            raise StructureError("empty sub-heap: use SubHeap.empty explicitly")
+            raise StructureError("a sub-heap needs at least one member")
         for m in members:
             if not self.parent.contains(m):
                 raise StructureError(f"member {m!r} is not in the parent carrier")
@@ -751,13 +750,6 @@ class SubHeap:
             v = ternary(a, b, c)
             if v not in mset:
                 raise StructureError(f"not closed: [{a},{b},{c}] = {v} falls outside the subset")
-
-    @classmethod
-    def empty(cls, parent: FiniteHeap) -> "SubHeap":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "parent", parent)
-        object.__setattr__(obj, "members", ())
-        return obj
 
     def __len__(self):
         return len(self.members)
@@ -789,8 +781,6 @@ def is_normal(s: SubHeap) -> NormalityReport:
     flag is decided at one base element; the witness table maps (a, s') to a
     witness t for that base.  Sub-heaps of Abelian heaps are always normal.
     """
-    if not s.members:
-        return NormalityReport(False, counterexample=())
     h = s.parent
     e = s.members[0]
     witnesses = {}

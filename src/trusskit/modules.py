@@ -12,10 +12,12 @@ copaired sigma maps) are direct-sum copairs into the target's carrier
 absorber sub-heap turns a module over the truss of a ring back into a module
 over that ring; its classes and projection come from
 ``core._quotient_classes`` and its heap from ``core.quotient``, and maps
-descend to it through ``core._descend``.  Every check that a map commutes
-with the action is ``core._first_unequivariant``.  The module laws run on the
-law engine of the trusses, exactly.  Free sets and bases are decided exactly
-from the linear part of the copaired sigma map.
+descend to it through ``core._descend``; the quotient of a free module is
+R^n by construction, and ``verify_abs_of_free`` decides on a frame that it is
+right.  Every check that a map commutes with the action is
+``core._first_unequivariant``.  The module laws run on the law engine of the
+trusses, exactly.  Free sets and bases are decided exactly from the linear
+part of the copaired sigma map.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from fractions import Fraction
 
 from .coproduct import CoproductElement, DirectSum, HeapSummand, Window, copair_value, shift
 from .core import (
-    FiniteGroup,
     FiniteHeap,
+    HeapMorphism,
     INT_LINE,
     StructureError,
     _descend,
@@ -47,6 +49,7 @@ from .trusses import (
     LINEAR_IN_M,
     LINEAR_IN_T,
     IntegerTruss,
+    _Memo,
     _action_laws,
     _default_basepoint,
     _frame,
@@ -283,11 +286,6 @@ class AbsorberSet:
         return (self.module.heap.contains(x)
                 and all(c == zero for c in x.components))
 
-    def __len__(self):
-        if self.kind == "finite":
-            return len(self.members)
-        raise TypeError("infinite absorber set")
-
 
 def absorbers(m) -> AbsorberSet:
     """The absorber set.  Finite carriers are scanned directly; over the
@@ -305,9 +303,6 @@ def absorbers(m) -> AbsorberSet:
         members = tuple(x for x in m.heap.elements()
                         if all(m.act(a, x) == x for a in t.heap.elements()))
         return AbsorberSet(m, "finite", members)
-    if m.heap.is_finite and t.absorber is not None:
-        members = sorted({m.act(t.absorber, x) for x in m.heap.elements()})
-        return AbsorberSet(m, "finite", tuple(members))
     raise StructureError("cannot decide the absorber set for this module")
 
 
@@ -351,15 +346,19 @@ def abs_quotient(m):
     """M_Abs: the quotient by the absorbers, retracted at the absorber class.
 
     For a finite module over the truss of a ring this is an R-module with
-    the descended action; for a free module over a ring truss the quotient
-    is the component projection onto R^n.  Returns (module, projection).
+    the descended action.  For a free module over the truss of a finite ring
+    R it is R^n by construction, projecting x to the id of its component
+    vector (``verify_abs_of_free`` decides that this is right).  Returns
+    (module, projection).
     """
     if isinstance(m, FreeTModule):
         if not m._fast:
             raise StructureError("the absorber quotient of a free module needs"
                                  " a ring truss with the zero as base point")
+        if not m.truss.heap.is_finite:
+            raise StructureError("the absorber quotient of a free module is R^n,"
+                                 " which needs a finite ring R")
         ring = retract_ring(m.truss, m.truss.absorber)
-        n = m.n
 
         def project(x):
             out = 0
@@ -367,26 +366,7 @@ def abs_quotient(m):
                 out = out * ring.size + c
             return out
 
-        # classes are indexed by component vectors; build the retract tables
-        # from genuine representatives with varying tails, so representative
-        # independence is exercised rather than assumed
-        vectors = list(itertools.product(range(ring.size), repeat=n))
-        def rep(i, salt):
-            tails = tuple((salt + 3 * j) % 5 - 2 for j in range(n - 1))
-            return CoproductElement(vectors[i], tails)
-
-        zero_class = vectors.index((ring.zero,) * n)
-        add_table = [
-            [project(m.heap.ternary(rep(i, i + 1), rep(zero_class, 7), rep(j, 2 * j)))
-             for j in range(len(vectors))]
-            for i in range(len(vectors))
-        ]
-        group = FiniteGroup(add_table)
-        action = [
-            [project(m.act(t, rep(i, t + i))) for i in range(len(vectors))]
-            for t in m.truss.heap.elements()
-        ]
-        return RModule(ring, group, action), project
+        return RModule.power(ring, m.n), project
     if not (m.heap.is_finite and m.truss.heap.is_finite):
         raise StructureError("the absorber quotient needs a finite carrier"
                              " or a canonical free module")
@@ -419,13 +399,9 @@ class ModuleMorphism:
         src, dst = self.source, self.target
         if src.truss is not dst.truss and src.truss != dst.truss:
             raise StructureError("module morphisms need a common truss")
-        if len(self.mapping) != src.size:
-            raise StructureError("mapping does not cover the source")
-        bad = _first_unpreserved(src.heap.ternary, dst.heap.ternary, self.mapping)
-        if bad is not None:
-            raise StructureError(f"ternary operation not preserved at {bad}")
+        HeapMorphism(src.heap, dst.heap, self.mapping)
         bad = _first_unequivariant(self.mapping, src.act, dst.act, src.truss.heap.elements(),
-                                   src.size)
+                                   src.heap.elements())
         if bad is not None:
             raise StructureError("action not preserved at ({},{})".format(*bad))
 
@@ -466,7 +442,7 @@ def tmodule_homs_to_TN(m: FiniteTModule, n_mod: RModule):
     for phi in _group_maps(retract(m.heap, 0), n_mod.group):
         for c in n_mod.elements():
             f = tuple([n_mod.plus(y, c) for y in phi])
-            if (_first_unequivariant(f, m.act, n_mod.act, ts, m.size) is None
+            if (_first_unequivariant(f, m.act, n_mod.act, ts, m.heap.elements()) is None
                     and _first_unpreserved(m.heap.ternary, tn_ternary, f) is None):
                 out.append(f)
     return sorted(out)
@@ -709,78 +685,55 @@ def freeness_of_TN(rm: RModule) -> Report:
 
 
 def verify_abs_of_free(ring: FiniteRing, n: int) -> Report:
-    """Build the rank-n free module over T(R) and verify: the absorbers are
-    the tail sub-heap (the heap of Z^{n-1}), the quotient retract is R^n by
-    explicit table comparison, and the generator images are a basis.
+    """Decide, for the rank-n free module F(n) over T(R), that its absorbers
+    are the tail sub-heap H(Z^{n-1}) and that ``abs_quotient`` (R^n and the
+    component projection, by construction) is its quotient by them.
 
-    Every check equates maps that are affine in each argument, so it is
-    decided on a frame: "0.m is a tail" for every component vector with
-    tails in {0, 1}; the tail heap and the action on it on its frame, zero
-    and each tail unit; the projection on the free module's ``frame()``."""
+    Each check equates maps affine in every argument, so a frame decides it
+    for all of F(n): every tail point of ``fm.frame()`` is fixed by every t;
+    0.m is a tail for every component vector with tails in {0, 1}, and an
+    absorber x is 0.x; the tails combine like Z^{n-1} on every triple of
+    zero and the tail units; the projection preserves the heap operation
+    (``core._first_unpreserved``) and the action
+    (``core._first_unequivariant``) on ``fm.frame()``, and sends the
+    generators to the unit vectors of R^n.  Findings are located at
+    scalars and elements of F(n), so each one replays."""
     findings = []
     t = truss_from_ring(ring)
     fm = free_module(t, n)
-    aset = absorbers(fm)
     frame = fm.frame()
     zero_comps = (ring.zero,) * n
-
-    # absorbers = zero components, any tails; tails combine like Z^{n-1}
     tails = [x for x in frame if x.components == zero_comps]
-    for x in tails:
-        if not aset.contains(x):
-            findings.append(Finding("tail element not an absorber", (str(x),)))
-        for a in t.heap.elements():
-            if fm.act(a, x) != x:
-                findings.append(Finding("absorber not fixed by the action",
-                                        (a, str(x)), str(fm.act(a, x)), str(x)))
+    findings += [Finding("absorber not fixed by the action", (a, x), fm.act(a, x), x)
+                 for x in tails for a in t.heap.elements() if fm.act(a, x) != x]
     for x, y, z in itertools.product(tails, repeat=3):
         got = fm.heap.ternary(x, y, z)
-        want = tuple(p - q + r for p, q, r in zip(x.tails, y.tails, z.tails))
-        if got.tails != want or got.components != zero_comps:
-            findings.append(Finding("tails do not combine like integers",
-                                    (x.tails, y.tails, z.tails), str(got), str(want)))
-    # 0.m is affine in each tail of m, so every component vector with tails
-    # in {0, 1} decides "0.m is a tail" for every tail
-    for x in Window(n, [range(ring.size)] * n + [(0, 1)] * (n - 1)):
-        za = fm.act(ring.zero, x)
-        if not aset.contains(za):
-            findings.append(Finding("0.m outside the tail sub-heap", (str(x),)))
-        if aset.contains(x) and any(c != ring.zero for c in x.components):
-            findings.append(Finding("non-tail absorber", (str(x),)))
+        want = CoproductElement(zero_comps, tuple(
+            p - q + r for p, q, r in zip(x.tails, y.tails, z.tails)))
+        if got != want:
+            findings.append(Finding("tails do not combine like integers", (x, y, z), got, want))
+    findings += [Finding("0.m outside the tail sub-heap", (x,), fm.act(ring.zero, x))
+                 for x in Window(n, [range(ring.size)] * n + [(0, 1)] * (n - 1))
+                 if fm.act(ring.zero, x).components != zero_comps]
 
-    # quotient retract: compare against R^n built independently from tables
-    power = RModule.power(ring, n)
-    quotient_module, project = abs_quotient(fm)
-    if quotient_module.group.op_table() != power.group.op_table():
-        findings.append(Finding("quotient addition table differs from R^n", ()))
-    if quotient_module.action != power.action:
-        findings.append(Finding("quotient action table differs from R^n", ()))
-    for x, y, z in itertools.product(frame, repeat=3):
-        lhs = project(fm.heap.ternary(x, y, z))
-        rhs = power.plus(power.plus(project(x), power.neg(project(y))), project(z))
-        if lhs != rhs:
-            findings.append(Finding("projection is not a heap morphism",
-                                    (str(x), str(y), str(z)), lhs, rhs))
-    for x in frame:
-        for a in t.heap.elements():
-            if project(fm.act(a, x)) != power.act(a, project(x)):
-                findings.append(Finding("projection does not respect the action",
-                                        (a, str(x))))
+    power, project = abs_quotient(fm)
+    f, ternary = _Memo(project), heap_from_group(power.group).ternary
+    bad = _first_unpreserved(fm.heap.ternary, ternary, f, frame)
+    if bad is not None:
+        x, y, z = bad
+        findings.append(Finding("projection is not a heap morphism", bad,
+                                f[fm.heap.ternary(x, y, z)], ternary(f[x], f[y], f[z])))
+    bad = _first_unequivariant(f, fm.act, power.act, t.heap.elements(), frame)
+    if bad is not None:
+        a, x = bad
+        findings.append(Finding("projection does not respect the action", bad,
+                                f[fm.act(a, x)], power.act(a, f[x])))
 
-    # generator images form a basis of R^n
     images = [project(g) for g in fm.generators()]
-    combos = {}
-    duplicate = None
-    for coeffs in itertools.product(range(ring.size), repeat=n):
-        v = power.zero
-        for r, img in zip(coeffs, images):
-            v = power.plus(v, power.act(r, img))
-        if v in combos:
-            duplicate = (combos[v], coeffs)
-        combos[v] = coeffs
-    if len(combos) != power.size or duplicate:
-        findings.append(Finding("generator images are not a basis of R^n",
-                                duplicate or (), note=f"span {len(combos)} of {power.size}"))
+    # e_i is the zero vector with 1 in place i, in the mixed-radix ids of R^n
+    units = [power.zero + (ring.one - ring.zero) * ring.size ** (n - 1 - i) for i in range(n)]
+    findings += [Finding("generator images are not a basis of R^n", (i,), got, want)
+                 for i, (got, want) in enumerate(zip(images, units)) if got != want]
 
     stats = {"ring": ring.size, "generators": n, "frame": len(frame),
              "absorber_heap": f"H(Z^{n - 1})",

@@ -73,6 +73,8 @@ class FiniteRing:
 
     @classmethod
     def Zn(cls, n) -> "FiniteRing":
+        if n < 1:
+            raise StructureError(f"Z_n needs n >= 1, got {n}")
         add = FiniteGroup.cyclic(n)
         mul = [[(a * b) % n for b in range(n)] for a in range(n)]
         return cls(add, mul, validate=False)
@@ -207,7 +209,7 @@ def rmodule_isomorphism(m1: RModule, m2: RModule):
         return None
     rs = range(m1.ring.size)
     return next((f for f in _group_maps(m1.group, m2.group, iso=True)
-                 if _first_unequivariant(f, m1.act, m2.act, rs, m1.size) is None), None)
+                 if _first_unequivariant(f, m1.act, m2.act, rs, range(m1.size)) is None), None)
 
 
 def rmodule_homs(m1: RModule, m2: RModule):
@@ -219,4 +221,4 @@ def rmodule_homs(m1: RModule, m2: RModule):
         raise StructureError("hom-sets need one common ring")
     rs = range(m1.ring.size)
     return sorted(tuple(f) for f in _group_maps(m1.group, m2.group)
-                  if _first_unequivariant(f, m1.act, m2.act, rs, m1.size) is None)
+                  if _first_unequivariant(f, m1.act, m2.act, rs, range(m1.size)) is None)

@@ -235,11 +235,11 @@ class ExtensionTruss:
         self.basepoint = _default_basepoint(base) if basepoint is None else basepoint
         symbol = "1" if adjoined == "one" else "0"
         self.base_heap = base.heap
-        self._ee = self._base_mul(self.basepoint, self.basepoint)
-        self.heap = DirectSum((
+        self.heap = DirectSum((     # checks the basepoint before it is multiplied
             HeapSummand(self.base_heap, self.basepoint),
             HeapSummand(FiniteHeap.singleton(symbol), 0),
         ))
+        self._ee = self._base_mul(self.basepoint, self.basepoint)
         self.adjoined_element = self.heap.inject(1, 0)
         if adjoined == "one":
             self.identity = self.adjoined_element

@@ -133,3 +133,37 @@ def test_basis_candidates_that_start_with_a_minus_need_the_equals_form(capsys):
     assert code == 2 and out == "" and "--candidates" in err and "Traceback" not in err
     code, out, _ = run(["basis", "--help"], capsys)
     assert code == 0 and "--candidates=-1,2" in out
+
+
+EDGE_DOCUMENTS = {
+    "ext_list_basepoint": {"kind": "truss", "extension": "one", "basepoint": [1],
+                           "base": {"kind": "truss", "builtin": "TZ"}},
+    "ext_str_basepoint": {"kind": "truss", "extension": "one", "basepoint": "a",
+                          "base": {"kind": "truss", "builtin": "TZ"}},
+    "empty_group": {"kind": "group", "table": []},
+    "tzn_negative": {"kind": "truss", "builtin": "TZn", "n": -2},
+    "empty_truss": {"kind": "truss", "heap": {"kind": "heap", "table": []}, "mul": []},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["extend", "--unital", "--builtin", "TZ0"],
+    ["dorroh", "--ring", "Z0"],
+    ["verify", "ext_list_basepoint"],
+    ["verify", "ext_str_basepoint"],
+    ["table", "empty_group"],
+    ["verify", "empty_group"],
+    ["verify", "tzn_negative"],
+], ids=" ".join)
+def test_empty_and_zero_order_inputs_are_usage_errors(argv, tmp_path, capsys):
+    for name in set(argv) & set(EDGE_DOCUMENTS):
+        (tmp_path / name).write_text(json.dumps(EDGE_DOCUMENTS[name]))
+    code, out, err = run([str(tmp_path / a) if a in EDGE_DOCUMENTS else a for a in argv], capsys)
+    assert (code, out) == (2, "") and err.startswith("error:") and "Traceback" not in err
+
+
+def test_the_empty_truss_has_an_empty_table(tmp_path, capsys):
+    path = tmp_path / "empty_truss.json"
+    path.write_text(json.dumps(EDGE_DOCUMENTS["empty_truss"]))
+    code, out, err = run(["table", str(path)], capsys)
+    assert (code, out, err) == (0, "  | \n----\n", "")

@@ -73,6 +73,13 @@ def test_bad_group_table_reported():
                for f in report.findings)
 
 
+def test_the_empty_table_is_no_group():
+    report = validate_group_table([])
+    assert [f.law for f in report.findings] == ["two-sided identity"]
+    with pytest.raises(StructureError, match="no identity"):
+        FiniteGroup.cyclic(0)
+
+
 def test_group_table_structural_error():
     with pytest.raises(StructureError):
         validate_group_table([[0, 1], [1]])

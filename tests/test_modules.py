@@ -33,7 +33,13 @@ from trusskit.modules import (
     validate_module,
     verify_abs_of_free,
 )
-from trusskit.rings import FiniteRing, RModule, rmodule_homs, rmodule_isomorphism
+from trusskit.rings import (
+    FiniteRing,
+    RModule,
+    rmodule_homs,
+    rmodule_isomorphism,
+    validate_rmodule,
+)
 from trusskit.reports import Finding
 from trusskit.trusses import (
     ConstantTruss,
@@ -337,6 +343,17 @@ def test_module_morphisms_need_one_truss_not_one_product_table():
     # equal trusses built twice are one truss
     ModuleMorphism(FiniteTModule.regular(truss_TZn(4)), FiniteTModule.regular(truss_TZn(4)),
                    (0, 2, 0, 2))
+
+
+@pytest.mark.parametrize("mapping, message", [
+    ((0,), "does not cover"),
+    ((0, 5), "image 5 is not in the target"),
+    ((0, 1.0), "image 1.0 is not in the target"),
+])
+def test_module_morphism_rejects_a_map_that_is_not_into_the_target(mapping, message):
+    m = FiniteTModule.regular(truss_TZn(2))
+    with pytest.raises(StructureError, match=message):
+        ModuleMorphism(m, m, mapping)
 
 
 def test_module_morphism_names_the_first_unequivariant_pair():
@@ -700,6 +717,110 @@ def test_verify_abs_of_free():
     assert verify_abs_of_free(Z2, 2).ok
     assert verify_abs_of_free(Z3, 2).ok
     assert verify_abs_of_free(Z2, 3).ok
+
+
+def _frame_replays(fm, power, project):
+    """Each finding law of verify_abs_of_free recomputed at its location."""
+    zero_comps = (0,) * fm.n
+    return {
+        "absorber not fixed by the action": lambda a, x: fm.act(a, x) != x,
+        "0.m outside the tail sub-heap": lambda x: fm.act(0, x).components != zero_comps,
+        "tails do not combine like integers": lambda x, y, z: fm.heap.ternary(x, y, z) != (
+            CoproductElement(zero_comps, tuple(p - q + r for p, q, r in
+                                               zip(x.tails, y.tails, z.tails)))),
+        "projection is not a heap morphism": lambda x, y, z: project(fm.heap.ternary(x, y, z))
+        != power.plus(power.plus(project(x), power.neg(project(y))), project(z)),
+        "projection does not respect the action": lambda a, x:
+        project(fm.act(a, x)) != power.act(a, project(x)),
+    }
+
+
+def _assert_fails_and_replays(fm):
+    report = verify_abs_of_free(Z3, fm.n)
+    assert report.status == "fail" and report.findings
+    replay = _frame_replays(fm, *abs_quotient(fm))
+    for finding in report.findings:
+        assert replay[finding.law](*finding.at), finding
+
+
+def _moved(y):
+    """y with its first component moved off by one in Z3."""
+    return CoproductElement(((y.components[0] + 1) % 3,) + y.components[1:], y.tails)
+
+
+@pytest.mark.parametrize("t0", range(3))
+def test_verify_abs_of_free_catches_an_action_wrong_at_one_frame_point(monkeypatch, t0):
+    fm = free_module(truss_from_ring(Z3), 2)
+    act = FreeTModule.act
+    for x0 in fm.frame():
+        def wrong(self, t, x, x0=x0):
+            y = act(self, t, x)
+            return _moved(y) if (t, x) == (t0, x0) else y
+
+        monkeypatch.setattr(FreeTModule, "act", wrong)
+        _assert_fails_and_replays(fm)
+
+
+def test_verify_abs_of_free_catches_a_heap_operation_wrong_at_one_frame_triple(monkeypatch):
+    fm = free_module(truss_from_ring(Z3), 2)
+    ternary, frame = DirectSum.ternary, fm.frame()
+    for a, c in itertools.product(frame, repeat=2):
+        def wrong(self, x, y, z, at=(a, frame[0], c)):
+            w = ternary(self, x, y, z)
+            return _moved(w) if (x, y, z) == at else w
+
+        monkeypatch.setattr(DirectSum, "ternary", wrong)
+        _assert_fails_and_replays(fm)
+
+
+def test_verify_abs_of_free_catches_generators_that_are_not_the_unit_vectors(monkeypatch):
+    generators = FreeTModule.generators
+    monkeypatch.setattr(FreeTModule, "generators", lambda self: generators(self)[::-1])
+    report = verify_abs_of_free(Z3, 2)
+    assert report.status == "fail"
+    # g_0 lands on (0, 1) = 1 and g_1 on (1, 0) = 3 in the ids of Z3^2
+    assert [(f.law, f.at, f.lhs, f.rhs) for f in report.findings] == [
+        ("generator images are not a basis of R^n", (0,), 1, 3),
+        ("generator images are not a basis of R^n", (1,), 3, 1)]
+
+
+def test_abs_quotient_of_a_free_module_needs_a_finite_ring():
+    with pytest.raises(StructureError, match="finite ring"):
+        abs_quotient(free_module(integer_truss(), 2))
+
+
+_RMODULE_REPLAY = {
+    "module associativity r(sx) = (rs)x": lambda m, r, s, x:
+    m.act(r, m.act(s, x)) != m.act(m.ring.mul(r, s), x),
+    "module law (r+s)x = rx+sx": lambda m, r, s, x:
+    m.act(m.ring.plus(r, s), x) != m.plus(m.act(r, x), m.act(s, x)),
+    "module law r(x+y) = rx+ry": lambda m, r, x, y:
+    m.act(r, m.plus(x, y)) != m.plus(m.act(r, x), m.act(r, y)),
+    "unitality 1x = x": lambda m, x: m.act(m.ring.one, x) != x,
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_one_entry_change_of_the_regular_action_fails_with_replayable_findings(n):
+    # r.x = x + ... + x (r times) is forced by unitality and (r+s)x = rx+sx,
+    # so every other action of Z_n on its own group breaks a law
+    ring = FiniteRing.Zn(n)
+    regular = RModule.regular(ring)
+    assert validate_rmodule(regular).ok
+    for r, x in itertools.product(range(n), repeat=2):
+        for v in range(n):
+            if v == regular.act(r, x):
+                continue
+            action = [list(row) for row in regular.action]
+            action[r][x] = v
+            m = RModule(ring, ring.add, action, validate=False)
+            report = validate_rmodule(m)
+            assert report.status == "fail" and report.findings, (r, x, v)
+            for finding in report.findings:
+                assert _RMODULE_REPLAY[finding.law](m, *finding.at), finding
+            with pytest.raises(StructureError) as caught:
+                RModule(ring, ring.add, action)
+            assert str(caught.value) == f"not an R-module: {report.findings[0]}"
 
 
 # ---------------------------------------------------------------------------
