@@ -152,7 +152,8 @@ def _load_truss(obj):
         raise StructureError(f"unknown builtin truss {builtin!r}")
     if "extension" in obj:
         base = _load_truss(_require(obj, "base"))
-        return ExtensionTruss(base, obj["extension"], obj.get("basepoint"))
+        basepoint = _integer(obj["basepoint"], "'basepoint'") if "basepoint" in obj else None
+        return ExtensionTruss(base, obj["extension"], basepoint)
     heap = _nested(obj, "heap", FiniteHeap)
     return FiniteTruss(heap, _id_table(obj, "mul", heap.size, heap.size),
                        names=_names(obj, heap.size))
@@ -192,7 +193,8 @@ def obj_to_structure(obj):
     if kind == "free-module":
         truss = _load_truss(_require(obj, "truss"))
         n = _integer(_require(obj, "generators"), "'generators'")
-        return free_module(truss, n, obj.get("basepoint"))
+        basepoint = _integer(obj["basepoint"], "'basepoint'") if "basepoint" in obj else None
+        return free_module(truss, n, basepoint)
     raise StructureError(f"unknown structure kind {kind!r}")
 
 

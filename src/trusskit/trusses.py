@@ -368,7 +368,7 @@ class _Memo(dict):
         return value
 
 
-def _action_laws(t, act, m, pools, *, samples=None, window=None, seed=None):
+def _action_laws(t, act, m, pools, *, samples=None, window=None, seed=None, sweep=True):
     """The three laws of an action ``act`` of the truss t on m (of t on
     itself, for a truss): (law, at, lhs, rhs) findings, the instances per
     law, the swept maps and the pool for the unit laws.
@@ -379,9 +379,10 @@ def _action_laws(t, act, m, pools, *, samples=None, window=None, seed=None):
     is once it preserves [u,e,v] for u, v in the pool (Certaine 1943,
     ``core._first_unpreserved``; both sides are affine in u and in v).
     Only a failing map is swept ("morphism rows"), and every map when a
-    finite carrier is no heap ("sweep").  Without pools, each of
-    ``samples`` seeded draws takes a, b, c and x, y, z from the windows,
-    and the drawn x are the unit pool.
+    finite carrier is no heap ("sweep").  Without ``sweep``, a failing law
+    decides: failing associativity returns at once, a failing map is listed
+    at its first failure.  Without pools, each of ``samples`` seeded draws
+    takes a, b, c and x, y, z from the windows, the drawn x the unit pool.
     """
     found = []
     tern_t, tern_m = t.heap.ternary, m.heap.ternary
@@ -406,47 +407,57 @@ def _action_laws(t, act, m, pools, *, samples=None, window=None, seed=None):
     for a, b in itertools.product(ts, repeat=2):
         ra, rb, rab = rows[a], rows[b], rows[t.mul(a, b)]
         found += [(ASSOCIATIVE, (a, b, x), ra[rb[x]], rab[x]) for x in ms if ra[rb[x]] != rab[x]]
+    nt, nm = len(ts), len(ms)
+    checked = {ASSOCIATIVE: nt * nt * nm, LINEAR_IN_T: nt ** 3 * nm, LINEAR_IN_M: nt * nm ** 3}
+    if found and not sweep:
+        return found, checked, ("unchecked", [], []), ms
     if all(_is_group_heap(h) for h in ((t.heap,) if m.heap is t.heap else (t.heap, m.heap))
            if h.is_finite):
         algorithm = "morphism rows"
-        swept_m = [x for x in ms if _first_unpreserved(
-            tern_t, tern_m, _Memo(lambda u: rows[u][x]), ts) is not None]
-        swept_t = [a for a in ts if _first_unpreserved(tern_m, tern_m, rows[a], ms) is not None]
+        first_m = {x: w for x in ms if (w := _first_unpreserved(
+            tern_t, tern_m, _Memo(lambda u: rows[u][x]), ts))}
+        first_t = {a: w for a in ts if (w := _first_unpreserved(tern_m, tern_m, rows[a], ms))}
+        swept_m, swept_t = list(first_m), list(first_t)
     else:
         algorithm, swept_m, swept_t = "sweep", list(ms), list(ts)
-    for a, b, c in itertools.product(ts, repeat=3) if swept_m else ():
+    if sweep or algorithm == "sweep":
+        at_t = ((abc, swept_m) for abc in itertools.product(ts, repeat=3)) if swept_m else ()
+        at_m = ((a, itertools.product(ms, repeat=3)) for a in swept_t)
+    else:
+        at_t, at_m = ([(w, (x,)) for x, w in first_m.items()],
+                      [(a, (w,)) for a, w in first_t.items()])
+    for (a, b, c), xs in at_t:
         ra, rb, rc, rabc = rows[a], rows[b], rows[c], rows[tern_t(a, b, c)]
-        for x in swept_m:
+        for x in xs:
             lhs, rhs = rabc[x], tern_m(ra[x], rb[x], rc[x])
             if lhs != rhs:
                 found.append((LINEAR_IN_T, (a, b, c, x), lhs, rhs))
-    for a in swept_t:
+    for a, xyzs in at_m:
         ra = rows[a]
-        for x, y, z in itertools.product(ms, repeat=3):
+        for x, y, z in xyzs:
             lhs, rhs = ra[tern_m(x, y, z)], tern_m(ra[x], ra[y], ra[z])
             if lhs != rhs:
                 found.append((LINEAR_IN_M, (a, x, y, z), lhs, rhs))
-    nt, nm = len(ts), len(ms)
-    checked = {ASSOCIATIVE: nt * nt * nm, LINEAR_IN_T: nt ** 3 * nm, LINEAR_IN_M: nt * nm ** 3}
     return found, checked, (algorithm, swept_m, swept_t), ms
 
 
-def _product_laws(t, pool, **draws):
+def _product_laws(t, pool, sweep=True, **draws):
     """Associativity and both distributive laws of t acting on itself:
     (findings in the order of the (s, a, b, c) sweep, instances per law,
     distributivity, unit pool, base status).  A framed extension decides
     its base first, recursively (the base's unit laws do not matter); a
-    base finding decides, lifted to tail 0, where the base embeds."""
+    base finding decides, lifted to tail 0, where the base embeds (``sweep``
+    as in ``_action_laws``)."""
     base = None
     if isinstance(t, ExtensionTruss) and pool is not None:
-        found, per_law, rows, _, _ = _product_laws(t.base, _pool(t.base))
+        found, per_law, rows, _, _ = _product_laws(t.base, _pool(t.base), sweep=sweep)
         if found:
             up = t.inject
             return ([Finding(f.law, tuple(map(up, f.at)), up(f.lhs), up(f.rhs)) for f in found],
                     per_law, {**rows, "swept": list(map(up, rows["swept"]))}, [], FAIL)
         base = PASS
     found, per_law, rows, units = _action_laws(
-        t, t.mul, t, None if pool is None else (pool, pool), **draws)
+        t, t.mul, t, None if pool is None else (pool, pool), sweep=sweep, **draws)
     findings = [Finding("product associativity", at, rhs, lhs) if law == ASSOCIATIVE  # (ab)c first
                 else Finding("left distributivity over [,,]", at, lhs, rhs) if law == LINEAR_IN_M
                 else Finding("right distributivity over [,,]", at[3:] + at[:3], lhs, rhs)
@@ -548,13 +559,13 @@ class RetractRing:
 
 def _check_absorber(t, zero):
     """Raise unless zero absorbs on both sides, decided on the pool of t:
-    every element, or the frame once a symbolic t is a truss."""
+    every element, or the frame once a symbolic t is a truss; a first failing law decides."""
     if t.absorber is not None and zero == t.absorber:
         return
     pool = _pool(t)
     if pool is not None and any(t.mul(zero, x) != zero or t.mul(x, zero) != zero for x in pool):
         raise StructureError(f"{zero!r} is not a two-sided absorber")
-    if pool is None or not t.heap.is_finite and _product_laws(t, pool)[0]:
+    if pool is None or not t.heap.is_finite and _product_laws(t, pool, sweep=False)[0]:
         raise StructureError(f"cannot decide that {zero!r} absorbs: not a truss with a frame")
 
 
@@ -571,24 +582,21 @@ def retract_ring(t, zero):
 
 def dorroh_compare(ring: FiniteRing, window: int = 3) -> Report:
     """Check the unital-extension retract of T(R) against the Dorroh product
-    (r+n)(r'+n') = rr' + rn' + nr' + nn' on the full window; stops at the
-    first mismatch."""
+    (r+n)(r'+n') = rr' + rn' + nr' + nn' on every tail pair in Z^2, up to the
+    first mismatch, at (r, n, r', n').  Both sides are a + n.b + n'.c + nn'.d
+    with tail nn', so the 4|R|^2 products at tails {0, 1}^2 decide ("frame");
+    ``window`` decides nothing and is only checked and echoed, for the CLI."""
     if window <= 0:
         raise StructureError("window must be positive")
     t1 = unital_extension(truss_from_ring(ring))
-    checked = 0
-    for r, rp in itertools.product(range(ring.size), repeat=2):
-        for n, np_ in itertools.product(range(-window, window + 1), repeat=2):
-            x = t1.element(r, n)
-            y = t1.element(rp, np_)
-            got = t1.mul(x, y)
-            r_part = ring.plus(ring.plus(ring.mul(r, rp), ring.scale(np_, r)),
-                               ring.scale(n, rp))
-            want = t1.element(r_part, n * np_)
-            checked += 1
-            if got != want:
-                return Report("dorroh comparison", FAIL,
-                              [Finding("Dorroh product", (r, n, rp, np_), str(got), str(want))],
-                              {"ring": ring.size, "window": window, "checked": checked})
-    return Report("dorroh comparison", PASS, [],
-                  {"ring": ring.size, "window": window, "checked": checked})
+    stats = {"ring": ring.size, "window": window, "algorithm": "frame"}
+    frame = itertools.product(range(ring.size), range(ring.size), (0, 1), (0, 1))
+    for checked, (r, rp, n, np_) in enumerate(frame, 1):
+        got = t1.mul(t1.element(r, n), t1.element(rp, np_))
+        r_part = ring.plus(ring.plus(ring.mul(r, rp), ring.scale(np_, r)), ring.scale(n, rp))
+        want = t1.element(r_part, n * np_)
+        if got != want:
+            return Report("dorroh comparison", FAIL,
+                          [Finding("Dorroh product", (r, n, rp, np_), str(got), str(want))],
+                          {**stats, "checked": checked})
+    return Report("dorroh comparison", PASS, [], {**stats, "checked": checked})

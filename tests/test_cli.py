@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -140,6 +142,10 @@ EDGE_DOCUMENTS = {
                            "base": {"kind": "truss", "builtin": "TZ"}},
     "ext_str_basepoint": {"kind": "truss", "extension": "one", "basepoint": "a",
                           "base": {"kind": "truss", "builtin": "TZ"}},
+    "ext_bool_basepoint": {"kind": "truss", "extension": "one", "basepoint": True,
+                           "base": {"kind": "truss", "builtin": "TZ"}},
+    "free_bool_basepoint": {"kind": "free-module", "generators": 2, "basepoint": True,
+                            "truss": {"kind": "truss", "builtin": "TZn", "n": 3}},
     "empty_group": {"kind": "group", "table": []},
     "tzn_negative": {"kind": "truss", "builtin": "TZn", "n": -2},
     "empty_truss": {"kind": "truss", "heap": {"kind": "heap", "table": []}, "mul": []},
@@ -151,6 +157,8 @@ EDGE_DOCUMENTS = {
     ["dorroh", "--ring", "Z0"],
     ["verify", "ext_list_basepoint"],
     ["verify", "ext_str_basepoint"],
+    ["verify", "ext_bool_basepoint"],
+    ["verify", "free_bool_basepoint"],
     ["table", "empty_group"],
     ["verify", "empty_group"],
     ["verify", "tzn_negative"],
@@ -167,3 +175,20 @@ def test_the_empty_truss_has_an_empty_table(tmp_path, capsys):
     path.write_text(json.dumps(EDGE_DOCUMENTS["empty_truss"]))
     code, out, err = run(["table", str(path)], capsys)
     assert (code, out, err) == (0, "  | \n----\n", "")
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+    def main(*argv):
+        return subprocess.run([sys.executable, "-m", "trusskit", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    no_verb = main()
+    assert no_verb.returncode == 2 and no_verb.stdout == ""
+    assert "usage:" in no_verb.stderr and "Traceback" not in no_verb.stderr
+    dorroh = main("dorroh", "--ring", "Z2")
+    assert dorroh.returncode == 0 and dorroh.stderr == ""
+    assert json.loads(dorroh.stdout)["stats"]["checked"] == 16

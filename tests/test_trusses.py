@@ -2,9 +2,12 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+from trusskit import trusses
+from trusskit.cli import parse_ring_spec
 from trusskit.core import StructureError, heap_from_group, FiniteGroup, FiniteHeap
 from trusskit.reports import Finding
 from trusskit.rings import FiniteRing
@@ -587,7 +590,64 @@ def test_dorroh_full_agreement():
     for n in (2, 4, 6):
         report = dorroh_compare(FiniteRing.Zn(n), window=3)
         assert report.ok, report
-        assert report.stats["checked"] == n * n * 7 * 7
+        assert report.stats["checked"] == 4 * n * n
+        assert report.stats["algorithm"] == "frame" and report.stats["window"] == 3
+
+
+def dorroh_window_sweep(ring, window):
+    """The first (r, n, r', n'), tails in [-window, window], where the
+    unital extension of T(R) and the Dorroh product (r+n)(r'+n') =
+    rr' + n'r + nr' + nn' differ (None if nowhere), and the number of
+    products compared: every pair of the window, as a brute-force oracle."""
+    t1 = trusses.unital_extension(truss_from_ring(ring))
+    checked = 0
+    for r, rp in itertools.product(range(ring.size), repeat=2):
+        for n, np_ in itertools.product(range(-window, window + 1), repeat=2):
+            checked += 1
+            r_part = ring.plus(ring.plus(ring.mul(r, rp), ring.scale(np_, r)),
+                               ring.scale(n, rp))
+            if t1.mul(t1.element(r, n), t1.element(rp, np_)) != t1.element(r_part, n * np_):
+                return (r, n, rp, np_), checked
+    return None, checked
+
+
+RING_Z4 = str(Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "ring_z4.json")
+
+
+@pytest.mark.parametrize("spec", [f"Z{n}" for n in range(1, 9)] + [RING_Z4],
+                         ids=lambda spec: Path(spec).name)
+def test_dorroh_frame_agrees_with_the_window_sweep(spec):
+    ring = parse_ring_spec(spec)
+    for window in range(1, 5):
+        report = dorroh_compare(ring, window)
+        assert report.stats == {"ring": ring.size, "window": window, "algorithm": "frame",
+                                "checked": 4 * ring.size ** 2}
+        witness, checked = dorroh_window_sweep(ring, window)
+        assert checked == ring.size ** 2 * (2 * window + 1) ** 2
+        assert report.ok and witness is None
+
+
+def test_dorroh_frame_catches_a_wrong_unital_extension_at_a_replayable_witness(monkeypatch):
+    # adjoining 1 at the basepoint 1 of T(Z3) instead of at its absorber 0 is
+    # still bi-affine in the tails, and agrees with Dorroh at tails 0 only
+    def wrong(t):
+        return ExtensionTruss(t, "one", basepoint=1)
+
+    monkeypatch.setattr(trusses, "unital_extension", wrong)
+    ring = FiniteRing.Zn(3)
+    report = dorroh_compare(ring, window=3)
+    assert not report.ok and len(report.findings) == 1
+    for window in range(1, 5):
+        assert dorroh_window_sweep(ring, window)[0] is not None
+    (finding,) = report.findings
+    r, n, rp, np_ = finding.at
+    assert {n, np_} <= {0, 1} and (n, np_) != (0, 0)
+    t1 = wrong(truss_from_ring(ring))
+    got = t1.mul(t1.element(r, n), t1.element(rp, np_))
+    r_part = ring.plus(ring.plus(ring.mul(r, rp), ring.scale(np_, r)), ring.scale(n, rp))
+    assert finding.lhs == str(got) != finding.rhs == str(t1.element(r_part, n * np_))
+    frame = list(itertools.product(range(3), range(3), (0, 1), (0, 1)))
+    assert report.stats["checked"] == frame.index((r, rp, n, np_)) + 1
 
 
 def test_dorroh_zero_tails_reduce_to_ring_product():
@@ -837,6 +897,25 @@ def test_morphism_rows_match_the_product_law_sweep():
         runs, fails = runs + 1, fails + bool(want)
     # 6 products and 350 one-entry changes, of which only the 4 of TZ2 pass
     assert (runs, fails) == (356, 346)
+
+
+def test_deciding_without_a_sweep_agrees_with_the_sweep():
+    # a failing law decides without a sweep (``retract_ring`` of a symbolic
+    # truss): some of the sweep's findings, present exactly when it has any
+    cases = [(label, FiniteTruss(truss_TZn(n).heap, table))
+             for n, label, table in tzn_product_tables(4)]
+    cases.append(("not a heap", FiniteTruss(not_a_heap(), ((0, 0, 0), (0, 0, 0), (0, 0, 2)))))
+    decided = {}
+    for label, t in cases:
+        want = product_law_sweep(t)
+        got = trusses._product_laws(t, t.heap.elements(), sweep=False)[0]
+        assert bool(got) == bool(want) and all(f in want for f in got), label
+        if got and "product associativity" not in {f.law for f in want}:
+            decided[label] = (len(got), len(want))
+    # four products fail only distributivity, each decided by the first
+    # failure of one row and one column; the non-heap is swept as before
+    assert decided == {"TZ3 2.2=0": (2, 24), "TZ3 2.2=2": (2, 24), "TZ4 2.2=2": (2, 48),
+                       "TZ4 3.3=3": (2, 48), "not a heap": (28, 28)}
 
 
 def test_a_carrier_that_is_not_a_heap_is_swept():
