@@ -73,9 +73,9 @@ class DirectSum:
     """The direct sum of one or more Abelian heap summands.
 
     Satisfies the same carrier protocol as the finite heaps and the integer
-    line (ternary, contains, sample, abelian, is_finite), so direct sums can
-    themselves be summands, and they are the carrier ``heap`` of the
-    extension trusses and the free modules.
+    line (ternary, contains, sample, frame, abelian, is_finite), so direct
+    sums can themselves be summands, and they are the carrier ``heap`` of
+    the extension trusses and the free modules.
     """
 
     is_finite = False
@@ -267,10 +267,14 @@ class DirectSum:
         axes += [range(-window, window + 1)] * (self.k - 1)
         return Window(self.k, axes)
 
-    def frame(self, frames):
-        """A frame of the group form (retracts plus Z^{k-1}) from a frame of
-        each summand, a point and that point moved by each generator: the
-        points with tails 0, then one component moved, then one tail 1."""
+    def frame(self):
+        """A frame of the group form (retracts plus Z^{k-1}), a point and
+        that point moved by each generator, from each summand heap's
+        ``frame()``: the points with tails 0, then one component moved, then
+        one tail 1.  None when a summand has no frame."""
+        frames = [s.heap.frame() for s in self.summands]
+        if any(f is None for f in frames):
+            return None
         point, tails = tuple(f[0] for f in frames), (0,) * (self.k - 1)
         return ([CoproductElement(point, tails)]
                 + [CoproductElement(point[:i] + (g,) + point[i + 1:], tails)

@@ -5,7 +5,7 @@ tuple.  A heap either stores its full ternary table or computes the operation
 on demand from a backing function (e.g. a group), behind one interface.  All
 values are immutable after construction and every operation is pure.
 
-Five routines here are the only ones of their kind in the package:
+These routines are the only ones of their kind in the package:
 ``_closure`` closes a finite set under a ternary operation (generated
 sub-heaps, spans, generating sequences of groups); ``_quotient_classes``
 builds the classes and projection of a quotient by a normal sub-heap
@@ -15,7 +15,10 @@ group maps or isomorphisms from generator images (``group_isomorphism``,
 and the module hom-sets and isomorphisms of ``rings`` and ``modules``);
 ``_first_unequivariant`` checks that a map of modules commutes with the
 action (every module hom-set, isomorphism and morphism, and the projection
-of a free module onto R^n).
+of a free module onto R^n); ``frame()`` of a carrier heap (``FiniteHeap``,
+``IntLineHeap``, ``coproduct.DirectSum``) is a point and that point moved
+by each generator of its group form, on which every truss and module law is
+decided, and ``_id_table`` checks every product and action table.
 """
 
 from __future__ import annotations
@@ -28,6 +31,16 @@ from .reports import FAIL, PASS, Finding, Report
 
 class StructureError(ValueError):
     """Malformed table, unknown element, or an operation used out of domain."""
+
+
+def _id_table(table, rows, n, what):
+    """``table`` as a tuple of ``rows`` tuples of n ids in 0..n-1 (products
+    and actions); StructureError naming ``what`` otherwise."""
+    table = tuple(tuple(row) for row in table)
+    if len(table) != rows or any(len(r) != n or not all(isinstance(v, int) and 0 <= v < n
+                                                        for v in r) for r in table):
+        raise StructureError(f"{what} must be a {rows} x {n} table of ids in 0..{n - 1}")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -304,25 +317,6 @@ def group_isomorphism(g1: FiniteGroup, g2: FiniteGroup):
     return next(_group_maps(g1, g2, iso=True), None)
 
 
-def quotient_group(g: FiniteGroup, members):
-    """Quotient of g by the (normal) subgroup on ``members``.
-
-    Returns the quotient group and the coset index of each element; cosets
-    are ordered by their least member so labelling is deterministic.
-    """
-    members = sorted(set(members))
-    cosets = {}
-    for a in range(g.size):
-        cosets[a] = frozenset(g.op(s, a) for s in members)
-    distinct = sorted(set(cosets.values()), key=min)
-    index = {c: i for i, c in enumerate(distinct)}
-    proj = [index[cosets[a]] for a in range(g.size)]
-    reps = [min(c) for c in distinct]
-    table = [[proj[g.op(a, b)] for b in reps] for a in reps]
-    names = tuple("{" + ",".join(g.names[m] for m in sorted(c)) + "}" for c in distinct)
-    return FiniteGroup(table, names), proj
-
-
 # ---------------------------------------------------------------------------
 # heaps
 
@@ -400,12 +394,6 @@ def _retract_defects(carrier, e):
             if got != want:
                 dirty += [(a, b, c) for c in range(n) if got[c] != want[c]]
     return dirty
-
-
-def _is_group_heap(carrier) -> bool:
-    """Whether a finite ternary operation is the heap of its retract at 0,
-    i.e. a non-empty heap; O(n^3).  See ``_retract_defects``."""
-    return _retract_defects(carrier, 0) == []
 
 
 def _dirty_candidates(rows, dirty):
@@ -548,7 +536,7 @@ class FiniteHeap:
     stay function-backed until ``table()`` is asked for.
     """
 
-    __slots__ = ("size", "names", "abelian", "_fn", "_table")
+    __slots__ = ("size", "names", "abelian", "_fn", "_table", "_frame")
 
     is_finite = True
 
@@ -556,6 +544,7 @@ class FiniteHeap:
         self.size = size
         self._table = table
         self._fn = fn
+        self._frame = False     # not computed yet; None: no frame
         names = tuple(names) if names is not None else tuple(str(i) for i in range(size))
         if len(names) != size:
             raise StructureError("names do not match the carrier size")
@@ -603,6 +592,17 @@ class FiniteHeap:
             ])
         return self._table
 
+    def frame(self):
+        """(0,) and the greedy generators of the retract at 0
+        (``_generating_sequence``): a point and that point moved by each
+        generator; None unless this is a non-empty group heap, which is
+        exactly when the laws of its trusses and modules may be decided on
+        morphism rows.  Computed once, on first use, as ``table()`` is."""
+        if self._frame is False:
+            self._frame = ((0,) + tuple(_generating_sequence(retract(self, 0)))
+                           if _retract_defects(self, 0) == [] else None)
+        return self._frame
+
     def elements(self):
         return range(self.size)
 
@@ -641,6 +641,9 @@ class IntLineHeap:
 
     def ternary(self, a, b, c):
         return a - b + c
+
+    def frame(self):
+        return (0, 1)
 
     def contains(self, x) -> bool:
         return isinstance(x, int)
@@ -838,6 +841,18 @@ def quotient(h: FiniteHeap, s: SubHeap):
     names = tuple("{" + ",".join(h.names[m] for m in sorted(c)) + "}" for c in distinct)
     qheap = FiniteHeap(len(distinct), table=table, names=names, abelian=h.abelian)
     return qheap, HeapMorphism(h, qheap, proj)
+
+
+def quotient_group(g: FiniteGroup, members):
+    """Quotient of g by the normal subgroup on ``members``: the retract of
+    ``quotient`` of the heap of g at the class of the neutral element.
+
+    Returns the quotient group and the class index of each element; classes
+    are ordered by their least member, so labelling is deterministic.
+    """
+    h = heap_from_group(g)
+    qheap, proj = quotient(h, SubHeap(h, tuple(members)))
+    return retract(qheap, proj(g.neutral)), list(proj.mapping)
 
 
 def product(h1: FiniteHeap, h2: FiniteHeap) -> FiniteHeap:

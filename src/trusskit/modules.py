@@ -17,7 +17,8 @@ R^n by construction, and ``verify_abs_of_free`` decides on a frame that it is
 right.  Every check that a map commutes with the action is
 ``core._first_unequivariant``.  The module laws run on the law engine of the
 trusses, exactly.  Free sets and bases are decided exactly from the linear
-part of the copaired sigma map.
+part of the copaired sigma map.  Frames come from the carrier,
+``heap.frame()``, so no module defines one.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .core import (
     _first_unequivariant,
     _first_unpreserved,
     _group_maps,
+    _id_table,
     _quotient_classes,
     heap_from_group,
     quotient,
@@ -52,7 +54,6 @@ from .trusses import (
     _Memo,
     _action_laws,
     _default_basepoint,
-    _frame,
     _pool,
     _product_laws,
     retract_ring,
@@ -74,12 +75,7 @@ class FiniteTModule:
         self.heap = heap
         self.size = heap.size
         self.names = heap.names
-        self.action = tuple(tuple(row) for row in action)
-        if len(self.action) != truss.size or any(len(r) != heap.size for r in self.action):
-            raise StructureError("action table does not match truss x carrier")
-        ids = range(heap.size)
-        if not all(v in ids for r in self.action for v in r):
-            raise StructureError(f"action table entries must be carrier ids 0..{heap.size - 1}")
+        self.action = _id_table(action, truss.size, heap.size, "the action table")
 
     @classmethod
     def regular(cls, truss) -> "FiniteTModule":
@@ -130,9 +126,6 @@ class TrivialIntModule:
     def sample_elements(self, window):
         return range(-window, window + 1)
 
-    def frame(self):
-        return [0, 1]
-
     def __eq__(self, other):
         return isinstance(other, TrivialIntModule)
 
@@ -162,7 +155,7 @@ class FreeTModule:
         if truss.identity is None:
             raise StructureError("free modules are built over unital trusses")
         if basepoint is None:
-            basepoint = truss.absorber if truss.absorber is not None else truss.identity
+            basepoint = _default_basepoint(truss)
         if not truss.heap.contains(basepoint):
             raise StructureError(f"base point {basepoint!r} is not in the truss")
         self.truss = truss
@@ -186,12 +179,6 @@ class FreeTModule:
 
     def sample_elements(self, window):
         return self.heap.sample(window)
-
-    def frame(self):
-        """One copy of the truss's frame per summand, combined by
-        ``DirectSum.frame``; None when the truss has no frame."""
-        base = _frame(self.truss)
-        return None if base is None else self.heap.frame([base] * self.n)
 
     def __eq__(self, other):
         return (isinstance(other, FreeTModule) and self.truss == other.truss
@@ -219,9 +206,10 @@ def free_module(truss, n: int, basepoint=None) -> FreeTModule:
 def validate_module(m, *, samples=10_000, window=4, seed=2026) -> Report:
     """The three module laws, and unitality when the truss has an
     identity, on the law engine of ``validate_truss`` over every element of
-    a finite carrier or the ``frame()`` of a symbolic one.  t.m is affine in
-    t and in m over a truss, so a framed module decides its truss's product
-    laws first (``truss``).  Only a carrier with no frame is sampled.
+    a finite carrier or the ``heap.frame()`` of a symbolic one.  t.m is
+    affine in t and in m over a truss, so a framed module decides its
+    truss's product laws first (``truss``).  Only a carrier with no frame is
+    sampled.
 
     Findings are located at (a, b, x), (a, b, c, x), (a, x, y, z) or the
     first (x,) that breaks unitality; ``distributivity`` names the algorithm
@@ -561,8 +549,7 @@ def _free_set(m, candidates):
             raise StructureError(f"candidate {x!r} is not in the module")
     ds = _source_sum(m.truss, len(candidates))
     sigma = _copaired_sigma(ds, m, candidates)
-    frame = [ds.summands[0].base] if m.truss.heap.is_finite else _frame(m.truss)  # no free moves
-    p, *moves = ds.frame([frame] * ds.k)
+    p, *moves = ds.frame()
     moves = [q for q in moves if _ints(ds, q) != _ints(ds, p)]     # the p + e_j
     carrier, y0 = m.heap, sigma(p)
     origin = _ints(carrier, y0)
@@ -622,10 +609,10 @@ def basis_check(m, candidates) -> Report:
     many torsion points at sigma(p) as F(s) at p.  A failure to span is
     located at a point y outside the span: (y,) for a torsion point that
     sigma misses, (y, phi, d) for a functional phi that vanishes mod d (d =
-    0: exactly) on the span but not at y, a point of ``m.frame()``.  phi is
-    a left kernel vector of A if rank A < b, else a row of adj(A) = d.A^-1
-    for d = |det A| > 1.  On a finite m this is "sigma is injective and |T|
-    = |m|"."""
+    0: exactly) on the span but not at y, a point of ``m.heap.frame()``.
+    phi is a left kernel vector of A if rank A < b, else a row of adj(A) =
+    d.A^-1 for d = |det A| > 1.  On a finite m this is "sigma is injective
+    and |T| = |m|"."""
     free, witness = _free_set(m, candidates)
     stats = free.stats
     if witness is None:
@@ -643,7 +630,7 @@ def basis_check(m, candidates) -> Report:
             u = sum(f * c for f, c in zip(phi, offset(y)))
             return u % d if d else u
 
-        y = next(y for y in _frame(m) if value(y))
+        y = next(y for y in m.heap.frame() if value(y))
         return Report("basis check", FAIL, [Finding(
             "not spanning", (y, tuple(phi), d), value(y), 0,
             note="phi vanishes mod d on the span, not at y")], stats)
@@ -690,18 +677,18 @@ def verify_abs_of_free(ring: FiniteRing, n: int) -> Report:
     component projection, by construction) is its quotient by them.
 
     Each check equates maps affine in every argument, so a frame decides it
-    for all of F(n): every tail point of ``fm.frame()`` is fixed by every t;
-    0.m is a tail for every component vector with tails in {0, 1}, and an
-    absorber x is 0.x; the tails combine like Z^{n-1} on every triple of
-    zero and the tail units; the projection preserves the heap operation
-    (``core._first_unpreserved``) and the action
-    (``core._first_unequivariant``) on ``fm.frame()``, and sends the
-    generators to the unit vectors of R^n.  Findings are located at
-    scalars and elements of F(n), so each one replays."""
+    for all of F(n): every tail point of ``fm.heap.frame()`` is fixed by
+    every t; 0.m is a tail for every component vector with tails in {0, 1},
+    and an absorber x is 0.x; the tails combine like Z^{n-1} on every
+    triple of zero and the tail units; the projection preserves the heap
+    operation (``core._first_unpreserved``) and the action
+    (``core._first_unequivariant``) on that frame, and sends the generators
+    to the unit vectors of R^n.  Findings are located at scalars and
+    elements of F(n), so each one replays."""
     findings = []
     t = truss_from_ring(ring)
     fm = free_module(t, n)
-    frame = fm.frame()
+    frame = fm.heap.frame()
     zero_comps = (ring.zero,) * n
     tails = [x for x in frame if x.components == zero_comps]
     findings += [Finding("absorber not fixed by the action", (a, x), fm.act(a, x), x)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from .core import FiniteGroup, StructureError, _first_unequivariant, _group_maps
+from .core import FiniteGroup, StructureError, _first_unequivariant, _group_maps, _id_table
 from .reports import FAIL, PASS, Finding, Report
 
 
@@ -26,7 +26,7 @@ class FiniteRing:
             raise StructureError("ring addition must be Abelian")
         self.add = add
         self.size = add.size
-        self.mul_table = tuple(tuple(row) for row in mul_table)
+        self.mul_table = _id_table(mul_table, self.size, self.size, "the multiplication table")
         self.names = tuple(names) if names is not None else add.names
         if validate:
             report = validate_ring(self)
@@ -119,7 +119,7 @@ class RModule:
         self.ring = ring
         self.group = group
         self.size = group.size
-        self.action = tuple(tuple(row) for row in action)
+        self.action = _id_table(action, ring.size, group.size, "the action table")
         self.names = group.names
         if validate:
             report = validate_rmodule(self)

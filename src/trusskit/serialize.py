@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import FiniteGroup, FiniteHeap, StructureError
+from .core import FiniteGroup, FiniteHeap, StructureError, _id_table as core_id_table
 from .modules import FiniteTModule, FreeTModule, TrivialIntModule, free_module
 from .rings import FiniteRing
 from .trusses import (
@@ -109,11 +109,7 @@ def _nested_ints(value, depth, what):
 
 def _id_table(obj, key, rows, cols):
     """A rows x cols table of ids in 0..cols-1 (products and actions)."""
-    table = _nested_ints(_require(obj, key), 2, repr(key))
-    if len(table) != rows or any(len(r) != cols or not all(0 <= v < cols for v in r)
-                                 for r in table):
-        raise StructureError(f"{key!r} must be a {rows} x {cols} table of ids in 0..{cols - 1}")
-    return table
+    return core_id_table(_nested_ints(_require(obj, key), 2, repr(key)), rows, cols, repr(key))
 
 
 def _names(obj, size):

@@ -9,8 +9,9 @@ the heap operation in each argument, so it is the bi-affine closed form of
 ``ExtensionTruss`` in four base products; the letter-wise product over word
 forms and the closed formulas of the worked examples live in the tests as
 oracles, not here.  One law engine decides trusses and modules exactly, on
-every element or on a ``frame()``: a point and that point moved by each
-generator of the group form.
+every element or on the ``frame()`` of the carrier heap: a point and that
+point moved by each generator of its group form.  Frames belong to the
+carrier, so no truss defines one.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .core import (
     FiniteHeap,
     StructureError,
     _first_unpreserved,
-    _generating_sequence,
-    _is_group_heap,
+    _id_table,
     heap_from_group,
     retract,
 )
@@ -44,12 +44,7 @@ class FiniteTruss:
             raise StructureError("a truss carrier must be an Abelian heap")
         self.heap = heap
         self.size = heap.size
-        self.mul_table = tuple(tuple(row) for row in mul_table)
-        if len(self.mul_table) != self.size or any(len(r) != self.size for r in self.mul_table):
-            raise StructureError("product table does not match the carrier")
-        ids = range(self.size)
-        if not all(v in ids for r in self.mul_table for v in r):
-            raise StructureError(f"product table entries must be element ids 0..{self.size - 1}")
+        self.mul_table = _id_table(mul_table, self.size, self.size, "the product table")
         self.names = tuple(names) if names is not None else heap.names
         self.identity = next(
             (e for e in range(self.size)
@@ -78,13 +73,6 @@ class FiniteTruss:
     def sample_elements(self, window):
         return self.heap.elements()
 
-    def frame(self):
-        """The basepoint and the greedy generators of the retract there
-        (``core._generating_sequence``); None when the carrier is no heap."""
-        e = _default_basepoint(self)
-        return ([e] + _generating_sequence(retract(self.heap, e))
-                if _is_group_heap(self.heap) else None)
-
     def format_element(self, x) -> str:
         return self.names[x]
 
@@ -110,9 +98,6 @@ class IntegerTruss:
 
     def sample_elements(self, window):
         return range(-window, window + 1)
-
-    def frame(self):
-        return [0, 1]
 
     def format_element(self, x) -> str:
         return str(x)
@@ -144,9 +129,6 @@ class ConstantTruss:
 
     def sample_elements(self, window):
         return range(self.c - window, self.c + window + 1)
-
-    def frame(self):
-        return [self.c, self.c + 1]
 
     def format_element(self, x) -> str:
         return f"i{x}"
@@ -222,9 +204,10 @@ class ExtensionTruss:
     The base products never see a tail and, over a base truss, are affine
     in g and in h.  So every truss law equates maps affine in each
     argument, which are fixed on a frame of the group form (retract + Z):
-    a point and that point moved by each generator.  Once the base's
-    product laws hold (``validate_truss`` decides them first), ``frame``
-    decides every law exactly.
+    a point and that point moved by each generator.  The frame comes from
+    the carrier, ``heap.frame()``, and combines the base heap's frame with
+    tail 1.  Once the base's product laws hold (``validate_truss`` decides
+    them first), it decides every law exactly.
     """
 
     def __init__(self, base, adjoined: str, basepoint=None):
@@ -265,12 +248,6 @@ class ExtensionTruss:
 
     def sample_elements(self, window):
         return self.heap.sample(window)
-
-    def frame(self):
-        """The base's frame at tail 0 and its first point at tail 1; None
-        when the base has no frame."""
-        base = _frame(self.base)
-        return None if base is None else self.heap.frame((base, (0,)))
 
     def _base_mul(self, a, b):
         v = self.base.mul(a, b)
@@ -342,13 +319,9 @@ LINEAR_IN_T = "distributivity [t,t',t'']m"
 LINEAR_IN_M = "distributivity t[m,m',m'']"
 
 
-def _frame(c):
-    return c.frame() if getattr(c, "frame", None) else None
-
-
 def _pool(c):
     """Every element of a finite carrier, else its frame (None without one)."""
-    return c.heap.elements() if c.heap.is_finite else _frame(c)
+    return c.heap.elements() if c.heap.is_finite else c.heap.frame()
 
 
 def _draw(rng, pool):
@@ -411,8 +384,7 @@ def _action_laws(t, act, m, pools, *, samples=None, window=None, seed=None, swee
     checked = {ASSOCIATIVE: nt * nt * nm, LINEAR_IN_T: nt ** 3 * nm, LINEAR_IN_M: nt * nm ** 3}
     if found and not sweep:
         return found, checked, ("unchecked", [], []), ms
-    if all(_is_group_heap(h) for h in ((t.heap,) if m.heap is t.heap else (t.heap, m.heap))
-           if h.is_finite):
+    if all(h.frame() for h in (t.heap, m.heap) if h.is_finite):
         algorithm = "morphism rows"
         first_m = {x: w for x in ms if (w := _first_unpreserved(
             tern_t, tern_m, _Memo(lambda u: rows[u][x]), ts))}
@@ -475,9 +447,10 @@ def validate_truss(t, *, samples=10_000, window=5, seed=2026) -> Report:
     """Associativity and both distributive laws, then the identity and
     absorber laws (scanned for finite trusses, declared otherwise), on the
     law engine (``_action_laws``) over every element of a finite truss or
-    the ``frame()`` of a symbolic one; an extension decides its base first.
-    Only a carrier with no frame is sampled: ``samples`` seeded draws from
-    ``sample_elements(window)``, the unit laws on the drawn elements.
+    the ``heap.frame()`` of a symbolic one; an extension decides its base
+    first.  Only a carrier with no frame is sampled: ``samples`` seeded
+    draws from ``sample_elements(window)``, the unit laws on the drawn
+    elements.
 
     ``checked`` counts the product-law instances; ``checked_by_law`` every
     law, the unit laws by their pool; ``unit_laws`` names the pool

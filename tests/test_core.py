@@ -11,8 +11,8 @@ from trusskit.core import (
     HeapMorphism,
     StructureError,
     SubHeap,
+    _closure,
     _first_unpreserved,
-    _is_group_heap,
     find_isomorphism,
     generated_subheap,
     group_isomorphism,
@@ -129,10 +129,27 @@ def test_all_two_element_ternary_tables():
 
 
 def test_retract_test_uses_the_retract_inverse():
-    # [a,b,c] = a + c (mod 2) is a.j(b).c for j(b) = [0,b,0], but not a heap
-    assert not _is_group_heap([[[(a + c) % 2 for c in range(2)] for _ in range(2)]
-                               for a in range(2)])
-    assert _is_group_heap(mod_heap_table(2))
+    # [a,b,c] = a + c (mod 2) is a.j(b).c for j(b) = [0,b,0], but not a heap,
+    # so it has no frame
+    table = [[[(a + c) % 2 for c in range(2)] for _ in range(2)] for a in range(2)]
+    assert FiniteHeap(2, table=table).frame() is None
+    assert FiniteHeap.from_table(mod_heap_table(2)).frame() == (0, 1)
+    # only a non-empty group heap has one
+    assert FiniteHeap.empty().frame() is None and FiniteHeap.singleton().frame() == (0,)
+
+
+@pytest.mark.parametrize("label, g", small_groups(8), ids=[label for label, _ in small_groups(8)])
+def test_heap_frame_is_zero_and_greedy_generators_of_the_retract(label, g):
+    h = heap_from_group(g)
+    frame = h.frame()
+    assert frame[0] == 0 and isinstance(frame, tuple)
+    # each generator is the least id outside the sub-heap the earlier ones generate
+    for i, x in enumerate(frame[1:], 1):
+        closed = _closure(frame[:i], h.ternary)
+        assert x not in closed and all(y in closed for y in range(x))
+    assert sorted(_closure(frame, h.ternary)) == list(range(g.size))
+    # computed once: the same tuple on every call
+    assert h.frame() is frame
 
 
 def perturbed(table, cell, value):
@@ -439,6 +456,19 @@ def test_quotient_z4_by_02():
     assert q.names[proj(0)] == "{0,2}"
 
 
+def coset_quotient(g, members):
+    """Independent oracle: G/N from the right cosets Na of a normal subgroup
+    N, ordered by least member, with the coset index of each element."""
+    cosets = {a: frozenset(g.op(s, a) for s in members) for a in range(g.size)}
+    distinct = sorted(set(cosets.values()), key=min)
+    index = {c: i for i, c in enumerate(distinct)}
+    proj = [index[cosets[a]] for a in range(g.size)]
+    reps = [min(c) for c in distinct]
+    table = [[proj[g.op(a, b)] for b in reps] for a in reps]
+    names = tuple("{" + ",".join(g.names[m] for m in sorted(c)) + "}" for c in distinct)
+    return FiniteGroup(table, names), proj
+
+
 def test_quotient_matches_group_quotient_lemma():
     # H/S agrees with the heap of G(H;e)/G(S;e) for every base e in S
     h = heap_from_group(Z(8))
@@ -446,9 +476,28 @@ def test_quotient_matches_group_quotient_lemma():
     q, proj = quotient(h, s)
     for e in s.members:
         g = retract(h, e)
-        qg, gproj = quotient_group(g, s.members)
+        qg, gproj = coset_quotient(g, s.members)
         assert heap_from_group(qg).table() == q.table()
         assert list(gproj) == list(proj.mapping)
+        assert quotient_group(g, s.members) == (qg, gproj)
+
+
+def test_quotient_group_matches_the_coset_oracle_on_normal_subgroups():
+    cases = [(FiniteGroup.dihedral(3), (0, 1, 2)), (FiniteGroup.dihedral(4), (0, 2)),
+             (FiniteGroup.quaternion(), (0, 1)), (Z(6), (0, 3)), (Z(6), (0, 2, 4)),
+             (Z(5), tuple(range(5))), (Z(4), (0,))]
+    for g, members in cases:
+        qg, proj = quotient_group(g, members)
+        want, want_proj = coset_quotient(g, members)
+        assert (qg, proj) == (want, want_proj) and qg.names == want.names
+
+
+def test_quotient_group_rejects_a_non_normal_or_empty_subgroup():
+    # <s0> is not normal in S3: its cosets give no homomorphism
+    with pytest.raises(StructureError, match="not normal"):
+        quotient_group(FiniteGroup.dihedral(3), [0, 3])
+    with pytest.raises(StructureError):
+        quotient_group(Z(4), [])
 
 
 def test_quotient_by_full_carrier_is_terminal():

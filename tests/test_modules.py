@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from trusskit import modules
+from trusskit import core, modules
 from trusskit.coproduct import CoproductElement, DirectSum
 from trusskit.core import FiniteGroup, FiniteHeap, IntLineHeap, StructureError, heap_from_group
 from trusskit.modules import (
@@ -57,7 +57,7 @@ from trusskit.trusses import (
     validate_truss,
 )
 
-from test_trusses import Frameless, ListPool
+from test_trusses import Frameless, FramelessSum, ListPool
 
 Z2 = FiniteRing.Zn(2)
 Z3 = FiniteRing.Zn(3)
@@ -94,9 +94,11 @@ class OddPositiveC0Wrong(FreeTModule):
     with odd c0 > 0.  Every element of the first 4000 of the window at 50
     has c0 = -50, and products and heap combinations of them keep c0 even,
     so a prefix of the window never reaches the wrong elements.  The action
-    is not affine, so it has no frame and is sampled."""
+    is not affine, so its carrier withholds its frame and it is sampled."""
 
-    frame = None
+    def __init__(self, truss, n):
+        super().__init__(truss, n)
+        self.heap = FramelessSum(self.heap.summands)
 
     def act(self, t, x):
         y = super().act(t, x)
@@ -483,8 +485,23 @@ def test_finite_module_rejects_out_of_range_actions():
     heap = heap_from_group(FiniteGroup.cyclic(3))
     FiniteTModule(t, heap, [[0, 0, 0], [0, 1, 2]])
     for bad in (3, -1, None):
-        with pytest.raises(StructureError, match="carrier ids 0..2"):
+        with pytest.raises(StructureError, match="table of ids in 0..2"):
             FiniteTModule(t, heap, [[0, 0, 0], [0, bad, 2]])
+    for bad in ([[0, 1, 2]], [[0, 1, 2], [0, 1]], [[0, 1, 2]] * 3, [[0, 1], [0, 1, 2]]):
+        with pytest.raises(StructureError, match="must be a 2 x 3 table of ids in 0..2"):
+            FiniteTModule(t, heap, bad)
+
+
+@pytest.mark.parametrize("table", [[[0]], [[0, 5], [0, 1]], [[0, 1], [0]], [[0, -1], [0, 1]]])
+def test_ring_rejects_a_malformed_multiplication_table(table):
+    with pytest.raises(StructureError, match="must be a 2 x 2 table of ids in 0..1"):
+        FiniteRing(FiniteGroup.cyclic(2), table)
+
+
+@pytest.mark.parametrize("action", [[[0]], [[0, 5], [0, 1]], [[0, 1]], [[0, 1], [0, 1], [0, 1]]])
+def test_ring_module_rejects_a_malformed_action_table(action):
+    with pytest.raises(StructureError, match="must be a 2 x 2 table of ids in 0..1"):
+        RModule(FiniteRing.Zn(2), FiniteGroup.cyclic(2), action)
 
 
 def test_free_module_requires_unital_truss():
@@ -657,7 +674,7 @@ def test_basis_check_free_module_generators():
         assert free_set_check(fm, [g0, g2]).ok and sub.status == "fail"
         [witness] = sub.findings
         y, _, d = witness.at
-        assert witness.law == "not spanning" and d == 0 and y in fm.frame()
+        assert witness.law == "not spanning" and d == 0 and y in fm.heap.frame()
         assert witness.lhs != 0 == witness.rhs
         # the endomorphism fixing g0 and g2 and sending g1 to g0 fixes their
         # span and moves g1, which is outside it
@@ -752,7 +769,7 @@ def _moved(y):
 def test_verify_abs_of_free_catches_an_action_wrong_at_one_frame_point(monkeypatch, t0):
     fm = free_module(truss_from_ring(Z3), 2)
     act = FreeTModule.act
-    for x0 in fm.frame():
+    for x0 in fm.heap.frame():
         def wrong(self, t, x, x0=x0):
             y = act(self, t, x)
             return _moved(y) if (t, x) == (t0, x0) else y
@@ -763,7 +780,7 @@ def test_verify_abs_of_free_catches_an_action_wrong_at_one_frame_point(monkeypat
 
 def test_verify_abs_of_free_catches_a_heap_operation_wrong_at_one_frame_triple(monkeypatch):
     fm = free_module(truss_from_ring(Z3), 2)
-    ternary, frame = DirectSum.ternary, fm.frame()
+    ternary, frame = DirectSum.ternary, fm.heap.frame()
     for a, c in itertools.product(frame, repeat=2):
         def wrong(self, x, y, z, at=(a, frame[0], c)):
             w = ternary(self, x, y, z)
@@ -983,9 +1000,9 @@ def test_free_module_frame_verdicts_match_sampled_runs():
         for n, basepoint in itertools.product((1, 2, 3), (0, 1)):
             fm = free_module(truss, n, basepoint)
             framed = validate_module(fm, samples=1, window=1)
-            assert framed.stats["frame"] == len(fm.frame()) == 1 + n * 1 + n - 1, name
+            assert framed.stats["frame"] == len(fm.heap.frame()) == 1 + n * 1 + n - 1, name
             assert all(violated(fm, f) for f in framed.findings), (name, n, basepoint)
-            fm.frame = None
+            fm.heap.frame = lambda: None    # the carrier withholds its frame
             sampled = validate_module(fm, samples=200, window=2, seed=11)
             assert "sampled" in sampled.stats
             assert framed.status == sampled.status, (name, n, basepoint)
@@ -1004,11 +1021,13 @@ def test_no_package_carrier_is_sampled(monkeypatch):
               ring_extension(tc2_brace_truss()), double_extension(constant_truss(2)),
               unital_extension(unital_extension(integer_truss()))):
         report = validate_truss(t)
-        assert report.ok and report.stats["frame"] == len(t.frame()) and report.stats["checked"]
+        assert report.ok and report.stats["checked"]
+        assert report.stats["frame"] == len(t.heap.frame())
     for m in (TrivialIntModule(), free_module(integer_truss(), 3, 1),
               free_module(unital_extension(truss_TZn(3)), 2)):
         report = validate_module(m)
-        assert report.ok and report.stats["frame"] == len(m.frame()) and report.stats["checked"]
+        assert report.ok and report.stats["checked"]
+        assert report.stats["frame"] == len(m.heap.frame())
     assert verify_abs_of_free(Z3, 2).ok
 
 
@@ -1035,7 +1054,7 @@ STRUCTURES = list(package_structures())
 @pytest.mark.parametrize("name, s", STRUCTURES, ids=[name for name, _ in STRUCTURES])
 def test_every_structure_holds_its_carrier_as_heap(name, s):
     assert isinstance(s.heap, (FiniteHeap, IntLineHeap, DirectSum))
-    points = list(s.frame() if hasattr(s, "frame") else s.heap.elements())
+    points = list(s.heap.frame())
     assert points and all(s.heap.contains(x) for x in points)
 
 
@@ -1043,7 +1062,7 @@ def test_no_structure_class_forwards_the_heap_protocol():
     for cls in (FiniteTruss, IntegerTruss, ConstantTruss, ExtensionTruss,
                 FiniteTModule, TrivialIntModule, FreeTModule):
         assert not {"ternary", "contains", "carrier_heap", "elements", "__len__",
-                    "is_finite"} & set(vars(cls)), cls
+                    "is_finite", "frame"} & set(vars(cls)), cls
 
 
 @pytest.mark.parametrize("make", [
@@ -1081,7 +1100,7 @@ def test_verify_abs_of_free_sees_every_component_vector_and_the_whole_frame(monk
     assert {x.components for t, x in seen if t == Z3.zero} == \
         set(itertools.product(range(3), repeat=3))
     # the projection acts on every element of the free module's frame
-    frame = free_module(truss_from_ring(Z3), 3).frame()
+    frame = free_module(truss_from_ring(Z3), 3).heap.frame()
     assert len(frame) == 6 and {x for t, x in seen if t == Z3.one} >= set(frame)
 
 
@@ -1098,3 +1117,26 @@ def test_verify_abs_of_free_draws_tail_triples_from_the_whole_pool(monkeypatch):
     assert verify_abs_of_free(Z3, 3).ok
     # the tail heap is checked on every triple from its frame: zero and each tail unit
     assert triples >= set(itertools.product([(0, 0), (1, 0), (0, 1)], repeat=3))
+
+
+def test_a_finite_base_is_scanned_once_for_its_frame(monkeypatch):
+    """The first frame of a finite heap costs one ``_retract_defects`` scan;
+    it is kept, and the law engine asks the heap, not a second scan.  (The
+    adjoined singleton is a finite heap too, scanned once.)"""
+    calls = []
+    scan = core._retract_defects
+
+    def counted(carrier, e):
+        calls.append(carrier)
+        return scan(carrier, e)
+
+    monkeypatch.setattr(core, "_retract_defects", counted)
+    t = unital_extension(truss_TZn(16))
+    assert validate_truss(t).ok and [c.size for c in calls] == [16, 1]
+    assert calls[0] is t.base.heap
+    calls.clear()
+    assert validate_truss(t).ok and calls == []
+    fm = free_module(truss_TZn(16), 2)
+    assert validate_module(fm).ok and len(calls) == 1 and calls[0] is fm.truss.heap
+    calls.clear()
+    assert validate_module(fm).ok and calls == []

@@ -8,7 +8,8 @@ import pytest
 
 from trusskit import trusses
 from trusskit.cli import parse_ring_spec
-from trusskit.core import StructureError, heap_from_group, FiniteGroup, FiniteHeap
+from trusskit.coproduct import DirectSum
+from trusskit.core import INT_LINE, StructureError, heap_from_group, FiniteGroup, FiniteHeap
 from trusskit.reports import Finding
 from trusskit.rings import FiniteRing
 from trusskit.trusses import (
@@ -102,8 +103,11 @@ def test_brace_truss():
 def test_truss_rejects_out_of_range_products():
     heap = truss_TZn(3).heap
     for bad in (7, -1, "i1"):
-        with pytest.raises(StructureError, match="element ids 0..2"):
+        with pytest.raises(StructureError, match="table of ids in 0..2"):
             FiniteTruss(heap, [[0, 1, bad], [0, 0, 0], [0, 0, 0]])
+    for bad in ([[0]], [[0, 1, 2], [0]], [[0, 1, 2]] * 4, [[0, 1], [0, 1, 2], [0, 1, 2]]):
+        with pytest.raises(StructureError, match="must be a 3 x 3 table of ids in 0..2"):
+            FiniteTruss(heap, bad)
 
 
 def test_truss_rejects_nonabelian_carrier():
@@ -155,10 +159,19 @@ def test_unital_extension_keeps_absorber():
         assert t1.mul(x, t1.absorber) == t1.absorber
 
 
-class Frameless(ExtensionTruss):
-    """An extension without a frame: validated on seeded draws."""
+class FramelessSum(DirectSum):
+    """A direct sum that withholds its group form: it has no frame."""
 
-    frame = None
+    def frame(self):
+        return None
+
+
+class Frameless(ExtensionTruss):
+    """An extension on a carrier without a frame: validated on seeded draws."""
+
+    def __init__(self, base, adjoined):
+        super().__init__(base, adjoined)
+        self.heap = FramelessSum(self.heap.summands)
 
 
 def test_unital_extension_validates_sampled():
@@ -751,11 +764,11 @@ def test_frame_verdicts_match_sampled_runs():
         for kind, extend in EXTEND.items():
             t = extend(make())
             framed = validate_truss(t, samples=1, window=1)
-            assert framed.stats["frame"] == len(t.frame()), (name, kind)
+            assert framed.stats["frame"] == len(t.heap.frame()), (name, kind)
             assert all(violated(t, f) for f in framed.findings), (name, kind)
             if framed.stats["base"] == "fail":
                 assert all(x.tails == (0,) for f in framed.findings for x in f.at)
-            t.frame = None
+            t.heap.frame = lambda: None     # the carrier withholds its frame
             sampled = validate_truss(t, samples=100, window=2, seed=7)
             assert "sampled" in sampled.stats and "base" not in sampled.stats
             assert framed.status == sampled.status, (name, kind)
@@ -764,19 +777,23 @@ def test_frame_verdicts_match_sampled_runs():
 
 
 def test_frames_are_a_point_and_that_point_moved_by_each_generator():
-    assert integer_truss().frame() == [0, 1]
-    assert constant_truss(3).frame() == [3, 4]
-    assert truss_TZn(6).frame() == [0, 1] and terminal_truss().frame() == [0]
+    # the frame is the carrier's: a constant truss starts at the origin 0
+    assert integer_truss().heap.frame() == (0, 1) == INT_LINE.frame()
+    assert constant_truss(3).heap.frame() == (0, 1)
+    assert truss_TZn(6).heap.frame() == (0, 1) and terminal_truss().heap.frame() == (0,)
     c2 = FiniteGroup.cyclic(2)
     klein = FiniteTruss(heap_from_group(FiniteGroup.product(c2, c2)), [[0] * 4] * 4)
-    assert klein.frame() == [0, 1, 2]
+    assert klein.heap.frame() == (0, 1, 2)
     t = double_extension(integer_truss())
     inner = t.base.element
-    assert t.frame() == [t.element(inner(0, 0), 0), t.element(inner(1, 0), 0),
-                         t.element(inner(0, 1), 0), t.element(inner(0, 0), 1)]
+    assert t.heap.frame() == [t.element(inner(0, 0), 0), t.element(inner(1, 0), 0),
+                              t.element(inner(0, 1), 0), t.element(inner(0, 0), 1)]
+    # a finite base starts at id 0, whatever the extension's basepoint
+    t1 = ExtensionTruss(truss_TZn(3), "one", basepoint=2)
+    assert t1.heap.frame() == [t1.element(0, 0), t1.element(1, 0), t1.element(0, 1)]
     # a carrier that is no heap has no group form, so no frame
     odd = FiniteTruss(not_a_heap(), ((0, 0, 0),) * 3)
-    assert odd.frame() is None and unital_extension(odd).frame() is None
+    assert odd.heap.frame() is None and unital_extension(odd).heap.frame() is None
     assert validate_truss(unital_extension(odd), samples=20, window=1).stats["sampled"]
 
 
