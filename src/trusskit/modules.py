@@ -549,8 +549,13 @@ def _free_set(m, candidates):
             raise StructureError(f"candidate {x!r} is not in the module")
     ds = _source_sum(m.truss, len(candidates))
     sigma = _copaired_sigma(ds, m, candidates)
-    p, *moves = ds.frame()
-    moves = [q for q in moves if _ints(ds, q) != _ints(ds, p)]     # the p + e_j
+    if m.truss.heap.is_finite:      # every summand move is torsion: only the tails move
+        p, moves = ds.zero(), [ds.inject(i, s.base) for i, s in enumerate(ds.summands) if i]
+    elif (frame := ds.frame()) is None:
+        raise StructureError("the truss carrier has no group form to decide freeness on")
+    else:
+        p, *moves = frame
+        moves = [q for q in moves if _ints(ds, q) != _ints(ds, p)]     # the p + e_j
     carrier, y0 = m.heap, sigma(p)
     origin = _ints(carrier, y0)
 

@@ -101,7 +101,7 @@ def test_generated_subheaps_match_the_resweep_on_every_small_seed():
 
 
 def test_closure_with_the_neutral_element_is_the_generated_subgroup():
-    # what the isomorphism search relies on in _generating_sequence
+    # what generated sub-heaps through the neutral element rely on
     for label, g, seed in small_seeds():
         heap = heap_from_group(g).ternary
         members = core._closure(seed + [g.neutral], heap)
@@ -112,7 +112,7 @@ def test_closure_with_the_neutral_element_is_the_generated_subgroup():
 
 def test_generating_sequences_are_greedy_and_generate():
     for label, g in small_groups(8):
-        gens = core._generating_sequence(g)
+        gens = core._generating_sequence(g.size, g.op, g.neutral)
         assert subgroup_oracle(g, gens) == set(range(g.size)), label
         for i, x in enumerate(gens):
             earlier = subgroup_oracle(g, gens[:i])

@@ -487,18 +487,20 @@ def test_finite_module_rejects_out_of_range_actions():
     for bad in (3, -1, None):
         with pytest.raises(StructureError, match="table of ids in 0..2"):
             FiniteTModule(t, heap, [[0, 0, 0], [0, bad, 2]])
-    for bad in ([[0, 1, 2]], [[0, 1, 2], [0, 1]], [[0, 1, 2]] * 3, [[0, 1], [0, 1, 2]]):
+    for bad in ([[0, 1, 2]], [[0, 1, 2], [0, 1]], [[0, 1, 2]] * 3, [[0, 1], [0, 1, 2]], [0, 1]):
         with pytest.raises(StructureError, match="must be a 2 x 3 table of ids in 0..2"):
             FiniteTModule(t, heap, bad)
 
 
-@pytest.mark.parametrize("table", [[[0]], [[0, 5], [0, 1]], [[0, 1], [0]], [[0, -1], [0, 1]]])
+@pytest.mark.parametrize("table", [[[0]], [[0, 5], [0, 1]], [[0, 1], [0]], [[0, -1], [0, 1]],
+                                   [0, 1]])
 def test_ring_rejects_a_malformed_multiplication_table(table):
     with pytest.raises(StructureError, match="must be a 2 x 2 table of ids in 0..1"):
         FiniteRing(FiniteGroup.cyclic(2), table)
 
 
-@pytest.mark.parametrize("action", [[[0]], [[0, 5], [0, 1]], [[0, 1]], [[0, 1], [0, 1], [0, 1]]])
+@pytest.mark.parametrize("action", [[[0]], [[0, 5], [0, 1]], [[0, 1]], [[0, 1], [0, 1], [0, 1]],
+                                    [0, 1]])
 def test_ring_module_rejects_a_malformed_action_table(action):
     with pytest.raises(StructureError, match="must be a 2 x 2 table of ids in 0..1"):
         RModule(FiniteRing.Zn(2), FiniteGroup.cyclic(2), action)
@@ -1140,3 +1142,20 @@ def test_a_finite_base_is_scanned_once_for_its_frame(monkeypatch):
     assert validate_module(fm).ok and len(calls) == 1 and calls[0] is fm.truss.heap
     calls.clear()
     assert validate_module(fm).ok and calls == []
+
+
+def test_a_free_set_over_a_finite_truss_asks_no_frame(monkeypatch):
+    """Every move of a finite summand is torsion, so a fresh free-set or
+    basis check over a finite truss scans nothing: p sits at the basepoints
+    and only the tails move.  A truss carrier that is no heap is no error."""
+    calls = []
+    scan = core._retract_defects
+    monkeypatch.setattr(core, "_retract_defects", lambda c, e: calls.append(c) or scan(c, e))
+    report = basis_check(FiniteTModule.regular(truss_TZn(16)), [1])
+    assert report.ok and report.stats["torsion"] == 16
+    odd = FiniteTModule.regular(FiniteTruss(not_a_heap(), ((0, 0, 0), (0, 0, 0), (0, 0, 2))))
+    report = free_set_check(odd, [1, 2])
+    p = CoproductElement((0, 0), (0,))
+    assert report.findings[0].at == (p, CoproductElement((0, 0), (1,)))
+    assert report.stats["linear_part"] == {"shape": [0, 1], "rank": 0}
+    assert calls == []

@@ -105,7 +105,8 @@ def test_truss_rejects_out_of_range_products():
     for bad in (7, -1, "i1"):
         with pytest.raises(StructureError, match="table of ids in 0..2"):
             FiniteTruss(heap, [[0, 1, bad], [0, 0, 0], [0, 0, 0]])
-    for bad in ([[0]], [[0, 1, 2], [0]], [[0, 1, 2]] * 4, [[0, 1], [0, 1, 2], [0, 1, 2]]):
+    for bad in ([[0]], [[0, 1, 2], [0]], [[0, 1, 2]] * 4, [[0, 1], [0, 1, 2], [0, 1, 2]],
+                [0, 1, 2]):
         with pytest.raises(StructureError, match="must be a 3 x 3 table of ids in 0..2"):
             FiniteTruss(heap, bad)
 
