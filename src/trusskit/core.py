@@ -17,8 +17,9 @@ hom-sets and isomorphisms of ``rings`` and ``modules``);
 action (every module hom-set, isomorphism and morphism, and the projection
 of a free module onto R^n); ``frame()`` of a carrier heap (``FiniteHeap``,
 ``IntLineHeap``, ``coproduct.DirectSum``) is a point and that point moved
-by each generator of its group form, on which every truss and module law is
-decided, and ``_id_table`` checks every product and action table.
+by each generator of its group form, on which every truss, module, ring and
+ring-module law is decided, and ``_id_table`` checks every product and
+action table.
 """
 
 from __future__ import annotations
@@ -55,6 +56,14 @@ def validate_group_table(op_table) -> Report:
 
     Structural problems (ragged rows, ids out of range) raise StructureError;
     broken axioms are collected as findings, one per violated instance.
+
+    With an identity and inverses, associativity is Light's test (Clifford
+    and Preston, *The Algebraic Theory of Semigroups* I, 1961): for the
+    greedy generators S of ``_generating_sequence``, (x.s).y = x.(s.y) for
+    every x, y and s in S, n^2 |S| checks.  The s that pass are closed under
+    products and every element is e or a left-nested product of S, so every
+    element passes.  Otherwise, or when a generator fails, the n^3 sweep
+    lists every violated instance.
     """
     rows = tuple(tuple(row) for row in op_table)
     n = len(rows)
@@ -64,26 +73,23 @@ def validate_group_table(op_table) -> Report:
         for j, v in enumerate(row):
             if not isinstance(v, int) or not 0 <= v < n:
                 raise StructureError(f"entry ({i},{j}) = {v!r} is not an id in 0..{n - 1}")
-    findings = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-                    findings.append(Finding("group associativity", (a, b, c),
-                                            rows[rows[a][b]][c], rows[a][rows[b][c]]))
-    neutral = None
-    for e in range(n):
-        if all(rows[e][x] == x == rows[x][e] for x in range(n)):
-            neutral = e
-            break
+    ids = range(n)
+    neutral = next((e for e in ids if all(rows[e][x] == x == rows[x][e] for x in ids)), None)
     if neutral is None:
-        findings.append(Finding("two-sided identity", (), note="no identity element"))
+        units = [Finding("two-sided identity", (), note="no identity element")]
     else:
-        for a in range(n):
-            if not any(rows[a][b] == neutral == rows[b][a] for b in range(n)):
-                findings.append(Finding("two-sided inverse", (a,), note="no inverse"))
-    status = FAIL if findings else PASS
-    return Report("group table", status, findings, {"size": n, "identity": neutral})
+        units = [Finding("two-sided inverse", (a,), note="no inverse") for a in ids
+                 if not any(rows[a][b] == neutral == rows[b][a] for b in ids)]
+    light = not units and all(
+        rows[rows[x][s]][y] == rows[x][rows[s][y]]
+        for s in _generating_sequence(n, lambda a, b: rows[a][b], neutral)
+        for x in ids for y in ids)
+    findings = [] if light else [
+        Finding("group associativity", (a, b, c), rows[rows[a][b]][c], rows[a][rows[b][c]])
+        for a in ids for b in ids for c in ids if rows[rows[a][b]][c] != rows[a][rows[b][c]]]
+    findings += units
+    return Report("group table", FAIL if findings else PASS, findings,
+                  {"size": n, "identity": neutral})
 
 
 class FiniteGroup:
@@ -272,16 +278,18 @@ def _generating_sequence(n, op, neutral):
     return gens
 
 
-def _bfs_recipe(g: FiniteGroup, gens):
-    """Each non-neutral element as (element, parent, gen index), parent-first."""
-    seen = {g.neutral}
+def _bfs_recipe(op, neutral, gens):
+    """Each element of the group (op, neutral) that the generators reach,
+    other than the neutral one, as (element, parent, gen index) with
+    element = op(parent, gens[gen index]), parent-first."""
+    seen = {neutral}
     recipe = []
-    frontier = [g.neutral]
+    frontier = [neutral]
     while frontier:
         nxt = []
         for x in frontier:
             for gi, gen in enumerate(gens):
-                y = g.op(x, gen)
+                y = op(x, gen)
                 if y not in seen:
                     seen.add(y)
                     recipe.append((y, x, gi))
@@ -305,7 +313,7 @@ def _group_maps(g: FiniteGroup, h: FiniteGroup, iso=False):
     if iso and sorted(orders) != sorted(map(g.element_order, range(g.size))):
         return
     gens = _generating_sequence(g.size, g.op, g.neutral)
-    recipe = _bfs_recipe(g, gens)
+    recipe = _bfs_recipe(g.op, g.neutral, gens)
     pairs = list(itertools.product(range(g.size), repeat=2))
     candidates = [[y for y in range(h.size) if (orders[y] == k if iso else k % orders[y] == 0)]
                   for k in map(g.element_order, gens)]
@@ -505,19 +513,26 @@ def validate_heap(table, abelian=False) -> Report:
     return Report("heap table", FAIL if findings else PASS, findings, stats)
 
 
-def _first_unpreserved(source_ternary, target_ternary, mapping, pool=None):
-    """The first (a, e, c), a and c in the pool and e its first element,
-    where f[a,e,c] != [fa,fe,fc], or None.  f(x) is ``mapping[x]``; the
-    pool defaults to the ids 0..n-1 of a sequence.
+def _first_unpreserved(source_ternary, target_ternary, mapping, pool=None, gens=None):
+    """The first (a, e, c), a in the pool, c in ``gens`` (by default the
+    pool) and e the pool's first element, where f[a,e,c] != [fa,fe,fc], or
+    None.  f(x) is ``mapping[x]``; the pool defaults to the ids 0..n-1 of a
+    sequence.
 
     For heaps this decides whether f is a heap morphism in O(n^2): preserving
     [a,e,c] makes f a group map from the retract at e to the retract at f(e),
-    and [a,b,c] = a.b^-1.c in both.
+    and [a,b,c] = a.b^-1.c in both.  The frame form decides it in O(n.k),
+    with the pool every element of a finite group heap, starting at the
+    point of its ``frame()``, and ``gens`` the k generators of that frame.
+    Put L(x) = f(x) - f(e) in the retracts: L(x.g) = L(x) + L(g) for each
+    generator g, and the y with L(x.y) = L(x) + L(y) for every x are closed
+    under products, so they are every y (Certaine's lemma: an affine map is
+    fixed by its values on a frame).
     """
     pool = range(len(mapping)) if pool is None else pool
     e = pool[0] if pool else None
     for a in pool:
-        for c in pool:
+        for c in pool if gens is None else gens:
             if mapping[source_ternary(a, e, c)] != target_ternary(mapping[a], mapping[e],
                                                                    mapping[c]):
                 return (a, e, c)
@@ -549,11 +564,14 @@ class FiniteHeap:
 
     is_finite = True
 
-    def __init__(self, size, *, table=None, fn=None, names=None, abelian=False):
+    def __init__(self, size, *, table=None, fn=None, names=None, abelian=False,
+                 frame=None):
         self.size = size
         self._table = table
         self._fn = fn
-        self._frame = False     # not computed yet; None: no frame
+        # the function of the heap that computes its frame on first use (a
+        # scan, unless the caller builds a group heap), then the frame or None
+        self._frame = _scanned_frame if frame is None else frame
         names = tuple(names) if names is not None else tuple(str(i) for i in range(size))
         if len(names) != size:
             raise StructureError("names do not match the carrier size")
@@ -574,9 +592,11 @@ class FiniteHeap:
         return cls(n, table=rows, names=names, abelian=abelian)
 
     @classmethod
-    def from_function(cls, size, fn, names=None, abelian=False):
-        """Wrap a trusted ternary function (group-backed, products, ...)."""
-        return cls(size, fn=fn, names=names, abelian=abelian)
+    def from_function(cls, size, fn, names=None, abelian=False, frame=None):
+        """Wrap a trusted ternary function (group-backed, products, ...);
+        ``frame``, a function of the heap, gives a group heap's frame with no
+        scan."""
+        return cls(size, fn=fn, names=names, abelian=abelian, frame=frame)
 
     @classmethod
     def empty(cls):
@@ -602,16 +622,14 @@ class FiniteHeap:
         return self._table
 
     def frame(self):
-        """(0,) and the greedy generators of the retract at 0
-        (``_generating_sequence``): a point and that point moved by each
-        generator; None unless this is a non-empty group heap, which is
-        exactly when the laws of its trusses and modules may be decided on
-        morphism rows.  Computed once, on first use, as ``table()`` is: an
-        O(n^3) scan, then O(n log^2 n) products."""
-        if self._frame is False:
-            self._frame = ((0,) + tuple(_generating_sequence(
-                self.size, lambda a, b: self.ternary(a, 0, b), 0))
-                if _retract_defects(self, 0) == [] else None)
+        """(0,) and generators of the retract at 0: a point and that point
+        moved by each generator; None unless this is a non-empty group heap,
+        which is exactly when the laws of its trusses and modules may be
+        decided on generators.  Computed once, on first use, as ``table()``
+        is: an O(n^3) scan and the greedy generators (``_walked_frame``),
+        or, for a group heap by construction, as its constructor says."""
+        if callable(self._frame):
+            self._frame = self._frame(self)
         return self._frame
 
     def elements(self):
@@ -641,6 +659,18 @@ class FiniteHeap:
     def __repr__(self):
         kind = "table" if self._table is not None else "fn"
         return f"FiniteHeap(order={self.size}, {kind}-backed, abelian={self.abelian})"
+
+
+def _walked_frame(h):
+    """(0,) and the greedy generators of the retract of h at 0
+    (``_generating_sequence``), in O(n log^2 n) products."""
+    return (0,) + tuple(_generating_sequence(h.size, lambda a, b: h.ternary(a, 0, b), 0))
+
+
+def _scanned_frame(h):
+    """``_walked_frame`` of h once the O(n^3) ``_retract_defects`` scan finds
+    a group heap, else None."""
+    return _walked_frame(h) if _retract_defects(h, 0) == [] else None
 
 
 class IntLineHeap:
@@ -676,12 +706,15 @@ INT_LINE = IntLineHeap()
 
 
 def heap_from_group(g: FiniteGroup) -> FiniteHeap:
-    """The heap of a group: [x,y,z] = x y^{-1} z."""
+    """The heap of a group: [x,y,z] = x y^{-1} z.  It is a heap by
+    construction, so its frame is walked with no scan."""
+    op, inv = g._op, g._inv
     return FiniteHeap.from_function(
         g.size,
-        lambda a, b, c: g.op(g.op(a, g.inv(b)), c),
+        lambda a, b, c: op[op[a][inv[b]]][c],
         names=g.names,
         abelian=g.abelian,
+        frame=_walked_frame,
     )
 
 
@@ -855,7 +888,9 @@ def quotient(h: FiniteHeap, s: SubHeap):
 
 
 def product(h1: FiniteHeap, h2: FiniteHeap) -> FiniteHeap:
-    """Direct product: pairs with the component-wise ternary operation."""
+    """Direct product: pairs with the component-wise ternary operation.  Its
+    frame is the factors' frames side by side, (0, 0) and each factor's
+    generators paired with the other's 0, with no scan of the product."""
     n2 = h2.size
     names = tuple(f"({h1.names[a]},{h2.names[b]})"
                   for a in range(h1.size) for b in range(h2.size))
@@ -864,8 +899,13 @@ def product(h1: FiniteHeap, h2: FiniteHeap) -> FiniteHeap:
         return (h1.ternary(x // n2, y // n2, z // n2) * n2
                 + h2.ternary(x % n2, y % n2, z % n2))
 
+    def frame(_):
+        f1, f2 = h1.frame(), h2.frame()
+        return None if f1 is None or f2 is None else (
+            (0,) + tuple(g * n2 for g in f1[1:]) + f2[1:])
+
     return FiniteHeap.from_function(h1.size * n2, fn, names=names,
-                                    abelian=h1.abelian and h2.abelian)
+                                    abelian=h1.abelian and h2.abelian, frame=frame)
 
 
 def find_isomorphism(a: FiniteHeap, b: FiniteHeap):

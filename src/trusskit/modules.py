@@ -207,14 +207,23 @@ def validate_module(m, *, samples=10_000, window=4, seed=2026) -> Report:
     """The three module laws, and unitality when the truss has an
     identity, on the law engine of ``validate_truss`` over every element of
     a finite carrier or the ``heap.frame()`` of a symbolic one.  t.m is
-    affine in t and in m over a truss, so a framed module decides its
-    truss's product laws first (``truss``).  Only a carrier with no frame is
+    affine in t and in m over a truss, so a symbolic module decides its
+    truss's product laws first (``truss``).  On group heaps the engine
+    decides on generators: each row x |-> a.x and column t |-> t.x is a
+    heap map once it preserves [u, e, g] for the frame's generators g, and
+    once the truss's product is affine in each argument too (checked on
+    the frame, as a finite truss is not validated when it is built) the
+    frame triples decide associativity (Certaine's lemma).  A failing map,
+    a failing frame triple or a non-affine product falls back to the sweep,
+    so a fail lists every finding.  Only a carrier with no frame is
     sampled.
 
     Findings are located at (a, b, x), (a, b, c, x), (a, x, y, z) or the
     first (x,) that breaks unitality; ``distributivity`` names the algorithm
-    and the swept (law, element) pairs.  A symbolic module reports ``frame``
-    (its size) or ``sampled`` (samples, window and seed)."""
+    and the swept (law, element) pairs, ``associativity`` the algorithm
+    ("frame triples" or "sweep") and the instances evaluated.  A symbolic
+    module reports ``frame`` (its size) or ``sampled`` (samples, window and
+    seed)."""
     t = m.truss
     ts, ms = _pool(t), _pool(m)
     pools = None if ts is None or ms is None else (ts, ms)
@@ -228,8 +237,8 @@ def validate_module(m, *, samples=10_000, window=4, seed=2026) -> Report:
         if found:
             stats.update(checked=per_law[0] + 2 * per_law[1], unital=None)
             return Report("T-module", FAIL, found, stats)
-    found, per_law, rows, units = _action_laws(t, m.act, m, pools, samples=samples,
-                                               window=window, seed=seed)
+    found, per_law, rows, associativity, units = _action_laws(
+        t, m.act, m, pools, samples=samples, window=window, seed=seed)
     findings = [Finding(*f) for f in found]
     bad = None if t.identity is None else next(
         (x for x in units if m.act(t.identity, x) != x), None)
@@ -242,6 +251,7 @@ def validate_module(m, *, samples=10_000, window=4, seed=2026) -> Report:
             "algorithm": algorithm,
             "swept": [(LINEAR_IN_T, x) for x in swept_m] + [(LINEAR_IN_M, a) for a in swept_t],
         }
+        stats["associativity"] = associativity
     return Report("T-module", FAIL if findings else PASS, findings, stats)
 
 

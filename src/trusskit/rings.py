@@ -5,7 +5,9 @@ truss modules are compared against: ring retracts, the quotient-by-absorbers
 module, and the hom-sets and isomorphisms behind the adjunction and freeness
 checks, built from generator images of the additive group
 (``core._group_maps``) and kept when they commute with the action
-(``core._first_unequivariant``).
+(``core._first_unequivariant``).  Ring and ring-module laws are decided on
+generators by the law engine of the trusses, on T(R) and T(M), and swept
+only when they fail.
 """
 
 from __future__ import annotations
@@ -91,20 +93,35 @@ class FiniteRing:
         return cls(add, mul, names=add.names, validate=False)
 
 
+def _on_generators(truss, act, module) -> bool:
+    """Whether the truss law engine (``trusses._action_laws``) passes the
+    action of the truss on the module, deciding on generators."""
+    from .trusses import _action_laws    # trusses is built on rings
+    pools = (truss.heap.elements(), module.heap.elements())
+    return not _action_laws(truss, act, module, pools, sweep=False)[0]
+
+
 def validate_ring(r: FiniteRing) -> Report:
-    """Associativity of multiplication and both distributive laws, exhaustively."""
-    findings = []
+    """Associativity of multiplication and both distributive laws, exactly.
+
+    An affine map that fixes zero is additive, so r is a ring exactly when
+    its truss T(r) passes the law engine, which decides on generators
+    (Certaine's lemma: an affine map is fixed by its values on a frame),
+    and 0 absorbs on both sides.  Otherwise the n^3 sweep lists every
+    violated instance."""
+    from .trusses import truss_from_ring
     n = r.size
+    t = truss_from_ring(r)
+    if t.absorber == r.add.neutral and _on_generators(t, t.mul, t):
+        return Report("ring", PASS, [], {"size": n})
+    mul, add, findings = r.mul_table, r.add.op_table(), []
     for a, b, c in itertools.product(range(n), repeat=3):
-        if r.mul(r.mul(a, b), c) != r.mul(a, r.mul(b, c)):
-            findings.append(Finding("ring multiplication associativity", (a, b, c),
-                                    r.mul(r.mul(a, b), c), r.mul(a, r.mul(b, c))))
-        if r.mul(a, r.plus(b, c)) != r.plus(r.mul(a, b), r.mul(a, c)):
-            findings.append(Finding("left distributivity", (a, b, c),
-                                    r.mul(a, r.plus(b, c)), r.plus(r.mul(a, b), r.mul(a, c))))
-        if r.mul(r.plus(a, b), c) != r.plus(r.mul(a, c), r.mul(b, c)):
-            findings.append(Finding("right distributivity", (a, b, c),
-                                    r.mul(r.plus(a, b), c), r.plus(r.mul(a, c), r.mul(b, c))))
+        ab, ac, bc = mul[a][b], mul[a][c], mul[b][c]
+        for law, lhs, rhs in (("ring multiplication associativity", mul[ab][c], mul[a][bc]),
+                              ("left distributivity", mul[a][add[b][c]], add[ab][ac]),
+                              ("right distributivity", mul[add[a][b]][c], add[ac][bc])):
+            if lhs != rhs:
+                findings.append(Finding(law, (a, b, c), lhs, rhs))
     return Report("ring", FAIL if findings else PASS, findings, {"size": n})
 
 
@@ -177,22 +194,38 @@ class RModule:
 
 
 def validate_rmodule(m: RModule) -> Report:
-    """Unital module laws over the ring, checked exhaustively."""
-    findings = []
+    """Unital module laws over the ring, exactly.
+
+    An affine map that fixes zero is additive, so m is a module exactly
+    when T(m) passes the law engine as a module over T(R), on generators
+    (Certaine's lemma, as in ``validate_ring``), r.0 = 0 and 0.x = 0 for
+    every r and x, and 1 acts as the identity.  Otherwise the sweep lists
+    every violated instance."""
+    from .modules import FiniteTModule
     R, n = m.ring, m.size
+    tm = FiniteTModule.from_rmodule(m)
+    zero = m.zero
+    if (all(m.act(r, zero) == zero for r in range(R.size))
+            and all(m.act(R.zero, x) == zero and (R.one is None or m.act(R.one, x) == x)
+                    for x in range(n))
+            and _on_generators(tm.truss, tm.act, tm)):
+        return Report("R-module", PASS, [], {"size": n, "ring": R.size})
+    act, times, plus, add = m.action, R.mul_table, R.add.op_table(), m.group.op_table()
+    findings = []
     for r, s in itertools.product(range(R.size), repeat=2):
         for x in range(n):
-            if m.act(r, m.act(s, x)) != m.act(R.mul(r, s), x):
-                findings.append(Finding("module associativity r(sx) = (rs)x", (r, s, x),
-                                        m.act(r, m.act(s, x)), m.act(R.mul(r, s), x)))
-            if m.act(R.plus(r, s), x) != m.plus(m.act(r, x), m.act(s, x)):
-                findings.append(Finding("module law (r+s)x = rx+sx", (r, s, x),
-                                        m.act(R.plus(r, s), x), m.plus(m.act(r, x), m.act(s, x))))
+            lhs, rhs = act[r][act[s][x]], act[times[r][s]][x]
+            if lhs != rhs:
+                findings.append(Finding("module associativity r(sx) = (rs)x", (r, s, x), lhs, rhs))
+            lhs, rhs = act[plus[r][s]][x], add[act[r][x]][act[s][x]]
+            if lhs != rhs:
+                findings.append(Finding("module law (r+s)x = rx+sx", (r, s, x), lhs, rhs))
     for r in range(R.size):
+        ar = act[r]
         for x, y in itertools.product(range(n), repeat=2):
-            if m.act(r, m.plus(x, y)) != m.plus(m.act(r, x), m.act(r, y)):
-                findings.append(Finding("module law r(x+y) = rx+ry", (r, x, y),
-                                        m.act(r, m.plus(x, y)), m.plus(m.act(r, x), m.act(r, y))))
+            lhs, rhs = ar[add[x][y]], add[ar[x]][ar[y]]
+            if lhs != rhs:
+                findings.append(Finding("module law r(x+y) = rx+ry", (r, x, y), lhs, rhs))
     if R.one is not None:
         for x in range(n):
             if m.act(R.one, x) != x:

@@ -8,10 +8,11 @@ the ``DirectSum`` with a singleton.  An extension's product distributes over
 the heap operation in each argument, so it is the bi-affine closed form of
 ``ExtensionTruss`` in four base products; the letter-wise product over word
 forms and the closed formulas of the worked examples live in the tests as
-oracles, not here.  One law engine decides trusses and modules exactly, on
-every element or on the ``frame()`` of the carrier heap: a point and that
-point moved by each generator of its group form.  Frames belong to the
-carrier, so no truss defines one.
+oracles, not here.  One law engine decides trusses, modules, rings and ring
+modules exactly, on generators: on the ``frame()`` of the carrier heap, a
+point and that point moved by each generator of its group form, and on
+every element only where a law fails.  Frames belong to the carrier, so no
+truss defines one.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import (
     INT_LINE,
     FiniteHeap,
     StructureError,
+    _bfs_recipe,
     _first_unpreserved,
     _id_table,
     heap_from_group,
@@ -341,21 +343,101 @@ class _Memo(dict):
         return value
 
 
+def _rows_and_columns(f, ts, ms, finite):
+    """rows[a][x] = f(a, x) and cols[x][a] = f(a, x): tables over finite
+    pools of ids, else computed once, on first use."""
+    if finite:
+        rows = [[f(a, x) for x in ms] for a in ts]
+        return rows, [[row[x] for row in rows] for x in ms]
+    rows = _Memo(lambda a: _Memo(functools.partial(f, a)))
+    return rows, _Memo(lambda x: _Memo(lambda a: rows[a][x]))
+
+
+def _unpreserved(f, source_ternary, target_ternary, triples):
+    """((x, y, z), lhs, rhs) for each triple where f[x,y,z] = lhs differs
+    from [fx,fy,fz] = rhs, in the order of ``triples``."""
+    for x, y, z in triples:
+        lhs, rhs = f[source_ternary(x, y, z)], target_ternary(f[x], f[y], f[z])
+        if lhs != rhs:
+            yield (x, y, z), lhs, rhs
+
+
+class _Frame:
+    """The ``frame()`` of a carrier heap over its pool: the frame's points,
+    its point e and generators, and [x, e, g] for each x in the pool and
+    generator g, computed once for every map out of the carrier."""
+
+    def __init__(self, heap, pool):
+        self.heap, self.pool, self.points = heap, pool, heap.frame()
+        self.e, self.gens = self.points[0], self.points[1:]
+        self.steps = {(x, g): heap.ternary(x, self.e, g) for x in pool for g in self.gens}
+        self.walk = None
+
+    def step(self, x, e, g):
+        return self.steps[x, g]
+
+    def first_unpreserved(self, target_ternary, f):
+        """The frame form of ``core._first_unpreserved``: the first
+        (x, e, g) where f[x,e,g] != [fx,fe,fg], x in the pool."""
+        return _first_unpreserved(self.step, target_ternary, f, self.pool, self.gens)
+
+    def suspects(self, f, target_ternary):
+        """The triples of a finite carrier, in sweep order, at which the map
+        f can break f[x,y,z] = [fx,fy,fz]; None for all of them.
+
+        The heap map f^ that agrees with f on the frame is fitted along the
+        generator walk (``core._bfs_recipe``), f^(x.g) = f^(x) + f^(g) - f^(e),
+        and D is where f differs from it.  Where none of x, y, z and [x,y,z]
+        is in D, f[x,y,z] = f^[x,y,z] = [fx,fy,fz], so only the <= 4|D|n^2
+        triples with x, y or z in D, or z = [y,x,d] for d in D, can fail.
+        None when f^ is no heap map or the triples are no fewer than n^3.
+        """
+        e, gens, ids = self.e, self.gens, self.pool
+        if self.walk is None:
+            self.walk = _bfs_recipe(lambda x, g: self.steps[x, g], e, gens)
+        fit = {e: f[e]}
+        for y, parent, i in self.walk:
+            fit[y] = target_ternary(fit[parent], fit[e], f[gens[i]])
+        if any(fit[self.steps[x, g]] != target_ternary(fit[x], fit[e], fit[g])
+               for x in ids for g in gens):
+            return None
+        dirty, n = [x for x in ids if f[x] != fit[x]], len(ids)
+        if 4 * len(dirty) * n * n >= n ** 3:
+            return None
+        ternary, triples = self.heap.ternary, set()
+        for d in dirty:
+            for x, y in itertools.product(ids, repeat=2):
+                triples.update(((d, x, y), (x, d, y), (x, y, d), (x, y, ternary(y, x, d))))
+        return sorted(triples)
+
+
 def _action_laws(t, act, m, pools, *, samples=None, window=None, seed=None, sweep=True):
     """The three laws of an action ``act`` of the truss t on m (of t on
     itself, for a truss): (law, at, lhs, rhs) findings, the instances per
-    law, the swept maps and the pool for the unit laws.
+    law, the swept maps, how associativity was decided, and the pool for the
+    unit laws.
 
     On pools (ts, ms), every element of a finite carrier or the frame of a
     symbolic one, every instance is decided.  Distributivity says that
     t |-> t.x (T -> M) and x |-> a.x (M -> M) are heap maps, which a map
-    is once it preserves [u,e,v] for u, v in the pool (Certaine 1943,
-    ``core._first_unpreserved``; both sides are affine in u and in v).
-    Only a failing map is swept ("morphism rows"), and every map when a
-    finite carrier is no heap ("sweep").  Without ``sweep``, a failing law
-    decides: failing associativity returns at once, a failing map is listed
-    at its first failure.  Without pools, each of ``samples`` seeded draws
-    takes a, b, c and x, y, z from the windows, the drawn x the unit pool.
+    out of a group heap is once it preserves [u,e,g] for u in the pool and
+    g a generator of the frame (Certaine 1943; the frame form of
+    ``core._first_unpreserved``).  Only a failing map is swept ("morphism
+    rows"): a map out of a finite carrier on the triples that its
+    ``_Frame.suspects`` names, else on every triple.  Every map is swept
+    when a finite carrier is no heap ("sweep").
+
+    Associativity a(bx) = (ab)x: once every row and column is a heap map and
+    the product of t is one in each argument (checked on the frame for a
+    module), both sides are affine in a, in b and in x, so the frame
+    triples decide it ("frame triples"; a symbolic carrier's pool is its
+    frame).  Otherwise, or when a frame triple fails, all of ts x ts x ms
+    are swept ("sweep"), so a fail lists every finding, in sweep order.
+
+    Without ``sweep``, a failing law decides: failing associativity returns
+    at once, a failing map is listed at its first failure.  Without pools,
+    each of ``samples`` seeded draws takes a, b, c and x, y, z from the
+    windows, the drawn x the unit pool.
     """
     found = []
     tern_t, tern_m = t.heap.ternary, m.heap.ternary
@@ -371,76 +453,98 @@ def _action_laws(t, act, m, pools, *, samples=None, window=None, seed=None, swee
                 (LINEAR_IN_M, (a, x, y, z), act(a, tern_m(x, y, z)),
                  tern_m(act(a, x), act(a, y), act(a, z)))) if f[2] != f[3]]
             drawn.append(x)
-        return found, dict.fromkeys((ASSOCIATIVE, LINEAR_IN_T, LINEAR_IN_M), samples), None, drawn
+        per_law = dict.fromkeys((ASSOCIATIVE, LINEAR_IN_T, LINEAR_IN_M), samples)
+        return found, per_law, None, None, drawn
     ts, ms = pools
-    if t.heap.is_finite and m.heap.is_finite:   # rows[a][x] = a.x, precomputed
-        rows = [[act(a, x) for x in ms] for a in ts]
-    else:                                       # or computed once, on first use
-        rows = _Memo(lambda a: _Memo(functools.partial(act, a)))
-    for a, b in itertools.product(ts, repeat=2):
-        ra, rb, rab = rows[a], rows[b], rows[t.mul(a, b)]
-        found += [(ASSOCIATIVE, (a, b, x), ra[rb[x]], rab[x]) for x in ms if ra[rb[x]] != rab[x]]
+    finite = t.heap.is_finite and m.heap.is_finite
+    rows, cols = _rows_and_columns(act, ts, ms, finite)
     nt, nm = len(ts), len(ms)
     checked = {ASSOCIATIVE: nt * nt * nm, LINEAR_IN_T: nt ** 3 * nm, LINEAR_IN_M: nt * nm ** 3}
-    if found and not sweep:
-        return found, checked, ("unchecked", [], []), ms
+    ft = fm = None
     if all(h.frame() for h in (t.heap, m.heap) if h.is_finite):
         algorithm = "morphism rows"
-        first_m = {x: w for x in ms if (w := _first_unpreserved(
-            tern_t, tern_m, _Memo(lambda u: rows[u][x]), ts))}
-        first_t = {a: w for a in ts if (w := _first_unpreserved(tern_m, tern_m, rows[a], ms))}
-        swept_m, swept_t = list(first_m), list(first_t)
+        ft = _Frame(t.heap, ts)
+        fm = ft if m is t else _Frame(m.heap, ms)
+        first_m = {x: w for x in ms if (w := ft.first_unpreserved(tern_m, cols[x]))}
+        first_t = {a: w for a in ts if (w := fm.first_unpreserved(tern_m, rows[a]))}
+        affine = not first_m and not first_t and (m is t or not any(
+            ft.first_unpreserved(tern_t, f) for f in _product_maps(t, ts)))
     else:
-        algorithm, swept_m, swept_t = "sweep", list(ms), list(ts)
-    if sweep or algorithm == "sweep":
-        at_t = ((abc, swept_m) for abc in itertools.product(ts, repeat=3)) if swept_m else ()
-        at_m = ((a, itertools.product(ms, repeat=3)) for a in swept_t)
-    else:
-        at_t, at_m = ([(w, (x,)) for x, w in first_m.items()],
-                      [(a, (w,)) for a, w in first_t.items()])
-    for (a, b, c), xs in at_t:
-        ra, rb, rc, rabc = rows[a], rows[b], rows[c], rows[tern_t(a, b, c)]
-        for x in xs:
-            lhs, rhs = rabc[x], tern_m(ra[x], rb[x], rc[x])
-            if lhs != rhs:
-                found.append((LINEAR_IN_T, (a, b, c, x), lhs, rhs))
-    for a, xyzs in at_m:
-        ra = rows[a]
-        for x, y, z in xyzs:
-            lhs, rhs = ra[tern_m(x, y, z)], tern_m(ra[x], ra[y], ra[z])
-            if lhs != rhs:
-                found.append((LINEAR_IN_M, (a, x, y, z), lhs, rhs))
-    return found, checked, (algorithm, swept_m, swept_t), ms
+        algorithm, first_m, first_t, affine = "sweep", dict.fromkeys(ms), dict.fromkeys(ts), False
+
+    def associativity(us, xs):
+        out = []
+        for a, b in itertools.product(us, repeat=2):
+            ra, rb, rab = rows[a], rows[b], rows[t.mul(a, b)]
+            out += [(ASSOCIATIVE, (a, b, x), ra[rb[x]], rab[x]) for x in xs if ra[rb[x]] != rab[x]]
+        return out, len(us) ** 2 * len(xs)
+
+    found, evaluated = associativity(ft.points, fm.points) if affine else ([], 0)
+    on_frame = affine and not found
+    if not on_frame and (not evaluated or t.heap.is_finite or m.heap.is_finite):
+        found, swept = associativity(ts, ms)
+        evaluated += swept
+    decided = {"algorithm": "frame triples" if on_frame else "sweep", "evaluated": evaluated}
+    swept_m, swept_t = list(first_m), list(first_t)
+    if found and not sweep:
+        return found, checked, ("unchecked", [], []), decided, ms
+
+    def triples(frame, pool, f, witness):
+        if not sweep and frame:
+            return [witness]
+        suspects = frame.suspects(f, tern_m) if frame and frame.heap.is_finite else None
+        return itertools.product(pool, repeat=3) if suspects is None else suspects
+
+    in_t = [(LINEAR_IN_T, abc + (x,), lhs, rhs) for x in swept_m for abc, lhs, rhs in
+            _unpreserved(cols[x], tern_t, tern_m, triples(ft, ts, cols[x], first_m[x]))]
+    if len(swept_m) > 1:    # in the order of the sweep: (a, b, c) first, then x
+        index_t, index_m = {u: i for i, u in enumerate(ts)}, {x: i for i, x in enumerate(swept_m)}
+        in_t.sort(key=lambda f: ([index_t[u] for u in f[1][:3]], index_m[f[1][3]]))
+    found += in_t
+    for a in swept_t:
+        found += [(LINEAR_IN_M, (a,) + xyz, lhs, rhs) for xyz, lhs, rhs in _unpreserved(
+            rows[a], tern_m, tern_m, triples(fm, ms, rows[a], first_t[a]))]
+    return found, checked, (algorithm, swept_m, swept_t), decided, ms
+
+
+def _product_maps(t, ts):
+    """The maps u |-> au and u |-> ua of the product of t, for a in ts."""
+    prow, pcol = _rows_and_columns(t.mul, ts, ts, t.heap.is_finite)
+    return itertools.chain((prow[a] for a in ts), (pcol[a] for a in ts))
 
 
 def _product_laws(t, pool, sweep=True, **draws):
     """Associativity and both distributive laws of t acting on itself:
     (findings in the order of the (s, a, b, c) sweep, instances per law,
-    distributivity, unit pool, base status).  A framed extension decides
-    its base first, recursively (the base's unit laws do not matter); a
-    base finding decides, lifted to tail 0, where the base embeds (``sweep``
-    as in ``_action_laws``)."""
+    how distributivity and associativity were decided, unit pool, base
+    status).  A framed extension decides its base first, recursively (the
+    base's unit laws do not matter); a base finding decides, lifted to tail
+    0, where the base embeds (``sweep`` as in ``_action_laws``)."""
     base = None
     if isinstance(t, ExtensionTruss) and pool is not None:
-        found, per_law, rows, _, _ = _product_laws(t.base, _pool(t.base), sweep=sweep)
+        found, per_law, how, _, _ = _product_laws(t.base, _pool(t.base), sweep=sweep)
         if found:
-            up = t.inject
+            up, rows = t.inject, how["distributivity"]
+            how = {**how, "distributivity": {**rows, "swept": list(map(up, rows["swept"]))}}
             return ([Finding(f.law, tuple(map(up, f.at)), up(f.lhs), up(f.rhs)) for f in found],
-                    per_law, {**rows, "swept": list(map(up, rows["swept"]))}, [], FAIL)
+                    per_law, how, [], FAIL)
         base = PASS
-    found, per_law, rows, units = _action_laws(
+    found, per_law, rows, associativity, units = _action_laws(
         t, t.mul, t, None if pool is None else (pool, pool), sweep=sweep, **draws)
-    findings = [Finding("product associativity", at, rhs, lhs) if law == ASSOCIATIVE  # (ab)c first
-                else Finding("left distributivity over [,,]", at, lhs, rhs) if law == LINEAR_IN_M
-                else Finding("right distributivity over [,,]", at[3:] + at[:3], lhs, rhs)
-                for law, at, lhs, rhs in found]
+    findings = [Finding("product associativity", at, rhs, lhs)   # (ab)c first
+                for law, at, lhs, rhs in found if law == ASSOCIATIVE]
+    laws = [Finding("left distributivity over [,,]", at, lhs, rhs) if law == LINEAR_IN_M
+            else Finding("right distributivity over [,,]", at[3:] + at[:3], lhs, rhs)
+            for law, at, lhs, rhs in found if law != ASSOCIATIVE]
+    how = {}
     if rows is not None:    # in the order of the (s, a, b, c) sweep, left law first
         index = {x: i for i, x in enumerate(pool)}
-        findings.sort(key=lambda f: (f.law != "product associativity",
-                                     [index[x] for x in f.at], f.law.startswith("right")))
-        rows = {"algorithm": rows[0], "swept": [s for s in pool if s in rows[1] or s in rows[2]]}
+        laws.sort(key=lambda f: ([index[x] for x in f.at], f.law.startswith("right")))
+        how = {"distributivity": {"algorithm": rows[0],
+                                  "swept": [s for s in pool if s in rows[1] or s in rows[2]]},
+               "associativity": associativity}
     per_law = (per_law[ASSOCIATIVE], per_law[LINEAR_IN_M])
-    return findings, per_law, rows, units, base
+    return findings + laws, per_law, how, units, base
 
 
 def validate_truss(t, *, samples=10_000, window=5, seed=2026) -> Report:
@@ -448,18 +552,25 @@ def validate_truss(t, *, samples=10_000, window=5, seed=2026) -> Report:
     absorber laws (scanned for finite trusses, declared otherwise), on the
     law engine (``_action_laws``) over every element of a finite truss or
     the ``heap.frame()`` of a symbolic one; an extension decides its base
-    first.  Only a carrier with no frame is sampled: ``samples`` seeded
-    draws from ``sample_elements(window)``, the unit laws on the drawn
-    elements.
+    first.  On a group heap the engine decides on generators: each row and
+    column of the product is a heap map once it preserves [x, e, g] for the
+    frame's generators g, and then the frame triples decide associativity
+    (Certaine's lemma: an affine map is fixed by its values on a frame).  A
+    failing map, a failing frame triple or a carrier that is no heap falls
+    back to the sweep, so a fail lists every finding.  Only a carrier with
+    no frame is sampled: ``samples`` seeded draws from
+    ``sample_elements(window)``, the unit laws on the drawn elements.
 
-    ``checked`` counts the product-law instances; ``checked_by_law`` every
-    law, the unit laws by their pool; ``unit_laws`` names the pool
+    ``checked`` counts the product-law instances decided; ``checked_by_law``
+    every law, the unit laws by their pool; ``unit_laws`` names the pool
     ("exhaustive", "frame" or "sampled") and its size; ``distributivity``
-    the algorithm and the swept s.  A symbolic truss reports ``frame`` (its
-    size) or ``sampled``, an extension whether its ``base`` passed.
+    the algorithm and the swept s; ``associativity`` the algorithm ("frame
+    triples" or "sweep") and the instances evaluated.  A symbolic truss
+    reports ``frame`` (its size) or ``sampled``, an extension whether its
+    ``base`` passed.
     """
     pool = _pool(t)
-    findings, per_law, distributivity, units, base = _product_laws(
+    findings, per_law, how, units, base = _product_laws(
         t, pool, samples=samples, window=window, seed=seed)
     one, zero, mul = t.identity, t.absorber, t.mul
     findings += [Finding("identity law", (x,), mul(one, x), x) for x in units
@@ -485,8 +596,7 @@ def validate_truss(t, *, samples=10_000, window=5, seed=2026) -> Report:
         "unit_laws": {"algorithm": algorithm,
                       "evaluated": 0 if one is None and zero is None else len(units)},
     }
-    if distributivity is not None:
-        stats["distributivity"] = distributivity
+    stats.update(how)
     if pool is None:
         stats["sampled"] = {"samples": samples, "window": window, "seed": seed}
     elif not finite:

@@ -109,12 +109,16 @@ def test_verify_reports_how_distributivity_was_decided(files, capsys):
     stats = json.loads(out)["stats"]
     assert code == 1
     assert set(stats) == {"checked", "checked_by_law", "unital", "ring_type", "identity",
-                          "absorber", "exhaustive", "unit_laws", "distributivity"}
+                          "absorber", "exhaustive", "unit_laws", "distributivity",
+                          "associativity"}
     assert stats["distributivity"]["algorithm"] == "morphism rows"
     assert stats["distributivity"]["swept"]
+    assert stats["associativity"]["algorithm"] == "sweep"
     code, out, _ = run(["verify", files["tz"]], capsys)
     assert json.loads(out)["stats"]["distributivity"] == \
         {"algorithm": "morphism rows", "swept": []}
+    assert json.loads(out)["stats"]["associativity"] == \
+        {"algorithm": "frame triples", "evaluated": 8}
 
 
 @pytest.mark.parametrize("token, code", [("1", 1), ("-2,0", 1), ("x", 2), ("1.5", 2), ("g0", 2)])

@@ -1121,10 +1121,17 @@ def test_verify_abs_of_free_draws_tail_triples_from_the_whole_pool(monkeypatch):
     assert triples >= set(itertools.product([(0, 0), (1, 0), (0, 1)], repeat=3))
 
 
+def read_tz16():
+    """TZ16 on a heap read from its table, which only a scan can frame."""
+    tz16 = truss_TZn(16)
+    return FiniteTruss(FiniteHeap.from_table(tz16.heap.table()), tz16.mul_table)
+
+
 def test_a_finite_base_is_scanned_once_for_its_frame(monkeypatch):
-    """The first frame of a finite heap costs one ``_retract_defects`` scan;
-    it is kept, and the law engine asks the heap, not a second scan.  (The
-    adjoined singleton is a finite heap too, scanned once.)"""
+    """The first frame of a heap read from a table costs one
+    ``_retract_defects`` scan; it is kept, and the law engine asks the heap,
+    not a second scan.  (The adjoined singleton is a finite heap too,
+    scanned once.)"""
     calls = []
     scan = core._retract_defects
 
@@ -1132,16 +1139,35 @@ def test_a_finite_base_is_scanned_once_for_its_frame(monkeypatch):
         calls.append(carrier)
         return scan(carrier, e)
 
+    t, base = unital_extension(read_tz16()), read_tz16()
     monkeypatch.setattr(core, "_retract_defects", counted)
-    t = unital_extension(truss_TZn(16))
     assert validate_truss(t).ok and [c.size for c in calls] == [16, 1]
     assert calls[0] is t.base.heap
     calls.clear()
     assert validate_truss(t).ok and calls == []
-    fm = free_module(truss_TZn(16), 2)
+    fm = free_module(base, 2)
     assert validate_module(fm).ok and len(calls) == 1 and calls[0] is fm.truss.heap
     calls.clear()
     assert validate_module(fm).ok and calls == []
+
+
+def test_group_heaps_by_construction_are_framed_with_no_scan(monkeypatch):
+    """The heap of a group and a product of framed heaps are heaps by
+    construction: their frames come from the group's generators and the
+    factors' frames, so a cold validation scans nothing."""
+    calls = []
+    scan = core._retract_defects
+    monkeypatch.setattr(core, "_retract_defects", lambda c, e: calls.append(c) or scan(c, e))
+    assert validate_truss(truss_TZn(32)).ok and calls == []
+    assert validate_module(FiniteTModule.regular(truss_TZn(32))).ok and calls == []
+    assert validate_module(free_module(truss_TZn(16), 2)).ok and calls == []
+    c4, c2 = heap_from_group(FiniteGroup.cyclic(4)), heap_from_group(FiniteGroup.cyclic(2))
+    assert core.product(c4, c2).frame() == (0, 2, 1) and calls == []
+    # a factor read from a table is scanned, once, and the product is not
+    read = FiniteHeap.from_table(c2.table())
+    calls.clear()           # reading the table scans it once, to validate it
+    assert core.product(c4, read).frame() == (0, 2, 1) and calls == [read]
+    assert core.product(c4, FiniteHeap.empty()).frame() is None
 
 
 def test_a_free_set_over_a_finite_truss_asks_no_frame(monkeypatch):
