@@ -59,7 +59,7 @@ from .trusses import (
     unital_extension,
     validate_truss,
 )
-from .words import eval_expr_abelian, eval_expr_free, parse_word_expr
+from .words import eval_expr_abelian, eval_expr_free, parse_word_expr, shortest_word
 
 
 DEFAULT_SAMPLES = 10_000
@@ -180,10 +180,10 @@ def cmd_reduce(args) -> tuple[int, str]:
         if args.json:
             return 0, _dumps({"word": list(word)})
         return 0, " ".join(word)
-    sym = eval_expr_abelian(node)
+    counts = eval_expr_abelian(node)
     if args.json:
-        return 0, _dumps({"coeffs": sym.coeffs})
-    return 0, " ".join(sym.representative())
+        return 0, _dumps({"coeffs": counts})
+    return 0, " ".join(shortest_word(counts))
 
 
 def _load_abelian_heap(path) -> FiniteHeap:
@@ -367,7 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("reduce", help="normalize a word expression")
     mode = r.add_mutually_exclusive_group(required=True)
     mode.add_argument("--free", action="store_true", help="free heap reduction")
-    mode.add_argument("--abelian", action="store_true", help="free Abelian heap reduction")
+    mode.add_argument("--abelian", action="store_true",
+                      help="free Abelian heap reduction to signed letter counts "
+                           "(printed as the shortest word with them unless --json)")
     r.add_argument("expr", help='e.g. "a b b" or "[a b a, a, b]"')
     r.add_argument("--json", action="store_true")
     r.set_defaults(fn=cmd_reduce)

@@ -22,9 +22,11 @@ def _plain(value):
     return str(value)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass
 class Finding:
-    """One located fact: a violated law or a witness."""
+    """One located fact: a violated law or a witness.  Not frozen: a failing
+    validation builds many, and a frozen dataclass's ``__init__`` costs about
+    several times as much; nothing hashes or mutates one."""
 
     law: str
     at: tuple = ()

@@ -2,10 +2,10 @@
 
 Words are plain tuples of symbol strings.  A reduced word is an odd-length
 tuple with no two equal consecutive letters; the free heap operation grafts
-u, the reverse of v, and w, then prunes.  Free Abelian heap elements are
-kept as signed coefficient maps (odd positions count +1, even positions -1)
-wrapped in ``SymmetricWord``; a word-level reducer survives only as a test
-oracle.
+u, the reverse of v, and w, then prunes.  A free Abelian heap element is a
+plain dict of signed letter counts summing to 1 (odd positions count +1,
+even positions -1), which is the group form of the direct sum of one
+singleton heap per letter; ``shortest_word`` prints it as a word.
 """
 
 from __future__ import annotations
@@ -15,45 +15,10 @@ from dataclasses import dataclass
 from .core import StructureError
 
 
-class Alphabet:
-    """A closed, ordered set of generator names."""
-
-    __slots__ = ("symbols", "_index")
-
-    def __init__(self, symbols):
-        symbols = tuple(symbols)
-        if len(set(symbols)) != len(symbols):
-            raise StructureError("alphabet symbols must be distinct")
-        self.symbols = symbols
-        self._index = {s: i for i, s in enumerate(symbols)}
-
-    def __contains__(self, symbol):
-        return symbol in self._index
-
-    def __iter__(self):
-        return iter(self.symbols)
-
-    def __len__(self):
-        return len(self.symbols)
-
-    def index(self, symbol):
-        try:
-            return self._index[symbol]
-        except KeyError:
-            raise StructureError(f"unknown symbol {symbol!r}") from None
-
-    def __repr__(self):
-        return f"Alphabet({', '.join(self.symbols)})"
-
-
-def check_word(letters, alphabet: Alphabet | None = None) -> tuple:
+def check_word(letters) -> tuple:
     letters = tuple(letters)
     if len(letters) % 2 == 0:
         raise StructureError(f"word length must be odd, got {len(letters)}")
-    if alphabet is not None:
-        for s in letters:
-            if s not in alphabet:
-                raise StructureError(f"unknown symbol {s!r}")
     return letters
 
 
@@ -64,14 +29,14 @@ def is_reduced(letters) -> bool:
     )
 
 
-def prune(letters, alphabet: Alphabet | None = None) -> tuple:
+def prune(letters) -> tuple:
     """Delete adjacent equal pairs until none remain.
 
     The deletion system is confluent, so the single left-to-right stack pass
     lands on the unique normal form; parity is preserved, hence the result
     is again odd and non-empty.
     """
-    letters = check_word(letters, alphabet)
+    letters = check_word(letters)
     stack = []
     for s in letters:
         if stack and stack[-1] == s:
@@ -184,99 +149,16 @@ def from_free_group(g: FreeGroupWord, basepoint) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# free Abelian heap
-
-
-@dataclass(frozen=True)
-class SymmetricWord:
-    """An element of the free Abelian heap as a signed coefficient map.
-
-    Coefficients sum to 1 (odd positions contribute +1, even positions -1)
-    and symbols with coefficient zero are absent.
-    """
-
-    items: tuple
-
-    def __post_init__(self):
-        coeffs = {}
-        for s, c in self.items:
-            coeffs[s] = coeffs.get(s, 0) + c
-        cleaned = tuple(sorted((s, c) for s, c in coeffs.items() if c != 0))
-        object.__setattr__(self, "items", cleaned)
-        if sum(c for _, c in cleaned) != 1:
-            raise StructureError("symmetric word coefficients must sum to 1")
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "SymmetricWord":
-        return cls(tuple(coeffs.items()) if isinstance(coeffs, dict) else tuple(coeffs))
-
-    @property
-    def coeffs(self) -> dict:
-        return dict(self.items)
-
-    def support(self) -> tuple:
-        return tuple(s for s, _ in self.items)
-
-    def representative(self) -> tuple:
-        """The shortest word in the class: sorted positives interleaved with
-        sorted negatives; always reduced since no symbol has both signs."""
-        pos, neg = [], []
-        for s, c in self.items:
-            (pos if c > 0 else neg).extend([s] * abs(c))
-        out = []
-        for p, m in zip(pos, neg + [None]):
-            out.append(p)
-            if m is not None:
-                out.append(m)
-        return tuple(out)
-
-    def __str__(self):
-        if not self.items:
-            return "<>"
-        return "<" + " ".join(self.representative()) + ">"
-
-
-def abelian_normalize(letters, alphabet: Alphabet | None = None) -> SymmetricWord:
-    """Signed-count normal form of an odd word: +1 per odd position, -1 per
-    even position."""
-    letters = check_word(letters, alphabet)
-    coeffs = {}
-    sign = 1
-    for s in letters:
-        coeffs[s] = coeffs.get(s, 0) + sign
-        sign = -sign
-    return SymmetricWord.from_coeffs(coeffs)
-
-
-def abelian_heap_op(u: SymmetricWord, v: SymmetricWord, w: SymmetricWord) -> SymmetricWord:
-    """[u, v, w] in the free Abelian heap: coefficient map u - v + w."""
-    coeffs = dict(u.items)
-    for s, c in v.items:
-        coeffs[s] = coeffs.get(s, 0) - c
-    for s, c in w.items:
-        coeffs[s] = coeffs.get(s, 0) + c
-    return SymmetricWord.from_coeffs(coeffs)
-
-
-# ---------------------------------------------------------------------------
 # evaluation into a concrete heap
 
 
 def eval_word_in_heap(word, assignment, heap):
     """Left fold of the ternary operation over a word under an assignment.
 
-    ``word`` is a letter tuple or a SymmetricWord; the latter requires an
-    Abelian target (the value is then independent of the representative).
     Unassigned symbols are an error rather than silently extended.
     """
-    if isinstance(word, SymmetricWord):
-        if not heap.abelian:
-            raise StructureError("symmetric words evaluate only in Abelian heaps")
-        letters = word.representative()
-    else:
-        letters = check_word(word)
     values = []
-    for s in letters:
+    for s in check_word(word):
         if s not in assignment:
             raise StructureError(f"symbol {s!r} has no assigned value")
         values.append(assignment[s])
@@ -381,12 +263,28 @@ def eval_expr_free(node) -> tuple:
     return prune(word)
 
 
-def eval_expr_abelian(node) -> SymmetricWord:
-    """The free Abelian heap value: the signed sum of the leaves'
-    coefficient maps, a leaf read backwards counting negatively."""
-    coeffs = {}
+def eval_expr_abelian(node) -> dict:
+    """The free Abelian heap value as signed letter counts, sorted by symbol
+    with zeros dropped: +1 per odd position of the flattened word, -1 per
+    even one.  A leaf read backwards has the same parity at both ends, so it
+    counts with its signs flipped."""
+    counts = {}
     for letters, backwards in _leaves(node):
         sign = -1 if backwards else 1
-        for s, c in abelian_normalize(letters).items:
-            coeffs[s] = coeffs.get(s, 0) + sign * c
-    return SymmetricWord.from_coeffs(coeffs)
+        for s in check_word(letters):
+            counts[s] = counts.get(s, 0) + sign
+            sign = -sign
+    return {s: c for s, c in sorted(counts.items()) if c}
+
+
+def shortest_word(counts) -> tuple:
+    """The shortest word with the given signed letter counts: sorted
+    positives interleaved with sorted negatives, reduced because no symbol
+    has both signs."""
+    pos, neg = [], []
+    for s, c in sorted(counts.items()):
+        (pos if c > 0 else neg).extend([s] * abs(c))
+    out = [pos[0]]
+    for m, p in zip(neg, pos[1:]):
+        out += (m, p)
+    return tuple(out)

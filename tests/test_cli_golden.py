@@ -29,6 +29,9 @@ F = "<fixtures>/"
 CASES = [
     ["reduce", "--abelian", "[a b a, a, b]"],
     ["reduce", "--abelian", "--json", "[a b c, [b, c, d], a]"],
+    ["reduce", "--abelian", "[a b c, [b, c, d], a]"],
+    ["reduce", "--abelian", "c b a b c"],
+    ["reduce", "--abelian", "[z, a, y]"],
     ["reduce", "--free", "[a b a, a, b]"],
     ["reduce", "--free", "--json", "a b b c c"],
     ["reduce", "--free", "[a, b"],

@@ -7,13 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trusskit.core import FiniteGroup, StructureError, heap_from_group
+from trusskit.coproduct import DirectSum, HeapSummand
+from trusskit.core import FiniteGroup, FiniteHeap, StructureError, heap_from_group
 from trusskit.words import (
-    Alphabet,
     FreeGroupWord,
-    SymmetricWord,
-    abelian_heap_op,
-    abelian_normalize,
     eval_expr_abelian,
     eval_expr_free,
     eval_word_in_heap,
@@ -25,6 +22,7 @@ from trusskit.words import (
     is_reduced,
     parse_word_expr,
     prune,
+    shortest_word,
     to_free_group,
 )
 
@@ -74,11 +72,6 @@ def test_prune_unreduced_five_letter():
 def test_prune_rejects_even_length():
     with pytest.raises(StructureError):
         prune(("a", "b"))
-
-
-def test_prune_checks_alphabet():
-    with pytest.raises(StructureError):
-        prune(("a", "x", "a"), Alphabet(ABC))
 
 
 def test_prune_confluence_fuzz():
@@ -218,27 +211,45 @@ def test_two_symbol_free_heap_is_integer_heap():
 
 
 # ---------------------------------------------------------------------------
-# symmetric words
+# the free Abelian heap as signed letter counts
+
+
+def abelian_normalize(letters):
+    """The signed letter counts of one flat word."""
+    return eval_expr_abelian(("word", tuple(letters)))
+
+
+def abelian_op(u, v, w):
+    """[u, v, w] = u - v + w on count maps, zeros dropped, sorted by symbol."""
+    out = dict(u)
+    for s, c in v.items():
+        out[s] = out.get(s, 0) - c
+    for s, c in w.items():
+        out[s] = out.get(s, 0) + c
+    return {s: c for s, c in sorted(out.items()) if c}
 
 
 def test_abelian_normalize_prunes():
-    assert abelian_normalize(tuple("abcad")).coeffs == {"c": 1, "d": 1, "b": -1}
+    assert abelian_normalize(tuple("abcad")) == {"c": 1, "d": 1, "b": -1}
 
 
 def test_abelian_normalize_reduced_example():
     # odd positions a,a,d count +1, even positions b,c count -1
-    assert abelian_normalize(tuple("abacd")).coeffs == {"a": 2, "d": 1, "b": -1, "c": -1}
+    assert abelian_normalize(tuple("abacd")) == {"a": 2, "d": 1, "b": -1, "c": -1}
 
 
 def test_abelian_normalize_malcev():
-    assert abelian_normalize(tuple("aaa")).coeffs == {"a": 1}
+    assert abelian_normalize(tuple("aaa")) == {"a": 1}
 
 
 def test_symmetric_word_invariants():
-    with pytest.raises(StructureError):
-        SymmetricWord.from_coeffs({"a": 1, "b": 1})
-    sw = SymmetricWord.from_coeffs({"a": 2, "b": -1, "c": 0})
-    assert sw.coeffs == {"a": 2, "b": -1}
+    # a count map sums to 1, has no zero count, and lists its symbols sorted
+    rng = random.Random(23)
+    for _ in range(400):
+        counts = eval_expr_abelian(random_node(rng, 4))
+        assert sum(counts.values()) == 1
+        assert 0 not in counts.values()
+        assert list(counts) == sorted(counts)
 
 
 def test_representative_word_is_reduced_and_round_trips():
@@ -246,11 +257,11 @@ def test_representative_word_is_reduced_and_round_trips():
     for _ in range(2000):
         length = rng.choice([1, 3, 5, 7, 9])
         word = tuple(rng.choice(ABC) for _ in range(length))
-        sw = abelian_normalize(word)
-        rep = sw.representative()
+        counts = abelian_normalize(word)
+        rep = shortest_word(counts)
         assert is_reduced(rep)
-        assert abelian_normalize(rep) == sw
-        assert len(rep) == sum(abs(c) for c in sw.coeffs.values())
+        assert abelian_normalize(rep) == counts
+        assert len(rep) == sum(abs(c) for c in counts.values())
 
 
 def cancel_multisets_oracle(letters):
@@ -267,6 +278,16 @@ def cancel_multisets_oracle(letters):
                 even.remove(s)
                 changed = True
     return tuple(odd), tuple(even)
+
+
+def rebuild(odd, even):
+    """The count map of the multiset oracle's two cancelled multisets."""
+    counts = {}
+    for s in odd:
+        counts[s] = counts.get(s, 0) + 1
+    for s in even:
+        counts[s] = counts.get(s, 0) - 1
+    return counts
 
 
 def permutation_prune_oracle(letters):
@@ -305,14 +326,7 @@ def test_abelian_normalize_matches_multiset_oracle():
     for _ in range(3000):
         length = rng.choice([1, 3, 5, 7, 9, 11])
         word = tuple(rng.choice(ABC) for _ in range(length))
-        odd, even = cancel_multisets_oracle(word)
-        sw = abelian_normalize(word)
-        rebuilt = {}
-        for s in odd:
-            rebuilt[s] = rebuilt.get(s, 0) + 1
-        for s in even:
-            rebuilt[s] = rebuilt.get(s, 0) - 1
-        assert sw.coeffs == rebuilt
+        assert abelian_normalize(word) == rebuild(*cancel_multisets_oracle(word))
 
 
 def test_multiset_oracle_matches_permutation_rewriting():
@@ -324,44 +338,45 @@ def test_multiset_oracle_matches_permutation_rewriting():
 def test_abelian_op_cancels():
     u = abelian_normalize(tuple("aba"))
     w = abelian_normalize(("c",))
-    assert abelian_heap_op(u, u, w) == w
+    assert abelian_op(u, u, w) == w
 
 
 def test_abelian_op_single_letters():
-    out = abelian_heap_op(
-        SymmetricWord.from_coeffs({"a": 1}),
-        SymmetricWord.from_coeffs({"b": 1}),
-        SymmetricWord.from_coeffs({"c": 1}),
-    )
-    assert out.coeffs == {"a": 1, "b": -1, "c": 1}
+    out = abelian_op({"a": 1}, {"b": 1}, {"c": 1})
+    assert out == {"a": 1, "b": -1, "c": 1}
     assert out == abelian_normalize(("a", "b", "c"))
 
 
-def all_symmetric_words(symbols, max_len):
-    out = set()
+def all_count_maps(symbols, max_len):
+    out = {}
     for length in range(1, max_len + 1, 2):
         for word in itertools.product(symbols, repeat=length):
-            out.add(abelian_normalize(word))
-    return sorted(out, key=lambda sw: sw.items)
+            counts = abelian_normalize(word)
+            out[tuple(counts.items())] = counts
+    return [out[key] for key in sorted(out)]
 
 
 def test_abelian_op_matches_word_level_oracle():
-    # concatenate representatives (middle reversed), then reduce by the
+    # concatenate shortest words (middle reversed), then reduce by the
     # independent multiset oracle; length <= 5 over a three-symbol alphabet
-    words = all_symmetric_words(ABC, 5)
+    words = all_count_maps(ABC, 5)
     for u, v, w in itertools.product(words, repeat=3):
-        concat = u.representative() + tuple(reversed(v.representative())) + w.representative()
-        odd, even = cancel_multisets_oracle(concat)
-        rebuilt = {}
-        for s in odd:
-            rebuilt[s] = rebuilt.get(s, 0) + 1
-        for s in even:
-            rebuilt[s] = rebuilt.get(s, 0) - 1
-        assert abelian_heap_op(u, v, w).coeffs == rebuilt
+        concat = shortest_word(u) + tuple(reversed(shortest_word(v))) + shortest_word(w)
+        assert abelian_op(u, v, w) == rebuild(*cancel_multisets_oracle(concat))
+
+
+def test_abelian_heap_axioms_on_count_maps():
+    words = all_count_maps(ABC, 3)
+    for u, v in itertools.product(words, repeat=2):
+        assert abelian_op(u, v, v) == u == abelian_op(v, v, u)
+    for u, v, w in itertools.product(words, repeat=3):
+        assert abelian_op(u, v, w) == abelian_op(w, v, u)
+    for u, v, w, x, y in itertools.product(words[:8], repeat=5):
+        assert abelian_op(abelian_op(u, v, w), x, y) == abelian_op(u, v, abelian_op(w, x, y))
 
 
 def test_transposition_rule_support_two():
-    words = [sw for sw in all_symmetric_words(("a", "b"), 5) if len(sw.support()) <= 2]
+    words = [c for c in all_count_maps(("a", "b"), 5) if len(c) <= 2]
     for row in itertools.product(words, repeat=3):
         for col in itertools.product(words, repeat=3):
             a1, a2, a3 = row
@@ -369,15 +384,15 @@ def test_transposition_rule_support_two():
             # transposition: [[a1,a2,a3],[b1,b2,b3],[c1,c2,c3]] =
             #                [[a1,b1,c1],[a2,b2,c2],[a3,b3,c3]]
             c1, c2, c3 = a3, b2, a1  # third row drawn from the same pool
-            lhs = abelian_heap_op(
-                abelian_heap_op(a1, a2, a3),
-                abelian_heap_op(b1, b2, b3),
-                abelian_heap_op(c1, c2, c3),
+            lhs = abelian_op(
+                abelian_op(a1, a2, a3),
+                abelian_op(b1, b2, b3),
+                abelian_op(c1, c2, c3),
             )
-            rhs = abelian_heap_op(
-                abelian_heap_op(a1, b1, c1),
-                abelian_heap_op(a2, b2, c2),
-                abelian_heap_op(a3, b3, c3),
+            rhs = abelian_op(
+                abelian_op(a1, b1, c1),
+                abelian_op(a2, b2, c2),
+                abelian_op(a3, b3, c3),
             )
             assert lhs == rhs
 
@@ -419,19 +434,14 @@ def test_eval_is_heap_morphism_random():
 
 
 def test_eval_symmetric_word_representative_independent():
+    # in an Abelian heap a word and the shortest word with its counts agree
     h = heap_from_group(FiniteGroup.cyclic(5))
     assignment = {"a": 2, "b": 3, "c": 4}
     rng = random.Random(19)
     for _ in range(500):
         word = tuple(rng.choice(ABC) for _ in range(7))
-        sw = abelian_normalize(word)
-        assert eval_word_in_heap(sw, assignment, h) == eval_word_in_heap(word, assignment, h)
-
-
-def test_eval_symmetric_rejects_nonabelian_target():
-    h = heap_from_group(FiniteGroup.dihedral(3))
-    with pytest.raises(StructureError):
-        eval_word_in_heap(abelian_normalize(("a",)), {"a": 0}, h)
+        rep = shortest_word(abelian_normalize(word))
+        assert eval_word_in_heap(rep, assignment, h) == eval_word_in_heap(word, assignment, h)
 
 
 def test_eval_left_fold_matches_any_bracketing():
@@ -464,7 +474,7 @@ def test_parse_unicode_brackets():
 
 def test_eval_expr_abelian():
     node = parse_word_expr("[a, b, c]")
-    assert eval_expr_abelian(node).coeffs == {"a": 1, "b": -1, "c": 1}
+    assert eval_expr_abelian(node) == {"a": 1, "b": -1, "c": 1}
 
 
 def test_parse_errors():
@@ -489,10 +499,10 @@ def test_deep_nesting_parses_without_recursion():
 def test_deep_nesting_matches_the_closed_form(depth):
     node = parse_word_expr(nested_text(depth))
     want = {"a": 1, "b": -depth, "c": depth}
-    assert eval_expr_abelian(node).coeffs == want
+    assert eval_expr_abelian(node) == want
     word = eval_expr_free(node)
     assert word == ("a",) + ("b", "c") * depth
-    assert abelian_normalize(word).coeffs == want
+    assert abelian_normalize(word) == want
 
 
 def recursive_free(node):
@@ -503,8 +513,8 @@ def recursive_free(node):
 
 def recursive_abelian(node):
     if node[0] == "word":
-        return abelian_normalize(node[1])
-    return abelian_heap_op(*(recursive_abelian(part) for part in node[1:]))
+        return rebuild(*cancel_multisets_oracle(node[1]))
+    return abelian_op(*(recursive_abelian(part) for part in node[1:]))
 
 
 def random_node(rng, depth):
@@ -533,3 +543,45 @@ def test_even_leaf_is_rejected_in_both_modes():
     for evaluate in (eval_expr_free, eval_expr_abelian):
         with pytest.raises(StructureError):
             evaluate(node)
+
+
+# ---------------------------------------------------------------------------
+# the paper's identification: the free Abelian heap on X is the abelianized
+# free heap, and the direct sum of |X| one-point heaps
+
+SYMBOLS = ("a", "b", "c", "d")
+
+expressions = st.recursive(
+    st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=7)
+    .filter(lambda w: len(w) % 2 == 1)
+    .map(lambda w: ("word", tuple(w))),
+    lambda parts: st.tuples(st.just("op"), parts, parts, parts),
+    max_leaves=12,
+)
+
+
+def flatten(node):
+    if node[0] == "word":
+        return node[1]
+    _, u, v, w = node
+    return flatten(u) + tuple(reversed(flatten(v))) + flatten(w)
+
+
+@settings(max_examples=200)
+@given(expressions)
+def test_abelianization_is_a_heap_map(node):
+    # pruning deletes a pair of equal letters at positions of opposite sign,
+    # so the free value has the signed counts of the flattened word
+    assert eval_expr_abelian(node) == rebuild(*cancel_multisets_oracle(eval_expr_free(node)))
+
+
+@settings(max_examples=200)
+@given(expressions)
+def test_counts_are_the_direct_sum_of_singletons(node):
+    letters = flatten(node)
+    symbols = sorted(set(letters))
+    ds = DirectSum(HeapSummand(FiniteHeap.singleton(s), 0) for s in symbols)
+    x = ds.normalize_word([(symbols.index(s), 0) for s in letters])
+    # tail i - 1 counts x_i, and x_0 takes the rest of the total 1
+    counts = dict(zip(symbols, (1 - sum(x.tails),) + x.tails))
+    assert eval_expr_abelian(node) == {s: c for s, c in counts.items() if c}
