@@ -8,9 +8,8 @@ is printed until a command has fully succeeded.
 Loading a heap file decides exactly, at every size, whether its table is a
 heap; ``verify`` reports every violated instance.  Groups, heaps, rings and
 finite trusses and modules are checked exhaustively; symbolic trusses and
-modules are decided exactly on a frame of their group form.  Only a carrier
-with no frame would be sampled (``verify --samples N``, default 10 000), and
-no structure file describes one.
+modules are decided exactly on a frame of their group form.  Every verdict
+is exact: ``verify --samples N`` is accepted (N positive) and ignored.
 """
 
 from __future__ import annotations
@@ -60,9 +59,6 @@ from .trusses import (
     validate_truss,
 )
 from .words import eval_expr_abelian, eval_expr_free, parse_word_expr, shortest_word
-
-
-DEFAULT_SAMPLES = 10_000
 
 
 def _dumps(obj) -> str:
@@ -303,7 +299,6 @@ def cmd_abs(args) -> tuple[int, str]:
 def cmd_verify(args) -> tuple[int, str]:
     if args.samples is not None and args.samples <= 0:
         raise StructureError("samples must be positive")
-    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
     structure = serialize.load_path(args.file)
     if isinstance(structure, FiniteGroup):
         report = validate_group_table(structure.op_table())
@@ -312,9 +307,9 @@ def cmd_verify(args) -> tuple[int, str]:
     elif isinstance(structure, FiniteRing):
         report = validate_ring(structure)
     elif isinstance(structure, (FiniteTruss, IntegerTruss, ConstantTruss, ExtensionTruss)):
-        report = validate_truss(structure, samples=samples)
+        report = validate_truss(structure)
     elif isinstance(structure, (FiniteTModule, TrivialIntModule, FreeTModule)):
-        report = validate_module(structure, samples=samples)
+        report = validate_module(structure)
     else:
         raise StructureError("nothing to verify in this file")
     return (0 if report.status == PASS else 1), report.to_json()
@@ -416,8 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "trusses and modules exactly, on a frame: a point and that point "
                     "moved by each generator.  Exit 0 on pass, 1 on fail.")
     v.add_argument("--samples", type=int, default=None, metavar="N",
-                   help="instances sampled for a carrier with no frame, which no "
-                        f"structure file has (positive; default {DEFAULT_SAMPLES})")
+                   help="ignored: every verdict is exact (must be positive)")
     v.add_argument("file", help="a JSON structure file")
     v.set_defaults(fn=cmd_verify)
 

@@ -22,8 +22,6 @@ into Abelian heaps, ``words.eval_word_in_heap``, over its injected letters.
 from __future__ import annotations
 
 import itertools
-import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import StructureError
@@ -254,18 +252,14 @@ class DirectSum:
 
     # -- enumeration -------------------------------------------------------------
 
-    def sample(self, window) -> "Window":
+    def sample(self, window):
         """All canonical elements with components in each summand's window and
-        tails in [-window, window], as a lazy ``Window`` in
-        ``itertools.product`` order (the last tail varies fastest).
-
-        Nothing is built up front: ``len`` is the product of the axis
-        lengths and indexing decodes a mixed-radix index, so a seeded draw
-        picks from the window directly.
-        """
+        tails in [-window, window], as a lazy iterator in ``itertools.product``
+        order (the last tail varies fastest)."""
         axes = [s.heap.sample(window) for s in self.summands]
         axes += [range(-window, window + 1)] * (self.k - 1)
-        return Window(self.k, axes)
+        k = self.k
+        return (CoproductElement(c[:k], c[k:]) for c in itertools.product(*axes))
 
     def frame(self):
         """A frame of the group form (retracts plus Z^{k-1}), a point and
@@ -284,47 +278,6 @@ class DirectSum:
 
     def __repr__(self):
         return f"DirectSum(k={self.k})"
-
-
-class Window(Sequence):
-    """Canonical elements whose k components and tails range over ``axes``
-    (one indexable axis per coordinate, components first), in
-    ``itertools.product`` order, without materialising them.
-
-    Item i decodes i in mixed radix, the last axis fastest, so
-    ``list(w)[i] == w[i]``.  ``size`` is the exact count; ``len`` gives the
-    same number but, like ``len`` of a range, fails beyond ``sys.maxsize``.
-    """
-
-    __slots__ = ("k", "axes", "radices", "size")
-
-    def __init__(self, k: int, axes):
-        self.k = k
-        self.axes = tuple(axes)
-        self.radices = tuple(a.size if isinstance(a, Window) else len(a) for a in self.axes)
-        self.size = math.prod(self.radices)
-
-    def __len__(self):
-        return self.size
-
-    def __getitem__(self, i):
-        if i < 0:
-            i += self.size
-        if not 0 <= i < self.size:
-            raise IndexError("window index out of range")
-        coords = [None] * len(self.axes)
-        for j in range(len(self.axes) - 1, -1, -1):
-            i, r = divmod(i, self.radices[j])
-            coords[j] = self.axes[j][r]
-        return CoproductElement(tuple(coords[:self.k]), tuple(coords[self.k:]))
-
-    def __iter__(self):
-        k = self.k
-        for coords in itertools.product(*self.axes):
-            yield CoproductElement(coords[:k], coords[k:])
-
-    def __repr__(self):
-        return f"Window(k={self.k}, size={self.size})"
 
 
 def shift(heap, acc, k: int, p, q):

@@ -651,8 +651,15 @@ class FiniteHeap:
             return False
         if self._table is not None and other._table is not None:
             return self._table == other._table
-        # entry by entry, so a function-backed heap builds no table
         ids = range(self.size)
+        frame, other_frame = self.frame(), other.frame()
+        if frame is not None and other_frame is not None:
+            # two group heaps are equal when their retracts at 0 are, and the
+            # y with [a,0,y] alike in both for every a are closed under
+            # products, so the generators of one frame decide: n.k checks
+            return all(self.ternary(a, 0, g) == other.ternary(a, 0, g)
+                       for a in ids for g in frame[1:])
+        # entry by entry, so a function-backed heap builds no table
         return all(self.ternary(a, b, c) == other.ternary(a, b, c)
                    for a in ids for b in ids for c in ids)
 

@@ -8,7 +8,7 @@ on the integer line ``INT_LINE``, and a free module's carrier is the
 ``heap``.  The free action is the closed form of ``FreeTModule.act`` in
 canonical coordinates, and maps out of a free module (universal lifts,
 copaired sigma maps) are direct-sum copairs into the target's carrier
-(``coproduct.copair_value``), so no word is built.  The quotient by the
+(``DirectSum.copair``), so no word is built.  The quotient by the
 absorber sub-heap turns a module over the truss of a ring back into a module
 over that ring; its classes and projection come from
 ``core._quotient_classes`` and its heap from ``core.quotient``, and maps
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coproduct import CoproductElement, DirectSum, HeapSummand, Window, copair_value, shift
+from .coproduct import CoproductElement, DirectSum, HeapSummand, shift
 from .core import (
     FiniteHeap,
     HeapMorphism,
@@ -90,9 +90,6 @@ class FiniteTModule:
     def act(self, t, m):
         return self.action[t][m]
 
-    def sample_elements(self, window):
-        return self.heap.elements()
-
     def __eq__(self, other):
         return (isinstance(other, FiniteTModule) and self.truss == other.truss
                 and self.heap == other.heap and self.action == other.action)
@@ -122,9 +119,6 @@ class TrivialIntModule:
 
     def act(self, t, m):
         return m
-
-    def sample_elements(self, window):
-        return range(-window, window + 1)
 
     def __eq__(self, other):
         return isinstance(other, TrivialIntModule)
@@ -177,9 +171,6 @@ class FreeTModule:
             comps[i] = shift(heap, comps[i], x.tails[i - 1] - 1, te, e)
         return CoproductElement(tuple(comps), x.tails)
 
-    def sample_elements(self, window):
-        return self.heap.sample(window)
-
     def __eq__(self, other):
         return (isinstance(other, FreeTModule) and self.truss == other.truss
                 and self.n == other.n and self.basepoint == other.basepoint)
@@ -189,7 +180,7 @@ class FreeTModule:
         copair of the maps t |-> t.images[i]."""
         if len(images) != self.n:
             raise StructureError("one image per generator is required")
-        return _copaired_sigma(self.heap, target, images)
+        return self.heap.copair([SigmaMorphism(target, c) for c in images], target.heap)
 
     def __repr__(self):
         return f"FreeTModule(n={self.n} over {self.truss!r})"
@@ -203,7 +194,7 @@ def free_module(truss, n: int, basepoint=None) -> FreeTModule:
 # validation
 
 
-def validate_module(m, *, samples=10_000, window=4, seed=2026) -> Report:
+def validate_module(m, *, samples=None, window=None, seed=None) -> Report:
     """The three module laws, and unitality when the truss has an
     identity, on the law engine of ``validate_truss`` over every element of
     a finite carrier or the ``heap.frame()`` of a symbolic one.  t.m is
@@ -215,43 +206,42 @@ def validate_module(m, *, samples=10_000, window=4, seed=2026) -> Report:
     the frame, as a finite truss is not validated when it is built) the
     frame triples decide associativity (Certaine's lemma).  A failing map,
     a failing frame triple or a non-affine product falls back to the sweep,
-    so a fail lists every finding.  Only a carrier with no frame is
-    sampled.
+    so a fail lists every finding.  A symbolic module whose carrier, or whose
+    truss's carrier, has no frame raises StructureError.  ``samples``,
+    ``window`` and ``seed`` are accepted and ignored: every verdict is exact.
 
     Findings are located at (a, b, x), (a, b, c, x), (a, x, y, z) or the
     first (x,) that breaks unitality; ``distributivity`` names the algorithm
     and the swept (law, element) pairs, ``associativity`` the algorithm
     ("frame triples" or "sweep") and the instances evaluated.  A symbolic
-    module reports ``frame`` (its size) or ``sampled`` (samples, window and
-    seed)."""
+    module reports ``frame`` (its size)."""
     t = m.truss
     ts, ms = _pool(t), _pool(m)
-    pools = None if ts is None or ms is None else (ts, ms)
+    for name, pool in (("truss", ts), ("module", ms)):
+        if pool is None:
+            raise StructureError(f"cannot decide the module laws: the {name} carrier"
+                                 " heap has no frame()")
     stats = {"exhaustive": m.heap.is_finite}
-    if pools is None:
-        stats["sampled"] = {"samples": samples, "window": window, "seed": seed}
-    elif not m.heap.is_finite:
+    if not m.heap.is_finite:
         stats["frame"] = len(ms)
         found, per_law, *_ = _product_laws(t, ts)
         stats["truss"] = FAIL if found else PASS
         if found:
             stats.update(checked=per_law[0] + 2 * per_law[1], unital=None)
             return Report("T-module", FAIL, found, stats)
-    found, per_law, rows, associativity, units = _action_laws(
-        t, m.act, m, pools, samples=samples, window=window, seed=seed)
+    found, per_law, rows, associativity = _action_laws(t, m.act, m, (ts, ms))
     findings = [Finding(*f) for f in found]
     bad = None if t.identity is None else next(
-        (x for x in units if m.act(t.identity, x) != x), None)
+        (x for x in ms if m.act(t.identity, x) != x), None)
     if bad is not None:
         findings.append(Finding("unitality 1m = m", (bad,), str(m.act(t.identity, bad)), str(bad)))
     stats.update(checked=sum(per_law.values()), unital=None if t.identity is None else bad is None)
-    if rows is not None:
-        algorithm, swept_m, swept_t = rows
-        stats["distributivity"] = {
-            "algorithm": algorithm,
-            "swept": [(LINEAR_IN_T, x) for x in swept_m] + [(LINEAR_IN_M, a) for a in swept_t],
-        }
-        stats["associativity"] = associativity
+    algorithm, swept_m, swept_t = rows
+    stats["distributivity"] = {
+        "algorithm": algorithm,
+        "swept": [(LINEAR_IN_T, x) for x in swept_m] + [(LINEAR_IN_M, a) for a in swept_t],
+    }
+    stats["associativity"] = associativity
     return Report("T-module", FAIL if findings else PASS, findings, stats)
 
 
@@ -430,18 +420,21 @@ def tmodule_homs_to_TN(m: FiniteTModule, n_mod: RModule):
     into T(N) is x |-> phi(x) + c for c = f(0) in N and a group map phi from
     the retract of m at 0 (``core._group_maps``); it is kept when it commutes
     with every t (``core._first_unequivariant``), and ``_first_unpreserved``
-    re-checks that it preserves the heap operation."""
+    re-checks that it preserves the heap operation, in its frame form when
+    m's carrier has a ``frame()``."""
     if m.truss != truss_from_ring(n_mod.ring):
         raise StructureError("hom-sets into T(N) need a module over T(R) for N's ring R")
     if m.size == 0:
         return [()]
     tn_ternary, ts = heap_from_group(n_mod.group).ternary, m.truss.heap.elements()
+    frame = m.heap.frame()
+    gens = None if frame is None else frame[1:]
     out = []
     for phi in _group_maps(retract(m.heap, 0), n_mod.group):
         for c in n_mod.elements():
             f = tuple([n_mod.plus(y, c) for y in phi])
             if (_first_unequivariant(f, m.act, n_mod.act, ts, m.heap.elements()) is None
-                    and _first_unpreserved(m.heap.ternary, tn_ternary, f) is None):
+                    and _first_unpreserved(m.heap.ternary, tn_ternary, f, gens=gens) is None):
                 out.append(f)
     return sorted(out)
 
@@ -495,13 +488,6 @@ def sigma(m, x) -> SigmaMorphism:
 def _source_sum(truss, count):
     base = _default_basepoint(truss)
     return DirectSum(tuple(HeapSummand(truss.heap, base) for _ in range(count)))
-
-
-def _copaired_sigma(ds: DirectSum, m, candidates):
-    """The copair of the sigma maps t |-> t.c, one per candidate c, as a
-    function on canonical elements of ``ds`` into the carrier of m."""
-    maps = [SigmaMorphism(m, c) for c in candidates]
-    return lambda x: copair_value(ds, maps, m.heap, x)
 
 
 def _ints(heap, x) -> tuple:
@@ -558,7 +544,7 @@ def _free_set(m, candidates):
         if not m.heap.contains(x):
             raise StructureError(f"candidate {x!r} is not in the module")
     ds = _source_sum(m.truss, len(candidates))
-    sigma = _copaired_sigma(ds, m, candidates)
+    sigma = ds.copair([SigmaMorphism(m, c) for c in candidates], m.heap)
     if m.truss.heap.is_finite:      # every summand move is torsion: only the tails move
         p, moves = ds.zero(), [ds.inject(i, s.base) for i, s in enumerate(ds.summands) if i]
     elif (frame := ds.frame()) is None:
@@ -714,8 +700,9 @@ def verify_abs_of_free(ring: FiniteRing, n: int) -> Report:
             p - q + r for p, q, r in zip(x.tails, y.tails, z.tails)))
         if got != want:
             findings.append(Finding("tails do not combine like integers", (x, y, z), got, want))
+    points = itertools.product(*[range(ring.size)] * n, *[(0, 1)] * (n - 1))
     findings += [Finding("0.m outside the tail sub-heap", (x,), fm.act(ring.zero, x))
-                 for x in Window(n, [range(ring.size)] * n + [(0, 1)] * (n - 1))
+                 for x in (CoproductElement(c[:n], c[n:]) for c in points)
                  if fm.act(ring.zero, x).components != zero_comps]
 
     power, project = abs_quotient(fm)

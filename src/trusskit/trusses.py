@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 
-from .coproduct import CoproductElement, DirectSum, HeapSummand, Window, shift
+from .coproduct import CoproductElement, DirectSum, HeapSummand, shift
 from .core import (
     INT_LINE,
     FiniteHeap,
@@ -326,12 +325,6 @@ def _pool(c):
     return c.heap.elements() if c.heap.is_finite else c.heap.frame()
 
 
-def _draw(rng, pool):
-    """A uniform element of an indexable pool: the draw of ``rng.choice``,
-    but a ``Window`` gives its exact size, where len() stops at sys.maxsize."""
-    return pool[rng.randrange(pool.size if isinstance(pool, Window) else len(pool))]
-
-
 class _Memo(dict):
     """x |-> f(x), each value computed once, on first use."""
 
@@ -411,21 +404,20 @@ class _Frame:
         return sorted(triples)
 
 
-def _action_laws(t, act, m, pools, *, samples=None, window=None, seed=None, sweep=True):
+def _action_laws(t, act, m, pools, *, sweep=True):
     """The three laws of an action ``act`` of the truss t on m (of t on
     itself, for a truss): (law, at, lhs, rhs) findings, the instances per
-    law, the swept maps, how associativity was decided, and the pool for the
-    unit laws.
+    law, the swept maps, and how associativity was decided.
 
     On pools (ts, ms), every element of a finite carrier or the frame of a
-    symbolic one, every instance is decided.  Distributivity says that
-    t |-> t.x (T -> M) and x |-> a.x (M -> M) are heap maps, which a map
-    out of a group heap is once it preserves [u,e,g] for u in the pool and
-    g a generator of the frame (Certaine 1943; the frame form of
-    ``core._first_unpreserved``).  Only a failing map is swept ("morphism
-    rows"): a map out of a finite carrier on the triples that its
-    ``_Frame.suspects`` names, else on every triple.  Every map is swept
-    when a finite carrier is no heap ("sweep").
+    symbolic one, every instance is decided; there is no other mode.
+    Distributivity says that t |-> t.x (T -> M) and x |-> a.x (M -> M) are
+    heap maps, which a map out of a group heap is once it preserves [u,e,g]
+    for u in the pool and g a generator of the frame (Certaine 1943; the
+    frame form of ``core._first_unpreserved``).  Only a failing map is
+    swept ("morphism rows"): a map out of a finite carrier on the triples
+    that its ``_Frame.suspects`` names, else on every triple.  Every map is
+    swept when a finite carrier is no heap ("sweep").
 
     Associativity a(bx) = (ab)x: once every row and column is a heap map and
     the product of t is one in each argument (checked on the frame for a
@@ -435,26 +427,9 @@ def _action_laws(t, act, m, pools, *, samples=None, window=None, seed=None, swee
     are swept ("sweep"), so a fail lists every finding, in sweep order.
 
     Without ``sweep``, a failing law decides: failing associativity returns
-    at once, a failing map is listed at its first failure.  Without pools,
-    each of ``samples`` seeded draws takes a, b, c and x, y, z from the
-    windows, the drawn x the unit pool.
+    at once, a failing map is listed at its first failure.
     """
-    found = []
     tern_t, tern_m = t.heap.ternary, m.heap.ternary
-    if pools is None:
-        rng, drawn = random.Random(seed), []
-        tw, mw = t.sample_elements(window), m.sample_elements(window)
-        for _ in range(samples):
-            a, b, c, x, y, z = (_draw(rng, w) for w in (tw, tw, tw, mw, mw, mw))
-            found += [f for f in (
-                (ASSOCIATIVE, (a, b, x), act(a, act(b, x)), act(t.mul(a, b), x)),
-                (LINEAR_IN_T, (a, b, c, x), act(tern_t(a, b, c), x),
-                 tern_m(act(a, x), act(b, x), act(c, x))),
-                (LINEAR_IN_M, (a, x, y, z), act(a, tern_m(x, y, z)),
-                 tern_m(act(a, x), act(a, y), act(a, z)))) if f[2] != f[3]]
-            drawn.append(x)
-        per_law = dict.fromkeys((ASSOCIATIVE, LINEAR_IN_T, LINEAR_IN_M), samples)
-        return found, per_law, None, None, drawn
     ts, ms = pools
     finite = t.heap.is_finite and m.heap.is_finite
     rows, cols = _rows_and_columns(act, ts, ms, finite)
@@ -487,7 +462,7 @@ def _action_laws(t, act, m, pools, *, samples=None, window=None, seed=None, swee
     decided = {"algorithm": "frame triples" if on_frame else "sweep", "evaluated": evaluated}
     swept_m, swept_t = list(first_m), list(first_t)
     if found and not sweep:
-        return found, checked, ("unchecked", [], []), decided, ms
+        return found, checked, ("unchecked", [], []), decided
 
     def triples(frame, pool, f, witness):
         if not sweep and frame:
@@ -504,7 +479,7 @@ def _action_laws(t, act, m, pools, *, samples=None, window=None, seed=None, swee
     for a in swept_t:
         found += [(LINEAR_IN_M, (a,) + xyz, lhs, rhs) for xyz, lhs, rhs in _unpreserved(
             rows[a], tern_m, tern_m, triples(fm, ms, rows[a], first_t[a]))]
-    return found, checked, (algorithm, swept_m, swept_t), decided, ms
+    return found, checked, (algorithm, swept_m, swept_t), decided
 
 
 def _product_maps(t, ts):
@@ -513,7 +488,7 @@ def _product_maps(t, ts):
     return itertools.chain((prow[a] for a in ts), (pcol[a] for a in ts))
 
 
-def _product_laws(t, pool, sweep=True, **draws):
+def _product_laws(t, pool, sweep=True):
     """Associativity and both distributive laws of t acting on itself:
     (findings in the order of the (s, a, b, c) sweep, instances per law,
     how distributivity and associativity were decided, unit pool, base
@@ -521,7 +496,7 @@ def _product_laws(t, pool, sweep=True, **draws):
     base's unit laws do not matter); a base finding decides, lifted to tail
     0, where the base embeds (``sweep`` as in ``_action_laws``)."""
     base = None
-    if isinstance(t, ExtensionTruss) and pool is not None:
+    if isinstance(t, ExtensionTruss):
         found, per_law, how, _, _ = _product_laws(t.base, _pool(t.base), sweep=sweep)
         if found:
             up, rows = t.inject, how["distributivity"]
@@ -529,25 +504,22 @@ def _product_laws(t, pool, sweep=True, **draws):
             return ([Finding(f.law, tuple(map(up, f.at)), up(f.lhs), up(f.rhs)) for f in found],
                     per_law, how, [], FAIL)
         base = PASS
-    found, per_law, rows, associativity, units = _action_laws(
-        t, t.mul, t, None if pool is None else (pool, pool), sweep=sweep, **draws)
+    found, per_law, rows, associativity = _action_laws(t, t.mul, t, (pool, pool), sweep=sweep)
     findings = [Finding("product associativity", at, rhs, lhs)   # (ab)c first
                 for law, at, lhs, rhs in found if law == ASSOCIATIVE]
     laws = [Finding("left distributivity over [,,]", at, lhs, rhs) if law == LINEAR_IN_M
             else Finding("right distributivity over [,,]", at[3:] + at[:3], lhs, rhs)
             for law, at, lhs, rhs in found if law != ASSOCIATIVE]
-    how = {}
-    if rows is not None:    # in the order of the (s, a, b, c) sweep, left law first
-        index = {x: i for i, x in enumerate(pool)}
-        laws.sort(key=lambda f: ([index[x] for x in f.at], f.law.startswith("right")))
-        how = {"distributivity": {"algorithm": rows[0],
-                                  "swept": [s for s in pool if s in rows[1] or s in rows[2]]},
-               "associativity": associativity}
+    index = {x: i for i, x in enumerate(pool)}    # the (s, a, b, c) sweep, left law first
+    laws.sort(key=lambda f: ([index[x] for x in f.at], f.law.startswith("right")))
+    how = {"distributivity": {"algorithm": rows[0],
+                              "swept": [s for s in pool if s in rows[1] or s in rows[2]]},
+           "associativity": associativity}
     per_law = (per_law[ASSOCIATIVE], per_law[LINEAR_IN_M])
-    return findings + laws, per_law, how, units, base
+    return findings + laws, per_law, how, pool, base
 
 
-def validate_truss(t, *, samples=10_000, window=5, seed=2026) -> Report:
+def validate_truss(t, *, samples=None, window=None, seed=None) -> Report:
     """Associativity and both distributive laws, then the identity and
     absorber laws (scanned for finite trusses, declared otherwise), on the
     law engine (``_action_laws``) over every element of a finite truss or
@@ -557,28 +529,27 @@ def validate_truss(t, *, samples=10_000, window=5, seed=2026) -> Report:
     frame's generators g, and then the frame triples decide associativity
     (Certaine's lemma: an affine map is fixed by its values on a frame).  A
     failing map, a failing frame triple or a carrier that is no heap falls
-    back to the sweep, so a fail lists every finding.  Only a carrier with
-    no frame is sampled: ``samples`` seeded draws from
-    ``sample_elements(window)``, the unit laws on the drawn elements.
+    back to the sweep, so a fail lists every finding.  A symbolic truss
+    whose carrier has no frame raises StructureError.  ``samples``,
+    ``window`` and ``seed`` are accepted and ignored: every verdict is exact.
 
     ``checked`` counts the product-law instances decided; ``checked_by_law``
     every law, the unit laws by their pool; ``unit_laws`` names the pool
-    ("exhaustive", "frame" or "sampled") and its size; ``distributivity``
-    the algorithm and the swept s; ``associativity`` the algorithm ("frame
+    ("exhaustive" or "frame") and its size; ``distributivity`` the
+    algorithm and the swept s; ``associativity`` the algorithm ("frame
     triples" or "sweep") and the instances evaluated.  A symbolic truss
-    reports ``frame`` (its size) or ``sampled``, an extension whether its
-    ``base`` passed.
+    reports ``frame`` (its size), an extension whether its ``base`` passed.
     """
     pool = _pool(t)
-    findings, per_law, how, units, base = _product_laws(
-        t, pool, samples=samples, window=window, seed=seed)
+    if pool is None:
+        raise StructureError("cannot decide the truss laws: the carrier heap has no frame()")
+    findings, per_law, how, units, base = _product_laws(t, pool)
     one, zero, mul = t.identity, t.absorber, t.mul
     findings += [Finding("identity law", (x,), mul(one, x), x) for x in units
                  if one is not None and (mul(one, x) != x or mul(x, one) != x)]
     findings += [Finding("absorber law", (x,), mul(zero, x), zero) for x in units
                  if zero is not None and (mul(zero, x) != zero or mul(x, zero) != zero)]
     finite = t.heap.is_finite
-    algorithm = "exhaustive" if finite else "sampled" if pool is None else "frame"
     stats = {
         "checked": per_law[0] + 2 * per_law[1],
         "checked_by_law": {
@@ -593,13 +564,11 @@ def validate_truss(t, *, samples=10_000, window=5, seed=2026) -> Report:
         "identity": None if one is None else t.format_element(one),
         "absorber": None if zero is None else t.format_element(zero),
         "exhaustive": finite,
-        "unit_laws": {"algorithm": algorithm,
+        "unit_laws": {"algorithm": "exhaustive" if finite else "frame",
                       "evaluated": 0 if one is None and zero is None else len(units)},
     }
     stats.update(how)
-    if pool is None:
-        stats["sampled"] = {"samples": samples, "window": window, "seed": seed}
-    elif not finite:
+    if not finite:
         stats["frame"] = len(pool)
     if base is not None:
         stats["base"] = base

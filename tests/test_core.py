@@ -332,6 +332,50 @@ def test_heap_validation_of_all_group_heaps():
         assert report.ok, label
 
 
+def entrywise_equal(x, y):
+    """The oracle for heap equality: every entry of the ternary operation."""
+    ids = range(x.size)
+    return all(x.ternary(a, b, c) == y.ternary(a, b, c) for a in ids for b in ids for c in ids)
+
+
+def relabelled(h, perm):
+    """h carried along the bijection perm, function-backed, frame scanned."""
+    inv = {v: i for i, v in enumerate(perm)}
+    return FiniteHeap.from_function(
+        h.size, lambda a, b, c: perm[h.ternary(inv[a], inv[b], inv[c])], abelian=h.abelian)
+
+
+def test_heap_equality_on_frames_matches_the_entrywise_comparison():
+    # every group heap of order <= 8 as a function, as a table, translated
+    # (an automorphism of the heap, so an equal heap with another frame) and
+    # shuffled; and, at each order, tables that are no heap, which have no
+    # frame and take the entry-by-entry path
+    rng, by_size, functions = random.Random(89), {}, []
+    for label, g in small_groups(8):
+        h, n = heap_from_group(g), g.size
+        shuffled = list(range(n))
+        rng.shuffle(shuffled)
+        functions += [h, relabelled(h, [h.ternary(n - 1, 0, x) for x in range(n)]),
+                      relabelled(h, shuffled)]
+        table = FiniteHeap.from_table(heap_from_group(g).table())
+        by_size.setdefault(n, []).extend(functions[-3:] + [table])
+    for n, heaps in by_size.items():
+        non_heaps = [FiniteHeap.from_function(n, lambda a, b, c, n=n: (a + c) % n)]
+        non_heaps += [FiniteHeap.from_function(n, lambda a, b, c, n=n: (a + b + c + a * c) % n)
+                      for _ in range(2)]
+        assert n == 1 or all(h.frame() is None for h in non_heaps)
+        heaps += non_heaps
+    pairs = framed = equal = 0
+    for heaps in by_size.values():
+        for x, y in itertools.product(heaps, repeat=2):
+            assert (x == y) == entrywise_equal(x, y), (x, y)
+            pairs += 1
+            if x.frame() is not None and y.frame() is not None and None in (x._table, y._table):
+                framed, equal = framed + 1, equal + (x == y)
+    assert 0 < equal < framed < pairs
+    assert all(h._table is None for h in functions)     # no comparison built a table
+
+
 # ---------------------------------------------------------------------------
 # translations
 

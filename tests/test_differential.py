@@ -207,7 +207,7 @@ def finite_modules():
 
 def families(m, most):
     """Every family of at most ``most`` window-1 elements, up to order."""
-    elements = list(m.sample_elements(1))
+    elements = list(m.heap.sample(1))
     for s in range(1, most + 1):
         yield from map(list, itertools.combinations_with_replacement(elements, s))
 
@@ -239,7 +239,7 @@ def test_bases_reach_every_window_1_element(label, m):
         if basis_check(m, family).ok:
             ds = modules._source_sum(m.truss, len(family))
             reached = {sigma_oracle(ds, m, family, x) for x in ds.sample(4)}
-            assert set(m.sample_elements(1)) <= reached, family
+            assert set(m.heap.sample(1)) <= reached, family
 
 
 FINITE = list(finite_modules())

@@ -1,7 +1,6 @@
 """Modules over trusses: laws, absorbers, quotients, adjunction, freeness."""
 
 import itertools
-import json
 import random
 import time
 
@@ -57,7 +56,7 @@ from trusskit.trusses import (
     validate_truss,
 )
 
-from test_trusses import Frameless, FramelessSum, ListPool
+from test_trusses import NO_FRAME, Frameless, FramelessSum, ListPool, sampled_laws
 
 Z2 = FiniteRing.Zn(2)
 Z3 = FiniteRing.Zn(3)
@@ -80,13 +79,13 @@ def test_regular_module_valid():
 
 def test_trivial_integer_module_valid_but_not_ring():
     m = TrivialIntModule()
-    assert validate_module(m, samples=3000).ok
+    assert validate_module(m).ok
     assert not is_ring_module(m)
 
 
 def test_free_module_validates_sampled():
-    assert validate_module(free_module(truss_TZn(2), 2), samples=2500, window=3).ok
-    assert validate_module(free_module(tc2_brace_truss(), 2), samples=2500, window=3).ok
+    assert validate_module(free_module(truss_TZn(2), 2)).ok
+    assert validate_module(free_module(tc2_brace_truss(), 2)).ok
 
 
 class OddPositiveC0Wrong(FreeTModule):
@@ -94,7 +93,8 @@ class OddPositiveC0Wrong(FreeTModule):
     with odd c0 > 0.  Every element of the first 4000 of the window at 50
     has c0 = -50, and products and heap combinations of them keep c0 even,
     so a prefix of the window never reaches the wrong elements.  The action
-    is not affine, so its carrier withholds its frame and it is sampled."""
+    is not affine, so its carrier withholds its frame: the validator refuses
+    it, and only the sampled oracle sees its failures."""
 
     def __init__(self, truss, n):
         super().__init__(truss, n)
@@ -107,14 +107,30 @@ class OddPositiveC0Wrong(FreeTModule):
         return y
 
 
+def sampled_module(m, samples, window, seed=2026):
+    """The sampled oracle on a module: its law findings on seeded draws from
+    the windows of the truss and of the carrier, then the first drawn x
+    that breaks unitality."""
+    t = m.truss
+    found, drawn = sampled_laws(t, m.act, m, t.sample_elements(window), m.heap.sample(window),
+                                samples, seed)
+    findings = [Finding(*f) for f in found]
+    bad = None if t.identity is None else next(
+        (x for x in drawn if m.act(t.identity, x) != x), None)
+    if bad is not None:
+        findings.append(Finding("unitality 1m = m", (bad,), str(m.act(t.identity, bad)), str(bad)))
+    return findings
+
+
 def test_sampled_module_laws_draw_from_the_whole_window():
     fm = OddPositiveC0Wrong(integer_truss(), 2)
-    assert {x.components[0] for x in itertools.islice(fm.sample_elements(50), 4000)} == {-50}
-    report = validate_module(fm, samples=200, window=50)
-    assert report.status == "fail" and report.stats["unital"] is False
-    laws = {f.law for f in report.findings}
+    assert {x.components[0] for x in itertools.islice(fm.heap.sample(50), 4000)} == {-50}
+    with pytest.raises(StructureError, match=NO_FRAME):
+        validate_module(fm)
+    laws = {f.law for f in sampled_module(fm, 200, 50)}
     assert "unitality 1m = m" in laws and "action associativity t(t'm) = (tt')m" in laws
-    assert validate_module(free_module(integer_truss(), 2), samples=200, window=50).ok
+    assert not sampled_module(free_module(integer_truss(), 2), 200, 50)
+    assert validate_module(free_module(integer_truss(), 2)).ok
 
 
 def test_action_associativity_violation_located():
@@ -181,7 +197,7 @@ def test_absorbers_free_module_are_tails():
     assert aset.kind == "tails"
     assert aset.contains(CoproductElement((0, 0, 0), (4, -1)))
     assert not aset.contains(CoproductElement((1, 0, 0), (0, 0)))
-    for x in itertools.islice(fm.sample_elements(2), 300):
+    for x in itertools.islice(fm.heap.sample(2), 300):
         assert aset.contains(fm.act(0, x))
 
 
@@ -264,7 +280,7 @@ def test_abs_quotient_free_module_is_power():
 def test_quotient_projection_respects_structure():
     fm = free_module(truss_TZn(2), 2)
     q, proj = abs_quotient(fm)
-    xs = list(itertools.islice(fm.sample_elements(2), 100))
+    xs = list(itertools.islice(fm.heap.sample(2), 100))
     rng = random.Random(67)
     for _ in range(300):
         x, y, z = (rng.choice(xs) for _ in range(3))
@@ -517,7 +533,7 @@ def test_free_module_requires_unital_truss():
 def test_ring_truss_action_fixes_tails():
     fm = free_module(truss_TZn(3), 2)
     rng = random.Random(71)
-    xs = list(itertools.islice(fm.sample_elements(4), 400))
+    xs = list(itertools.islice(fm.heap.sample(4), 400))
     for _ in range(300):
         x = rng.choice(xs)
         t = rng.randrange(3)
@@ -575,7 +591,7 @@ def test_universal_lift():
     lift = fm.universal_lift(target, images)
     for g, img in zip(fm.generators(), images):
         assert lift(g) == img
-    xs = list(itertools.islice(fm.sample_elements(2), 200))
+    xs = list(itertools.islice(fm.heap.sample(2), 200))
     rng = random.Random(79)
     for _ in range(200):
         x, y, z = (rng.choice(xs) for _ in range(3))
@@ -590,7 +606,7 @@ def test_universal_lift_unique_under_perturbation():
     target = FiniteTModule.from_rmodule(RModule.power(Z2, 2))
     lift = fm.universal_lift(target, [1, 2])
     other = fm.universal_lift(target, [1, 3])
-    assert any(lift(x) != other(x) for x in itertools.islice(fm.sample_elements(1), 60))
+    assert any(lift(x) != other(x) for x in itertools.islice(fm.heap.sample(1), 60))
 
 
 # ---------------------------------------------------------------------------
@@ -934,10 +950,10 @@ def test_module_distributivity_stats_name_the_algorithm():
         "swept": [("distributivity [t,t',t'']m", 2), ("distributivity t[m,m',m'']", 1)]}
     assert report.to_obj()["stats"]["distributivity"]["swept"] == \
         [["distributivity [t,t',t'']m", 2], ["distributivity t[m,m',m'']", 1]]
-    free = validate_module(free_module(truss_TZn(2), 2), samples=10, window=1)
+    free = validate_module(free_module(truss_TZn(2), 2))
     assert free.stats["distributivity"] == {"algorithm": "morphism rows", "swept": []}
-    sampled = validate_module(OddPositiveC0Wrong(truss_TZn(2), 2), samples=10, window=1)
-    assert "distributivity" not in sampled.stats
+    with pytest.raises(StructureError, match=NO_FRAME):
+        validate_module(OddPositiveC0Wrong(truss_TZn(2), 2))
 
 
 def test_validating_a_function_backed_module_builds_no_table():
@@ -973,14 +989,13 @@ def violated(m, f):
 
 def test_sampled_module_findings_replay_from_their_witnesses():
     fm = OddPositiveC0Wrong(integer_truss(), 2)
-    report = validate_module(fm, samples=200, window=50)
-    assert len(report.findings) > 10
-    for f in report.findings:
+    findings = sampled_module(fm, 200, 50)
+    assert len(findings) > 10
+    for f in findings:
         assert violated(fm, f), f
-    assert {f.law for f in report.findings} == {
+    assert {f.law for f in findings} == {
         "action associativity t(t'm) = (tt')m", "distributivity t[m,m',m'']",
         "unitality 1m = m"}
-    json.dumps(report.to_obj())
 
 
 def perturbed_tz3(a, b, v):
@@ -991,9 +1006,10 @@ def perturbed_tz3(a, b, v):
 
 def test_free_module_frame_verdicts_match_sampled_runs():
     """Free modules of rank 1-3 at two basepoints: the frame's verdict is
-    that of a seeded sampled run with the frame switched off, and every
-    finding of the frame replays.  Over a truss that is no truss (TZ3 with
-    2.2 changed; 1 stays the identity) the truss decides, at its own laws."""
+    that of the seeded sampled oracle, and every finding of the frame
+    replays; with the frame switched off the validator refuses.  Over a
+    truss that is no truss (TZ3 with 2.2 changed; 1 stays the identity) the
+    truss decides, at its own laws."""
     trusses = {"TZ": integer_truss(), "TZ2": truss_TZn(2), "TZ5": truss_TZn(5),
                "TC2": tc2_brace_truss(), "TZ3 2.2=0": perturbed_tz3(2, 2, 0),
                "TZ3 2.2=2": perturbed_tz3(2, 2, 2)}
@@ -1001,13 +1017,14 @@ def test_free_module_frame_verdicts_match_sampled_runs():
     for name, truss in trusses.items():
         for n, basepoint in itertools.product((1, 2, 3), (0, 1)):
             fm = free_module(truss, n, basepoint)
-            framed = validate_module(fm, samples=1, window=1)
+            framed = validate_module(fm)
             assert framed.stats["frame"] == len(fm.heap.frame()) == 1 + n * 1 + n - 1, name
             assert all(violated(fm, f) for f in framed.findings), (name, n, basepoint)
+            sampled = "fail" if sampled_module(fm, 200, 2, seed=11) else "pass"
+            assert framed.status == sampled, (name, n, basepoint)
             fm.heap.frame = lambda: None    # the carrier withholds its frame
-            sampled = validate_module(fm, samples=200, window=2, seed=11)
-            assert "sampled" in sampled.stats
-            assert framed.status == sampled.status, (name, n, basepoint)
+            with pytest.raises(StructureError, match=NO_FRAME):
+                validate_module(fm)
             verdicts.add((framed.status, framed.stats["truss"]))
     assert verdicts == {("pass", "pass"), ("fail", "fail")}
 
@@ -1016,9 +1033,10 @@ def test_no_package_carrier_is_sampled(monkeypatch):
     def refuse(self, window):
         raise AssertionError(f"{self!r} was sampled")
 
-    for cls in (IntegerTruss, ConstantTruss, FiniteTruss, ExtensionTruss,
-                FiniteTModule, TrivialIntModule, FreeTModule):
+    for cls in (IntegerTruss, ConstantTruss, FiniteTruss, ExtensionTruss):
         monkeypatch.setattr(cls, "sample_elements", refuse)
+    for cls in (FiniteHeap, IntLineHeap, DirectSum):
+        monkeypatch.setattr(cls, "sample", refuse)
     for t in (integer_truss(), constant_truss(3), unital_extension(truss_TZn(4)),
               ring_extension(tc2_brace_truss()), double_extension(constant_truss(2)),
               unital_extension(unital_extension(integer_truss()))):
@@ -1072,11 +1090,11 @@ def test_no_structure_class_forwards_the_heap_protocol():
     lambda: ListPool(integer_truss(), "zero"),
     lambda: OddPositiveC0Wrong(integer_truss(), 2),
 ], ids=["Frameless", "ListPool", "OddPositiveC0Wrong"])
-def test_carriers_without_a_frame_are_still_sampled(make):
+def test_carriers_without_a_frame_raise(make):
     s = make()
     validate = validate_module if isinstance(s, FreeTModule) else validate_truss
-    report = validate(s, samples=20, window=2)
-    assert report.stats["sampled"] == {"samples": 20, "window": 2, "seed": 2026}
+    with pytest.raises(StructureError, match=NO_FRAME):
+        validate(s, samples=20, window=2)
 
 
 def test_verify_abs_of_free_sees_every_component_vector_and_the_whole_frame(monkeypatch):

@@ -53,7 +53,7 @@ def test_tz4_valid_unital_ring_type():
 
 def test_constant_truss_flags():
     t = constant_truss(0)
-    report = validate_truss(t, samples=2000, window=4)
+    report = validate_truss(t)
     assert report.ok
     assert t.absorber == 0 and t.identity is None
     assert not t.unital and t.ring_type
@@ -61,7 +61,7 @@ def test_constant_truss_flags():
 
 def test_integer_truss_valid():
     t = integer_truss()
-    assert validate_truss(t, samples=2000, window=6).ok
+    assert validate_truss(t).ok
     assert t.identity == 1 and t.absorber == 0
 
 
@@ -168,23 +168,56 @@ class FramelessSum(DirectSum):
 
 
 class Frameless(ExtensionTruss):
-    """An extension on a carrier without a frame: validated on seeded draws."""
+    """An extension on a carrier without a frame: the validators refuse it."""
 
     def __init__(self, base, adjoined):
         super().__init__(base, adjoined)
         self.heap = FramelessSum(self.heap.summands)
 
 
+NO_FRAME = r"has no frame\(\)"
+
+
+def sampled_laws(t, act, m, tw, mw, samples, seed):
+    """The sampled mode the law engine once had, kept as an oracle that needs
+    no frame: ``samples`` seeded draws of a, b, c from the window ``tw`` of
+    t and x, y, z from the window ``mw`` of m.  The (law, at, lhs, rhs)
+    findings of the three action laws in draw order, and the drawn x."""
+    rng, tw, mw = random.Random(seed), list(tw), list(mw)
+    tern_t, tern_m = t.heap.ternary, m.heap.ternary
+    found, drawn = [], []
+    for _ in range(samples):
+        a, b, c, x, y, z = (rng.choice(w) for w in (tw, tw, tw, mw, mw, mw))
+        found += [f for f in (
+            (trusses.ASSOCIATIVE, (a, b, x), act(a, act(b, x)), act(t.mul(a, b), x)),
+            (trusses.LINEAR_IN_T, (a, b, c, x), act(tern_t(a, b, c), x),
+             tern_m(act(a, x), act(b, x), act(c, x))),
+            (trusses.LINEAR_IN_M, (a, x, y, z), act(a, tern_m(x, y, z)),
+             tern_m(act(a, x), act(a, y), act(a, z)))) if f[2] != f[3]]
+        drawn.append(x)
+    return found, drawn
+
+
+def sampled_truss_status(t, samples, window, seed=2026):
+    """The sampled oracle's verdict on a truss: its product laws on seeded
+    draws from ``sample_elements(window)``, the unit laws at the drawn x."""
+    pool = list(t.sample_elements(window))
+    found, drawn = sampled_laws(t, t.mul, t, pool, pool, samples, seed)
+    one, zero, mul = t.identity, t.absorber, t.mul
+    units_fail = any(one is not None and (mul(one, x) != x or mul(x, one) != x)
+                     or zero is not None and (mul(zero, x) != zero or mul(x, zero) != zero)
+                     for x in drawn)
+    return "fail" if found or units_fail else "pass"
+
+
 def test_unital_extension_validates_sampled():
-    # without a frame, the laws are checked on seeded draws from the window
-    report = validate_truss(Frameless(truss_TZn(3), "one"), samples=3000, window=3)
-    assert report.ok and report.stats["checked"] == 3 * 3000
-    assert report.stats["sampled"] == {"samples": 3000, "window": 3, "seed": 2026}
-    # the identity and absorber laws run on the drawn elements
-    assert report.stats["checked_by_law"]["identity law"] == 3000
-    assert report.stats["checked_by_law"]["absorber law"] == 3000
-    assert report.stats["unit_laws"] == {"algorithm": "sampled", "evaluated": 3000}
-    assert validate_truss(Frameless(tc2_brace_truss(), "one"), samples=3000, window=3).ok
+    # without a frame the validator refuses; the seeded oracle passes it on
+    # 3000 draws from the window, identity and absorber laws included
+    for base in (truss_TZn(3), tc2_brace_truss()):
+        with pytest.raises(StructureError, match=NO_FRAME):
+            validate_truss(Frameless(base, "one"))
+        assert sampled_truss_status(Frameless(base, "one"), 3000, 3) == "pass"
+        assert validate_truss(unital_extension(base)).ok
 
 
 def test_extensions_validate_on_their_frames():
@@ -192,7 +225,7 @@ def test_extensions_validate_on_their_frames():
     report = validate_truss(unital_extension(truss_TZn(3)))
     assert report.ok and report.stats["frame"] == 3 and report.stats["base"] == "pass"
     assert report.stats["checked"] == 3 ** 3 + 2 * 3 ** 4
-    report = validate_truss(double_extension(integer_truss()), samples=10, window=2)
+    report = validate_truss(double_extension(integer_truss()))
     assert report.ok and report.stats["checked_by_law"] == {
         "product associativity": 4 ** 3,
         "left distributivity over [,,]": 4 ** 4,
@@ -304,7 +337,7 @@ def test_zc_ext0_sample_value():
 def test_zc_ext0_flags():
     z0 = ring_extension(constant_truss(0))
     assert z0.ring_type and not z0.unital
-    assert validate_truss(z0, samples=2000, window=3).ok
+    assert validate_truss(z0).ok
 
 
 def test_zc_old_absorber_demoted():
@@ -469,7 +502,7 @@ def test_closed_form_product_off_the_default_basepoint(adjoined, basepoint):
     for _ in range(200):
         x, y = rng.choice(pool), rng.choice(pool)
         assert t.mul(x, y) == mul_via_words(t, t.heap.word_form(x), t.heap.word_form(y)), (x, y)
-    assert validate_truss(t, samples=300, window=6).ok
+    assert validate_truss(t).ok
 
 
 def test_closed_form_product_rejects_products_outside_the_carrier():
@@ -732,7 +765,7 @@ EXTEND = {
 @pytest.mark.parametrize("kind", ["T1", "T0", "T01"])
 def test_extension_labels_are_distinct(kind, name):
     t = EXTEND[kind](EXTENSION_BASES[name]())
-    window = t.base.sample_elements(2)
+    window = list(t.base.sample_elements(2))
     pool = {t.element(g, m) for g in window for m in range(-2, 3)}
     assert len({t.format_element(x) for x in pool}) == len(pool) == len(window) * 5
 
@@ -756,23 +789,24 @@ def violated(t, f):
 
 
 def test_frame_verdicts_match_sampled_runs():
-    """Every extension of every base: the frame's verdict is that of a
-    seeded sampled run with the frame switched off, and every finding of
-    the frame replays.  A base that is no truss fails at tail 0."""
+    """Every extension of every base: the frame's verdict is that of the
+    seeded sampled oracle, and every finding of the frame replays.  With
+    the frame switched off the validator refuses.  A base that is no truss
+    fails at tail 0."""
     assert len(UNIT_LAW_BASES) == 5 + 18 + 3
     verdicts = set()
     for name, make in UNIT_LAW_BASES.items():
         for kind, extend in EXTEND.items():
             t = extend(make())
-            framed = validate_truss(t, samples=1, window=1)
+            framed = validate_truss(t)
             assert framed.stats["frame"] == len(t.heap.frame()), (name, kind)
             assert all(violated(t, f) for f in framed.findings), (name, kind)
             if framed.stats["base"] == "fail":
                 assert all(x.tails == (0,) for f in framed.findings for x in f.at)
+            assert framed.status == sampled_truss_status(t, 100, 2, seed=7), (name, kind)
             t.heap.frame = lambda: None     # the carrier withholds its frame
-            sampled = validate_truss(t, samples=100, window=2, seed=7)
-            assert "sampled" in sampled.stats and "base" not in sampled.stats
-            assert framed.status == sampled.status, (name, kind)
+            with pytest.raises(StructureError, match=NO_FRAME):
+                validate_truss(t)
             verdicts.add((framed.status, framed.stats["base"]))
     assert verdicts == {("pass", "pass"), ("fail", "pass"), ("fail", "fail")}
 
@@ -795,53 +829,64 @@ def test_frames_are_a_point_and_that_point_moved_by_each_generator():
     # a carrier that is no heap has no group form, so no frame
     odd = FiniteTruss(not_a_heap(), ((0, 0, 0),) * 3)
     assert odd.heap.frame() is None and unital_extension(odd).heap.frame() is None
-    assert validate_truss(unital_extension(odd), samples=20, window=1).stats["sampled"]
+    with pytest.raises(StructureError, match=NO_FRAME):
+        validate_truss(unital_extension(odd))
 
 
 class ListPool(Frameless):
     """An extension whose window is a materialised list, not a lazy one."""
 
+    reads = 0
+
     def sample_elements(self, window):
+        ListPool.reads += 1
         return list(super().sample_elements(window))
 
 
 @pytest.mark.parametrize("name", ["TZ", "Zc3", "TC2", "TZ3 2.2=2", "misdeclared identity"])
 @pytest.mark.parametrize("kind", ["T1", "T0", "T01"])
 def test_reports_match_for_lazy_and_list_windows(kind, name):
+    # no verdict is drawn from a window: lazy or listed, a carrier without a
+    # frame gets the same StructureError, and its window is never read
     def make(cls):
         base = UNIT_LAW_BASES[name]()
         if kind == "T01":
             return cls(unital_extension(base), "zero")
         return cls(base, "one" if kind == "T1" else "zero")
 
+    ListPool.reads = 0
     for window in (1, 3):
-        lazy = validate_truss(make(Frameless), samples=150, window=window, seed=11)
-        listed = validate_truss(make(ListPool), samples=150, window=window, seed=11)
-        assert lazy.to_obj() == listed.to_obj()
-        assert lazy.findings == listed.findings
-
-
-def test_sampled_draws_reach_past_sys_maxsize():
-    # (2w + 1)^2 window elements, more than an index-sized integer holds
-    report = validate_truss(Frameless(integer_truss(), "one"), samples=5, window=3 * 10 ** 9)
-    assert report.ok and report.stats["checked"] == 3 * 5
+        errors = []
+        for cls in (Frameless, ListPool):
+            with pytest.raises(StructureError, match=NO_FRAME) as refused:
+                validate_truss(make(cls), samples=150, window=window, seed=11)
+            errors.append(str(refused.value))
+        assert errors[0] == errors[1]
+    assert ListPool.reads == 0
 
 
 def test_unit_law_stats_name_the_algorithm():
     assert validate_truss(truss_TZn(4)).stats["unit_laws"] == \
         {"algorithm": "exhaustive", "evaluated": 4}
-    assert validate_truss(integer_truss(), samples=10, window=6).stats["unit_laws"] == \
+    assert validate_truss(integer_truss()).stats["unit_laws"] == \
         {"algorithm": "frame", "evaluated": 2}
-    report = validate_truss(double_extension(integer_truss()), samples=25, window=20)
+    report = validate_truss(double_extension(integer_truss()))
     assert report.ok and report.stats["unit_laws"] == {"algorithm": "frame", "evaluated": 4}
     assert report.stats["checked_by_law"]["identity law"] == 4
-    assert validate_truss(Frameless(integer_truss(), "one"), samples=25).stats["unit_laws"] == \
-        {"algorithm": "sampled", "evaluated": 25}
+    with pytest.raises(StructureError, match=NO_FRAME):
+        validate_truss(Frameless(integer_truss(), "one"))
     # no identity and no absorber: nothing to evaluate
     no_units = unital_extension(constant_truss(0))
     no_units.identity = no_units.absorber = None
-    assert validate_truss(no_units, samples=5, window=2).stats["unit_laws"] == \
+    assert validate_truss(no_units).stats["unit_laws"] == \
         {"algorithm": "frame", "evaluated": 0}
+
+
+def test_sampling_keywords_are_accepted_and_ignored():
+    for t in (truss_TZn(4), integer_truss(), double_extension(constant_truss(2))):
+        report = validate_truss(t, samples=5, window=3 * 10 ** 9, seed=1)
+        assert report.to_obj() == validate_truss(t).to_obj()
+        assert "sampled" not in report.stats
 
 
 def test_retract_ring_decides_the_absorber_on_every_tail():
@@ -953,10 +998,8 @@ def test_distributivity_stats_name_the_algorithm():
     table[1][2] = 3
     report = validate_truss(FiniteTruss(truss_TZn(4).heap, table))
     assert report.stats["distributivity"] == {"algorithm": "morphism rows", "swept": [1, 2]}
-    assert validate_truss(integer_truss(), samples=10).stats["distributivity"] == \
+    assert validate_truss(integer_truss()).stats["distributivity"] == \
         {"algorithm": "morphism rows", "swept": []}
-    assert "distributivity" not in validate_truss(Frameless(integer_truss(), "one"),
-                                                  samples=10).stats
 
 
 def test_validating_a_function_backed_carrier_builds_no_table():
