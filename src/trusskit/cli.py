@@ -5,6 +5,10 @@ Exit codes: 0 on pass/success, 1 on verification failure, 2 on usage or
 parse errors.  Output is deterministic for fixed inputs and options; nothing
 is printed until a command has fully succeeded.
 
+The argument parser is built once per process, on the first ``main`` call,
+and never mutated; every call parses with it and then runs the verb's
+``cmd_<verb>`` looked up by name, so a function patched in later still runs.
+
 Loading a heap file decides exactly, at every size, whether its table is a
 heap; ``verify`` reports every violated instance.  Groups, heaps, rings and
 finite trusses and modules are checked exhaustively; symbolic trusses and
@@ -367,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(printed as the shortest word with them unless --json)")
     r.add_argument("expr", help='e.g. "a b b" or "[a b a, a, b]"')
     r.add_argument("--json", action="store_true")
-    r.set_defaults(fn=cmd_reduce)
 
     c = sub.add_parser("coproduct", help="canonical form in a direct sum of two heaps")
     c.add_argument("left", help="left summand heap file")
@@ -376,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--base-left", default=None)
     c.add_argument("--base-right", default=None)
     c.add_argument("--json", action="store_true")
-    c.set_defaults(fn=cmd_coproduct)
 
     e = sub.add_parser("extend", help="unital/ring extension of a truss")
     which = e.add_mutually_exclusive_group(required=True)
@@ -388,21 +390,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a truss file and/or the word 'table'")
     e.add_argument("--window", type=int, default=5)
     e.add_argument("--json", action="store_true")
-    e.set_defaults(fn=cmd_extend)
 
     rt = sub.add_parser("retract", help="group of a heap / ring of a truss at a base point")
     rt.add_argument("--at", required=True, metavar="ELEM")
     rt.add_argument("file")
-    rt.set_defaults(fn=cmd_retract)
 
     q = sub.add_parser("quotient", help="quotient heap by a normal sub-heap")
     q.add_argument("--by", required=True, metavar="SUBHEAP_FILE")
     q.add_argument("file")
-    q.set_defaults(fn=cmd_quotient)
 
     a = sub.add_parser("abs", help="absorber set of a module")
     a.add_argument("file")
-    a.set_defaults(fn=cmd_abs)
 
     v = sub.add_parser(
         "verify", help="validate a structure file",
@@ -413,13 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=int, default=None, metavar="N",
                    help="ignored: every verdict is exact (must be positive)")
     v.add_argument("file", help="a JSON structure file")
-    v.set_defaults(fn=cmd_verify)
 
     t = sub.add_parser("table", help="operation table of a structure")
     t.add_argument("--window", type=int, default=5)
     t.add_argument("--json", action="store_true")
     t.add_argument("file")
-    t.set_defaults(fn=cmd_table)
 
     b = sub.add_parser("basis", help="decide exactly whether module candidates are a basis "
                                      "(exit 0) or not (exit 1, with a witness)")
@@ -427,25 +423,31 @@ def build_parser() -> argparse.ArgumentParser:
                    help="element names or ids, g0,g1,... of a free module, or integers; "
                         "a list that starts with '-' needs the --candidates=-1,2 form")
     b.add_argument("file")
-    b.set_defaults(fn=cmd_basis)
 
     d = sub.add_parser("dorroh", help="compare a unital extension against the Dorroh product")
     d.add_argument("--ring", required=True, metavar="SPEC", help="Z<n> or a ring file")
     d.add_argument("--window", type=int, default=3,
                    help="kept only for the CLI contract; the verdict covers every tail in Z^2")
-    d.set_defaults(fn=cmd_dorroh)
 
     return p
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one verb and return its exit code (0, 1 or 2).  The parser is
+    built once per process, on the first call, and never mutated; the verb's
+    ``cmd_<verb>`` is looked up by name when the call runs."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        code, output = args.fn(args)
+        code, output = globals()[f"cmd_{args.verb}"](args)
     except StructureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -581,7 +581,9 @@ class FiniteHeap:
     @classmethod
     def from_table(cls, table, names=None):
         """Build a heap from a full ternary table, exactly validated at every
-        size; a non-heap raises StructureError naming its first violation."""
+        size; a non-heap raises StructureError naming its first violation.
+        A table that passes is a group heap, so its frame is walked with no
+        second scan (the empty heap has none)."""
         rows = _normalize_ternary(table)
         first = next(_heap_violations(rows, False, {}), None)
         if first is not None:
@@ -589,7 +591,8 @@ class FiniteHeap:
         n = len(rows)
         abelian = all(rows[a][b][c] == rows[c][b][a]
                       for a in range(n) for b in range(n) for c in range(a + 1))
-        return cls(n, table=rows, names=names, abelian=abelian)
+        return cls(n, table=rows, names=names, abelian=abelian,
+                   frame=_walked_frame if n else _no_frame)
 
     @classmethod
     def from_function(cls, size, fn, names=None, abelian=False, frame=None):
@@ -672,6 +675,10 @@ def _walked_frame(h):
     """(0,) and the greedy generators of the retract of h at 0
     (``_generating_sequence``), in O(n log^2 n) products."""
     return (0,) + tuple(_generating_sequence(h.size, lambda a, b: h.ternary(a, 0, b), 0))
+
+
+def _no_frame(h):
+    return None
 
 
 def _scanned_frame(h):
@@ -880,10 +887,16 @@ def _descend(proj, images, message):
 def quotient(h: FiniteHeap, s: SubHeap):
     """Quotient heap h/S for a normal sub-heap, with the projection map.
 
-    The classes and the projection are ``_quotient_classes``; the table is
-    taken on the least member of each class, which names the class.
+    The classes and the projection are ``_quotient_classes``; the heap on
+    them is ``_quotient_heap``.
     """
-    distinct, proj = _quotient_classes(h, s)
+    return _quotient_heap(h, *_quotient_classes(h, s))
+
+
+def _quotient_heap(h: FiniteHeap, distinct, proj):
+    """The heap on the classes ``distinct`` of h with projection ``proj``, as
+    ``_quotient_classes`` gives them, and the projection map.  The table is
+    taken on the least member of each class, which names the class."""
     reps = [min(c) for c in distinct]
     table = tuple(
         tuple(tuple(proj[h.ternary(a, b, c)] for c in reps) for b in reps)

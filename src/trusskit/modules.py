@@ -11,11 +11,11 @@ copaired sigma maps) are direct-sum copairs into the target's carrier
 (``DirectSum.copair``), so no word is built.  The quotient by the
 absorber sub-heap turns a module over the truss of a ring back into a module
 over that ring; its classes and projection come from
-``core._quotient_classes`` and its heap from ``core.quotient``, and maps
-descend to it through ``core._descend``; the quotient of a free module is
-R^n by construction, and ``verify_abs_of_free`` decides on a frame that it is
-right.  Every check that a map commutes with the action is
-``core._first_unequivariant``.  The module laws run on the law engine of the
+``core._quotient_classes``, once per module, and its heap from
+``core._quotient_heap``, and maps descend to it through ``core._descend``;
+the quotient of a free module is R^n by construction, and
+``verify_abs_of_free`` decides on a frame that it is right.  Every check
+that a map commutes with the action is ``core._first_unequivariant``.  The module laws run on the law engine of the
 trusses, exactly.  Free sets and bases are decided exactly from the linear
 part of the copaired sigma map.  Frames come from the carrier,
 ``heap.frame()``, so no module defines one.
@@ -40,8 +40,8 @@ from .core import (
     _group_maps,
     _id_table,
     _quotient_classes,
+    _quotient_heap,
     heap_from_group,
-    quotient,
     retract,
     SubHeap,
 )
@@ -64,7 +64,7 @@ from .trusses import (
 class FiniteTModule:
     """A left module over a finite truss, with an explicit action table."""
 
-    __slots__ = ("truss", "heap", "action", "size", "names")
+    __slots__ = ("truss", "heap", "action", "size", "names", "_absorbers")
 
     def __init__(self, truss, heap: FiniteHeap, action):
         if not truss.heap.is_finite:
@@ -76,6 +76,9 @@ class FiniteTModule:
         self.size = heap.size
         self.names = heap.names
         self.action = _id_table(action, truss.size, heap.size, "the action table")
+        # the absorbers, their classes and the projection (``_absorber_quotient``),
+        # computed on first use
+        self._absorbers = None
 
     @classmethod
     def regular(cls, truss) -> "FiniteTModule":
@@ -317,17 +320,24 @@ def to_ring_module(m: FiniteTModule) -> RModule:
 # the quotient-by-absorbers functor
 
 
-def _absorber_subheap(m: FiniteTModule) -> SubHeap:
-    aset = absorbers(m)
-    if aset.kind != "finite" or not aset.members:
-        raise StructureError("absorber classes need a non-empty finite absorber set")
-    return SubHeap(m.heap, aset.members)
+def _absorber_quotient(m: FiniteTModule):
+    """(absorbers, classes, projection) of a finite module, computed once, on
+    first use, and kept in the module, as ``FiniteHeap.frame()`` is.  Any
+    other module raises, having no finite absorber set."""
+    kept = getattr(m, "_absorbers", None)
+    if kept is None:
+        aset = absorbers(m)
+        if aset.kind != "finite" or not aset.members:
+            raise StructureError("absorber classes need a non-empty finite absorber set")
+        sub = SubHeap(m.heap, aset.members)
+        kept = m._absorbers = (aset.members, *_quotient_classes(m.heap, sub))
+    return kept
 
 
 def absorber_classes(m: FiniteTModule):
     """Equivalence classes of the absorber sub-heap relation, ordered by
     least member, with the projection of each element."""
-    return _quotient_classes(m.heap, _absorber_subheap(m))
+    return _absorber_quotient(m)[1:]
 
 
 def abs_quotient(m):
@@ -360,8 +370,8 @@ def abs_quotient(m):
                              " or a canonical free module")
     if m.size == 0:
         raise StructureError("the empty module has no absorber quotient")
-    sub = _absorber_subheap(m)
-    qheap, proj = quotient(m.heap, sub)
+    members, distinct, proj = _absorber_quotient(m)
+    qheap, proj = _quotient_heap(m.heap, distinct, proj)
     # classes are ordered by least member, so each first hit is that member
     reps = [proj.mapping.index(i) for i in range(qheap.size)]
     action = tuple(
@@ -370,7 +380,7 @@ def abs_quotient(m):
     )
     if m.truss.absorber is not None:
         ring = retract_ring(m.truss, m.truss.absorber)
-        group = retract(qheap, proj(sub.members[0]))
+        group = retract(qheap, proj(members[0]))
         return RModule(ring, group, action), proj
     return FiniteTModule(m.truss, qheap, action), proj
 

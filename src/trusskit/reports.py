@@ -10,7 +10,9 @@ FAIL = "fail"
 
 
 def _plain(value):
-    """Convert a value into something json.dumps can handle deterministically."""
+    """Convert a value into something json.dumps can handle deterministically.
+    A dataclass becomes a dict of its fields, in name order, read field by
+    field in the same walk, with no copy of the value."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, (list, tuple)):
@@ -18,7 +20,8 @@ def _plain(value):
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _plain(dataclasses.asdict(value))
+        names = sorted(f.name for f in dataclasses.fields(value))
+        return {name: _plain(getattr(value, name)) for name in names}
     return str(value)
 
 

@@ -170,6 +170,44 @@ def test_output_matches_the_golden(argv):
     assert run(argv) == _golden()[json.dumps(argv)]
 
 
+def test_the_shared_parser_keeps_no_state_between_calls(monkeypatch):
+    """One parser serves every call in the process: the goldens hold when
+    they run forward and then in reverse, after a usage error and a --help
+    that fall between the runs, and the parser is built once."""
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    golden = _golden()
+    for argv in CASES:
+        assert run(argv) == golden[json.dumps(argv)], _name(argv)
+    usage = run(["verify", "--samples"])
+    assert usage["code"] == 2 and usage["stdout"] == ""
+    assert usage["stderr"] == "trusskit verify: error: ..."
+    helped = run(["--help"])
+    assert helped["code"] == 0 and helped["stderr"] == ""
+    assert helped["stdout"].startswith("usage: trusskit")
+    for argv in reversed(CASES):
+        assert run(argv) == golden[json.dumps(argv)], _name(argv)
+    assert run(["--help"]) == helped and run(["verify", "--samples"]) == usage
+    assert built == [1]
+
+
+def test_a_verb_patched_after_the_first_call_is_the_one_that_runs(monkeypatch):
+    """Dispatch looks ``cmd_<verb>`` up when the call runs, so a parser built
+    before a patch (a test's, or the layer tracer's) does not hold the old
+    function."""
+    assert run(["reduce", "--free", "a a b"])["stdout"] == "b\n"
+    parser = cli._PARSER
+    seen = []
+    monkeypatch.setattr(cli, "cmd_reduce", lambda args: seen.append(args.expr) or (1, "patched"))
+    assert run(["reduce", "--free", "a a b"]) == {
+        "argv": ["reduce", "--free", "a a b"], "code": 1, "stdout": "patched\n", "stderr": ""}
+    assert seen == ["a a b"] and cli._PARSER is parser
+    monkeypatch.undo()
+    assert run(["reduce", "--free", "a a b"])["stdout"] == "b\n"
+
+
 if __name__ == "__main__":
     old, new = _golden(), [run(argv) for argv in CASES]
     for g in new:

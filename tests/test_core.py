@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from trusskit import core
 from trusskit.core import (
     FiniteGroup,
     FiniteHeap,
@@ -374,6 +375,33 @@ def test_heap_equality_on_frames_matches_the_entrywise_comparison():
                 framed, equal = framed + 1, equal + (x == y)
     assert 0 < equal < framed < pairs
     assert all(h._table is None for h in functions)     # no comparison built a table
+
+
+def test_a_heap_read_from_a_table_is_framed_with_no_second_scan(monkeypatch):
+    # from_table validates its table exactly, so a table that passes is a
+    # group heap: its first frame() is walked with no _retract_defects scan,
+    # and equals the frame that scan gives; every group heap of order <= 8,
+    # as the table of the group and relabelled (a translation moves 0, a
+    # shuffle moves everything)
+    rng, tables = random.Random(47), []
+    for label, g in small_groups(8):
+        h, n = heap_from_group(g), g.size
+        shuffled = list(range(n))
+        rng.shuffle(shuffled)
+        for source in (h, relabelled(h, [h.ternary(n - 1, 0, x) for x in range(n)]),
+                       relabelled(h, shuffled)):
+            tables.append((label, source.table()))
+    calls, scan = [], core._retract_defects
+    monkeypatch.setattr(core, "_retract_defects", lambda c, e: calls.append(c) or scan(c, e))
+    for label, table in tables:
+        read = FiniteHeap.from_table(table)
+        calls.clear()           # reading the table scans it once, to validate it
+        frame = read.frame()
+        assert calls == [], label
+        scanned = FiniteHeap(len(table), table=table)       # frame=None: scan
+        assert frame == scanned.frame() and calls == [scanned], label
+        assert read.frame() is frame
+    assert FiniteHeap.from_table([]).frame() is None
 
 
 # ---------------------------------------------------------------------------

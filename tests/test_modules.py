@@ -17,6 +17,7 @@ from trusskit.modules import (
     TrivialIntModule,
     abs_on_morphism,
     abs_quotient,
+    absorber_classes,
     absorbers,
     adjunction_theta,
     adjunction_theta_inv,
@@ -467,6 +468,38 @@ def test_adjunction_over_every_small_pair(n, a, b):
     assert [adjunction_theta_inv(m, n_mod, psi) for psi in thetas] == ring_homs
     assert [adjunction_theta(m, n_mod, adjunction_theta_inv(m, n_mod, psi))
             for psi in truss_homs] == truss_homs
+
+
+def test_absorber_classes_are_computed_once_per_module(monkeypatch):
+    # absorber_classes, abs_quotient and both thetas read one computation of
+    # the classes, made on first use and kept in the module; a fresh module
+    # gives the same classes; a module with no finite absorber set raises
+    # every time
+    calls, classes = [], modules._quotient_classes
+    monkeypatch.setattr(modules, "_quotient_classes",
+                        lambda h, s: calls.append(h) or classes(h, s))
+    ring = FiniteRing.Zn(3)
+    m, fresh = (FiniteTModule.from_rmodule(RModule.power(ring, 2)) for _ in range(2))
+    n_mod = RModule.regular(ring)
+    q, proj = abs_quotient(m)
+    ring_homs = rmodule_homs(q, n_mod)
+    thetas = [adjunction_theta(m, n_mod, phi) for phi in ring_homs]
+    assert [adjunction_theta_inv(m, n_mod, psi) for psi in thetas] == ring_homs
+    assert abs_quotient(m)[1].mapping == proj.mapping
+    assert calls == [m.heap]
+    assert absorber_classes(m) == absorber_classes(fresh) and calls == [m.heap, fresh.heap]
+    q_fresh, proj_fresh = abs_quotient(fresh)
+    assert proj_fresh.mapping == proj.mapping and q_fresh.action == q.action
+    assert q_fresh.group.op_table() == q.group.op_table()
+    swap = FiniteTModule(truss_TZn(2), heap_from_group(FiniteGroup.cyclic(2)), [[1, 0], [1, 0]])
+    with pytest.raises(StructureError, match="non-empty finite absorber set"):
+        abs_quotient(swap)
+    for bad in (swap, TrivialIntModule(), free_module(truss_TZn(3), 2)):
+        for call in (absorber_classes, absorber_classes,
+                     lambda x: adjunction_theta(x, RModule.regular(FiniteRing.Zn(2)), (0,))):
+            with pytest.raises(StructureError, match="non-empty finite absorber set"):
+                call(bad)
+    assert len(calls) == 2
 
 
 def test_rmodule_homs_of_z4_squared_to_z4_are_fast():
@@ -1140,13 +1173,17 @@ def test_verify_abs_of_free_draws_tail_triples_from_the_whole_pool(monkeypatch):
 
 
 def read_tz16():
-    """TZ16 on a heap read from its table, which only a scan can frame."""
+    """TZ16 on a heap given as a bare function, which only a scan can frame
+    (a heap read with ``from_table`` is validated as it is read, and so
+    framed with no scan)."""
     tz16 = truss_TZn(16)
-    return FiniteTruss(FiniteHeap.from_table(tz16.heap.table()), tz16.mul_table)
+    table = tz16.heap.table()
+    heap = FiniteHeap.from_function(16, lambda a, b, c: table[a][b][c], abelian=True)
+    return FiniteTruss(heap, tz16.mul_table)
 
 
 def test_a_finite_base_is_scanned_once_for_its_frame(monkeypatch):
-    """The first frame of a heap read from a table costs one
+    """The first frame of a heap given as a bare function costs one
     ``_retract_defects`` scan; it is kept, and the law engine asks the heap,
     not a second scan.  (The adjoined singleton is a finite heap too,
     scanned once.)"""
@@ -1181,10 +1218,14 @@ def test_group_heaps_by_construction_are_framed_with_no_scan(monkeypatch):
     assert validate_module(free_module(truss_TZn(16), 2)).ok and calls == []
     c4, c2 = heap_from_group(FiniteGroup.cyclic(4)), heap_from_group(FiniteGroup.cyclic(2))
     assert core.product(c4, c2).frame() == (0, 2, 1) and calls == []
-    # a factor read from a table is scanned, once, and the product is not
+    # a factor read from a table was validated as it was read, so it is
+    # framed with no second scan; a bare function-backed factor is scanned,
+    # once, and the product is not
     read = FiniteHeap.from_table(c2.table())
     calls.clear()           # reading the table scans it once, to validate it
-    assert core.product(c4, read).frame() == (0, 2, 1) and calls == [read]
+    assert core.product(c4, read).frame() == (0, 2, 1) and calls == []
+    bare = FiniteHeap.from_function(2, c2.ternary, abelian=True)
+    assert core.product(c4, bare).frame() == (0, 2, 1) and calls == [bare]
     assert core.product(c4, FiniteHeap.empty()).frame() is None
 
 
