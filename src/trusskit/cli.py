@@ -19,6 +19,7 @@ is exact: ``verify --samples N`` is accepted (N positive) and ignored.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -54,6 +55,7 @@ from .trusses import (
     constant_truss,
     dorroh_compare,
     double_extension,
+    product_table,
     retract_ring,
     ring_extension,
     tc2_brace_truss,
@@ -128,20 +130,27 @@ def _grid(labels, cells) -> str:
     return "\n".join(lines)
 
 
+def _cells(op):
+    """The table of a binary operation op over xs x ys, cell by cell."""
+    return lambda xs, ys: [[op(a, b) for b in ys] for a in xs]
+
+
 def _table_form(structure, window: int):
     """(kind, labels, tables): the display names of the elements and each
     operation table as rows of display names.  Symbolic trusses show the
-    elements of a window."""
+    elements of a window.  A truss's table comes from
+    ``trusses.product_table``: an extension makes each distinct base product
+    once, not three per cell, and checks that it lies in the carrier."""
     if isinstance(structure, FiniteHeap):
         names = structure.names
         return "heap-table", list(names), {
             "table": [[[names[v] for v in lvl] for lvl in pl] for pl in structure.table()]}
     if isinstance(structure, FiniteGroup):
-        kind, ops = "group-table", {"table": structure.op}
+        kind, ops = "group-table", {"table": _cells(structure.op)}
     elif isinstance(structure, FiniteRing):
-        kind, ops = "ring-tables", {"add": structure.plus, "mul": structure.mul}
+        kind, ops = "ring-tables", {"add": _cells(structure.plus), "mul": _cells(structure.mul)}
     elif isinstance(structure, (ExtensionTruss, FiniteTruss, IntegerTruss, ConstantTruss)):
-        kind, ops = "truss-table", {"table": structure.mul}
+        kind, ops = "truss-table", {"table": functools.partial(product_table, structure)}
     else:
         raise StructureError("no table form for this structure")
     if isinstance(structure, ExtensionTruss):
@@ -150,7 +159,8 @@ def _table_form(structure, window: int):
         pool, fmt = structure.sample_elements(window), structure.format_element
     else:
         pool, fmt = structure.elements(), structure.names.__getitem__
-    tables = {name: [[fmt(op(a, b)) for b in pool] for a in pool] for name, op in ops.items()}
+    tables = {name: [[fmt(v) for v in row] for row in table(pool, pool)]
+              for name, table in ops.items()}
     return kind, [fmt(x) for x in pool], tables
 
 

@@ -8,11 +8,13 @@ the ``DirectSum`` with a singleton.  An extension's product distributes over
 the heap operation in each argument, so it is the bi-affine closed form of
 ``ExtensionTruss`` in four base products; the letter-wise product over word
 forms and the closed formulas of the worked examples live in the tests as
-oracles, not here.  One law engine decides trusses, modules, rings and ring
-modules exactly, on generators: on the ``frame()`` of the carrier heap, a
-point and that point moved by each generator of its group form, and on
-every element only where a law fails.  Frames belong to the carrier, so no
-truss defines one.
+oracles, not here.  ``product_table`` makes each distinct base product of a
+table once, not three per cell, and checks it lies in the carrier as
+``ExtensionTruss.mul`` does.  One law engine decides trusses, modules, rings
+and ring modules exactly, on generators: on the ``frame()`` of the carrier
+heap, a point and that point moved by each generator of its group form, and
+on every element only where a law fails.  Frames belong to the carrier, so
+no truss defines one.
 """
 
 from __future__ import annotations
@@ -199,8 +201,11 @@ class ExtensionTruss:
         T1: (g; m)(h; n) = (gh + n(g - ge) + m(h - eh) + mn.ee;  mn)
         T0: (g; m)(h; n) = (gh - n.ge - m.eh + mn.ee;  n + m - mn)
 
-    Over the integer truss with e = 0, T1 is the Dorroh product.  A base
-    product outside the carrier raises StructureError.
+    Over the integer truss with e = 0, T1 is the Dorroh product.  ``mul``
+    makes gh, ge and eh (ee is made once, when the extension is built), and
+    ``product_table`` makes each distinct base product of a table once; both
+    raise StructureError where a base product they make is outside the
+    carrier, and both combine by ``_combine``.
 
     The base products never see a tail and, over a base truss, are affine
     in g and in h.  So every truss law equates maps affine in each
@@ -250,17 +255,25 @@ class ExtensionTruss:
     def sample_elements(self, window):
         return self.heap.sample(window)
 
-    def _base_mul(self, a, b):
-        v = self.base.mul(a, b)
+    def _in_carrier(self, a, b, v):
+        """The base product v = ab, once it is checked to lie in the carrier."""
         if not self.base_heap.contains(v):
             raise StructureError(f"base product {a!r}.{b!r} = {v!r} is outside the carrier")
         return v
 
+    def _base_mul(self, a, b):
+        return self._in_carrier(a, b, self.base.mul(a, b))
+
     def mul(self, x, y) -> CoproductElement:
+        g, h, e, times = x.components[0], y.components[0], self.basepoint, self._base_mul
+        return self._combine(x, y, times(g, h), times(g, e), times(e, h))
+
+    def _combine(self, x, y, gh, ge, eh) -> CoproductElement:
+        """xy from the base products gh, ge and eh of the components g of x
+        and h of y (and the kept ee): the closed form of the class docstring."""
         (g, _), (m,) = x.components, x.tails
         (h, _), (n,) = y.components, y.tails
-        e, heap, times = self.basepoint, self.base_heap, self._base_mul
-        gh, ge, eh, ee = times(g, h), times(g, e), times(e, h), self._ee
+        e, heap, ee = self.basepoint, self.base_heap, self._ee
         if self.adjoined == "one":
             c = shift(heap, shift(heap, gh, n, g, ge), m, h, eh)
             tail = m * n
@@ -309,6 +322,31 @@ def ring_extension(t) -> ExtensionTruss:
 def double_extension(t) -> ExtensionTruss:
     """Ring extension of the unital extension: unital and ring-type."""
     return ring_extension(unital_extension(t))
+
+
+def product_table(t, xs, ys):
+    """[[t.mul(x, y) for y in ys] for x in xs], each distinct base product
+    made once.
+
+    An extension product needs the base products gh, ge and eh of the
+    components g of x and h of y.  So the base is tabulated once, by
+    recursion, on the distinct components of xs and of ys, each with the
+    basepoint e; each of those products is checked to lie in the carrier;
+    and ``ExtensionTruss._combine``, the closed form that ``mul`` uses,
+    makes every cell from the table.  Nothing assumes that the base is a
+    truss.  Any other truss multiplies cell by cell.
+    """
+    if not isinstance(t, ExtensionTruss):
+        return [[t.mul(x, y) for y in ys] for x in xs]
+    e = t.basepoint
+    rows = {g: i for i, g in enumerate(dict.fromkeys([x.components[0] for x in xs] + [e]))}
+    cols = {h: j for j, h in enumerate(dict.fromkeys([y.components[0] for y in ys] + [e]))}
+    base = [[t._in_carrier(g, h, v) for h, v in zip(cols, row)]
+            for g, row in zip(rows, product_table(t.base, list(rows), list(cols)))]
+    eh, je = base[rows[e]], cols[e]
+    xrows = [(x, base[rows[x.components[0]]]) for x in xs]
+    ycols = [(y, cols[y.components[0]]) for y in ys]
+    return [[t._combine(x, y, row[j], row[je], eh[j]) for y, j in ycols] for x, row in xrows]
 
 
 # ---------------------------------------------------------------------------

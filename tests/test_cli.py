@@ -181,6 +181,19 @@ def test_the_empty_truss_has_an_empty_table(tmp_path, capsys):
     assert (code, out, err) == (0, "  | \n----\n", "")
 
 
+def test_an_extension_table_makes_each_base_product_once(monkeypatch, capsys):
+    """T0(T1(TC2)) at window 2 shows 50 x 50 cells, whose components come
+    from 2 elements of TC2.  Cell by cell, each cell makes 3 products of
+    T1(TC2) and so 9 of TC2 (22 504 in all); tabulated, the table makes 4,
+    and building the two extensions 4 more."""
+    products = []
+    mul = FiniteTruss.mul
+    monkeypatch.setattr(FiniteTruss, "mul", lambda t, a, b: products.append((a, b)) or mul(t, a, b))
+    code, out, err = run(["extend", "--both", "--builtin", "TC2", "table", "--window", "2"], capsys)
+    assert (code, err) == (0, "") and len(out.splitlines()) == 2 + 50
+    assert len(products) <= 16
+
+
 def test_python_dash_m_runs_the_command_line():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -50,10 +50,13 @@ CASES = [
     ["extend", "--zero", "--builtin", "Zc3", "--json"],
     ["extend", "--both", "--builtin", "TC2"],
     ["extend", "--both", "--builtin", "TC2", "table", "--window", "1"],
+    ["extend", "--both", "--builtin", "TC2", "table", "--window", "2"],
+    ["extend", "--both", "--builtin", "TZ3", "table", "--window", "2", "--json"],
     ["extend", "--zero", "--builtin", "TZ", "table", "--window", "2"],
     ["extend", "--zero", "--builtin", "Zc3", "table", "--window", "1", "--json"],
     ["extend", "--unital", "--builtin", "TZ3", "table", "--window", "1"],
     ["extend", "--unital", F + "truss_tz4.json", "table", "--json", "--window", "2"],
+    ["extend", "--unital", F + "truss_tz4_bad.json", "table", "--window", "1"],
     ["extend", "--unital", "--builtin", "XYZ"],
     ["extend", "--unital"],
     ["extend", "--unital", F + "heap_c4.json"],

@@ -21,6 +21,7 @@ from trusskit.trusses import (
     dorroh_compare,
     double_extension,
     integer_truss,
+    product_table,
     retract_ring,
     ring_extension,
     tc2_brace_truss,
@@ -516,6 +517,20 @@ def test_closed_form_product_rejects_products_outside_the_carrier():
                  (t1.element(2, 1), t1.element(3, -1))):    # gh, with tails
         with pytest.raises(StructureError):
             t1.mul(x, y)
+    # a table raises where a base product it makes leaves the carrier, also
+    # from inside a nested extension, and is made when it needs no 2.3
+    outside = r"base product 2\.3 = 'out' is outside the carrier"
+    for kind in ("T1", "T0", "T01"):
+        t = EXTEND[kind](Escaping())
+        lift = t.base.inject if kind == "T01" else (lambda g: g)
+        x, y = t.element(lift(2), 1), t.element(lift(3), -1)
+        with pytest.raises(StructureError, match=outside):
+            t.mul(x, y)
+        for xs, ys in (([x], [y]), (window_pool(t, 1) + [x, y], window_pool(t, 1) + [y, x])):
+            with pytest.raises(StructureError, match=outside):
+                product_table(t, xs, ys)
+        pool = window_pool(t, 1) + [x, t.element(lift(3), 0)]
+        assert product_table(t, pool, pool[:-1]) == cell_by_cell(t, pool, pool[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -768,6 +783,57 @@ def test_extension_labels_are_distinct(kind, name):
     window = list(t.base.sample_elements(2))
     pool = {t.element(g, m) for g in window for m in range(-2, 3)}
     assert len({t.format_element(x) for x in pool}) == len(pool) == len(window) * 5
+
+
+# ---------------------------------------------------------------------------
+# product tables: each distinct base product once
+
+
+def window_pool(t, window):
+    """The elements that ``trusskit extend ... table`` shows: each base
+    element of the window with each tail in [-window, window]."""
+    return [t.element(g, m) for g in t.base.sample_elements(window)
+            for m in range(-window, window + 1)]
+
+
+def cell_by_cell(t, xs, ys):
+    return [[t.mul(x, y) for y in ys] for x in xs]
+
+
+TABLE_BASES = {
+    "TZ": integer_truss,
+    "TZ3": lambda: truss_TZn(3),
+    "TZ4": lambda: truss_TZn(4),
+    "Zc3": lambda: constant_truss(3),
+    "Zc-2": lambda: constant_truss(-2),
+    "TC2": tc2_brace_truss,
+    "star": terminal_truss,
+}
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["T1", "T0", "T01"])
+@pytest.mark.parametrize("base", sorted(TABLE_BASES))
+def test_product_table_is_the_product_cell_by_cell(base, kind, window):
+    t = EXTEND[kind](TABLE_BASES[base]())
+    pool = window_pool(t, window)
+    assert product_table(t, pool[:30], pool[:30]) == cell_by_cell(t, pool[:30], pool[:30])
+    # rectangles: every row against a reversed stride of the columns
+    cols = pool[::-1][::max(1, len(pool) // 20)]
+    assert product_table(t, pool, cols) == cell_by_cell(t, pool, cols)
+    assert product_table(t, cols, pool) == cell_by_cell(t, cols, pool)
+    assert product_table(t, [], pool) == [] and product_table(t, pool, []) == [[]] * len(pool)
+
+
+@pytest.mark.parametrize("name", sorted(tz3_perturbations()))
+@pytest.mark.parametrize("kind", ["T1", "T0"])
+def test_product_table_over_a_base_that_is_no_truss(kind, name):
+    # nothing is inferred from the base's laws: a one-entry change of the
+    # TZ3 product is tabulated as it stands
+    t = EXTEND[kind](UNIT_LAW_BASES[name]())
+    pool = window_pool(t, 2)
+    assert product_table(t, pool, pool) == cell_by_cell(t, pool, pool)
+    assert product_table(t.base, range(3), range(3)) == [list(row) for row in t.base.mul_table]
 
 
 def violated(t, f):
