@@ -158,7 +158,7 @@ def _table_form(structure, window: int):
     elif kind == "truss-table":
         pool, fmt = structure.sample_elements(window), structure.format_element
     else:
-        pool, fmt = structure.elements(), structure.names.__getitem__
+        pool, fmt = range(structure.size), structure.names.__getitem__
     tables = {name: [[fmt(v) for v in row] for row in table(pool, pool)]
               for name, table in ops.items()}
     return kind, [fmt(x) for x in pool], tables

@@ -19,7 +19,11 @@ of a free module onto R^n); ``frame()`` of a carrier heap (``FiniteHeap``,
 ``IntLineHeap``, ``coproduct.DirectSum``) is a point and that point moved
 by each generator of its group form, on which every truss, module, ring and
 ring-module law is decided, and ``_id_table`` checks every product and
-action table.
+action table.  Every structure holds its carrier as ``heap``: trusses and
+modules their own, rings and ring modules the ``heap_from_group`` of their
+additive group, wrapped once when they are built and shared with T(R) and
+T(N), so each frame is walked once.  ``_unit`` finds every identity and
+absorber of a table.
 """
 
 from __future__ import annotations
@@ -45,6 +49,15 @@ def _id_table(table, rows, n, what):
             len(r) == n and all(isinstance(v, int) and 0 <= v < n for v in r) for r in table):
         raise StructureError(f"{what} must be a {rows} x {n} table of ids in 0..{n - 1}")
     return table
+
+
+def _unit(rows, absorbing=False):
+    """The least e of a square table with e.x = x = x.e for every x (an
+    identity), or with ``absorbing`` e.x = e = x.e (an absorber); None if
+    there is none."""
+    ids = range(len(rows))
+    return next((e for e in ids
+                 if all(rows[e][x] == (e if absorbing else x) == rows[x][e] for x in ids)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +87,7 @@ def validate_group_table(op_table) -> Report:
             if not isinstance(v, int) or not 0 <= v < n:
                 raise StructureError(f"entry ({i},{j}) = {v!r} is not an id in 0..{n - 1}")
     ids = range(n)
-    neutral = next((e for e in ids if all(rows[e][x] == x == rows[x][e] for x in ids)), None)
+    neutral = _unit(rows)
     if neutral is None:
         units = [Finding("two-sided identity", (), note="no identity element")]
     else:
@@ -109,11 +122,7 @@ class FiniteGroup:
         if len(names) != self.size:
             raise StructureError("names do not match the carrier size")
         self.names = names
-        self.neutral = next(
-            (e for e in range(self.size)
-             if all(rows[e][x] == x == rows[x][e] for x in range(self.size))),
-            None,
-        )
+        self.neutral = _unit(rows)
         if self.neutral is None:
             raise StructureError("no identity element")
         self._inv = tuple(

@@ -41,7 +41,6 @@ from .core import (
     _id_table,
     _quotient_classes,
     _quotient_heap,
-    heap_from_group,
     retract,
     SubHeap,
 )
@@ -87,8 +86,9 @@ class FiniteTModule:
 
     @classmethod
     def from_rmodule(cls, rm: RModule) -> "FiniteTModule":
-        """T(N): a module over a ring viewed as a module over T(R)."""
-        return cls(truss_from_ring(rm.ring), heap_from_group(rm.group), rm.action)
+        """T(N): a module over a ring viewed as a module over T(R), on N's
+        carrier heap."""
+        return cls(truss_from_ring(rm.ring), rm.heap, rm.action)
 
     def act(self, t, m):
         return self.action[t][m]
@@ -436,12 +436,12 @@ def tmodule_homs_to_TN(m: FiniteTModule, n_mod: RModule):
         raise StructureError("hom-sets into T(N) need a module over T(R) for N's ring R")
     if m.size == 0:
         return [()]
-    tn_ternary, ts = heap_from_group(n_mod.group).ternary, m.truss.heap.elements()
+    tn_ternary, ts = n_mod.heap.ternary, m.truss.heap.elements()
     frame = m.heap.frame()
     gens = None if frame is None else frame[1:]
     out = []
     for phi in _group_maps(retract(m.heap, 0), n_mod.group):
-        for c in n_mod.elements():
+        for c in n_mod.heap.elements():
             f = tuple([n_mod.plus(y, c) for y in phi])
             if (_first_unequivariant(f, m.act, n_mod.act, ts, m.heap.elements()) is None
                     and _first_unpreserved(m.heap.ternary, tn_ternary, f, gens=gens) is None):
@@ -689,13 +689,13 @@ def verify_abs_of_free(ring: FiniteRing, n: int) -> Report:
 
     Each check equates maps affine in every argument, so a frame decides it
     for all of F(n): every tail point of ``fm.heap.frame()`` is fixed by
-    every t; 0.m is a tail for every component vector with tails in {0, 1},
-    and an absorber x is 0.x; the tails combine like Z^{n-1} on every
-    triple of zero and the tail units; the projection preserves the heap
-    operation (``core._first_unpreserved``) and the action
-    (``core._first_unequivariant``) on that frame, and sends the generators
-    to the unit vectors of R^n.  Findings are located at scalars and
-    elements of F(n), so each one replays."""
+    every t; 0.m is a tail at every frame point (m |-> the components of
+    0.m is a heap map), and an absorber x is 0.x; the tails combine like
+    Z^{n-1} on every triple of zero and the tail units; the projection
+    preserves the heap operation (``core._first_unpreserved``) and the
+    action (``core._first_unequivariant``) on that frame, and sends the
+    generators to the unit vectors of R^n.  Findings are located at scalars
+    and elements of F(n), so each one replays."""
     findings = []
     t = truss_from_ring(ring)
     fm = free_module(t, n)
@@ -710,13 +710,11 @@ def verify_abs_of_free(ring: FiniteRing, n: int) -> Report:
             p - q + r for p, q, r in zip(x.tails, y.tails, z.tails)))
         if got != want:
             findings.append(Finding("tails do not combine like integers", (x, y, z), got, want))
-    points = itertools.product(*[range(ring.size)] * n, *[(0, 1)] * (n - 1))
     findings += [Finding("0.m outside the tail sub-heap", (x,), fm.act(ring.zero, x))
-                 for x in (CoproductElement(c[:n], c[n:]) for c in points)
-                 if fm.act(ring.zero, x).components != zero_comps]
+                 for x in frame if fm.act(ring.zero, x).components != zero_comps]
 
     power, project = abs_quotient(fm)
-    f, ternary = _Memo(project), heap_from_group(power.group).ternary
+    f, ternary = _Memo(project), power.heap.ternary
     bad = _first_unpreserved(fm.heap.ternary, ternary, f, frame)
     if bad is not None:
         x, y, z = bad

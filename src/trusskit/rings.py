@@ -1,4 +1,8 @@
-"""Finite rings and modules over them, as exact id-indexed tables.
+"""Finite rings and modules over them, as exact id-indexed tables that hold
+their carrier as ``heap``, the heap of the additive group, wrapped once when
+built (``core.heap_from_group``) and shared with T(R) and T(N).  Addition,
+negation and integer multiples are ``_Additive``'s, on (heap, zero), here
+and in the retract rings of ``trusses``.
 
 These are the classical (binary-operation) structures that trusses and
 truss modules are compared against: ring retracts, the quotient-by-absorbers
@@ -14,56 +18,51 @@ from __future__ import annotations
 
 import itertools
 
-from .core import FiniteGroup, StructureError, _first_unequivariant, _group_maps, _id_table
+from .coproduct import shift
+from .core import (FiniteGroup, StructureError, _first_unequivariant, _group_maps, _id_table,
+                   _unit, heap_from_group)
 from .reports import FAIL, PASS, Finding, Report
 
 
-class FiniteRing:
+class _Additive:
+    """The additive group of the carrier ``heap`` at ``zero``: a + b is
+    [a, 0, b], -a is [0, a, 0] and k.a is ``coproduct.shift``, in
+    O(log |k|) heap operations."""
+
+    __slots__ = ()
+
+    def plus(self, a, b):
+        return self.heap.ternary(a, self.zero, b)
+
+    def neg(self, a):
+        return self.heap.ternary(self.zero, a, self.zero)
+
+    def scale(self, k: int, a):
+        return shift(self.heap, self.zero, k, a, self.zero)
+
+
+class FiniteRing(_Additive):
     """Ring on ids 0..n-1: an Abelian group table plus a multiplication table."""
 
-    __slots__ = ("add", "mul_table", "size", "zero", "one", "names")
+    __slots__ = ("add", "heap", "mul_table", "size", "zero", "one", "names")
 
     def __init__(self, add: FiniteGroup, mul_table, names=None, validate=True):
         if not add.abelian:
             raise StructureError("ring addition must be Abelian")
         self.add = add
+        self.heap = heap_from_group(add)
         self.size = add.size
+        self.zero = add.neutral
         self.mul_table = _id_table(mul_table, self.size, self.size, "the multiplication table")
         self.names = tuple(names) if names is not None else add.names
+        self.one = _unit(self.mul_table)
         if validate:
             report = validate_ring(self)
             if not report.ok:
                 raise StructureError(f"not a ring: {report.findings[0]}")
-        self.zero = add.neutral
-        self.one = next(
-            (e for e in range(self.size)
-             if all(self.mul_table[e][x] == x == self.mul_table[x][e]
-                    for x in range(self.size))),
-            None,
-        )
-
-    def plus(self, a, b):
-        return self.add.op(a, b)
-
-    def neg(self, a):
-        return self.add.inv(a)
 
     def mul(self, a, b):
         return self.mul_table[a][b]
-
-    def scale(self, k: int, a):
-        """The integer multiple k.a in the additive group."""
-        out = self.add.neutral
-        step = a if k >= 0 else self.add.inv(a)
-        for _ in range(abs(k)):
-            out = self.add.op(out, step)
-        return out
-
-    def elements(self):
-        return range(self.size)
-
-    def __len__(self):
-        return self.size
 
     def __eq__(self, other):
         return (isinstance(other, FiniteRing)
@@ -112,7 +111,7 @@ def validate_ring(r: FiniteRing) -> Report:
     from .trusses import truss_from_ring
     n = r.size
     t = truss_from_ring(r)
-    if t.absorber == r.add.neutral and _on_generators(t, t.mul, t):
+    if t.absorber == r.zero and _on_generators(t, t.mul, t):
         return Report("ring", PASS, [], {"size": n})
     mul, add, findings = r.mul_table, r.add.op_table(), []
     for a, b, c in itertools.product(range(n), repeat=3):
@@ -125,16 +124,19 @@ def validate_ring(r: FiniteRing) -> Report:
     return Report("ring", FAIL if findings else PASS, findings, {"size": n})
 
 
-class RModule:
-    """A left module over a finite ring, with an explicit action table."""
+class RModule(_Additive):
+    """A left module over a finite ring, with an explicit action table; the
+    regular module shares its ring's carrier heap."""
 
-    __slots__ = ("ring", "group", "action", "size", "names")
+    __slots__ = ("ring", "group", "heap", "zero", "action", "size", "names")
 
     def __init__(self, ring: FiniteRing, group: FiniteGroup, action, validate=True):
         if not group.abelian:
             raise StructureError("a module's additive group must be Abelian")
         self.ring = ring
         self.group = group
+        self.heap = ring.heap if group is ring.add else heap_from_group(group)
+        self.zero = group.neutral
         self.size = group.size
         self.action = _id_table(action, ring.size, group.size, "the action table")
         self.names = group.names
@@ -145,22 +147,6 @@ class RModule:
 
     def act(self, r, m):
         return self.action[r][m]
-
-    def plus(self, a, b):
-        return self.group.op(a, b)
-
-    def neg(self, a):
-        return self.group.inv(a)
-
-    @property
-    def zero(self):
-        return self.group.neutral
-
-    def elements(self):
-        return range(self.size)
-
-    def __len__(self):
-        return self.size
 
     def __eq__(self, other):
         return (isinstance(other, RModule) and self.ring == other.ring

@@ -30,11 +30,11 @@ from .core import (
     _bfs_recipe,
     _first_unpreserved,
     _id_table,
-    heap_from_group,
+    _unit,
     retract,
 )
 from .reports import FAIL, PASS, Finding, Report
-from .rings import FiniteRing
+from .rings import FiniteRing, _Additive
 
 
 class FiniteTruss:
@@ -49,18 +49,8 @@ class FiniteTruss:
         self.size = heap.size
         self.mul_table = _id_table(mul_table, self.size, self.size, "the product table")
         self.names = tuple(names) if names is not None else heap.names
-        self.identity = next(
-            (e for e in range(self.size)
-             if all(self.mul_table[e][x] == x == self.mul_table[x][e]
-                    for x in range(self.size))),
-            None,
-        )
-        self.absorber = next(
-            (z for z in range(self.size)
-             if all(self.mul_table[z][x] == z == self.mul_table[x][z]
-                    for x in range(self.size))),
-            None,
-        )
+        self.identity = _unit(self.mul_table)
+        self.absorber = _unit(self.mul_table, absorbing=True)
 
     @property
     def unital(self):
@@ -144,18 +134,17 @@ class ConstantTruss:
 
 
 def truss_from_ring(ring) -> FiniteTruss | IntegerTruss:
-    """T(R): the heap of the additive group with the ring multiplication."""
+    """T(R): the ring's carrier heap, shared, with the ring multiplication."""
     if ring == "Z" or isinstance(ring, IntegerTruss):
         return IntegerTruss()
     if not isinstance(ring, FiniteRing):
         raise StructureError("expected a FiniteRing or the symbolic ring 'Z'")
-    return FiniteTruss(heap_from_group(ring.add), ring.mul_table, names=ring.names)
+    return FiniteTruss(ring.heap, ring.mul_table, names=ring.names)
 
 
 def truss_TZn(n: int) -> FiniteTruss:
-    names = tuple(f"i{k}" for k in range(n))
     ring = FiniteRing.Zn(n)
-    return FiniteTruss(heap_from_group(ring.add), ring.mul_table, names=names)
+    return FiniteTruss(ring.heap, ring.mul_table, names=tuple(f"i{k}" for k in range(n)))
 
 
 def tc2_brace_truss() -> FiniteTruss:
@@ -617,9 +606,10 @@ def validate_truss(t, *, samples=None, window=None, seed=None) -> Report:
 # retract rings
 
 
-class RetractRing:
+class RetractRing(_Additive):
     """The ring living on a (possibly symbolic) ring-type truss: addition is
-    the retract group at the absorber, multiplication is the truss product."""
+    the retract group of its carrier at the absorber, multiplication is the
+    truss product."""
 
     __slots__ = ("truss", "zero")
 
@@ -628,20 +618,15 @@ class RetractRing:
         self.zero = zero
 
     @property
+    def heap(self):
+        return self.truss.heap
+
+    @property
     def one(self):
         return self.truss.identity
 
-    def plus(self, a, b):
-        return self.truss.heap.ternary(a, self.zero, b)
-
-    def neg(self, a):
-        return self.truss.heap.ternary(self.zero, a, self.zero)
-
     def mul(self, a, b):
         return self.truss.mul(a, b)
-
-    def scale(self, k: int, a):
-        return shift(self.truss.heap, self.zero, k, a, self.zero)
 
     def __repr__(self):
         return f"RetractRing({self.truss!r})"

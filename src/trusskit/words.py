@@ -54,14 +54,7 @@ def free_heap_op(u, v, w) -> tuple:
     """[u, v, w] in the free heap: prune the grafting of u, reverse(v), w."""
     if len(u) % 2 == 0 or len(v) % 2 == 0 or len(w) % 2 == 0:
         raise StructureError("free heap operation needs three odd-length words")
-    stack = []
-    for seq in (u, reversed(v), w):
-        for s in seq:
-            if stack and stack[-1] == s:
-                stack.pop()
-            else:
-                stack.append(s)
-    return tuple(stack)
+    return prune(tuple(u) + reverse(v) + tuple(w))
 
 
 # ---------------------------------------------------------------------------

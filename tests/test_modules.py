@@ -38,6 +38,7 @@ from trusskit.rings import (
     RModule,
     rmodule_homs,
     rmodule_isomorphism,
+    validate_ring,
     validate_rmodule,
 )
 from trusskit.reports import Finding
@@ -249,6 +250,28 @@ def test_to_ring_module_round_trip():
     assert back.action == rm.action
 
 
+def test_T_of_a_ring_and_of_its_modules_share_their_carrier_heaps():
+    for r in (FiniteRing.Zn(4), FiniteRing.product(Z2, Z3)):
+        assert truss_from_ring(r).heap is r.heap
+        assert RModule.regular(r).heap is r.heap
+        for rm in (RModule.regular(r), RModule.power(r, 2)):
+            assert FiniteTModule.from_rmodule(rm).heap is rm.heap
+
+
+def test_a_ring_frame_is_walked_once_by_its_validators(monkeypatch):
+    walks, walk = [], core._generating_sequence
+
+    def spy(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(core, "_generating_sequence", spy)
+    r = FiniteRing.Zn(6)
+    assert validate_ring(r).ok and validate_ring(r).ok
+    assert validate_rmodule(RModule.regular(r)).ok
+    assert len(walks) == 1
+
+
 # ---------------------------------------------------------------------------
 # the absorber quotient
 
@@ -259,7 +282,7 @@ def test_abs_quotient_of_TN_recovers_N():
         # classes are singletons, ordered by least member, so tables agree
         assert q.group.op_table() == rm.group.op_table()
         assert q.action == rm.action
-        assert [proj(x) for x in rm.elements()] == list(rm.elements())
+        assert [proj(x) for x in rm.heap.elements()] == list(rm.heap.elements())
 
 
 def test_abs_quotient_all_absorbers_is_terminal():
@@ -1130,7 +1153,7 @@ def test_carriers_without_a_frame_raise(make):
         validate(s, samples=20, window=2)
 
 
-def test_verify_abs_of_free_sees_every_component_vector_and_the_whole_frame(monkeypatch):
+def test_verify_abs_of_free_acts_by_zero_and_one_on_the_whole_frame(monkeypatch):
     seen, recording = [], [True]
     act, quotient = FreeTModule.act, modules.abs_quotient
 
@@ -1150,11 +1173,11 @@ def test_verify_abs_of_free_sees_every_component_vector_and_the_whole_frame(monk
     monkeypatch.setattr(FreeTModule, "act", spy)
     monkeypatch.setattr(modules, "abs_quotient", quiet_quotient)
     assert verify_abs_of_free(Z3, 3).ok
-    assert {x.components for t, x in seen if t == Z3.zero} == \
-        set(itertools.product(range(3), repeat=3))
-    # the projection acts on every element of the free module's frame
+    # "0.m is a tail" and the projection are both decided on the free module's frame
     frame = free_module(truss_from_ring(Z3), 3).heap.frame()
-    assert len(frame) == 6 and {x for t, x in seen if t == Z3.one} >= set(frame)
+    assert len(frame) == 6
+    assert {x for t, x in seen if t == Z3.zero} >= set(frame)
+    assert {x for t, x in seen if t == Z3.one} >= set(frame)
 
 
 def test_verify_abs_of_free_draws_tail_triples_from_the_whole_pool(monkeypatch):

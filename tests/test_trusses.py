@@ -641,6 +641,37 @@ def test_retract_ring_rejects_non_absorber():
         retract_ring(truss_TZn(4), 1)
 
 
+def by_repeated_addition(add, zero, k, a):
+    """k.a over an addition table: |k| additions of a, or of its negative."""
+    step = a if k >= 0 else next(b for b in range(len(add)) if add[a][b] == zero)
+    out = zero
+    for _ in range(abs(k)):
+        out = add[out][step]
+    return out
+
+
+@pytest.mark.parametrize("ring", [FiniteRing.Zn(n) for n in range(1, 9)]
+                         + [FiniteRing.product(FiniteRing.Zn(2), FiniteRing.Zn(3))],
+                         ids=[f"Z{n}" for n in range(1, 9)] + ["Z2xZ3"])
+def test_finite_ring_arithmetic_matches_its_addition_table(ring):
+    add, ids = ring.add.op_table(), range(ring.size)
+    for a in ids:
+        assert add[a][ring.neg(a)] == ring.zero
+        assert [ring.plus(a, b) for b in ids] == list(add[a])
+        assert [ring.scale(k, a) for k in range(-6, 7)] == \
+            [by_repeated_addition(add, ring.zero, k, a) for k in range(-6, 7)]
+
+
+@pytest.mark.parametrize("truss, zero", [(integer_truss(), 0), (constant_truss(3), 3)],
+                         ids=["TZ", "Zc3"])
+def test_symbolic_retract_ring_arithmetic_is_the_integers_moved_to_zero(truss, zero):
+    ring, ks = retract_ring(truss, zero), range(-6, 7)
+    for a in range(-5, 6):
+        assert ring.neg(a) == zero - (a - zero)
+        assert [ring.plus(a, b) for b in range(-5, 6)] == [a + b - zero for b in range(-5, 6)]
+        assert [ring.scale(k, a) for k in ks] == [zero + k * (a - zero) for k in ks]
+
+
 def test_retract_ring_tc2_ext0_closed_form():
     b0 = ring_extension(tc2_brace_truss())
     ring = retract_ring(b0, b0.absorber)
