@@ -6,24 +6,26 @@ on demand from a backing function (e.g. a group), behind one interface.  All
 values are immutable after construction and every operation is pure.
 
 These routines are the only ones of their kind in the package:
-``_closure`` closes a finite set under a ternary operation (generated
-sub-heaps and spans); ``_quotient_classes`` builds the classes and
-projection of a quotient by a normal sub-heap (``quotient``, absorber
-quotients of modules), and ``_descend`` turns a map on elements into the
-map on those classes; ``_group_maps`` yields the group maps or
-isomorphisms from generator images (``group_isomorphism``, and the module
-hom-sets and isomorphisms of ``rings`` and ``modules``);
-``_first_unequivariant`` checks that a map of modules commutes with the
-action (every module hom-set, isomorphism and morphism, and the projection
-of a free module onto R^n); ``frame()`` of a carrier heap (``FiniteHeap``,
-``IntLineHeap``, ``coproduct.DirectSum``) is a point and that point moved
-by each generator of its group form, on which every truss, module, ring and
-ring-module law is decided, and ``_id_table`` checks every product and
-action table.  Every structure holds its carrier as ``heap``: trusses and
-modules their own, rings and ring modules the ``heap_from_group`` of their
-additive group, wrapped once when they are built and shared with T(R) and
-T(N), so each frame is walked once.  ``_unit`` finds every identity and
-absorber of a table.
+``_closure`` gives the sub-heap that a finite set generates (generated
+sub-heaps and spans) as the subgroup walk ``_bfs_recipe`` of the retract at
+its first member, the walk that also carries group maps along generators;
+``_quotient_classes`` builds the classes and projection of a quotient by a
+normal sub-heap (``quotient``, absorber quotients of modules), and
+``_descend`` turns a map on elements into the map on those classes;
+``_group_maps`` yields the group maps or isomorphisms from generator images
+(``group_isomorphism``, and the module hom-sets and isomorphisms of
+``rings`` and ``modules``); ``_first_unequivariant`` checks that a map of
+modules commutes with the action (every module hom-set, isomorphism and
+morphism, and the projection of a free module onto R^n); ``frame()`` of a
+carrier heap (``FiniteHeap``, ``IntLineHeap``, ``coproduct.DirectSum``) is
+a point and that point moved by each generator of its group form, on which
+the law engine of ``laws`` decides every truss, module, ring and
+ring-module law; and ``_id_table`` checks every group, product and action
+table.  Every structure holds its carrier as ``heap``: trusses and modules
+their own, rings and ring modules the ``heap_from_group`` of their additive
+group, wrapped once when they are built and shared with T(R) and T(N), so
+each frame is walked once.  ``_unit`` finds every identity and absorber of
+a table.
 """
 
 from __future__ import annotations
@@ -39,14 +41,14 @@ class StructureError(ValueError):
 
 
 def _id_table(table, rows, n, what):
-    """``table`` as a tuple of ``rows`` tuples of n ids in 0..n-1 (products
-    and actions); StructureError naming ``what`` otherwise."""
+    """``table`` as a tuple of ``rows`` tuples of n ids in 0..n-1 (groups,
+    products and actions); StructureError naming ``what`` otherwise."""
     try:
         table = tuple(tuple(row) for row in table)
     except TypeError:       # the table or a row is no sequence
         table = None
-    if table is None or len(table) != rows or not all(
-            len(r) == n and all(isinstance(v, int) and 0 <= v < n for v in r) for r in table):
+    if table is None or len(table) != rows or not all(len(r) == n for r in table) or not all(
+            isinstance(v, int) and 0 <= v < n for r in table for v in r):
         raise StructureError(f"{what} must be a {rows} x {n} table of ids in 0..{n - 1}")
     return table
 
@@ -78,14 +80,9 @@ def validate_group_table(op_table) -> Report:
     element passes.  Otherwise, or when a generator fails, the n^3 sweep
     lists every violated instance.
     """
-    rows = tuple(tuple(row) for row in op_table)
+    rows = tuple(op_table)
     n = len(rows)
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise StructureError(f"row {i} has length {len(row)}, expected {n}")
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise StructureError(f"entry ({i},{j}) = {v!r} is not an id in 0..{n - 1}")
+    rows = _id_table(rows, n, n, "the group table")
     ids = range(n)
     neutral = _unit(rows)
     if neutral is None:
@@ -248,25 +245,20 @@ def small_groups(max_order=8):
 
 
 def _closure(seed, ternary) -> list:
-    """The least superset of a finite seed closed under ``ternary``: the
-    seed's distinct members in order, then each new member as it is found.
+    """The sub-heap of the heap ``ternary`` that a finite, non-empty seed
+    generates: the seed's distinct members in order, then each new member as
+    it is found.
 
-    A worklist: when the i-th member arrives, only the triples whose newest
-    member is the i-th are evaluated, so each triple of members is evaluated
-    once, O(k^3) for a closure of k members.
+    With x0 the first member, that sub-heap is the subgroup of the retract
+    a.b = [a, x0, b] that the seed generates (Certaine 1943), and in a
+    finite group the right products from x0 by the seed reach all of it:
+    ``_bfs_recipe``, whose first level is [x0, x0, s] = s for each seed
+    member s, in O(k.|seed|) operations for k members.
     """
     members = list(dict.fromkeys(seed))
-    found = set(members)
-    for i, x in enumerate(members):     # members grows while it is walked
-        upto = members[:i + 1]
-        for a in upto:
-            for b in upto:
-                for c in upto if x in (a, b) else (x,):
-                    v = ternary(a, b, c)
-                    if v not in found:
-                        found.add(v)
-                        members.append(v)
-    return members
+    x0 = members[0]
+    recipe = _bfs_recipe(lambda a, b: ternary(a, x0, b), x0, members)
+    return [x0] + [y for y, _, _ in recipe]
 
 
 def _generating_sequence(n, op, neutral):
@@ -290,20 +282,16 @@ def _generating_sequence(n, op, neutral):
 def _bfs_recipe(op, neutral, gens):
     """Each element of the group (op, neutral) that the generators reach,
     other than the neutral one, as (element, parent, gen index) with
-    element = op(parent, gens[gen index]), parent-first."""
-    seen = {neutral}
-    recipe = []
-    frontier = [neutral]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, gen in enumerate(gens):
-                y = op(x, gen)
-                if y not in seen:
-                    seen.add(y)
-                    recipe.append((y, x, gi))
-                    nxt.append(y)
-        frontier = nxt
+    element = op(parent, gens[gen index]), parent-first: breadth first,
+    one worklist."""
+    seen, walk, recipe = {neutral}, [neutral], []
+    for x in walk:      # walk grows while it is walked
+        for gi, gen in enumerate(gens):
+            y = op(x, gen)
+            if y not in seen:
+                seen.add(y)
+                walk.append(y)
+                recipe.append((y, x, gi))
     return recipe
 
 
@@ -601,7 +589,7 @@ class FiniteHeap:
         abelian = all(rows[a][b][c] == rows[c][b][a]
                       for a in range(n) for b in range(n) for c in range(a + 1))
         return cls(n, table=rows, names=names, abelian=abelian,
-                   frame=_walked_frame if n else _no_frame)
+                   frame=_walked_frame if n else None)
 
     @classmethod
     def from_function(cls, size, fn, names=None, abelian=False, frame=None):
@@ -684,10 +672,6 @@ def _walked_frame(h):
     """(0,) and the greedy generators of the retract of h at 0
     (``_generating_sequence``), in O(n log^2 n) products."""
     return (0,) + tuple(_generating_sequence(h.size, lambda a, b: h.ternary(a, 0, b), 0))
-
-
-def _no_frame(h):
-    return None
 
 
 def _scanned_frame(h):

@@ -15,9 +15,10 @@ over that ring; its classes and projection come from
 ``core._quotient_heap``, and maps descend to it through ``core._descend``;
 the quotient of a free module is R^n by construction, and
 ``verify_abs_of_free`` decides on a frame that it is right.  Every check
-that a map commutes with the action is ``core._first_unequivariant``.  The module laws run on the law engine of the
-trusses, exactly.  Free sets and bases are decided exactly from the linear
-part of the copaired sigma map.  Frames come from the carrier,
+that a map commutes with the action is ``core._first_unequivariant``.  The
+module laws run on the law engine of ``laws`` (``_action_laws``), exactly,
+as the truss laws do.  Free sets and bases are decided exactly from the
+linear part of the copaired sigma map.  Frames come from the carrier,
 ``heap.frame()``, so no module defines one.
 """
 
@@ -44,20 +45,10 @@ from .core import (
     retract,
     SubHeap,
 )
+from .laws import LINEAR_IN_M, LINEAR_IN_T, _Memo, _action_laws, _pool
 from .reports import FAIL, PASS, Finding, Report
 from .rings import FiniteRing, RModule, rmodule_isomorphism
-from .trusses import (
-    LINEAR_IN_M,
-    LINEAR_IN_T,
-    IntegerTruss,
-    _Memo,
-    _action_laws,
-    _default_basepoint,
-    _pool,
-    _product_laws,
-    retract_ring,
-    truss_from_ring,
-)
+from .trusses import IntegerTruss, _default_basepoint, _product_laws, retract_ring, truss_from_ring
 
 
 class FiniteTModule:

@@ -10,8 +10,10 @@ module, and the hom-sets and isomorphisms behind the adjunction and freeness
 checks, built from generator images of the additive group
 (``core._group_maps``) and kept when they commute with the action
 (``core._first_unequivariant``).  Ring and ring-module laws are decided on
-generators by the law engine of the trusses, on T(R) and T(M), and swept
-only when they fail.
+the ring and the module themselves, on generators, by the law engine of
+``laws``, which reads only their ``heap`` and ``mul`` or ``act``, and swept
+only when they fail.  So ``rings`` imports neither ``trusses`` nor
+``modules``, which are built on it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import itertools
 from .coproduct import shift
 from .core import (FiniteGroup, StructureError, _first_unequivariant, _group_maps, _id_table,
                    _unit, heap_from_group)
+from .laws import _action_laws, _pool
 from .reports import FAIL, PASS, Finding, Report
 
 
@@ -92,28 +95,20 @@ class FiniteRing(_Additive):
         return cls(add, mul, names=add.names, validate=False)
 
 
-def _on_generators(truss, act, module) -> bool:
-    """Whether the truss law engine (``trusses._action_laws``) passes the
-    action of the truss on the module, deciding on generators."""
-    from .trusses import _action_laws    # trusses is built on rings
-    pools = (truss.heap.elements(), module.heap.elements())
-    return not _action_laws(truss, act, module, pools, sweep=False)[0]
-
-
 def validate_ring(r: FiniteRing) -> Report:
     """Associativity of multiplication and both distributive laws, exactly.
 
     An affine map that fixes zero is additive, so r is a ring exactly when
-    its truss T(r) passes the law engine, which decides on generators
-    (Certaine's lemma: an affine map is fixed by its values on a frame),
-    and 0 absorbs on both sides.  Otherwise the n^3 sweep lists every
-    violated instance."""
-    from .trusses import truss_from_ring
-    n = r.size
-    t = truss_from_ring(r)
-    if t.absorber == r.zero and _on_generators(t, t.mul, t):
+    0 absorbs on both sides and r, acting on itself by its product, passes
+    the law engine (``laws._action_laws``), which decides on generators
+    (Certaine's lemma: an affine map is fixed by its values on a frame).
+    Otherwise the n^3 sweep lists every violated instance."""
+    n, zero, mul = r.size, r.zero, r.mul_table
+    pool = _pool(r)
+    if (all(mul[zero][x] == zero == mul[x][zero] for x in pool)
+            and not _action_laws(r, r.mul, r, (pool, pool), sweep=False)[0]):
         return Report("ring", PASS, [], {"size": n})
-    mul, add, findings = r.mul_table, r.add.op_table(), []
+    add, findings = r.add.op_table(), []
     for a, b, c in itertools.product(range(n), repeat=3):
         ab, ac, bc = mul[a][b], mul[a][c], mul[b][c]
         for law, lhs, rhs in (("ring multiplication associativity", mul[ab][c], mul[a][bc]),
@@ -183,18 +178,17 @@ def validate_rmodule(m: RModule) -> Report:
     """Unital module laws over the ring, exactly.
 
     An affine map that fixes zero is additive, so m is a module exactly
-    when T(m) passes the law engine as a module over T(R), on generators
-    (Certaine's lemma, as in ``validate_ring``), r.0 = 0 and 0.x = 0 for
-    every r and x, and 1 acts as the identity.  Otherwise the sweep lists
-    every violated instance."""
-    from .modules import FiniteTModule
+    when r.0 = 0 and 0.x = 0 for every r and x, 1 acts as the identity, and
+    the action of the ring on m passes the law engine
+    (``laws._action_laws``), on generators (Certaine's lemma, as in
+    ``validate_ring``).  Otherwise the sweep lists every violated
+    instance."""
     R, n = m.ring, m.size
-    tm = FiniteTModule.from_rmodule(m)
     zero = m.zero
     if (all(m.act(r, zero) == zero for r in range(R.size))
             and all(m.act(R.zero, x) == zero and (R.one is None or m.act(R.one, x) == x)
                     for x in range(n))
-            and _on_generators(tm.truss, tm.act, tm)):
+            and not _action_laws(R, m.act, m, (_pool(R), _pool(m)), sweep=False)[0]):
         return Report("R-module", PASS, [], {"size": n, "ring": R.size})
     act, times, plus, add = m.action, R.mul_table, R.add.op_table(), m.group.op_table()
     findings = []

@@ -199,13 +199,26 @@ def test_python_dash_m_runs_the_command_line():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
-    def main(*argv):
-        return subprocess.run([sys.executable, "-m", "trusskit", *argv], env=env,
+    def main(module, *argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
                               capture_output=True, text=True, timeout=60)
 
-    no_verb = main()
-    assert no_verb.returncode == 2 and no_verb.stdout == ""
-    assert "usage:" in no_verb.stderr and "Traceback" not in no_verb.stderr
-    dorroh = main("dorroh", "--ring", "Z2")
-    assert dorroh.returncode == 0 and dorroh.stderr == ""
-    assert json.loads(dorroh.stdout)["stats"]["checked"] == 16
+    # the package's __main__ and the cli module run as a script
+    for module in ("trusskit", "trusskit.cli"):
+        no_verb = main(module)
+        assert no_verb.returncode == 2 and no_verb.stdout == "", module
+        assert "usage:" in no_verb.stderr and "Traceback" not in no_verb.stderr, module
+        dorroh = main(module, "dorroh", "--ring", "Z2")
+        assert dorroh.returncode == 0 and dorroh.stderr == "", module
+        assert json.loads(dorroh.stdout)["stats"]["checked"] == 16, module
+
+
+def test_an_element_is_a_name_else_a_numeric_id(tmp_path, capsys):
+    c3 = FiniteGroup(FiniteGroup.cyclic(3).op_table(), names=("a", "b", "c"))
+    path = tmp_path / "abc.json"
+    path.write_text(serialize.dumps(heap_from_group(c3)))
+    by_name = run(["retract", str(path), "--at", "c"], capsys)
+    by_id = run(["retract", str(path), "--at", "2"], capsys)
+    assert by_name == by_id and by_id[0] == 0 and by_id[2] == ""
+    code, out, err = run(["retract", str(path), "--at", "z"], capsys)
+    assert (code, out) == (2, "") and "unknown element 'z'" in err

@@ -106,6 +106,8 @@ def test_closure_with_the_neutral_element_is_the_generated_subgroup():
         heap = heap_from_group(g).ternary
         members = core._closure(seed + [g.neutral], heap)
         assert len(members) == len(set(members))
+        distinct = list(dict.fromkeys(seed + [g.neutral]))
+        assert members[:len(distinct)] == distinct, (label, seed)    # the seed first, in order
         assert set(members) == resweep_closure(seed + [g.neutral], heap) \
             == subgroup_oracle(g, seed), (label, seed)
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from trusskit import core, modules
+from trusskit import core, laws, modules
 from trusskit.coproduct import CoproductElement, DirectSum
 from trusskit.core import FiniteGroup, FiniteHeap, IntLineHeap, StructureError, heap_from_group
 from trusskit.modules import (
@@ -58,6 +58,7 @@ from trusskit.trusses import (
     validate_truss,
 )
 
+from test_law_engine import module_sweep, plain
 from test_trusses import NO_FRAME, Frameless, FramelessSum, ListPool, sampled_laws
 
 Z2 = FiniteRing.Zn(2)
@@ -160,6 +161,25 @@ def test_distributivity_in_truss_slot_violation_located():
     a, b, c, x = hit[0].at  # the witness recomputes to a genuine violation
     assert m.act(t.heap.ternary(a, b, c), x) != \
         m.heap.ternary(m.act(a, x), m.act(b, x), m.act(c, x))
+
+
+def test_a_column_with_no_fitted_heap_map_is_swept_on_every_triple(monkeypatch):
+    """t.x = tx mod 6 of T(Z4) on the heap of Z6: the heap map that fits a
+    failing column t |-> tx on the frame of Z4 would send 4 = 0 to
+    4x != 0, so it is no heap map, ``_Frame.suspects`` names no triples and
+    the column is swept on all of them, as the sweep oracle is."""
+    suspects, named = laws._Frame.suspects, []
+    monkeypatch.setattr(laws._Frame, "suspects",
+                        lambda frame, f, ternary: named.append(suspects(frame, f, ternary))
+                        or named[-1])
+    m = FiniteTModule(truss_TZn(4), heap_from_group(FiniteGroup.cyclic(6)),
+                      [[t * x % 6 for x in range(6)] for t in range(4)])
+    report = validate_module(m)
+    want, checked, swept = module_sweep(m)
+    assert plain(report.findings) == want and len(want) == 96
+    assert report.stats["checked"] == checked == 1344
+    assert report.stats["distributivity"] == {"algorithm": "morphism rows", "swept": swept}
+    assert named == [None] * 4
 
 
 def test_empty_module_constructor():
@@ -289,6 +309,18 @@ def test_abs_quotient_all_absorbers_is_terminal():
     q, proj = abs_quotient(trivial_action_module())
     assert q.size == 1
     assert proj(0) == proj(1) == 0
+
+
+def test_abs_quotient_over_a_truss_without_absorber_is_a_truss_module():
+    # TC2 (x.y = x + y) has no absorber, so there is no ring to retract to;
+    # acting trivially on the heap of Z3, every element absorbs
+    tc2 = tc2_brace_truss()
+    assert tc2.absorber is None
+    m = FiniteTModule(tc2, heap_from_group(FiniteGroup.cyclic(3)), [[0, 1, 2], [0, 1, 2]])
+    q, proj = abs_quotient(m)
+    assert isinstance(q, FiniteTModule) and q.truss is tc2 and q.size == 1
+    assert proj.mapping == (0, 0, 0)
+    assert validate_module(q).ok
 
 
 def test_abs_quotient_free_module_is_power():

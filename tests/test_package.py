@@ -1,12 +1,21 @@
-"""The package itself: the core stays stdlib-only and draws nothing at random."""
+"""The package itself: the core stays stdlib-only, draws nothing at random,
+and imports its own modules at module level only, so its import graph is
+the one the module headers show: rings, below trusses and modules, decide
+their laws without them."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "trusskit").glob("*.py"))
+from trusskit import modules, trusses
+from trusskit.rings import FiniteRing, RModule, validate_ring, validate_rmodule
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "trusskit").glob("*.py"))
 
 
 def absolute_imports(path):
@@ -35,3 +44,49 @@ def test_no_module_imports_random(path):
     # every verdict is exact, so none may depend on a draw
     for line, name in absolute_imports(path):
         assert name != "random", f"{path.name}:{line} imports random"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_the_package_is_imported_at_module_level_only(path):
+    # an import inside a function hides a cycle from the module headers
+    tree = ast.parse(path.read_text(), str(path))
+    for node in ast.walk(tree):
+        own = (isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").split(".")[0] == "trusskit")
+               or isinstance(node, ast.Import)
+               and any(alias.name.split(".")[0] == "trusskit" for alias in node.names))
+        assert not own or node in tree.body, f"{path.name}:{node.lineno} imports inside a block"
+
+
+def test_rings_decide_their_laws_without_trusses_or_modules():
+    script = ("import sys\n"
+              "from trusskit.rings import FiniteRing, RModule, validate_ring, validate_rmodule\n"
+              "assert validate_ring(FiniteRing.Zn(6)).ok\n"
+              "assert validate_rmodule(RModule.power(FiniteRing.Zn(2), 2)).ok\n"
+              "print(' '.join(sorted(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "trusskit.laws" in loaded
+    assert not loaded & {"trusskit.trusses", "trusskit.modules"}
+
+
+def test_ring_validators_build_no_truss_and_no_truss_module(monkeypatch):
+    built = []
+    for cls in (trusses.FiniteTruss, modules.FiniteTModule):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__, **kwargs:
+                            built.append(type(self).__name__) or init(self, *args, **kwargs))
+    ring = FiniteRing.Zn(6)
+    bad = FiniteRing(ring.add, [[(a * b + 1) % 6 for b in range(6)] for a in range(6)],
+                     validate=False)
+    module = RModule.power(FiniteRing.Zn(2), 2)
+    bad_module = RModule(module.ring, module.group, [[0, 1, 2, 3], [0, 1, 3, 2]], validate=False)
+    assert validate_ring(ring).ok and not validate_ring(bad).ok
+    assert validate_rmodule(module).ok and not validate_rmodule(bad_module).ok
+    assert built == []
+    # the spies do see a truss and a truss module built
+    modules.FiniteTModule.regular(trusses.truss_TZn(2))
+    assert built == ["FiniteTruss", "FiniteTModule"]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from trusskit import trusses
+from trusskit import laws, trusses
 from trusskit.cli import parse_ring_spec
 from trusskit.coproduct import DirectSum
 from trusskit.core import INT_LINE, StructureError, heap_from_group, FiniteGroup, FiniteHeap
@@ -190,10 +190,10 @@ def sampled_laws(t, act, m, tw, mw, samples, seed):
     for _ in range(samples):
         a, b, c, x, y, z = (rng.choice(w) for w in (tw, tw, tw, mw, mw, mw))
         found += [f for f in (
-            (trusses.ASSOCIATIVE, (a, b, x), act(a, act(b, x)), act(t.mul(a, b), x)),
-            (trusses.LINEAR_IN_T, (a, b, c, x), act(tern_t(a, b, c), x),
+            (laws.ASSOCIATIVE, (a, b, x), act(a, act(b, x)), act(t.mul(a, b), x)),
+            (laws.LINEAR_IN_T, (a, b, c, x), act(tern_t(a, b, c), x),
              tern_m(act(a, x), act(b, x), act(c, x))),
-            (trusses.LINEAR_IN_M, (a, x, y, z), act(a, tern_m(x, y, z)),
+            (laws.LINEAR_IN_M, (a, x, y, z), act(a, tern_m(x, y, z)),
              tern_m(act(a, x), act(a, y), act(a, z)))) if f[2] != f[3]]
         drawn.append(x)
     return found, drawn
