@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
@@ -45,7 +44,7 @@ from .modules import (
     basis_check,
     validate_module,
 )
-from .reports import PASS
+from .reports import PASS, dumps
 from .rings import FiniteRing, validate_ring
 from .trusses import (
     ConstantTruss,
@@ -65,10 +64,6 @@ from .trusses import (
     validate_truss,
 )
 from .words import eval_expr_abelian, eval_expr_free, parse_word_expr, shortest_word
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
 
 
 def _resolve(names, token):
@@ -172,7 +167,7 @@ def emit_table(structure, window: int, as_json: bool) -> str:
     ternary table has no grid form and is always JSON."""
     kind, labels, tables = _table_form(structure, window)
     if as_json or kind == "heap-table":
-        return _dumps({"kind": kind, "labels": labels, **tables})
+        return dumps({"kind": kind, "labels": labels, **tables})
     if list(tables) == ["table"]:
         return _grid(labels, tables["table"])
     return "\n\n".join(f"{_TABLE_TITLES[name]}\n{_grid(labels, cells)}"
@@ -188,11 +183,11 @@ def cmd_reduce(args) -> tuple[int, str]:
     if args.free:
         word = eval_expr_free(node)
         if args.json:
-            return 0, _dumps({"word": list(word)})
+            return 0, dumps({"word": list(word)})
         return 0, " ".join(word)
     counts = eval_expr_abelian(node)
     if args.json:
-        return 0, _dumps({"coeffs": counts})
+        return 0, dumps({"coeffs": counts})
     return 0, " ".join(shortest_word(counts))
 
 
@@ -227,8 +222,8 @@ def cmd_coproduct(args) -> tuple[int, str]:
         ("A:" + left.names[v]) if i == 0 else ("B:" + right.names[v]) for i, v in word)
     canonical = f"({left.names[x.alpha]}, {right.names[x.beta]}, {x.n})"
     if args.json:
-        return 0, _dumps({"alpha": left.names[x.alpha], "beta": right.names[x.beta],
-                          "n": x.n, "word": tagged.split()})
+        return 0, dumps({"alpha": left.names[x.alpha], "beta": right.names[x.beta],
+                         "n": x.n, "word": tagged.split()})
     return 0, f"{canonical}\nword: {tagged}"
 
 
@@ -247,8 +242,11 @@ def cmd_extend(args) -> tuple[int, str]:
     if (args.builtin is None) == (path is None):
         raise StructureError("give exactly one of --builtin NAME or a truss file")
     base = parse_builtin_truss(args.builtin) if args.builtin else serialize.load_path(path)
-    if isinstance(base, FiniteHeap) or isinstance(base, FiniteGroup):
+    if isinstance(base, (FiniteHeap, FiniteGroup)):
         raise StructureError("extensions take a truss, not a bare heap or group")
+    if not isinstance(base, (FiniteTruss, IntegerTruss, ConstantTruss, ExtensionTruss)):
+        kind = serialize.structure_to_obj(base)["kind"]
+        raise StructureError(f"extensions take a truss, not a {kind} file")
     if args.unital:
         ext = unital_extension(base)
     elif args.zero:
@@ -265,7 +263,7 @@ def cmd_extend(args) -> tuple[int, str]:
         "absorber": None if ext.absorber is None else ext.format_element(ext.absorber),
     }
     if args.json:
-        return 0, _dumps(info)
+        return 0, dumps(info)
     lines = [f"{k}: {v}" for k, v in sorted(info.items())]
     return 0, "\n".join(lines)
 
@@ -293,7 +291,7 @@ def cmd_quotient(args) -> tuple[int, str]:
     qheap, proj = quotient(structure, sub)
     obj = {"quotient": serialize.structure_to_obj(qheap),
            "projection": list(proj.mapping)}
-    return 0, _dumps(obj)
+    return 0, dumps(obj)
 
 
 def cmd_abs(args) -> tuple[int, str]:
@@ -303,10 +301,10 @@ def cmd_abs(args) -> tuple[int, str]:
         if aset.kind == "finite":
             names = [structure.names[x] for x in aset.members] \
                 if isinstance(structure, FiniteTModule) else list(aset.members)
-            return 0, _dumps({"absorbers": names})
+            return 0, dumps({"absorbers": names})
         if aset.kind == "all":
-            return 0, _dumps({"absorbers": "all"})
-        return 0, _dumps({"absorbers": "tails", "tail_rank": structure.n - 1})
+            return 0, dumps({"absorbers": "all"})
+        return 0, dumps({"absorbers": "tails", "tail_rank": structure.n - 1})
     raise StructureError("abs takes a module file")
 
 

@@ -9,8 +9,9 @@ These routines are the only ones of their kind in the package:
 ``_closure`` gives the sub-heap that a finite set generates (generated
 sub-heaps and spans) as the subgroup walk ``_bfs_recipe`` of the retract at
 its first member, the walk that also carries group maps along generators;
-``_quotient_classes`` builds the classes and projection of a quotient by a
-normal sub-heap (``quotient``, absorber quotients of modules), and
+``is_normal`` takes each normality witness and ``_quotient_classes`` each
+class of a quotient by a normal sub-heap in closed form, with no search
+(``quotient``, absorber quotients of modules), and
 ``_descend`` turns a map on elements into the map on those classes;
 ``_group_maps`` yields the group maps or isomorphisms from generator images
 (``group_isomorphism``, and the module hom-sets and isomorphisms of
@@ -25,7 +26,9 @@ table.  Every structure holds its carrier as ``heap``: trusses and modules
 their own, rings and ring modules the ``heap_from_group`` of their additive
 group, wrapped once when they are built and shared with T(R) and T(N), so
 each frame is walked once.  ``_unit`` finds every identity and absorber of
-a table.
+a table, and ``_violated`` evaluates every associativity instance that
+``validate_heap`` checks, the dirty-entry candidates and the full sweep
+alike.
 """
 
 from __future__ import annotations
@@ -122,13 +125,10 @@ class FiniteGroup:
         self.neutral = _unit(rows)
         if self.neutral is None:
             raise StructureError("no identity element")
-        self._inv = tuple(
-            next(b for b in range(self.size) if rows[a][b] == self.neutral == rows[b][a])
-            for a in range(self.size)
-        )
-        self.abelian = all(
-            rows[a][b] == rows[b][a] for a in range(self.size) for b in range(a)
-        )
+        # in a group a right inverse is the two-sided one, and the table is
+        # commutative when it equals its transpose
+        self._inv = tuple(row.index(self.neutral) for row in rows)
+        self.abelian = rows == tuple(zip(*rows))
 
     def op(self, a, b):
         return self._op[a][b]
@@ -353,24 +353,6 @@ def _normalize_ternary(table):
     return rows
 
 
-def _assoc_violations(rows):
-    """Every violated [[a,b,c],d,e] = [a,b,[c,d,e]], in sweep order; O(n^5)."""
-    n = len(rows)
-    for a in range(n):
-        ta = rows[a]
-        for b in range(n):
-            tab = ta[b]
-            for c in range(n):
-                left = rows[tab[c]]
-                for d in range(n):
-                    ld = left[d]
-                    td = rows[c][d]
-                    for e in range(n):
-                        if ld[e] != tab[td[e]]:
-                            yield Finding("heap associativity", (a, b, c, d, e),
-                                          ld[e], tab[td[e]])
-
-
 def _retract_defects(carrier, e):
     """The entries where a finite ternary operation differs from the heap of
     its retract at e, in (a, b, c) order, or None if that retract is not a
@@ -383,7 +365,8 @@ def _retract_defects(carrier, e):
     A ternary operation is a heap exactly when [a,e,b] is a group and
     [a,b,c] = a.b^-1.c in it (Certaine 1943), i.e. when the list is empty.
     The inverse is the retract's own, not [e,b,e]: with that,
-    [a,b,c] = a + c (mod 2) would pass.
+    [a,b,c] = a + c (mod 2) would pass.  It is read off the row of b at the
+    identity that ``validate_group_table`` has just found.
     """
     if hasattr(carrier, "ternary"):
         n, ternary = carrier.size, carrier.ternary
@@ -396,10 +379,11 @@ def _retract_defects(carrier, e):
         def row(a, b):
             return carrier[a][b]
     op = [row(a, e) for a in range(n)]
-    if not validate_group_table(op).ok:
+    report = validate_group_table(op)
+    if not report.ok:
         return None
-    g = FiniteGroup(op, validate=False)
-    inv = [g.inv(b) for b in range(n)]
+    neutral = report.stats["identity"]
+    inv = [r.index(neutral) for r in op]
     dirty = []
     for a in range(n):
         op_a = op[a]
@@ -454,7 +438,7 @@ def _associativity(rows):
                      "candidates": len(candidates)}
             return stats, _violated(rows, candidates)
     stats = {"algorithm": "sweep", "basepoint": None, "dirty": None, "candidates": n ** 5}
-    return stats, _assoc_violations(rows)
+    return stats, _violated(rows, itertools.product(range(n), repeat=5))
 
 
 def _violated(rows, candidates):
@@ -499,10 +483,11 @@ def validate_heap(table, abelian=False) -> Report:
     ("retract").  Otherwise, as H is associative, every violated instance
     (a, b, c, d, x) reads an entry of D at (a,b,c), ([a,b,c],d,x), (c,d,x)
     or (a,b,[c,d,x]), so only those O(|D| n^2) candidates are checked
-    ("dirty entries").  Basepoints 0, 1 and 2 are tried.  The O(n^5) sweep
-    runs when none of their retracts is a group, or when 4 |D| n^2 reaches
-    n^5.  ``stats["associativity"]`` names the algorithm, the basepoint,
-    |D| and the number of candidate quintuples checked.
+    ("dirty entries").  Basepoints 0, 1 and 2 are tried.  The sweep, the
+    same evaluator over all n^5 quintuples in order, runs when none of their
+    retracts is a group, or when 4 |D| n^2 reaches n^5.
+    ``stats["associativity"]`` names the algorithm, the basepoint, |D| and
+    the number of candidate quintuples checked.
     """
     rows = _normalize_ternary(table)
     stats = {"size": len(rows)}
@@ -580,14 +565,14 @@ class FiniteHeap:
         """Build a heap from a full ternary table, exactly validated at every
         size; a non-heap raises StructureError naming its first violation.
         A table that passes is a group heap, so its frame is walked with no
-        second scan (the empty heap has none)."""
+        second scan (the empty heap has none), and it is Abelian exactly
+        when its retract at 0 is, n^2 reads."""
         rows = _normalize_ternary(table)
         first = next(_heap_violations(rows, False, {}), None)
         if first is not None:
             raise StructureError(f"not a heap: {first}")
         n = len(rows)
-        abelian = all(rows[a][b][c] == rows[c][b][a]
-                      for a in range(n) for b in range(n) for c in range(a + 1))
+        abelian = all(rows[a][0][c] == rows[c][0][a] for a in range(n) for c in range(a))
         return cls(n, table=rows, names=names, abelian=abelian,
                    frame=_walked_frame if n else None)
 
@@ -834,37 +819,41 @@ def is_normal(s: SubHeap) -> NormalityReport:
     The existential-over-e and universal-over-e formulations agree, so the
     flag is decided at one base element; the witness table maps (a, s') to a
     witness t for that base.  Sub-heaps of Abelian heaps are always normal.
+
+    The witness has a closed form: [t,e,a] = x exactly when t = [x,a,e], so
+    t = [[a,e,s'],a,e] is the only candidate and is kept when it lies in S;
+    2.n.|S| operations.
     """
     h = s.parent
     e = s.members[0]
+    mset = set(s.members)
     witnesses = {}
     for a in range(h.size):
         for sp in s.members:
-            lhs = h.ternary(a, e, sp)
-            found = None
-            for t in s.members:
-                if h.ternary(t, e, a) == lhs:
-                    found = t
-                    break
-            if found is None:
+            t = h.ternary(h.ternary(a, e, sp), a, e)
+            if t not in mset:
                 return NormalityReport(False, base=e, counterexample=(a, e, sp))
-            witnesses[(a, sp)] = found
+            witnesses[(a, sp)] = t
     return NormalityReport(True, base=e, witnesses=witnesses)
 
 
 def _quotient_classes(h: FiniteHeap, s: SubHeap):
     """The classes of h/S for a normal sub-heap S and the projection: the
     sets {[s,t,a] : s,t in S}, ordered by least member, and the index of the
-    class of each element.  The class of any member of S is S itself."""
+    class of each element.  The class of any member of S is S itself.
+
+    With e in S, [s,t,a] = (s.t^-1).a in the retract at e and S is a
+    subgroup of it, so the class of a is {[s,e,a] : s in S}: n.|S|
+    operations.
+    """
     check = is_normal(s)
     if not check.normal:
         raise StructureError(f"sub-heap is not normal (counterexample {check.counterexample})")
-    classes = {}
-    for a in range(h.size):
-        classes[a] = frozenset(h.ternary(x, y, a) for x in s.members for y in s.members)
-    distinct = sorted(set(classes.values()), key=min)
+    e = check.base
+    classes = [frozenset(h.ternary(x, e, a) for x in s.members) for a in range(h.size)]
+    distinct = sorted(set(classes), key=min)
     index = {c: i for i, c in enumerate(distinct)}
-    return distinct, tuple(index[classes[a]] for a in range(h.size))
+    return distinct, tuple(index[c] for c in classes)
 
 
 def _descend(proj, images, message):

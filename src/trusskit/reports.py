@@ -9,6 +9,12 @@ PASS = "pass"
 FAIL = "fail"
 
 
+def dumps(obj) -> str:
+    """The one JSON writer of reports, structure files and CLI output:
+    sorted keys and an indent of 2, so the output is byte-stable."""
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
 def _plain(value):
     """Convert a value into something json.dumps can handle deterministically.
     A dataclass becomes a dict of its fields, in name order, read field by
@@ -79,8 +85,8 @@ class Report:
             "stats": _plain(self.stats),
         }
 
-    def to_json(self, indent=2) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, indent=indent)
+    def to_json(self) -> str:
+        return dumps(self.to_obj())
 
     def __str__(self):
         head = f"[{self.status}] {self.subject}"

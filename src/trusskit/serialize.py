@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from . import reports
 from .core import FiniteGroup, FiniteHeap, StructureError, _id_table as core_id_table
 from .modules import FiniteTModule, FreeTModule, TrivialIntModule, free_module
 from .rings import FiniteRing
@@ -195,7 +196,7 @@ def obj_to_structure(obj):
 
 
 def dumps(x) -> str:
-    return json.dumps(structure_to_obj(x), sort_keys=True, indent=2)
+    return reports.dumps(structure_to_obj(x))
 
 
 def loads(text: str):

@@ -222,3 +222,34 @@ def test_an_element_is_a_name_else_a_numeric_id(tmp_path, capsys):
     assert by_name == by_id and by_id[0] == 0 and by_id[2] == ""
     code, out, err = run(["retract", str(path), "--at", "z"], capsys)
     assert (code, out) == (2, "") and "unknown element 'z'" in err
+
+
+def contract_argvs(path):
+    """Each verb that reads a structure file, run on ``path`` (only read)."""
+    c4, sub = str(FIXTURES / "heap_c4.json"), str(FIXTURES / "subheap_c4.json")
+    return [
+        ["verify", path],
+        ["table", "--window", "1", path],
+        ["abs", path],
+        ["basis", "--candidates", "1", path],
+        ["retract", "--at", "0", path],
+        ["quotient", "--by", sub, path],
+        ["quotient", "--by", path, c4],
+        ["extend", "--unital", path],
+        ["extend", "--both", path, "table", "--window", "1"],
+        ["coproduct", path, c4, "--word", "A:0 B:1"],
+        ["dorroh", "--ring", path, "--window", "1"],
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_every_verb_keeps_the_exit_code_contract_on_every_fixture(name, capsys):
+    """Exit 0, 1 or 2 and no exception out of ``cli.main``, whatever the
+    file holds; exit 2 prints nothing but one ``error:`` line."""
+    for argv in contract_argvs(str(FIXTURES / name)):
+        code, out, err = run(argv, capsys)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+        else:
+            assert err == "", argv

@@ -60,6 +60,12 @@ CASES = [
     ["extend", "--unital", "--builtin", "XYZ"],
     ["extend", "--unital"],
     ["extend", "--unital", F + "heap_c4.json"],
+    ["extend", "--unital", F + "ring_z4.json"],
+    ["extend", "--unital", F + "module_tz4.json"],
+    ["extend", "--unital", F + "module_tz4_bad.json"],
+    ["extend", "--unital", F + "module_ztrivial.json"],
+    ["extend", "--unital", F + "free_tz3.json"],
+    ["extend", "--both", F + "subheap_c4.json", "table"],
     ["retract", "--at", "1", F + "heap_c4.json"],
     ["retract", "--at", "0", F + "truss_tz4.json"],
     ["retract", "--at", "9", F + "heap_c4.json"],

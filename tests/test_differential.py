@@ -607,3 +607,89 @@ def test_TN_is_free_exactly_when_N_is_Zn_on_every_small_module(n):
         if report.ok:
             assert is_rmodule_isomorphism(m, RModule.regular(m.ring),
                                           report.stats["isomorphism"]), label
+
+
+def is_normal_search(s):
+    """(verdict, base, counterexample, witnesses) of normality at the least
+    member e, each witness t of [t,e,a] = [a,e,s'] found by trying every
+    member of S in order."""
+    h, e = s.parent, s.members[0]
+    witnesses = {}
+    for a in range(h.size):
+        for sp in s.members:
+            lhs = h.ternary(a, e, sp)
+            found = next((t for t in s.members if h.ternary(t, e, a) == lhs), None)
+            if found is None:
+                return False, e, (a, e, sp), None
+            witnesses[(a, sp)] = found
+    return True, e, None, witnesses
+
+
+def quotient_classes_search(h, members):
+    """The classes {[s,t,a] : s, t in S}, ordered by least member, and the
+    class index of each element."""
+    classes = [frozenset(h.ternary(x, y, a) for x in members for y in members)
+               for a in range(h.size)]
+    distinct = sorted(set(classes), key=min)
+    return distinct, tuple(distinct.index(c) for c in classes)
+
+
+def small_groups_and_relabellings():
+    rng = random.Random(2323)
+    for label, g in small_groups(8):
+        perm = list(range(g.size))
+        rng.shuffle(perm)
+        yield label, g
+        yield label + " relabelled", relabel_group(g, perm)
+
+
+def test_closed_form_normality_and_classes_match_the_search_on_every_small_seed():
+    non_normal = set()
+    for label, g in small_groups_and_relabellings():
+        h = heap_from_group(g)
+        seeds = {tuple(generated_subheap(h, seed).members)
+                 for k in (1, 2) for seed in itertools.combinations(range(g.size), k)}
+        for members in sorted(seeds):
+            s = core.SubHeap(h, members)
+            got = core.is_normal(s)
+            want = is_normal_search(s)
+            assert (got.normal, got.base, got.counterexample, got.witnesses) == want, \
+                (label, members)
+            if got.normal:
+                assert core._quotient_classes(h, s) == quotient_classes_search(h, members), \
+                    (label, members)
+            else:
+                non_normal.add(label.split()[0])
+    assert non_normal == {"S3", "D4"}   # every subgroup of Q8 is normal
+
+
+def test_group_inverses_and_commutativity_match_the_scans():
+    for label, g in small_groups_and_relabellings():
+        ids = range(g.size)
+        assert g._inv == tuple(next(b for b in ids if g.op(a, b) == g.neutral == g.op(b, a))
+                               for a in ids), label
+        assert g.abelian == all(g.op(a, b) == g.op(b, a) for a in ids for b in ids), label
+        rows = heap_from_group(g).table()
+        assert core.FiniteHeap.from_table(rows).abelian == all(
+            rows[a][b][c] == rows[c][b][a] for a in ids for b in ids for c in ids), label
+
+
+def test_normality_and_classes_make_a_linear_number_of_heap_operations():
+    """``is_normal`` makes at most 2.n.|S| ternary calls and
+    ``_quotient_classes`` at most n.|S| more."""
+    for label, g in small_groups(8):
+        h = heap_from_group(g)
+        calls = []
+        counted = core.FiniteHeap.from_function(
+            g.size, lambda a, b, c: calls.append(1) or h.ternary(a, b, c))
+        for members in {tuple(generated_subheap(h, [x, y]).members)
+                        for x, y in itertools.combinations(range(g.size), 2)}:
+            s = core.SubHeap(counted, members)
+            bound = g.size * len(members)
+            calls.clear()
+            normal = core.is_normal(s).normal
+            assert len(calls) <= 2 * bound, (label, members)
+            if normal:
+                calls.clear()
+                core._quotient_classes(counted, s)
+                assert len(calls) <= 3 * bound, (label, members)
