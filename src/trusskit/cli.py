@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import re
 import sys
@@ -130,12 +131,30 @@ def _cells(op):
     return lambda xs, ys: [[op(a, b) for b in ys] for a in xs]
 
 
+# the most cells an operation table may have; a symbolic truss's table grows
+# as a power of its window, so a larger one is refused before it is built
+MAX_TABLE_CELLS = 10 ** 5
+
+
+def _sample_size(heap, window: int) -> int:
+    """How many elements ``heap.sample(window)`` yields, counted, none built."""
+    if isinstance(heap, DirectSum):
+        return (math.prod(_sample_size(s.heap, window) for s in heap.summands)
+                * (2 * window + 1) ** (heap.k - 1))
+    return len(heap.sample(window))
+
+
 def _table_form(structure, window: int):
     """(kind, labels, tables): the display names of the elements and each
     operation table as rows of display names.  Symbolic trusses show the
     elements of a window.  A truss's table comes from
     ``trusses.product_table``: an extension makes each distinct base product
-    once, not three per cell, and checks that it lies in the carrier."""
+    once, not three per cell, and checks that it lies in the carrier.
+
+    A table of more than ``MAX_TABLE_CELLS`` cells raises StructureError,
+    naming its cells and the largest window that fits, before anything is
+    built: the elements shown are counted on the carrier, as many as its
+    ``sample(window)`` (an extension's base elements times its tails)."""
     if isinstance(structure, FiniteHeap):
         names = structure.names
         return "heap-table", list(names), {
@@ -148,6 +167,17 @@ def _table_form(structure, window: int):
         kind, ops = "truss-table", {"table": functools.partial(product_table, structure)}
     else:
         raise StructureError("no table form for this structure")
+
+    def cells(w):
+        n = (structure.size if isinstance(structure, FiniteGroup)
+             else _sample_size(structure.heap, w))
+        return n * n
+
+    if cells(window) > MAX_TABLE_CELLS:
+        fits = next(w for w in range(1, window + 1) if cells(w) > MAX_TABLE_CELLS) - 1
+        raise StructureError(
+            f"the table would have {cells(window)} cells, more than {MAX_TABLE_CELLS}; "
+            + (f"the largest window that fits is {fits}" if fits else "no window fits"))
     if isinstance(structure, ExtensionTruss):
         pool, fmt = _extension_pool(structure, window), structure.format_element
     elif kind == "truss-table":

@@ -13,11 +13,11 @@ its first member, the walk that also carries group maps along generators;
 class of a quotient by a normal sub-heap in closed form, with no search
 (``quotient``, absorber quotients of modules), and
 ``_descend`` turns a map on elements into the map on those classes;
-``_group_maps`` yields the group maps or isomorphisms from generator images
-(``group_isomorphism``, and the module hom-sets and isomorphisms of
-``rings`` and ``modules``); ``_first_unequivariant`` checks that a map of
-modules commutes with the action (every module hom-set, isomorphism and
-morphism, and the projection of a free module onto R^n); ``frame()`` of a
+``_group_maps`` yields the group maps or isomorphisms between pointed heaps
+(heap, e), decided on generators (``find_isomorphism``, the module hom-sets
+and isomorphisms of ``rings`` and ``modules``); ``_first_unequivariant``
+checks that a map of modules commutes with the action, on frames or, in
+``ModuleMorphism``, on every element; ``frame()`` of a
 carrier heap (``FiniteHeap``, ``IntLineHeap``, ``coproduct.DirectSum``) is
 a point and that point moved by each generator of its group form, on which
 the law engine of ``laws`` decides every truss, module, ring and
@@ -138,13 +138,6 @@ class FiniteGroup:
 
     def elements(self):
         return range(self.size)
-
-    def element_order(self, a) -> int:
-        x, k = a, 1
-        while x != self.neutral:
-            x = self._op[x][a]
-            k += 1
-        return k
 
     def op_table(self):
         return self._op
@@ -295,40 +288,50 @@ def _bfs_recipe(op, neutral, gens):
     return recipe
 
 
-def _group_maps(g: FiniteGroup, h: FiniteGroup, iso=False):
-    """Every group map g -> h as an id mapping, lazily; with ``iso``, every
-    isomorphism.
+def _order(heap, e, y):
+    """The order of y in the retract at e: its powers ``_bfs_recipe`` walks, plus one."""
+    return len(_bfs_recipe(lambda a, b: heap.ternary(a, e, b), e, [y])) + 1
 
-    A map is fixed by its images of g's ``_generating_sequence`` and follows
-    them along ``_bfs_recipe``.  A generator of order k is sent, in id order,
-    to each element of h of order dividing k (equal to k with ``iso``).
-    Each candidate is verified on all n^2 pairs: the recipe is not trusted.
-    With ``iso`` nothing is tried unless g and h have the same multiset of
-    element orders, which also tells groups of different orders apart.
+
+def _group_maps(source, target, iso=False):
+    """Every group map between pointed heaps (heap, e), of the retracts
+    a.b = [a, e, b] (Certaine 1943), as an id mapping, lazily; with ``iso``,
+    every isomorphism, and none unless both have the same element orders.
+
+    A map is fixed by its images of the source's ``_generating_sequence``,
+    along ``_bfs_recipe``; a generator of order k is sent, in id order, to
+    each element of order dividing k (equal to k with ``iso``).  It is kept
+    when f(x.s) = f(x).f(s) for every x and generator s, n.k checks: the s
+    that pass are closed under products, and positive words in them reach
+    every element of a finite group.
     """
-    orders = [h.element_order(y) for y in range(h.size)]
-    if iso and sorted(orders) != sorted(map(g.element_order, range(g.size))):
+    (g, e), (h, neutral) = source, target
+    orders = [_order(h, neutral, y) for y in range(h.size)]
+    if iso and sorted(orders) != sorted(_order(g, e, x) for x in range(g.size)):
         return
-    gens = _generating_sequence(g.size, g.op, g.neutral)
-    recipe = _bfs_recipe(g.op, g.neutral, gens)
-    pairs = list(itertools.product(range(g.size), repeat=2))
+    rows = [[h.ternary(a, neutral, b) for b in range(h.size)] for a in range(h.size)]
+    gens = _generating_sequence(g.size, lambda a, b: g.ternary(a, e, b), e)
+    steps = [[g.ternary(x, e, s) for s in gens] for x in range(g.size)]
+    recipe = _bfs_recipe(lambda x, i: steps[x][i], e, range(len(gens)))
     candidates = [[y for y in range(h.size) if (orders[y] == k if iso else k % orders[y] == 0)]
-                  for k in map(g.element_order, gens)]
+                  for k in (_order(g, e, s) for s in gens)]
     for imgs in itertools.product(*candidates):
         mapping = [None] * g.size
-        mapping[g.neutral] = h.neutral
-        for x, parent, gi in recipe:
-            mapping[x] = h.op(mapping[parent], imgs[gi])
+        mapping[e] = neutral
+        for x, parent, i in recipe:
+            mapping[x] = rows[mapping[parent]][imgs[i]]
         if iso and len(set(mapping)) != g.size:
             continue
-        if all(mapping[g.op(x, y)] == h.op(mapping[x], mapping[y]) for x, y in pairs):
+        if all(mapping[xs] == rows[fx][y]
+               for fx, row in zip(mapping, steps) for xs, y in zip(row, imgs)):
             yield mapping
 
 
 def group_isomorphism(g1: FiniteGroup, g2: FiniteGroup):
     """An isomorphism g1 -> g2 as an id mapping, or None: the first that
-    ``_group_maps`` finds."""
-    return next(_group_maps(g1, g2, iso=True), None)
+    ``_group_maps`` finds between their heaps pointed at the neutral ones."""
+    return next(_group_maps((heap_from_group(g1), g1.neutral),
+                            (heap_from_group(g2), g2.neutral), iso=True), None)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +530,7 @@ def _first_unequivariant(mapping, src_act, dst_act, scalars, pool):
 
     Over every element of a finite module this decides whether f commutes
     with the action.  Both sides are affine in t and in x when f is a heap
-    map, so a frame of a symbolic module (and of its truss) decides it too.
+    map between modules, so frames of the scalars and the module decide it.
     """
     return next(((t, x) for t in scalars for x in pool
                  if mapping[src_act(t, x)] != dst_act(t, mapping[x])), None)
@@ -916,11 +919,12 @@ def find_isomorphism(a: FiniteHeap, b: FiniteHeap):
     Two heaps are isomorphic exactly when their retracts are isomorphic as
     groups.  The retracts of b at different basepoints are isomorphic to each
     other (``translation_iso``), so the retracts at 0 decide, and the
-    mapping is the group isomorphism ``group_isomorphism`` finds between them.
+    mapping is the first isomorphism ``_group_maps`` finds between the heaps
+    pointed at 0.
     """
     if a.size != b.size:
         return None
     if a.size == 0:
         return HeapMorphism(a, b, ())
-    mapping = group_isomorphism(retract(a, 0), retract(b, 0))
+    mapping = next(_group_maps((a, 0), (b, 0), iso=True), None)
     return None if mapping is None else HeapMorphism(a, b, tuple(mapping))

@@ -418,24 +418,20 @@ def abs_on_morphism(phi: ModuleMorphism):
 def tmodule_homs_to_TN(m: FiniteTModule, n_mod: RModule):
     """All module maps from m into T(N), as mapping tuples in lexicographic
     order.  m must be a module over T(R) for the ring R of N.  A heap map
-    into T(N) is x |-> phi(x) + c for c = f(0) in N and a group map phi from
-    the retract of m at 0 (``core._group_maps``); it is kept when it commutes
-    with every t (``core._first_unequivariant``), and ``_first_unpreserved``
-    re-checks that it preserves the heap operation, in its frame form when
-    m's carrier has a ``frame()``."""
+    into T(N) is x |-> phi(x) + c for c = f(0) in N and a group map phi of
+    the heaps pointed at 0 and zero (``core._group_maps``).  It is kept when
+    it commutes with every t (``core._first_unequivariant``): f(t.x) and
+    t.f(x) are affine in t and in x, so frames decide it."""
     if m.truss != truss_from_ring(n_mod.ring):
         raise StructureError("hom-sets into T(N) need a module over T(R) for N's ring R")
     if m.size == 0:
         return [()]
-    tn_ternary, ts = n_mod.heap.ternary, m.truss.heap.elements()
-    frame = m.heap.frame()
-    gens = None if frame is None else frame[1:]
+    ts, xs = (h.frame() or h.elements() for h in (m.truss.heap, m.heap))
     out = []
-    for phi in _group_maps(retract(m.heap, 0), n_mod.group):
+    for phi in _group_maps((m.heap, 0), (n_mod.heap, n_mod.zero)):
         for c in n_mod.heap.elements():
             f = tuple([n_mod.plus(y, c) for y in phi])
-            if (_first_unequivariant(f, m.act, n_mod.act, ts, m.heap.elements()) is None
-                    and _first_unpreserved(m.heap.ternary, tn_ternary, f, gens=gens) is None):
+            if _first_unequivariant(f, m.act, n_mod.act, ts, xs) is None:
                 out.append(f)
     return sorted(out)
 
@@ -647,12 +643,16 @@ def basis_check(m, candidates) -> Report:
 
 def freeness_of_TN(rm: RModule) -> Report:
     """Is T(N) free over T(R)?  Exactly when N and R are isomorphic modules.
+    Free modules are built over unital trusses, so a ring with no identity
+    raises StructureError before anything is decided.
 
     A negative verdict carries the structural witness: T(N) has a unique
     absorber, while a free module on two or more generators has the distinct
     absorbers 0x != 0y.
     """
     ring = rm.ring
+    if ring.one is None:
+        raise StructureError("free modules are built over unital trusses")
     regular = RModule.regular(ring)
     iso = rmodule_isomorphism(rm, regular)
     tn = FiniteTModule.from_rmodule(rm)

@@ -7,8 +7,8 @@ and in the retract rings of ``trusses``.
 These are the classical (binary-operation) structures that trusses and
 truss modules are compared against: ring retracts, the quotient-by-absorbers
 module, and the hom-sets and isomorphisms behind the adjunction and freeness
-checks, built from generator images of the additive group
-(``core._group_maps``) and kept when they commute with the action
+checks, built from generator images of the carrier heap pointed at zero
+(``core._group_maps``) and kept when they commute with the action on frames
 (``core._first_unequivariant``).  Ring and ring-module laws are decided on
 the ring and the module themselves, on generators, by the law engine of
 ``laws``, which reads only their ``heap`` and ``mul`` or ``act``, and swept
@@ -216,22 +216,21 @@ def validate_rmodule(m: RModule) -> Report:
 
 def rmodule_isomorphism(m1: RModule, m2: RModule):
     """An R-module isomorphism m1 -> m2 as an id mapping, or None: the first
-    isomorphism of the additive groups from ``core._group_maps`` that
-    commutes with the action of every r (``core._first_unequivariant``)."""
+    of the heaps pointed at zero (``core._group_maps``) that commutes with
+    the action on frames (``core._first_unequivariant``); m1, m2 must be modules."""
     if m1.ring != m2.ring:
         return None
-    rs = range(m1.ring.size)
-    return next((f for f in _group_maps(m1.group, m2.group, iso=True)
-                 if _first_unequivariant(f, m1.act, m2.act, rs, range(m1.size)) is None), None)
+    rs, xs = m1.ring.heap.frame(), m1.heap.frame()
+    return next((f for f in _group_maps((m1.heap, m1.zero), (m2.heap, m2.zero), iso=True)
+                 if _first_unequivariant(f, m1.act, m2.act, rs, xs) is None), None)
 
 
 def rmodule_homs(m1: RModule, m2: RModule):
     """All R-module homomorphisms m1 -> m2 as mapping tuples, in
-    lexicographic order: the maps of the additive groups from
-    ``core._group_maps`` that commute with the action of every r
-    (``core._first_unequivariant``)."""
+    lexicographic order, found as ``rmodule_isomorphism`` finds one; m1 and
+    m2 must be modules."""
     if m1.ring != m2.ring:
         raise StructureError("hom-sets need one common ring")
-    rs = range(m1.ring.size)
-    return sorted(tuple(f) for f in _group_maps(m1.group, m2.group)
-                  if _first_unequivariant(f, m1.act, m2.act, rs, range(m1.size)) is None)
+    rs, xs = m1.ring.heap.frame(), m1.heap.frame()
+    return sorted(tuple(f) for f in _group_maps((m1.heap, m1.zero), (m2.heap, m2.zero))
+                  if _first_unequivariant(f, m1.act, m2.act, rs, xs) is None)

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from trusskit import cli, serialize
-from trusskit.core import FiniteGroup, heap_from_group
-from trusskit.trusses import FiniteTruss, integer_truss
+from trusskit.core import FiniteGroup, StructureError, heap_from_group
+from trusskit.trusses import FiniteTruss, double_extension, integer_truss, unital_extension
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
@@ -192,6 +192,49 @@ def test_an_extension_table_makes_each_base_product_once(monkeypatch, capsys):
     code, out, err = run(["extend", "--both", "--builtin", "TC2", "table", "--window", "2"], capsys)
     assert (code, err) == (0, "") and len(out.splitlines()) == 2 + 50
     assert len(products) <= 16
+
+
+TABLE_TRUSSES = ["TZ", "Zc3", "TC2", "TZ3", "truss_t1_tz.json", "truss_t1_bad.json",
+                 "truss_tz4.json"]
+
+
+@pytest.mark.parametrize("spec, extend", [
+    *[(spec, None) for spec in TABLE_TRUSSES + ["ring_z4.json", "group_z4.json"]],
+    *[(spec, ext) for spec in TABLE_TRUSSES for ext in (unital_extension, double_extension)]])
+def test_a_table_counts_its_elements_before_it_builds_them(spec, extend):
+    """The count that bounds a table before it is built is the number of
+    elements the table then shows, at windows 1 and 2, or the table is
+    refused."""
+    structure = (serialize.load_path(str(FIXTURES / spec)) if spec.endswith(".json")
+                 else cli.parse_builtin_truss(spec))
+    if extend is not None:
+        structure = extend(structure)
+    for window in (1, 2):
+        size = (structure.size if isinstance(structure, FiniteGroup)
+                else cli._sample_size(structure.heap, window))
+        if size * size > cli.MAX_TABLE_CELLS:
+            with pytest.raises(StructureError, match=f"would have {size * size} cells"):
+                cli._table_form(structure, window)
+        else:
+            assert len(cli._table_form(structure, window)[1]) == size, window
+
+
+def test_a_table_over_the_cell_bound_is_refused_before_it_is_built(monkeypatch, capsys):
+    """Over ``MAX_TABLE_CELLS`` a table exits 2, naming its cells and the
+    largest window that fits, with no product made past the 4 that build
+    T1 and T0 of TC2; a finite table over the bound fits at no window."""
+    products = []
+    mul = FiniteTruss.mul
+    monkeypatch.setattr(FiniteTruss, "mul", lambda t, a, b: products.append((a, b)) or mul(t, a, b))
+    monkeypatch.setattr(cli, "MAX_TABLE_CELLS", 2500)
+    code, out, err = run(["extend", "--both", "--builtin", "TC2", "table", "--window", "3"], capsys)
+    assert (code, out) == (2, "") and len(products) <= 4
+    assert err == ("error: the table would have 9604 cells, more than 2500;"
+                   " the largest window that fits is 2\n")
+    monkeypatch.setattr(cli, "MAX_TABLE_CELLS", 15)
+    code, out, err = run(["table", str(FIXTURES / "ring_z4.json")], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: the table would have 16 cells, more than 15; no window fits\n"
 
 
 def test_python_dash_m_runs_the_command_line():

@@ -66,6 +66,8 @@ CASES = [
     ["extend", "--unital", F + "module_ztrivial.json"],
     ["extend", "--unital", F + "free_tz3.json"],
     ["extend", "--both", F + "subheap_c4.json", "table"],
+    ["extend", "--both", F + "truss_t1_bad.json", "table"],
+    ["extend", "--both", F + "truss_t1_bad.json", "table", "--window", "2", "--json"],
     ["retract", "--at", "1", F + "heap_c4.json"],
     ["retract", "--at", "0", F + "truss_tz4.json"],
     ["retract", "--at", "9", F + "heap_c4.json"],
@@ -124,6 +126,7 @@ CASES = [
     ["table", F + "free_tz3.json"],
     ["table", F + "module_tz4.json"],
     ["table", "--window", "0", F + "group_z4.json"],
+    ["table", "--window", "200", F + "truss_tz.json"],
     ["basis", "--candidates", "1", F + "module_tz4.json"],
     ["basis", "--candidates", "2", F + "module_tz4.json"],
     ["basis", "--candidates", "1,3", F + "module_tz4.json"],

@@ -7,6 +7,9 @@ the absorber classes of a finite module from their definition.  Both stay
 here as references for ``core._closure`` and ``core._quotient_classes``.
 ``rmodule_homs_oracle`` and ``tmodule_homs_to_TN_oracle`` try all |N|^|M|
 maps; they are the references for the hom-sets built by ``core._group_maps``.
+``all_pairs_group_maps`` builds the same candidates and checks each on all
+n^2 pairs; it is the reference for the maps ``core._group_maps`` yields, and
+for their order.
 ``rmodule_isomorphism_oracle`` tries all n! bijections, and
 ``find_isomorphism_basepoint_loop`` tries every basepoint of the target; they
 are the references for the isomorphism searches on the same engine.
@@ -456,15 +459,102 @@ def test_edge_hom_sets():
     assert len(tmodule_homs_to_TN(two_absorber_module(2), RModule.regular(FiniteRing.Zn(2)))) == 2
 
 
+def pointed(g):
+    """The heap of a group, pointed at its neutral element."""
+    return heap_from_group(g), g.neutral
+
+
 def test_group_maps_match_the_oracle_on_small_groups():
     groups = small_groups(8)
     checked = 0
     for (la, ga), (lb, gb) in itertools.product(groups, repeat=2):
         if gb.size ** ga.size <= 10 ** 5:
-            got = sorted(tuple(f) for f in core._group_maps(ga, gb))
+            got = sorted(tuple(f) for f in core._group_maps(pointed(ga), pointed(gb)))
             assert got == group_homs_oracle(ga, gb), (la, lb)
             checked += 1
     assert checked > 40
+
+
+def element_order(g, a):
+    """The least k >= 1 with a^k neutral, by repeated products."""
+    x, k = a, 1
+    while x != g.neutral:
+        x, k = g.op(x, a), k + 1
+    return k
+
+
+def all_pairs_group_maps(g, h, iso=False):
+    """The group maps (with ``iso``, isomorphisms) g -> h from the images of
+    the greedy generators, in the order ``core._group_maps`` tries them,
+    each candidate checked on all n^2 pairs of the group tables."""
+    orders = [element_order(h, y) for y in h.elements()]
+    if iso and sorted(orders) != sorted(element_order(g, x) for x in g.elements()):
+        return
+    gens = core._generating_sequence(g.size, g.op, g.neutral)
+    recipe = core._bfs_recipe(g.op, g.neutral, gens)
+    candidates = [[y for y in h.elements() if (orders[y] == k if iso else k % orders[y] == 0)]
+                  for k in (element_order(g, s) for s in gens)]
+    for imgs in itertools.product(*candidates):
+        mapping = [None] * g.size
+        mapping[g.neutral] = h.neutral
+        for x, parent, gi in recipe:
+            mapping[x] = h.op(mapping[parent], imgs[gi])
+        if iso and len(set(mapping)) != g.size:
+            continue
+        if all(mapping[g.op(x, y)] == h.op(mapping[x], mapping[y])
+               for x in g.elements() for y in g.elements()):
+            yield mapping
+
+
+def test_group_maps_decided_on_generators_match_the_all_pairs_engine():
+    # every pair of small_groups(8), C12 and C4 x C4 with |G|.|H| <= 200,
+    # as given and with both relabelled, so the neutral element moves off 0
+    rng = random.Random(20265)
+    c4 = FiniteGroup.cyclic(4)
+    groups = small_groups(8) + [("C12", FiniteGroup.cyclic(12)),
+                                ("C4xC4", FiniteGroup.product(c4, c4))]
+    checked = 0
+    for (la, ga), (lb, gb) in itertools.product(groups, repeat=2):
+        if ga.size * gb.size > 200:
+            continue
+        perms = [list(range(g.size)) for g in (ga, gb)]
+        for perm in perms:
+            rng.shuffle(perm)
+        for g, h in ((ga, gb), (relabel_group(ga, perms[0]), relabel_group(gb, perms[1]))):
+            for iso in (False, True):
+                got = list(core._group_maps(pointed(g), pointed(h), iso=iso))
+                assert got == list(all_pairs_group_maps(g, h, iso=iso)), (la, lb, iso)
+            checked += 1
+    assert checked == 2 * 255
+
+
+@pytest.mark.parametrize("ring_order, a, b", [(2, 3, 2), (4, 2, 1), (3, 2, 2)])
+def test_group_maps_make_at_most_nk_products_per_candidate(monkeypatch, ring_order, a, b):
+    """Every group product and heap operation of one ``rmodule_homs`` call,
+    counted.  Past the recipe the engine may spend n.k target products per
+    candidate, for n = |M1| and k generators; tabulating the target, the
+    orders and the source's products by the generators are paid once,
+    within 2|M2|^2 + 2|M1|^2.  The all-pairs check spent 2n^2 per candidate."""
+    calls = [0]
+
+    def counted(method):
+        def wrapper(self, *args):
+            calls[0] += 1
+            return method(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(FiniteGroup, "op", counted(FiniteGroup.op))
+    monkeypatch.setattr(core.FiniteHeap, "ternary", counted(core.FiniteHeap.ternary))
+    ring = FiniteRing.Zn(ring_order)
+    m1, m2 = RModule.power(ring, a), RModule.power(ring, b)
+    # Zn^a has a greedy generators, each of order n, and each may go to any
+    # element of Zn^b
+    n, k = m1.size, a
+    candidates = m2.size ** k
+    calls[0] = 0
+    homs = rmodule_homs(m1, m2)
+    assert len(homs) == ring_order ** (a * b)
+    assert calls[0] <= 2 * m2.size ** 2 + 2 * n * n + candidates * n * k
 
 
 def is_isomorphism(g, h, f):
@@ -531,8 +621,8 @@ def rmodule_isomorphism_oracle(m1, m2):
     n = m1.size
     if n == 0:
         return []
-    orders1 = sorted(m1.group.element_order(x) for x in range(n))
-    orders2 = sorted(m2.group.element_order(x) for x in range(n))
+    orders1 = sorted(element_order(m1.group, x) for x in range(n))
+    orders2 = sorted(element_order(m2.group, x) for x in range(n))
     if orders1 != orders2:
         return None
     ids = list(range(n))

@@ -835,6 +835,28 @@ def test_freeness_of_TN_negative_with_witness():
             FiniteTModule.from_rmodule(RModule.power(ring, 2)).names[0]]
 
 
+def _rings_without_one():
+    """The zero-product ring on Z4, and 2Z/8Z as Z4 with a.b = 2ab."""
+    z4 = FiniteGroup.cyclic(4)
+    return (FiniteRing(z4, [[0] * 4 for _ in range(4)]),
+            FiniteRing(z4, [[2 * a * b % 4 for b in range(4)] for a in range(4)]))
+
+
+@pytest.mark.parametrize("ring", _rings_without_one(), ids=["zero ring on Z4", "2Z/8Z"])
+def test_freeness_of_TN_states_the_unital_hypothesis_for_the_regular_module(ring):
+    # N = R, yet no free module over T(R) exists to be isomorphic to
+    assert ring.one is None
+    with pytest.raises(StructureError, match="free modules are built over unital trusses"):
+        freeness_of_TN(RModule.regular(ring))
+
+
+def test_freeness_of_TN_states_the_unital_hypothesis_before_deciding():
+    zero_ring = _rings_without_one()[0]
+    zero_action = RModule(zero_ring, FiniteGroup.cyclic(2), [[0, 0] for _ in range(4)])
+    with pytest.raises(StructureError, match="free modules are built over unital trusses"):
+        freeness_of_TN(zero_action)
+
+
 def test_verify_abs_of_free():
     assert verify_abs_of_free(Z2, 1).ok
     assert verify_abs_of_free(Z2, 2).ok
