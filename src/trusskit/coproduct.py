@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import StructureError
 from .words import eval_word_in_heap
@@ -42,9 +43,10 @@ class HeapSummand:
             raise StructureError(f"base element {self.base!r} is not in the carrier")
 
 
-@dataclass(frozen=True)
-class CoproductElement:
-    """Canonical form: one component per summand, plus integer tails."""
+class CoproductElement(NamedTuple):
+    """Canonical form: one component per summand, plus integer tails.  A
+    named tuple, so hashing, equality and field access run in C; it equals
+    the bare (components, tails) pair, so tests check the result type."""
 
     components: tuple
     tails: tuple
@@ -83,18 +85,14 @@ class DirectSum:
         if not summands:
             raise StructureError("a direct sum needs at least one summand")
         self.summands = summands
+        self.heaps = tuple(s.heap for s in summands)
         self.k = len(summands)
         self.abelian = True
         self.size = None
 
-    # -- per-slot retract arithmetic --------------------------------------
-
-    def _tern(self, i, a, b, c):
-        return self.summands[i].heap.ternary(a, b, c)
-
     def _neg(self, i, a):
         e = self.summands[i].base
-        return self._tern(i, e, a, e)
+        return self.heaps[i].ternary(e, a, e)
 
     # -- elements ----------------------------------------------------------
 
@@ -145,12 +143,12 @@ class DirectSum:
     # -- the heap operation -------------------------------------------------
 
     def ternary(self, x, y, z) -> CoproductElement:
-        components = tuple(
-            self._tern(i, x.components[i], y.components[i], z.components[i])
-            for i in range(self.k)
-        )
-        tails = tuple(a - b + c for a, b, c in zip(x.tails, y.tails, z.tails))
-        return CoproductElement(components, tails)
+        """[x, y, z] slot by slot: each summand heap's ternary on the
+        components, x - y + z on the tails; one pass over each."""
+        (xc, xt), (yc, yt), (zc, zt) = x, y, z
+        return CoproductElement(
+            tuple([h.ternary(a, b, c) for h, a, b, c in zip(self.heaps, xc, yc, zc)]),
+            tuple([a - b + c for a, b, c in zip(xt, yt, zt)]))
 
     # -- words over the disjoint union --------------------------------------
 

@@ -421,16 +421,19 @@ def tmodule_homs_to_TN(m: FiniteTModule, n_mod: RModule):
     into T(N) is x |-> phi(x) + c for c = f(0) in N and a group map phi of
     the heaps pointed at 0 and zero (``core._group_maps``).  It is kept when
     it commutes with every t (``core._first_unequivariant``): f(t.x) and
-    t.f(x) are affine in t and in x, so frames decide it."""
+    t.f(x) are affine in t and in x, so frames decide it.  N's translations
+    y |-> y + c are tabulated once, so each candidate is read off a row."""
     if m.truss != truss_from_ring(n_mod.ring):
         raise StructureError("hom-sets into T(N) need a module over T(R) for N's ring R")
     if m.size == 0:
         return [()]
     ts, xs = (h.frame() or h.elements() for h in (m.truss.heap, m.heap))
+    ns = n_mod.heap.elements()
+    plus = [[n_mod.plus(y, c) for y in ns] for c in ns]
     out = []
     for phi in _group_maps((m.heap, 0), (n_mod.heap, n_mod.zero)):
-        for c in n_mod.heap.elements():
-            f = tuple([n_mod.plus(y, c) for y in phi])
+        for row in plus:
+            f = tuple(map(row.__getitem__, phi))
             if _first_unequivariant(f, m.act, n_mod.act, ts, xs) is None:
                 out.append(f)
     return sorted(out)
@@ -494,7 +497,7 @@ def _ints(heap, x) -> tuple:
     if heap.is_finite:
         return ()
     if isinstance(heap, DirectSum):
-        return sum(map(_ints, (s.heap for s in heap.summands), x.components), ()) + x.tails
+        return sum(map(_ints, heap.heaps, x.components), ()) + x.tails
     return (x,)
 
 
@@ -505,7 +508,7 @@ def _torsion(heap, x) -> list:
         return list(heap.elements())
     if not isinstance(heap, DirectSum):
         return [x]
-    axes = map(_torsion, (s.heap for s in heap.summands), x.components)
+    axes = map(_torsion, heap.heaps, x.components)
     return [CoproductElement(c, x.tails) for c in itertools.product(*axes)]
 
 

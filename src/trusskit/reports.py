@@ -17,10 +17,13 @@ def dumps(obj) -> str:
 
 def _plain(value):
     """Convert a value into something json.dumps can handle deterministically.
-    A dataclass becomes a dict of its fields, in name order, read field by
-    field in the same walk, with no copy of the value."""
+    A dataclass or a named tuple (such as ``CoproductElement``) becomes a
+    dict of its fields, in name order, read field by field in the same walk,
+    with no copy of the value."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: _plain(getattr(value, name)) for name in sorted(value._fields)}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, dict):

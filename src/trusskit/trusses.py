@@ -8,13 +8,14 @@ the ``DirectSum`` with a singleton.  An extension's product distributes over
 the heap operation in each argument, so it is the bi-affine closed form of
 ``ExtensionTruss`` in four base products; the letter-wise product over word
 forms and the closed formulas of the worked examples live in the tests as
-oracles, not here.  ``product_table`` makes each distinct base product of a
-table once, not three per cell, and checks it lies in the carrier as
-``ExtensionTruss.mul`` does.  ``validate_truss`` decides the product laws
-on the law engine of ``laws`` (``_action_laws``), the truss acting on
-itself, exactly and on generators; ``_product_laws`` stays here, as an
-extension decides its base first.  Frames belong to the carrier, so no
-truss defines one.
+oracles, not here.  ``ExtensionTruss.mul`` makes only the base products the
+closed form reads, ge and eh only against a non-zero tail, and
+``product_table`` makes each distinct one of a table once, not per cell;
+both check that it lies in the carrier.  ``validate_truss`` decides the
+product laws on the law engine of ``laws`` (``_action_laws``), the truss
+acting on itself, exactly and on generators; ``_product_laws`` stays here,
+as an extension decides its base first.  Frames belong to the carrier, so
+no truss defines one.
 """
 
 from __future__ import annotations
@@ -181,11 +182,14 @@ class ExtensionTruss:
         T1: (g; m)(h; n) = (gh + n(g - ge) + m(h - eh) + mn.ee;  mn)
         T0: (g; m)(h; n) = (gh - n.ge - m.eh + mn.ee;  n + m - mn)
 
-    Over the integer truss with e = 0, T1 is the Dorroh product.  ``mul``
-    makes gh, ge and eh (ee is made once, when the extension is built), and
-    ``product_table`` makes each distinct base product of a table once; both
-    raise StructureError where a base product they make is outside the
-    carrier, and both combine by ``_combine``.
+    Over the integer truss with e = 0, T1 is the Dorroh product.  ge enters
+    only as a multiple of y's tail n and eh only as one of x's tail m, so
+    ``mul`` makes gh always, ge only when n != 0 and eh only when m != 0 (ee
+    is made once, when the extension is built); ``product_table`` makes each
+    distinct base product that some cell reads once.  Both raise
+    StructureError where a base product they make is outside the carrier,
+    which a nested extension's products never are (they are built in its
+    carrier, so they are not checked), and both combine by ``_combine``.
 
     The base products never see a tail and, over a base truss, are affine
     in g and in h.  So every truss law equates maps affine in each
@@ -208,6 +212,8 @@ class ExtensionTruss:
             HeapSummand(self.base_heap, self.basepoint),
             HeapSummand(FiniteHeap.singleton(symbol), 0),
         ))
+        if isinstance(base, ExtensionTruss):    # its products lie in its carrier
+            self._base_mul = base.mul
         self._ee = self._base_mul(self.basepoint, self.basepoint)
         self.adjoined_element = self.heap.inject(1, 0)
         if adjoined == "one":
@@ -245,12 +251,16 @@ class ExtensionTruss:
         return self._in_carrier(a, b, self.base.mul(a, b))
 
     def mul(self, x, y) -> CoproductElement:
-        g, h, e, times = x.components[0], y.components[0], self.basepoint, self._base_mul
-        return self._combine(x, y, times(g, h), times(g, e), times(e, h))
+        (g, _), (m,) = x
+        (h, _), (n,) = y
+        e, times = self.basepoint, self._base_mul
+        return self._combine(x, y, times(g, h), times(g, e) if n else None,
+                             times(e, h) if m else None)
 
     def _combine(self, x, y, gh, ge, eh) -> CoproductElement:
         """xy from the base products gh, ge and eh of the components g of x
-        and h of y (and the kept ee): the closed form of the class docstring."""
+        and h of y (and the kept ee): the closed form of the class docstring.
+        ge is read only when y's tail n != 0, and eh only when x's tail m != 0."""
         (g, _), (m,) = x.components, x.tails
         (h, _), (n,) = y.components, y.tails
         e, heap, ee = self.basepoint, self.base_heap, self._ee
@@ -308,22 +318,29 @@ def product_table(t, xs, ys):
     """[[t.mul(x, y) for y in ys] for x in xs], each distinct base product
     made once.
 
-    An extension product needs the base products gh, ge and eh of the
-    components g of x and h of y.  So the base is tabulated once, by
-    recursion, on the distinct components of xs and of ys, each with the
-    basepoint e; each of those products is checked to lie in the carrier;
-    and ``ExtensionTruss._combine``, the closed form that ``mul`` uses,
-    makes every cell from the table.  Nothing assumes that the base is a
-    truss.  Any other truss multiplies cell by cell.
+    An extension product reads the base products gh, ge and eh of the
+    components g of x and h of y, ge only when y's tail is not 0 and eh only
+    when x's tail is not 0, as ``mul`` does.  So the base is tabulated once,
+    by recursion, on the distinct components of xs and of ys, with the
+    basepoint e as a column when some y has a tail and as a row when some x
+    has one: every product made is one that ``mul`` makes on some cell, so
+    the table raises exactly when ``mul`` raises on some cell.  Each is
+    checked to lie in the carrier (a nested extension's always does), and
+    ``ExtensionTruss._combine``, the closed form that ``mul`` uses, makes
+    every cell from the table.  Nothing assumes that the base is a truss.
+    Any other truss multiplies cell by cell.
     """
     if not isinstance(t, ExtensionTruss):
         return [[t.mul(x, y) for y in ys] for x in xs]
     e = t.basepoint
-    rows = {g: i for i, g in enumerate(dict.fromkeys([x.components[0] for x in xs] + [e]))}
-    cols = {h: j for j, h in enumerate(dict.fromkeys([y.components[0] for y in ys] + [e]))}
-    base = [[t._in_carrier(g, h, v) for h, v in zip(cols, row)]
+    gs = [x.components[0] for x in xs] + [e] * any(x.tails[0] for x in xs)    # eh is read
+    hs = [y.components[0] for y in ys] + [e] * any(y.tails[0] for y in ys)    # ge is read
+    rows = {g: i for i, g in enumerate(dict.fromkeys(gs))}
+    cols = {h: j for j, h in enumerate(dict.fromkeys(hs))}
+    base = [[t._in_carrier(g, h, v) for h, v in zip(cols, row)] + [None]
             for g, row in zip(rows, product_table(t.base, list(rows), list(cols)))]
-    eh, je = base[rows[e]], cols[e]
+    eh = base[rows[e]] if e in rows else [None] * len(cols)
+    je = cols.get(e, -1)    # else the None past each row: no y has a tail
     xrows = [(x, base[rows[x.components[0]]]) for x in xs]
     ycols = [(y, cols[y.components[0]]) for y in ys]
     return [[t._combine(x, y, row[j], row[je], eh[j]) for y, j in ycols] for x, row in xrows]

@@ -20,6 +20,8 @@ from trusskit.coproduct import (
     HeapSummand,
     direct_sum,
 )
+from trusskit.modules import free_module
+from trusskit.trusses import double_extension, product_table, truss_TZn, unital_extension
 
 C2 = heap_from_group(FiniteGroup.cyclic(2))
 C3 = heap_from_group(FiniteGroup.cyclic(3))
@@ -411,6 +413,53 @@ def test_sample_beyond_sys_maxsize_is_lazy():
     assert first.components == (-4,) * 12 and first.tails == (-4,) * 11
     assert second.tails == (-4,) * 10 + (-3,)
     assert ds.contains(second)
+
+
+# ---------------------------------------------------------------------------
+# every operation returns the element type, not a bare pair
+#
+# A CoproductElement is a named tuple, so it equals the bare (components,
+# tails) pair; the equality tests above would pass on a bare tuple.
+
+
+def assert_elements(x):
+    """x, and every element among its components, is exactly a CoproductElement."""
+    assert type(x) is CoproductElement, type(x)
+    for c in x.components:
+        if isinstance(c, tuple):
+            assert_elements(c)
+
+
+def element_type_cases(depth):
+    """A direct sum, an extension truss and a free module whose elements
+    nest ``depth`` deep."""
+    ds = DirectSum([HeapSummand(C3, 1), HeapSummand(INT_LINE, 0), HeapSummand(C2, 0)])
+    t = unital_extension(truss_TZn(3))
+    if depth == 2:
+        ds = direct_sum(HeapSummand(ds, ds.zero()), HeapSummand(C2, 1))
+        t = double_extension(truss_TZn(3))
+    return ds, t, free_module(t.base, 2)     # over TZ3, then over T1(TZ3)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_every_operation_returns_a_coproduct_element(depth):
+    ds, t, fm = element_type_cases(depth)
+    pool = list(itertools.islice(ds.sample(1), 0, None, 7))
+    a = pool[1].components[0]
+    made = [ds.ternary(*pool[:3]), ds.inject(0, a), ds.inject(ds.k - 1, ds.summands[-1].base),
+            ds.make(pool[2].components, pool[2].tails), ds.zero(),
+            ds.normalize_word([(0, a), (1, ds.summands[1].base), (ds.k - 1, ds.summands[-1].base)]),
+            ds.from_group_form(ds.to_group_form(pool[3]))]
+    made += ds.frame() + pool
+    tpool = [t.element(g, m) for g in itertools.islice(t.base.sample_elements(1), 4)
+             for m in (-1, 0, 2)]
+    made += [t.mul(x, y) for x in tpool for y in tpool]
+    made += [z for row in product_table(t, tpool, tpool) for z in row]
+    mpool = list(itertools.islice(fm.heap.sample(1), 0, None, 11))
+    made += [fm.act(s, x) for s in itertools.islice(fm.truss.heap.sample(1), 3) for x in mpool]
+    assert len(made) > 40
+    for x in made:
+        assert_elements(x)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 ``reports._plain`` reads a dataclass field by field in the same walk.  The
 oracle is the earlier encoding, which turned a dataclass into
 ``dataclasses.asdict(value)`` (a deep copy) and walked that copy again; every
-report must encode byte for byte as it did.
+report must encode byte for byte as it did.  ``CoproductElement`` was a
+dataclass then and is a named tuple now, so the oracle turns a named tuple
+into its ``_asdict()`` before its tuple branch, as the dataclass was turned.
 """
 
 import contextlib
@@ -27,6 +29,8 @@ def asdict_plain(value):
     """The encoding before ``_plain`` read dataclasses field by field."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):
+        return asdict_plain(value._asdict())
     if isinstance(value, (list, tuple)):
         return [asdict_plain(v) for v in value]
     if isinstance(value, dict):

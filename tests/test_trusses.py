@@ -1,5 +1,6 @@
 """Trusses, built-ins, unital/ring extensions, retract rings, Dorroh."""
 
+import hashlib
 import itertools
 import random
 from pathlib import Path
@@ -531,6 +532,86 @@ def test_closed_form_product_rejects_products_outside_the_carrier():
                 product_table(t, xs, ys)
         pool = window_pool(t, 1) + [x, t.element(lift(3), 0)]
         assert product_table(t, pool, pool[:-1]) == cell_by_cell(t, pool, pool[:-1])
+
+
+class EscapingAtTheBasepoint(IntegerTruss):
+    """The integer truss but for 2.0 and 0.3, which leave the carrier: with
+    the basepoint e = 0 they are the ge of g = 2 and the eh of h = 3."""
+
+    def mul(self, a, b):
+        return "out" if (a, b) in ((2, 0), (0, 3)) else a * b
+
+
+def raises(f, *args):
+    try:
+        f(*args)
+    except StructureError:
+        return True
+    return False
+
+
+def test_extension_products_make_ge_only_for_a_tail_of_y_and_eh_only_for_one_of_x():
+    # over Z with e = 0 every ge, eh and ee is 0: T1 is the Dorroh product
+    # (gh + n.g + m.h; mn) and T0 is (gh; n + m - mn)
+    closed = {"T1": lambda g, m, h, n: (g * h + n * g + m * h, m * n),
+              "T0": lambda g, m, h, n: (g * h, n + m - m * n)}
+    for kind, form in closed.items():
+        t = EXTEND[kind](EscapingAtTheBasepoint())
+        for m, n in itertools.product((-1, 0, 2), repeat=2):
+            for (g, h), read in (((2, 4), n), ((5, 3), m)):   # 2.0 is read for n, 0.3 for m
+                x, y = t.element(g, m), t.element(h, n)
+                if read:
+                    with pytest.raises(StructureError, match="is outside the carrier"):
+                        t.mul(x, y)
+                else:
+                    assert t.mul(x, y) == t.element(*form(g, m, h, n))
+
+
+@pytest.mark.parametrize("kind", ["T1", "T0", "T01"])
+def test_product_table_raises_exactly_when_mul_raises_on_some_cell(kind):
+    t = EXTEND[kind](EscapingAtTheBasepoint())
+    if kind == "T01":    # the T1 components, with their own tails
+        pool = [t.element(t.base.element(g, k), m)
+                for g in (0, 2, 3) for k in (0, 1) for m in (-1, 0, 1)]
+    else:
+        pool = [t.element(g, m) for g in (0, 2, 3, 4) for m in (-1, 0, 1)]
+    rng, seen = random.Random(27), set()
+    for _ in range(80):
+        xs, ys = (rng.sample(pool, rng.randint(1, 4)) for _ in range(2))
+        want = any(raises(t.mul, x, y) for x in xs for y in ys)
+        assert raises(product_table, t, xs, ys) == want, (xs, ys)
+        if not want:
+            assert product_table(t, xs, ys) == cell_by_cell(t, xs, ys)
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_double_extension_validation_makes_at_most_341_base_products(monkeypatch):
+    # 1 005 when every extension product made gh, ge and eh
+    calls, mul = [], FiniteTruss.mul
+    monkeypatch.setattr(FiniteTruss, "mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
+    assert validate_truss(double_extension(truss_TZn(5))).ok
+    assert len(calls) <= 341
+
+
+# sha256 of the reprs of t.mul(x, y) over window_pool(t, 2) squared, computed
+# with the closed form making every gh, ge and eh
+PRODUCT_DIGESTS = {
+    ("T1", "TZ"): "3dec4bc1929b5cc9", ("T1", "TZ5"): "0bf7db1534ac9210",
+    ("T1", "Zc3"): "ed84e96bf81d5391", ("T1", "TC2"): "5b5f4b79d7977467",
+    ("T0", "TZ"): "e5ded71369dcce0d", ("T0", "TZ5"): "e7bcc774737260ee",
+    ("T0", "Zc3"): "14bddb2365c62b4a", ("T0", "TC2"): "9f2b28775f479013",
+    ("T01", "TZ"): "dea4ecfcab0a049e", ("T01", "TZ5"): "cdb2fdf18a63e505",
+    ("T01", "Zc3"): "728e912526ebfde2", ("T01", "TC2"): "610d820cc8b255f9",
+}
+
+
+@pytest.mark.parametrize("kind, name", sorted(PRODUCT_DIGESTS))
+def test_extension_products_are_unchanged_on_window_2_pools(kind, name):
+    t = EXTEND[kind](EXTENSION_BASES[name]())
+    pool = window_pool(t, 2)
+    text = "\n".join(repr(t.mul(x, y)) for x in pool for y in pool)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == PRODUCT_DIGESTS[kind, name]
 
 
 # ---------------------------------------------------------------------------
