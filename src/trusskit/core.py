@@ -21,19 +21,17 @@ checks that a map of modules commutes with the action, on frames or, in
 carrier heap (``FiniteHeap``, ``IntLineHeap``, ``coproduct.DirectSum``) is
 a point and that point moved by each generator of its group form, on which
 the law engine of ``laws`` decides every truss, module, ring and
-ring-module law; and ``_id_table`` checks every group, product and action
-table.  Every structure holds its carrier as ``heap``: trusses and modules
-their own, rings and ring modules the ``heap_from_group`` of their additive
-group, wrapped once when they are built and shared with T(R) and T(N), so
-each frame is walked once.  ``_unit`` finds every identity and absorber of
-a table, and ``_violated`` evaluates every associativity instance that
-``validate_heap`` checks, the dirty-entry candidates and the full sweep
-alike.
+ring-module law; ``product`` is the one direct product (of heaps, groups,
+rings and ring modules); and ``_id_table`` checks every group, product and
+action table.  ``_unit`` finds every identity and absorber of a table, and
+``_violated`` evaluates every associativity instance that ``validate_heap``
+checks, the dirty-entry candidates and the full sweep alike.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .reports import FAIL, PASS, Finding, Report
@@ -168,15 +166,9 @@ class FiniteGroup:
 
     @classmethod
     def product(cls, g, h) -> "FiniteGroup":
-        n2 = h.size
-        size = g.size * h.size
-        table = [[0] * size for _ in range(size)]
-        for a1, a2 in itertools.product(range(g.size), range(h.size)):
-            for b1, b2 in itertools.product(range(g.size), range(h.size)):
-                table[a1 * n2 + a2][b1 * n2 + b2] = g.op(a1, b1) * n2 + h.op(a2, b2)
-        names = tuple(f"({g.names[a]},{h.names[b]})"
-                      for a in range(g.size) for b in range(h.size))
-        return cls(table, names, validate=False)
+        """The retract of the heaps' ``product`` at (neutral, neutral)."""
+        return retract(product(heap_from_group(g), heap_from_group(h)),
+                       g.neutral * h.size + h.neutral)
 
     @classmethod
     def dihedral(cls, n) -> "FiniteGroup":
@@ -306,10 +298,10 @@ def _group_maps(source, target, iso=False):
     every element of a finite group.
     """
     (g, e), (h, neutral) = source, target
-    orders = [_order(h, neutral, y) for y in range(h.size)]
+    rows = [[h.ternary(a, neutral, b) for b in range(h.size)] for a in range(h.size)]
+    orders = [len(_bfs_recipe(lambda a, b: rows[a][b], neutral, [y])) + 1 for y in range(h.size)]
     if iso and sorted(orders) != sorted(_order(g, e, x) for x in range(g.size)):
         return
-    rows = [[h.ternary(a, neutral, b) for b in range(h.size)] for a in range(h.size)]
     gens = _generating_sequence(g.size, lambda a, b: g.ternary(a, e, b), e)
     steps = [[g.ternary(x, e, s) for s in gens] for x in range(g.size)]
     recipe = _bfs_recipe(lambda x, i: steps[x][i], e, range(len(gens)))
@@ -881,36 +873,44 @@ def quotient(h: FiniteHeap, s: SubHeap):
 def _quotient_heap(h: FiniteHeap, distinct, proj):
     """The heap on the classes ``distinct`` of h with projection ``proj``, as
     ``_quotient_classes`` gives them, and the projection map.  The table is
-    taken on the least member of each class, which names the class."""
+    taken on the least member of each class, which names the class.  A
+    quotient of a group heap is one, so its frame is walked with no scan."""
     reps = [min(c) for c in distinct]
     table = tuple(
         tuple(tuple(proj[h.ternary(a, b, c)] for c in reps) for b in reps)
         for a in reps
     )
     names = tuple("{" + ",".join(h.names[m] for m in sorted(c)) + "}" for c in distinct)
-    qheap = FiniteHeap(len(distinct), table=table, names=names, abelian=h.abelian)
+    qheap = FiniteHeap(len(distinct), table=table, names=names, abelian=h.abelian,
+                       frame=_walked_frame if h.frame() is not None else _scanned_frame)
     return qheap, HeapMorphism(h, qheap, proj)
 
 
-def product(h1: FiniteHeap, h2: FiniteHeap) -> FiniteHeap:
-    """Direct product: pairs with the component-wise ternary operation.  Its
-    frame is the factors' frames side by side, (0, 0) and each factor's
-    generators paired with the other's 0, with no scan of the product."""
-    n2 = h2.size
-    names = tuple(f"({h1.names[a]},{h2.names[b]})"
-                  for a in range(h1.size) for b in range(h2.size))
+def product(*heaps: FiniteHeap) -> FiniteHeap:
+    """Direct product on mixed-radix ids, the last factor fastest ((a, b) is
+    a.|h2| + b).  [x, y, z] = [[x, y, 0], 0, z] digit by digit, read off each
+    factor's two tables, 2|H|^2 reads once: no product table is built.  Its
+    frame is each factor's generators with 0 elsewhere, with no scan."""
+    sizes = [h.size for h in heaps]
+    weights = [math.prod(sizes[i + 1:]) for i in range(len(heaps))]
+    names = tuple("(" + ",".join(t) + ")" for t in itertools.product(*(h.names for h in heaps)))
+    digits = [(h.size, w, [[h.ternary(a, b, 0) for b in h.elements()] for a in h.elements()],
+               [[h.ternary(a, 0, b) for b in h.elements()] for a in h.elements()])
+              for h, w in zip(heaps, weights)]
 
     def fn(x, y, z):
-        return (h1.ternary(x // n2, y // n2, z // n2) * n2
-                + h2.ternary(x % n2, y % n2, z % n2))
+        out = 0
+        for n, w, sub, rows in digits:
+            out += rows[sub[x // w % n][y // w % n]][z // w % n] * w
+        return out
 
     def frame(_):
-        f1, f2 = h1.frame(), h2.frame()
-        return None if f1 is None or f2 is None else (
-            (0,) + tuple(g * n2 for g in f1[1:]) + f2[1:])
+        frames = [h.frame() for h in heaps]
+        return None if None in frames else (
+            (0,) + tuple(g * w for f, w in zip(frames, weights) for g in f[1:]))
 
-    return FiniteHeap.from_function(h1.size * n2, fn, names=names,
-                                    abelian=h1.abelian and h2.abelian, frame=frame)
+    return FiniteHeap.from_function(math.prod(sizes), fn, names=names,
+                                    abelian=all(h.abelian for h in heaps), frame=frame)
 
 
 def find_isomorphism(a: FiniteHeap, b: FiniteHeap):

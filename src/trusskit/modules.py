@@ -42,7 +42,6 @@ from .core import (
     _id_table,
     _quotient_classes,
     _quotient_heap,
-    retract,
     SubHeap,
 )
 from .laws import LINEAR_IN_M, LINEAR_IN_T, _Memo, _action_laws, _pool
@@ -297,14 +296,11 @@ def is_ring_module(m) -> bool:
 
 
 def to_ring_module(m: FiniteTModule) -> RModule:
-    """The ring module on the retract at the unique absorber."""
+    """The ring module on the carrier heap pointed at the unique absorber."""
     aset = absorbers(m)
     if not aset.is_singleton():
         raise StructureError("not a ring module: the absorber is not unique")
-    e = aset.members[0]
-    ring = retract_ring(m.truss, m.truss.absorber)
-    group = retract(m.heap, e)
-    return RModule(ring, group, m.action)
+    return RModule(retract_ring(m.truss, m.truss.absorber), (m.heap, *aset.members), m.action)
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +328,13 @@ def absorber_classes(m: FiniteTModule):
 
 
 def abs_quotient(m):
-    """M_Abs: the quotient by the absorbers, retracted at the absorber class.
+    """M_Abs: the quotient by the absorbers, pointed at the absorber class.
 
-    For a finite module over the truss of a ring this is an R-module with
-    the descended action.  For a free module over the truss of a finite ring
-    R it is R^n by construction, projecting x to the id of its component
-    vector (``verify_abs_of_free`` decides that this is right).  Returns
-    (module, projection).
+    For a finite module over the truss of a ring this is an R-module on the
+    quotient heap with the descended action.  For a free module over the
+    truss of a finite ring R it is R^n on the product heap by construction,
+    projecting x to the id of its component vector (``verify_abs_of_free``
+    decides that this is right).  Returns (module, projection).
     """
     if isinstance(m, FreeTModule):
         if not m._fast:
@@ -371,8 +367,7 @@ def abs_quotient(m):
     )
     if m.truss.absorber is not None:
         ring = retract_ring(m.truss, m.truss.absorber)
-        group = retract(qheap, proj(members[0]))
-        return RModule(ring, group, action), proj
+        return RModule(ring, (qheap, proj(members[0])), action), proj
     return FiniteTModule(m.truss, qheap, action), proj
 
 
@@ -428,8 +423,7 @@ def tmodule_homs_to_TN(m: FiniteTModule, n_mod: RModule):
     if m.size == 0:
         return [()]
     ts, xs = (h.frame() or h.elements() for h in (m.truss.heap, m.heap))
-    ns = n_mod.heap.elements()
-    plus = [[n_mod.plus(y, c) for y in ns] for c in ns]
+    plus = n_mod.plus_table()       # y + c = c + y: N is Abelian
     out = []
     for phi in _group_maps((m.heap, 0), (n_mod.heap, n_mod.zero)):
         for row in plus:

@@ -1,8 +1,9 @@
-"""Finite rings and modules over them, as exact id-indexed tables that hold
-their carrier as ``heap``, the heap of the additive group, wrapped once when
-built (``core.heap_from_group``) and shared with T(R) and T(N).  Addition,
-negation and integer multiples are ``_Additive``'s, on (heap, zero), here
-and in the retract rings of ``trusses``.
+"""Finite rings and modules over them, as exact id-indexed tables on an
+Abelian carrier ``heap`` pointed at ``zero``, as trusses and truss modules
+are tables on theirs.  A group is a pointed heap, a + b = [a, 0, b]
+(Certaine 1943), so no group table is kept: ``ring.add`` and
+``module.group`` are views, a constructor takes a ``FiniteGroup`` or
+(heap, zero), T(R) and T(N) share the heap, and R^n is ``core.product``.
 
 These are the classical (binary-operation) structures that trusses and
 truss modules are compared against: ring retracts, the quotient-by-absorbers
@@ -21,8 +22,8 @@ from __future__ import annotations
 import itertools
 
 from .coproduct import shift
-from .core import (FiniteGroup, StructureError, _first_unequivariant, _group_maps, _id_table,
-                   _unit, heap_from_group)
+from .core import (FiniteGroup, FiniteHeap, StructureError, _first_unequivariant, _group_maps,
+                   _id_table, _unit, _walked_frame, heap_from_group, product, retract)
 from .laws import _action_laws, _pool
 from .reports import FAIL, PASS, Finding, Report
 
@@ -43,33 +44,66 @@ class _Additive:
     def scale(self, k: int, a):
         return shift(self.heap, self.zero, k, a, self.zero)
 
+    def _hold(self, carrier, message):
+        """Hold a finite carrier, a ``FiniteGroup`` (its heap built once) or
+        (heap, zero); StructureError(message) unless it is Abelian."""
+        self.heap, self.zero = ((heap_from_group(carrier), carrier.neutral)
+                                if isinstance(carrier, FiniteGroup) else carrier)
+        if not self.heap.abelian:
+            raise StructureError(message)
+        if not self.heap.contains(self.zero):
+            raise StructureError(f"the zero {self.zero!r} is not in the carrier")
+        self.size = self.heap.size
+
+    @property
+    def group(self):
+        """The additive group of a finite carrier, a view: the retract at zero."""
+        return retract(self.heap, self.zero)
+
+    def plus_table(self):
+        """a + b for every pair of ids of a finite carrier, read off the heap."""
+        ids = range(self.size)
+        return [[self.heap.ternary(a, self.zero, b) for b in ids] for a in ids]
+
+
+def _product(parts, rows):
+    """The product heap of the parts' carriers (``core.product``) pointed at
+    their zeros, and one row per tuple in ``rows``, its entry at (x1, ..., xk)
+    the id of (rows[0][x1], ..., rows[k-1][xk]), read digit by digit."""
+    sizes = [p.size for p in parts]
+
+    def digitwise(rows):
+        out = [0]
+        for row, n in zip(rows, sizes):
+            out = [v * n + c for v in out for c in row]
+        return out
+    zero = digitwise([(p.zero,) for p in parts])[0]
+    return (product(*(p.heap for p in parts)), zero), [digitwise(r) for r in rows]
+
 
 class FiniteRing(_Additive):
-    """Ring on ids 0..n-1: an Abelian group table plus a multiplication table."""
+    """Ring on ids 0..n-1: a pointed Abelian heap and a multiplication table."""
 
-    __slots__ = ("add", "heap", "mul_table", "size", "zero", "one", "names")
+    __slots__ = ("heap", "zero", "mul_table", "size", "one", "names")
 
-    def __init__(self, add: FiniteGroup, mul_table, names=None, validate=True):
-        if not add.abelian:
-            raise StructureError("ring addition must be Abelian")
-        self.add = add
-        self.heap = heap_from_group(add)
-        self.size = add.size
-        self.zero = add.neutral
+    def __init__(self, add, mul_table, names=None, validate=True):
+        self._hold(add, "ring addition must be Abelian")
         self.mul_table = _id_table(mul_table, self.size, self.size, "the multiplication table")
-        self.names = tuple(names) if names is not None else add.names
+        self.names = tuple(names) if names is not None else self.heap.names
         self.one = _unit(self.mul_table)
         if validate:
             report = validate_ring(self)
             if not report.ok:
                 raise StructureError(f"not a ring: {report.findings[0]}")
 
+    add = _Additive.group
+
     def mul(self, a, b):
         return self.mul_table[a][b]
 
     def __eq__(self, other):
-        return (isinstance(other, FiniteRing)
-                and self.add == other.add and self.mul_table == other.mul_table)
+        return self is other or (isinstance(other, FiniteRing) and self.zero == other.zero
+                                 and self.mul_table == other.mul_table and self.heap == other.heap)
 
     def __repr__(self):
         one = self.names[self.one] if self.one is not None else "-"
@@ -79,20 +113,15 @@ class FiniteRing(_Additive):
     def Zn(cls, n) -> "FiniteRing":
         if n < 1:
             raise StructureError(f"Z_n needs n >= 1, got {n}")
-        add = FiniteGroup.cyclic(n)
-        mul = [[(a * b) % n for b in range(n)] for a in range(n)]
-        return cls(add, mul, validate=False)
+        heap = FiniteHeap.from_function(n, lambda a, b, c: (a - b + c) % n, abelian=True,
+                                        frame=_walked_frame)
+        return cls((heap, 0), [[(a * b) % n for b in range(n)] for a in range(n)], validate=False)
 
     @classmethod
-    def product(cls, r1: "FiniteRing", r2: "FiniteRing") -> "FiniteRing":
-        add = FiniteGroup.product(r1.add, r2.add)
-        n2 = r2.size
-        size = r1.size * n2
-        mul = [[0] * size for _ in range(size)]
-        for a1, a2 in itertools.product(range(r1.size), range(r2.size)):
-            for b1, b2 in itertools.product(range(r1.size), range(r2.size)):
-                mul[a1 * n2 + a2][b1 * n2 + b2] = r1.mul(a1, b1) * n2 + r2.mul(a2, b2)
-        return cls(add, mul, names=add.names, validate=False)
+    def product(cls, *rings: "FiniteRing") -> "FiniteRing":
+        """R1 x ... x Rk on the product heap, multiplied digit by digit."""
+        return cls(*_product(rings, itertools.product(*(r.mul_table for r in rings))),
+                   validate=False)
 
 
 def validate_ring(r: FiniteRing) -> Report:
@@ -108,7 +137,7 @@ def validate_ring(r: FiniteRing) -> Report:
     if (all(mul[zero][x] == zero == mul[x][zero] for x in pool)
             and not _action_laws(r, r.mul, r, (pool, pool), sweep=False)[0]):
         return Report("ring", PASS, [], {"size": n})
-    add, findings = r.add.op_table(), []
+    add, findings = r.plus_table(), []
     for a, b, c in itertools.product(range(n), repeat=3):
         ab, ac, bc = mul[a][b], mul[a][c], mul[b][c]
         for law, lhs, rhs in (("ring multiplication associativity", mul[ab][c], mul[a][bc]),
@@ -120,21 +149,16 @@ def validate_ring(r: FiniteRing) -> Report:
 
 
 class RModule(_Additive):
-    """A left module over a finite ring, with an explicit action table; the
-    regular module shares its ring's carrier heap."""
+    """A left module over a finite ring: a pointed Abelian heap and an action
+    table.  The regular module shares its ring's heap."""
 
-    __slots__ = ("ring", "group", "heap", "zero", "action", "size", "names")
+    __slots__ = ("ring", "heap", "zero", "action", "size", "names")
 
-    def __init__(self, ring: FiniteRing, group: FiniteGroup, action, validate=True):
-        if not group.abelian:
-            raise StructureError("a module's additive group must be Abelian")
+    def __init__(self, ring: FiniteRing, group, action, validate=True):
+        self._hold(group, "a module's additive group must be Abelian")
         self.ring = ring
-        self.group = group
-        self.heap = ring.heap if group is ring.add else heap_from_group(group)
-        self.zero = group.neutral
-        self.size = group.size
-        self.action = _id_table(action, ring.size, group.size, "the action table")
-        self.names = group.names
+        self.action = _id_table(action, ring.size, self.size, "the action table")
+        self.names = self.heap.names
         if validate:
             report = validate_rmodule(self)
             if not report.ok:
@@ -144,34 +168,30 @@ class RModule(_Additive):
         return self.action[r][m]
 
     def __eq__(self, other):
-        return (isinstance(other, RModule) and self.ring == other.ring
-                and self.group == other.group and self.action == other.action)
+        return self is other or (isinstance(other, RModule) and self.zero == other.zero
+                                 and self.action == other.action and self.ring == other.ring
+                                 and self.heap == other.heap)
 
     def __repr__(self):
         return f"RModule(order={self.size} over ring of order {self.ring.size})"
 
     @classmethod
     def regular(cls, ring: FiniteRing) -> "RModule":
-        return cls(ring, ring.add, ring.mul_table, validate=False)
+        return cls(ring, (ring.heap, ring.zero), ring.mul_table, validate=False)
 
     @classmethod
-    def product(cls, m1: "RModule", m2: "RModule") -> "RModule":
-        if m1.ring != m2.ring:
+    def product(cls, *modules: "RModule") -> "RModule":
+        """M1 x ... x Mk over their common ring, acting digit by digit."""
+        ring = modules[0].ring
+        if any(m.ring != ring for m in modules):
             raise StructureError("module product needs one common ring")
-        group = FiniteGroup.product(m1.group, m2.group)
-        n2 = m2.size
-        action = [
-            [m1.act(r, x // n2) * n2 + m2.act(r, x % n2) for x in range(group.size)]
-            for r in range(m1.ring.size)
-        ]
-        return cls(m1.ring, group, action, validate=False)
+        return cls(ring, *_product(modules, zip(*(m.action for m in modules))), validate=False)
 
     @classmethod
     def power(cls, ring: FiniteRing, n: int) -> "RModule":
-        out = cls.regular(ring)
-        for _ in range(n - 1):
-            out = cls.product(out, cls.regular(ring))
-        return out
+        """R^n, the n-fold product of the regular module (R itself for n = 1)."""
+        regular = cls.regular(ring)
+        return regular if n <= 1 else cls.product(*[regular] * n)
 
 
 def validate_rmodule(m: RModule) -> Report:
@@ -183,33 +203,27 @@ def validate_rmodule(m: RModule) -> Report:
     (``laws._action_laws``), on generators (Certaine's lemma, as in
     ``validate_ring``).  Otherwise the sweep lists every violated
     instance."""
-    R, n = m.ring, m.size
-    zero = m.zero
+    R, n, zero = m.ring, m.size, m.zero
     if (all(m.act(r, zero) == zero for r in range(R.size))
             and all(m.act(R.zero, x) == zero and (R.one is None or m.act(R.one, x) == x)
                     for x in range(n))
             and not _action_laws(R, m.act, m, (_pool(R), _pool(m)), sweep=False)[0]):
         return Report("R-module", PASS, [], {"size": n, "ring": R.size})
-    act, times, plus, add = m.action, R.mul_table, R.add.op_table(), m.group.op_table()
+    act, times, plus, add = m.action, R.mul_table, R.plus_table(), m.plus_table()
     findings = []
-    for r, s in itertools.product(range(R.size), repeat=2):
-        for x in range(n):
-            lhs, rhs = act[r][act[s][x]], act[times[r][s]][x]
+    for r, s, x in itertools.product(range(R.size), range(R.size), range(n)):
+        for law, lhs, rhs in (("module associativity r(sx) = (rs)x",
+                               act[r][act[s][x]], act[times[r][s]][x]),
+                              ("module law (r+s)x = rx+sx",
+                               act[plus[r][s]][x], add[act[r][x]][act[s][x]])):
             if lhs != rhs:
-                findings.append(Finding("module associativity r(sx) = (rs)x", (r, s, x), lhs, rhs))
-            lhs, rhs = act[plus[r][s]][x], add[act[r][x]][act[s][x]]
-            if lhs != rhs:
-                findings.append(Finding("module law (r+s)x = rx+sx", (r, s, x), lhs, rhs))
-    for r in range(R.size):
-        ar = act[r]
-        for x, y in itertools.product(range(n), repeat=2):
-            lhs, rhs = ar[add[x][y]], add[ar[x]][ar[y]]
-            if lhs != rhs:
-                findings.append(Finding("module law r(x+y) = rx+ry", (r, x, y), lhs, rhs))
-    if R.one is not None:
-        for x in range(n):
-            if m.act(R.one, x) != x:
-                findings.append(Finding("unitality 1x = x", (x,), m.act(R.one, x), x))
+                findings.append(Finding(law, (r, s, x), lhs, rhs))
+    for r, x, y in itertools.product(range(R.size), range(n), range(n)):
+        lhs, rhs = act[r][add[x][y]], add[act[r][x]][act[r][y]]
+        if lhs != rhs:
+            findings.append(Finding("module law r(x+y) = rx+ry", (r, x, y), lhs, rhs))
+    findings += [Finding("unitality 1x = x", (x,), act[R.one][x], x)
+                 for x in range(n) if R.one is not None and act[R.one][x] != x]
     return Report("R-module", FAIL if findings else PASS, findings,
                   {"size": n, "ring": R.size})
 

@@ -55,7 +55,7 @@ def structure_to_obj(x) -> dict:
         return {"kind": "subheap", "members": list(x.members)}
     if isinstance(x, FiniteRing):
         return {"kind": "ring", "names": list(x.names),
-                "add": [list(r) for r in x.add.op_table()],
+                "add": x.plus_table(),
                 "mul": [list(r) for r in x.mul_table]}
     if isinstance(x, FiniteTruss):
         return {"kind": "truss", "heap": structure_to_obj(x.heap),

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 
 from .coproduct import CoproductElement, DirectSum, HeapSummand, shift
-from .core import INT_LINE, FiniteHeap, StructureError, _id_table, _unit, retract
+from .core import INT_LINE, FiniteHeap, StructureError, _id_table, _unit
 from .laws import ASSOCIATIVE, LINEAR_IN_M, _action_laws, _pool
 from .reports import FAIL, PASS, Finding, Report
 from .rings import FiniteRing, _Additive
@@ -442,23 +442,16 @@ def validate_truss(t, *, samples=None, window=None, seed=None) -> Report:
 
 
 class RetractRing(_Additive):
-    """The ring living on a (possibly symbolic) ring-type truss: addition is
-    the retract group of its carrier at the absorber, multiplication is the
-    truss product."""
+    """The ring on a symbolic ring-type truss: its carrier heap pointed at
+    the absorber, as a ``FiniteRing`` is at its zero, and the truss product."""
 
-    __slots__ = ("truss", "zero")
+    __slots__ = ("truss", "heap", "zero", "one")
 
     def __init__(self, truss, zero):
         self.truss = truss
+        self.heap = truss.heap
         self.zero = zero
-
-    @property
-    def heap(self):
-        return self.truss.heap
-
-    @property
-    def one(self):
-        return self.truss.identity
+        self.one = truss.identity
 
     def mul(self, a, b):
         return self.truss.mul(a, b)
@@ -485,8 +478,7 @@ def retract_ring(t, zero):
         raise StructureError(f"{zero!r} is not in the carrier")
     _check_absorber(t, zero)
     if t.heap.is_finite:
-        add = retract(t.heap, zero)
-        return FiniteRing(add, t.mul_table, names=t.names)
+        return FiniteRing((t.heap, zero), t.mul_table, names=t.names)
     return RetractRing(t, zero)
 
 

@@ -17,6 +17,9 @@ are the references for the isomorphism searches on the same engine.
 ``free_set_check`` ran before it read the linear part of sigma, and the
 orbit closure ``resweep_closure`` are the references for the free-set and
 basis verdicts; ``sigma_oracle`` folds sigma over word forms.
+``nested_loop_product``, the group product table filled pair by pair, and
+``zn_power_table``, Z_m^n from its digits, are the references for products
+on ``core.product``.
 """
 
 import functools
@@ -54,9 +57,11 @@ from trusskit.modules import (
     free_set_check,
     freeness_of_TN,
     tmodule_homs_to_TN,
+    verify_abs_of_free,
 )
 from trusskit.rings import FiniteRing, RModule, rmodule_homs, rmodule_isomorphism
-from trusskit.trusses import integer_truss, tc2_brace_truss, truss_TZn
+from trusskit.trusses import (integer_truss, retract_ring, tc2_brace_truss, truss_from_ring,
+                              truss_TZn)
 from trusskit.words import eval_word_in_heap
 
 
@@ -783,3 +788,112 @@ def test_normality_and_classes_make_a_linear_number_of_heap_operations():
                 calls.clear()
                 core._quotient_classes(counted, s)
                 assert len(calls) <= 3 * bound, (label, members)
+
+
+# ---------------------------------------------------------------------------
+# products on the carrier heap
+
+
+def nested_loop_product(g, h):
+    """The direct product of two groups, its table filled pair by pair."""
+    n2, size = h.size, g.size * h.size
+    table = [[0] * size for _ in range(size)]
+    for a1, a2 in itertools.product(range(g.size), range(h.size)):
+        for b1, b2 in itertools.product(range(g.size), range(h.size)):
+            table[a1 * n2 + a2][b1 * n2 + b2] = g.op(a1, b1) * n2 + h.op(a2, b2)
+    names = tuple(f"({g.names[a]},{h.names[b]})" for a in range(g.size) for b in range(h.size))
+    return FiniteGroup(table, names, validate=False)
+
+
+def test_group_products_match_the_nested_loops():
+    rng = random.Random(20263)
+    groups = small_groups(8)
+    c3 = relabel_group(FiniteGroup.cyclic(3), [2, 0, 1])    # neutral at id 2
+    pairs = list(itertools.product(groups, repeat=2))
+    for label, g in groups:
+        perm = list(range(g.size))
+        rng.shuffle(perm)
+        relabelled = (label + " relabelled", relabel_group(g, perm))
+        pairs += [(relabelled, ("C3 neutral 2", c3)), (("C3 neutral 2", c3), relabelled)]
+    checked = 0
+    for (la, g), (lb, h) in pairs:
+        if g.size * h.size <= 64:
+            got, want = FiniteGroup.product(g, h), nested_loop_product(g, h)
+            assert (got, got.names, got.neutral, got.abelian) == \
+                (want, want.names, want.neutral, want.abelian), (la, lb)
+            checked += 1
+    assert checked == 14 * 14 + 2 * 14
+
+
+def zn_power_table(m, n):
+    """Addition and action of Z_m^n on mixed-radix ids, the last digit
+    fastest, from the digits of each id."""
+    vectors = list(itertools.product(range(m), repeat=n))
+    index = {v: i for i, v in enumerate(vectors)}
+    add = tuple(tuple(index[tuple((a + b) % m for a, b in zip(x, y))] for y in vectors)
+                for x in vectors)
+    act = tuple(tuple(index[tuple(r * a % m for a in x)] for x in vectors) for r in range(m))
+    return add, act
+
+
+@pytest.mark.parametrize("m, n", list(itertools.product(range(1, 5), range(1, 4))))
+def test_powers_of_Zm_match_their_digits(m, n):
+    power = RModule.power(FiniteRing.Zn(m), n)
+    add, act = zn_power_table(m, n)
+    assert power.group.op_table() == add and power.action == act and power.zero == 0
+    assert power.plus_table() == [list(row) for row in add]
+
+
+def relabel_ring(ring, perm):
+    """ring with element x renamed perm[x]."""
+    n = ring.size
+    add, mul = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+    for a, b in itertools.product(range(n), repeat=2):
+        add[perm[a]][perm[b]] = perm[ring.plus(a, b)]
+        mul[perm[a]][perm[b]] = perm[ring.mul(a, b)]
+    return FiniteRing(FiniteGroup(add), mul)
+
+
+def abs_of_free_rings():
+    rings = {f"Z{m}": FiniteRing.Zn(m) for m in range(1, 7)}
+    rings["Z2xZ2"] = FiniteRing.product(FiniteRing.Zn(2), FiniteRing.Zn(2))
+    rings["Z2xZ3"] = FiniteRing.product(FiniteRing.Zn(2), FiniteRing.Zn(3))
+    rings["Z3 zero at 2"] = relabel_ring(FiniteRing.Zn(3), [2, 0, 1])
+    return rings
+
+
+def test_retract_rings_of_finite_trusses_share_the_truss_heap():
+    for label, ring in abs_of_free_rings().items():
+        t = truss_from_ring(ring)
+        r = retract_ring(t, ring.zero)
+        assert r.heap is t.heap and r.zero == ring.zero, label
+        assert r == ring == FiniteRing(retract(t.heap, ring.zero), t.mul_table), label
+
+
+# verify_abs_of_free's frame sizes and basis images for n = 1, 2, 3, as
+# they were when R^n was built as nested group-table products
+ABS_OF_FREE = {
+    "Z1": ([1, 2, 3], [[0], [0, 0], [0, 0, 0]]),
+    "Z2": ([2, 4, 6], [[1], [2, 1], [4, 2, 1]]),
+    "Z2xZ2": ([3, 6, 9], [[3], [12, 3], [48, 12, 3]]),
+    "Z2xZ3": ([3, 6, 9], [[4], [24, 4], [144, 24, 4]]),
+    "Z3": ([2, 4, 6], [[1], [3, 1], [9, 3, 1]]),
+    "Z3 zero at 2": ([2, 4, 6], [[0], [2, 6], [8, 20, 24]]),
+    "Z4": ([2, 4, 6], [[1], [4, 1], [16, 4, 1]]),
+    "Z5": ([2, 4, 6], [[1], [5, 1], [25, 5, 1]]),
+    "Z6": ([2, 4, 6], [[1], [6, 1], [36, 6, 1]]),
+}
+
+
+def test_abs_of_free_reports_are_unchanged_on_small_ranks():
+    rings = abs_of_free_rings()
+    assert set(rings) == set(ABS_OF_FREE)
+    for label, (frames, images) in ABS_OF_FREE.items():
+        ring = rings[label]
+        for n, frame, basis in zip((1, 2, 3), frames, images):
+            report = verify_abs_of_free(ring, n)
+            assert (report.status, report.findings) == ("pass", []), (label, n)
+            assert report.stats == {
+                "ring": ring.size, "generators": n, "frame": frame,
+                "absorber_heap": f"H(Z^{n - 1})", "quotient": f"R^{n}",
+                "basis_images": [str(i) for i in basis]}, (label, n)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from trusskit import modules, trusses
+from trusskit import core, modules, trusses
 from trusskit.rings import FiniteRing, RModule, validate_ring, validate_rmodule
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -90,3 +90,32 @@ def test_ring_validators_build_no_truss_and_no_truss_module(monkeypatch):
     # the spies do see a truss and a truss module built
     modules.FiniteTModule.regular(trusses.truss_TZn(2))
     assert built == ["FiniteTruss", "FiniteTModule"]
+
+
+def test_ring_modules_and_rings_on_heaps_build_no_group_and_no_heap_table(monkeypatch):
+    """R^n, the absorber quotients, the ring module of a truss module and
+    the retract ring of a finite truss hold a pointed carrier heap: no
+    group and no ternary table is built for them."""
+    z3 = FiniteRing.Zn(3)
+    t_module = modules.FiniteTModule.from_rmodule(RModule.power(z3, 2))
+    # TZ3 fixing the C2 factor of C2 x Z3: absorbers (0, 0) and (1, 0)
+    two_absorbers = modules.FiniteTModule(
+        trusses.truss_TZn(3), core.product(FiniteRing.Zn(2).heap, z3.heap),
+        [[x - x % 3 + r * x % 3 for x in range(6)] for r in range(3)])
+    free = modules.free_module(trusses.truss_TZn(2), 3)
+    truss = trusses.truss_TZn(6)
+    fired = []
+    for cls, name in ((core.FiniteGroup, "__init__"), (core.FiniteHeap, "table")):
+        monkeypatch.setattr(cls, name, lambda self, *args, f=getattr(cls, name), name=name,
+                            **kwargs: fired.append(name) or f(self, *args, **kwargs))
+    assert RModule.power(FiniteRing.Zn(5), 6).size == 5 ** 6
+    assert modules.verify_abs_of_free(FiniteRing.Zn(5), 5).ok
+    assert modules.abs_quotient(t_module)[0].size == 9
+    assert modules.abs_quotient(two_absorbers)[0].size == 3
+    assert modules.abs_quotient(free)[0].size == 8
+    assert modules.to_ring_module(t_module).heap is t_module.heap
+    assert trusses.retract_ring(truss, 0).heap is truss.heap
+    assert fired == []
+    # the spies do see a group and a table built
+    assert FiniteRing.Zn(2).add.size == 2 and core.product(z3.heap).table()
+    assert fired == ["__init__", "table"]
