@@ -111,11 +111,6 @@ def parse_ring_spec(spec: str) -> FiniteRing:
 # table rendering
 
 
-def _extension_pool(t: ExtensionTruss, window: int):
-    return [t.element(g, m) for g in t.base.sample_elements(window)
-            for m in range(-window, window + 1)]
-
-
 def _grid(labels, cells) -> str:
     width = max([len(s) for row in [labels, *cells] for s in row], default=0)
     head = " " * (width + 2) + "| " + "  ".join(s.rjust(width) for s in labels)
@@ -178,9 +173,7 @@ def _table_form(structure, window: int):
         raise StructureError(
             f"the table would have {cells(window)} cells, more than {MAX_TABLE_CELLS}; "
             + (f"the largest window that fits is {fits}" if fits else "no window fits"))
-    if isinstance(structure, ExtensionTruss):
-        pool, fmt = _extension_pool(structure, window), structure.format_element
-    elif kind == "truss-table":
+    if kind == "truss-table":
         pool, fmt = structure.sample_elements(window), structure.format_element
     else:
         pool, fmt = range(structure.size), structure.names.__getitem__

@@ -13,11 +13,11 @@ its first member, the walk that also carries group maps along generators;
 class of a quotient by a normal sub-heap in closed form, with no search
 (``quotient``, absorber quotients of modules), and
 ``_descend`` turns a map on elements into the map on those classes;
-``_group_maps`` yields the group maps or isomorphisms between pointed heaps
-(heap, e), decided on generators (``find_isomorphism``, the module hom-sets
-and isomorphisms of ``rings`` and ``modules``); ``_first_unequivariant``
-checks that a map of modules commutes with the action, on frames or, in
-``ModuleMorphism``, on every element; ``frame()`` of a
+``_group_maps`` yields the group maps or isomorphisms from a pointed heap
+(heap, e) into a group table, on generators (``find_isomorphism``, the
+module-map search of ``rings``); every map is checked on frames, its heap
+operation by ``_first_unpreserved`` (``HeapMorphism``, the law engine) and
+its action by ``_first_unequivariant``; ``frame()`` of a
 carrier heap (``FiniteHeap``, ``IntLineHeap``, ``coproduct.DirectSum``) is
 a point and that point moved by each generator of its group form, on which
 the law engine of ``laws`` decides every truss, module, ring and
@@ -285,10 +285,19 @@ def _order(heap, e, y):
     return len(_bfs_recipe(lambda a, b: heap.ternary(a, e, b), e, [y])) + 1
 
 
+def _rows(h, e):
+    """The table of the retract of a finite heap at e, [x, e, y] in row x and
+    column y, read off the heap's own table when it keeps one."""
+    if h._table is not None:
+        return [plane[e] for plane in h._table]
+    return [[h.ternary(x, e, y) for y in h.elements()] for x in h.elements()]
+
+
 def _group_maps(source, target, iso=False):
-    """Every group map between pointed heaps (heap, e), of the retracts
-    a.b = [a, e, b] (Certaine 1943), as an id mapping, lazily; with ``iso``,
-    every isomorphism, and none unless both have the same element orders.
+    """Every group map from a pointed heap (heap, e), of its retract
+    a.b = [a, e, b] (Certaine 1943), into a group (table, neutral) that the
+    caller tabulates once, as an id mapping, lazily; with ``iso``, every
+    isomorphism, and none unless both have the same element orders.
 
     A map is fixed by its images of the source's ``_generating_sequence``,
     along ``_bfs_recipe``; a generator of order k is sent, in id order, to
@@ -297,15 +306,15 @@ def _group_maps(source, target, iso=False):
     that pass are closed under products, and positive words in them reach
     every element of a finite group.
     """
-    (g, e), (h, neutral) = source, target
-    rows = [[h.ternary(a, neutral, b) for b in range(h.size)] for a in range(h.size)]
-    orders = [len(_bfs_recipe(lambda a, b: rows[a][b], neutral, [y])) + 1 for y in range(h.size)]
+    (g, e), (rows, neutral) = source, target
+    ids = range(len(rows))
+    orders = [len(_bfs_recipe(lambda a, b: rows[a][b], neutral, [y])) + 1 for y in ids]
     if iso and sorted(orders) != sorted(_order(g, e, x) for x in range(g.size)):
         return
     gens = _generating_sequence(g.size, lambda a, b: g.ternary(a, e, b), e)
     steps = [[g.ternary(x, e, s) for s in gens] for x in range(g.size)]
     recipe = _bfs_recipe(lambda x, i: steps[x][i], e, range(len(gens)))
-    candidates = [[y for y in range(h.size) if (orders[y] == k if iso else k % orders[y] == 0)]
+    candidates = [[y for y in ids if (orders[y] == k if iso else k % orders[y] == 0)]
                   for k in (_order(g, e, s) for s in gens)]
     for imgs in itertools.product(*candidates):
         mapping = [None] * g.size
@@ -321,9 +330,9 @@ def _group_maps(source, target, iso=False):
 
 def group_isomorphism(g1: FiniteGroup, g2: FiniteGroup):
     """An isomorphism g1 -> g2 as an id mapping, or None: the first that
-    ``_group_maps`` finds between their heaps pointed at the neutral ones."""
-    return next(_group_maps((heap_from_group(g1), g1.neutral),
-                            (heap_from_group(g2), g2.neutral), iso=True), None)
+    ``_group_maps`` finds from the heap of g1 at its neutral into g2's table."""
+    return next(_group_maps((heap_from_group(g1), g1.neutral), (g2._op, g2.neutral),
+                            iso=True), None)
 
 
 # ---------------------------------------------------------------------------
@@ -490,26 +499,21 @@ def validate_heap(table, abelian=False) -> Report:
     return Report("heap table", FAIL if findings else PASS, findings, stats)
 
 
-def _first_unpreserved(source_ternary, target_ternary, mapping, pool=None, gens=None):
-    """The first (a, e, c), a in the pool, c in ``gens`` (by default the
-    pool) and e the pool's first element, where f[a,e,c] != [fa,fe,fc], or
-    None.  f(x) is ``mapping[x]``; the pool defaults to the ids 0..n-1 of a
-    sequence.
+def _first_unpreserved(source_ternary, target_ternary, mapping, pool, gens):
+    """The first (a, e, c), a in the pool, e its first element and c in
+    ``gens``, where f[a,e,c] != [fa,fe,fc], or None; f(x) is ``mapping[x]``.
 
-    For heaps this decides whether f is a heap morphism in O(n^2): preserving
-    [a,e,c] makes f a group map from the retract at e to the retract at f(e),
-    and [a,b,c] = a.b^-1.c in both.  The frame form decides it in O(n.k),
-    with the pool every element of a finite group heap, starting at the
-    point of its ``frame()``, and ``gens`` the k generators of that frame.
-    Put L(x) = f(x) - f(e) in the retracts: L(x.g) = L(x) + L(g) for each
+    With the pool every element of a finite group heap, starting at the point
+    of its ``frame()``, ``gens`` the k generators of that frame and a heap as
+    target, this decides in O(n.k) whether f is a heap morphism.  Put
+    L(x) = f(x) - f(e) in the retracts: L(x.g) = L(x) + L(g) for each
     generator g, and the y with L(x.y) = L(x) + L(y) for every x are closed
     under products, so they are every y (Certaine's lemma: an affine map is
-    fixed by its values on a frame).
+    fixed by its values on a frame), and [a,b,c] = a.b^-1.c in both heaps.
     """
-    pool = range(len(mapping)) if pool is None else pool
     e = pool[0] if pool else None
     for a in pool:
-        for c in pool if gens is None else gens:
+        for c in gens:
             if mapping[source_ternary(a, e, c)] != target_ternary(mapping[a], mapping[e],
                                                                    mapping[c]):
                 return (a, e, c)
@@ -520,9 +524,9 @@ def _first_unequivariant(mapping, src_act, dst_act, scalars, pool):
     """The first (t, x), t in ``scalars`` and x in ``pool``, where
     f(t.x) != t.f(x), or None; f(x) is ``mapping[x]``.
 
-    Over every element of a finite module this decides whether f commutes
-    with the action.  Both sides are affine in t and in x when f is a heap
-    map between modules, so frames of the scalars and the module decide it.
+    Both sides are affine in t and in x when f is a heap map between
+    modules, so the frames of the scalars and of the source module decide
+    whether f commutes with the action.
     """
     return next(((t, x) for t in scalars for x in pool
                  if mapping[src_act(t, x)] != dst_act(t, mapping[x])), None)
@@ -709,16 +713,16 @@ def retract(h: FiniteHeap, e: int) -> FiniteGroup:
     """The group on h with product a . b = [a,e,b], neutral e, inverse [e,a,e]."""
     if not h.contains(e):
         raise StructureError(f"basepoint {e!r} is not in the carrier")
-    table = [[h.ternary(a, e, b) for b in range(h.size)] for a in range(h.size)]
-    return FiniteGroup(table, h.names, validate=False)
+    return FiniteGroup(_rows(h, e), h.names, validate=False)
 
 
 @dataclass(frozen=True)
 class HeapMorphism:
     """A ternary-operation-preserving map between finite heaps.
 
-    Checked in O(n^2) at construction: a map that preserves [a,0,c] for all
-    a, c is a group map of retracts and so preserves every [a,b,c].
+    Checked at construction on the source's frame, n.k checks for k
+    generators (``_first_unpreserved``); a non-empty source or target with
+    no frame is no heap, and is refused.
     """
 
     source: FiniteHeap
@@ -731,7 +735,11 @@ class HeapMorphism:
         for v in self.mapping:
             if not self.target.contains(v):
                 raise StructureError(f"image {v!r} is not in the target carrier")
-        bad = _first_unpreserved(self.source.ternary, self.target.ternary, self.mapping)
+        frames = [h.frame() if h.size else () for h in (self.source, self.target)]
+        if None in frames:
+            raise StructureError("a carrier with no frame is not a heap")
+        bad = _first_unpreserved(self.source.ternary, self.target.ternary, self.mapping,
+                                 self.source.elements(), frames[0][1:])
         if bad is not None:
             raise StructureError(f"ternary operation not preserved at {bad}")
 
@@ -919,12 +927,12 @@ def find_isomorphism(a: FiniteHeap, b: FiniteHeap):
     Two heaps are isomorphic exactly when their retracts are isomorphic as
     groups.  The retracts of b at different basepoints are isomorphic to each
     other (``translation_iso``), so the retracts at 0 decide, and the
-    mapping is the first isomorphism ``_group_maps`` finds between the heaps
-    pointed at 0.
+    mapping is the first isomorphism ``_group_maps`` finds from a pointed at
+    0 into b's own rows [x, 0, y].
     """
     if a.size != b.size:
         return None
     if a.size == 0:
         return HeapMorphism(a, b, ())
-    mapping = next(_group_maps((a, 0), (b, 0), iso=True), None)
+    mapping = next(_group_maps((a, 0), (_rows(b, 0), 0), iso=True), None)
     return None if mapping is None else HeapMorphism(a, b, tuple(mapping))

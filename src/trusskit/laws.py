@@ -78,7 +78,7 @@ class _Frame:
         return self.steps[x, g]
 
     def first_unpreserved(self, target_ternary, f):
-        """The frame form of ``core._first_unpreserved``: the first
+        """``core._first_unpreserved`` on this frame: the first
         (x, e, g) where f[x,e,g] != [fx,fe,fg], x in the pool."""
         return _first_unpreserved(self.step, target_ternary, f, self.pool, self.gens)
 
@@ -121,8 +121,8 @@ def _action_laws(t, act, m, pools, *, sweep=True):
     symbolic one, every instance is decided; there is no other mode.
     Distributivity says that t |-> t.x (T -> M) and x |-> a.x (M -> M) are
     heap maps, which a map out of a group heap is once it preserves [u,e,g]
-    for u in the pool and g a generator of the frame (Certaine 1943; the
-    frame form of ``core._first_unpreserved``).  Only a failing map is
+    for u in the pool and g a generator of the frame (Certaine 1943;
+    ``core._first_unpreserved``).  Only a failing map is
     swept ("morphism rows"): a map out of a finite carrier on the triples
     that its ``_Frame.suspects`` names, else on every triple.  Every map is
     swept when a finite carrier is no heap ("sweep").

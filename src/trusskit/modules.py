@@ -14,12 +14,13 @@ over that ring; its classes and projection come from
 ``core._quotient_classes``, once per module, and its heap from
 ``core._quotient_heap``, and maps descend to it through ``core._descend``;
 the quotient of a free module is R^n by construction, and
-``verify_abs_of_free`` decides on a frame that it is right.  Every check
-that a map commutes with the action is ``core._first_unequivariant``.  The
-module laws run on the law engine of ``laws`` (``_action_laws``), exactly,
-as the truss laws do.  Free sets and bases are decided exactly from the
-linear part of the copaired sigma map.  Frames come from the carrier,
-``heap.frame()``, so no module defines one.
+``verify_abs_of_free`` decides on a frame that it is right.  Maps are
+checked on frames and maps into T(N) found by ``rings._module_maps``;
+``freeness_of_TN`` is a scan of r |-> r.x.  The module laws run on the law
+engine of ``laws`` (``_action_laws``), exactly, as the truss laws do.  Free
+sets and bases are decided exactly from the linear part of the copaired
+sigma map.  Frames come from the carrier, ``heap.frame()``, so no module
+defines one.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .core import (
     _descend,
     _first_unequivariant,
     _first_unpreserved,
-    _group_maps,
     _id_table,
     _quotient_classes,
     _quotient_heap,
@@ -46,7 +46,7 @@ from .core import (
 )
 from .laws import LINEAR_IN_M, LINEAR_IN_T, _Memo, _action_laws, _pool
 from .reports import FAIL, PASS, Finding, Report
-from .rings import FiniteRing, RModule, rmodule_isomorphism
+from .rings import FiniteRing, RModule, _module_maps
 from .trusses import IntegerTruss, _default_basepoint, _product_laws, retract_ring, truss_from_ring
 
 
@@ -373,7 +373,8 @@ def abs_quotient(m):
 
 @dataclass(frozen=True)
 class ModuleMorphism:
-    """A heap morphism between finite modules that respects the action."""
+    """A heap morphism between finite modules that respects the action, on
+    frames of the truss and the source; both must be modules."""
 
     source: FiniteTModule
     target: FiniteTModule
@@ -384,8 +385,8 @@ class ModuleMorphism:
         if src.truss is not dst.truss and src.truss != dst.truss:
             raise StructureError("module morphisms need a common truss")
         HeapMorphism(src.heap, dst.heap, self.mapping)
-        bad = _first_unequivariant(self.mapping, src.act, dst.act, src.truss.heap.elements(),
-                                   src.heap.elements())
+        ts, xs = (h.frame() or h.elements() for h in (src.truss.heap, src.heap))
+        bad = _first_unequivariant(self.mapping, src.act, dst.act, ts, xs)
         if bad is not None:
             raise StructureError("action not preserved at ({},{})".format(*bad))
 
@@ -414,23 +415,13 @@ def tmodule_homs_to_TN(m: FiniteTModule, n_mod: RModule):
     """All module maps from m into T(N), as mapping tuples in lexicographic
     order.  m must be a module over T(R) for the ring R of N.  A heap map
     into T(N) is x |-> phi(x) + c for c = f(0) in N and a group map phi of
-    the heaps pointed at 0 and zero (``core._group_maps``).  It is kept when
-    it commutes with every t (``core._first_unequivariant``): f(t.x) and
-    t.f(x) are affine in t and in x, so frames decide it.  N's translations
-    y |-> y + c are tabulated once, so each candidate is read off a row."""
+    the heaps pointed at 0 and zero, which is how ``rings._module_maps``
+    with translations finds them."""
     if m.truss != truss_from_ring(n_mod.ring):
         raise StructureError("hom-sets into T(N) need a module over T(R) for N's ring R")
     if m.size == 0:
         return [()]
-    ts, xs = (h.frame() or h.elements() for h in (m.truss.heap, m.heap))
-    plus = n_mod.plus_table()       # y + c = c + y: N is Abelian
-    out = []
-    for phi in _group_maps((m.heap, 0), (n_mod.heap, n_mod.zero)):
-        for row in plus:
-            f = tuple(map(row.__getitem__, phi))
-            if _first_unequivariant(f, m.act, n_mod.act, ts, xs) is None:
-                out.append(f)
-    return sorted(out)
+    return sorted(_module_maps(m, 0, m.truss, n_mod, translate=True))
 
 
 def adjunction_theta(m: FiniteTModule, n_mod: RModule, phi):
@@ -643,31 +634,29 @@ def freeness_of_TN(rm: RModule) -> Report:
     Free modules are built over unital trusses, so a ring with no identity
     raises StructureError before anything is decided.
 
-    A negative verdict carries the structural witness: T(N) has a unique
-    absorber, while a free module on two or more generators has the distinct
-    absorbers 0x != 0y.
+    Each r |-> r.x is a module map R -> N, so they are isomorphic exactly
+    when one is a bijection (its inverse is ``isomorphism``): a scan, no
+    search.  A negative verdict carries the structural witness: T(N) has a
+    unique absorber, while a free module on two or more generators has the
+    distinct absorbers 0x != 0y.
     """
     ring = rm.ring
     if ring.one is None:
         raise StructureError("free modules are built over unital trusses")
-    regular = RModule.regular(ring)
-    iso = rmodule_isomorphism(rm, regular)
+    column = next((c for c in zip(*rm.action) if len(set(c)) == rm.size == ring.size), None)
     tn = FiniteTModule.from_rmodule(rm)
-    aset = absorbers(tn)
-    findings = []
     stats = {"module": rm.size, "ring": ring.size,
-             "absorbers_of_TN": [tn.names[x] for x in aset.members]}
-    if iso is not None:
-        stats["isomorphism"] = list(iso)
+             "absorbers_of_TN": [tn.names[x] for x in absorbers(tn).members]}
+    if column is not None:
+        stats["isomorphism"] = [column.index(y) for y in range(rm.size)]
         return Report("freeness of T(N)", PASS, [], stats)
     fm = free_module(truss_from_ring(ring), 2)
     zx = fm.heap.inject(0, ring.zero)
     zy = fm.heap.inject(1, ring.zero)
-    findings.append(Finding("no module isomorphism between N and R", ()))
-    findings.append(Finding("rank >= 2 free modules have distinct absorbers",
-                            (str(zx), str(zy)),
-                            note="0x != 0y, but T(N) has a unique absorber"))
-    return Report("freeness of T(N)", FAIL, findings, stats)
+    return Report("freeness of T(N)", FAIL, [
+        Finding("no module isomorphism between N and R", ()),
+        Finding("rank >= 2 free modules have distinct absorbers", (str(zx), str(zy)),
+                note="0x != 0y, but T(N) has a unique absorber")], stats)
 
 
 def verify_abs_of_free(ring: FiniteRing, n: int) -> Report:
@@ -703,7 +692,7 @@ def verify_abs_of_free(ring: FiniteRing, n: int) -> Report:
 
     power, project = abs_quotient(fm)
     f, ternary = _Memo(project), power.heap.ternary
-    bad = _first_unpreserved(fm.heap.ternary, ternary, f, frame)
+    bad = _first_unpreserved(fm.heap.ternary, ternary, f, frame, frame)
     if bad is not None:
         x, y, z = bad
         findings.append(Finding("projection is not a heap morphism", bad,

@@ -7,13 +7,11 @@ are tables on theirs.  A group is a pointed heap, a + b = [a, 0, b]
 
 These are the classical (binary-operation) structures that trusses and
 truss modules are compared against: ring retracts, the quotient-by-absorbers
-module, and the hom-sets and isomorphisms behind the adjunction and freeness
-checks, built from generator images of the carrier heap pointed at zero
-(``core._group_maps``) and kept when they commute with the action on frames
-(``core._first_unequivariant``).  Ring and ring-module laws are decided on
-the ring and the module themselves, on generators, by the law engine of
-``laws``, which reads only their ``heap`` and ``mul`` or ``act``, and swept
-only when they fail.  So ``rings`` imports neither ``trusses`` nor
+module, and the hom-sets and isomorphisms behind the adjunction, all found
+by one search, ``_module_maps``, on generators and frames.  Ring and
+ring-module laws are decided on the ring and the module themselves, on
+generators, by the law engine of ``laws``, which reads only their ``heap``
+and ``mul`` or ``act``, and swept only when they fail.  So ``rings`` imports neither ``trusses`` nor
 ``modules``, which are built on it.
 """
 
@@ -23,7 +21,7 @@ import itertools
 
 from .coproduct import shift
 from .core import (FiniteGroup, FiniteHeap, StructureError, _first_unequivariant, _group_maps,
-                   _id_table, _unit, _walked_frame, heap_from_group, product, retract)
+                   _id_table, _rows, _unit, _walked_frame, heap_from_group, product, retract)
 from .laws import _action_laws, _pool
 from .reports import FAIL, PASS, Finding, Report
 
@@ -62,8 +60,7 @@ class _Additive:
 
     def plus_table(self):
         """a + b for every pair of ids of a finite carrier, read off the heap."""
-        ids = range(self.size)
-        return [[self.heap.ternary(a, self.zero, b) for b in ids] for a in ids]
+        return _rows(self.heap, self.zero)
 
 
 def _product(parts, rows):
@@ -228,23 +225,32 @@ def validate_rmodule(m: RModule) -> Report:
                   {"size": n, "ring": R.size})
 
 
+def _module_maps(m, e, scalars, target, iso=False, translate=False):
+    """Every module map from m, pointed at e and acted on by ``scalars``, into
+    the R-module target, lazily: each group map phi at e and zero
+    (``core._group_maps``; with ``iso`` the isomorphisms), with ``translate``
+    (into T(N)) each phi + c read off the same table, kept when it commutes
+    with the action on frames (``core._first_unequivariant``)."""
+    rows = _rows(target.heap, target.zero)
+    ts, xs = (h.frame() or h.elements() for h in (scalars.heap, m.heap))
+    for phi in _group_maps((m.heap, e), (rows, target.zero), iso=iso):
+        # c + y = y + c: the target is Abelian
+        for f in (tuple(map(row.__getitem__, phi)) for row in rows) if translate else (phi,):
+            if _first_unequivariant(f, m.act, target.act, ts, xs) is None:
+                yield f
+
+
 def rmodule_isomorphism(m1: RModule, m2: RModule):
     """An R-module isomorphism m1 -> m2 as an id mapping, or None: the first
-    of the heaps pointed at zero (``core._group_maps``) that commutes with
-    the action on frames (``core._first_unequivariant``); m1, m2 must be modules."""
+    that ``_module_maps`` finds; m1 and m2 must be modules."""
     if m1.ring != m2.ring:
         return None
-    rs, xs = m1.ring.heap.frame(), m1.heap.frame()
-    return next((f for f in _group_maps((m1.heap, m1.zero), (m2.heap, m2.zero), iso=True)
-                 if _first_unequivariant(f, m1.act, m2.act, rs, xs) is None), None)
+    return next(_module_maps(m1, m1.zero, m1.ring, m2, iso=True), None)
 
 
 def rmodule_homs(m1: RModule, m2: RModule):
     """All R-module homomorphisms m1 -> m2 as mapping tuples, in
-    lexicographic order, found as ``rmodule_isomorphism`` finds one; m1 and
-    m2 must be modules."""
+    lexicographic order (``_module_maps``); m1 and m2 must be modules."""
     if m1.ring != m2.ring:
         raise StructureError("hom-sets need one common ring")
-    rs, xs = m1.ring.heap.frame(), m1.heap.frame()
-    return sorted(tuple(f) for f in _group_maps((m1.heap, m1.zero), (m2.heap, m2.zero))
-                  if _first_unequivariant(f, m1.act, m2.act, rs, xs) is None)
+    return sorted(map(tuple, _module_maps(m1, m1.zero, m1.ring, m2)))

@@ -239,7 +239,8 @@ class ExtensionTruss:
         return self.heap.make((g, 0), (n,))
 
     def sample_elements(self, window):
-        return self.heap.sample(window)
+        return [self.element(g, m) for g in self.base.sample_elements(window)
+                for m in range(-window, window + 1)]
 
     def _in_carrier(self, a, b, v):
         """The base product v = ab, once it is checked to lie in the carrier."""

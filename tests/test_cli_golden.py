@@ -57,6 +57,10 @@ CASES = [
     ["extend", "--unital", "--builtin", "TZ3", "table", "--window", "1"],
     ["extend", "--unital", F + "truss_tz4.json", "table", "--json", "--window", "2"],
     ["extend", "--unital", F + "truss_tz4_bad.json", "table", "--window", "1"],
+    ["extend", "--both", "--builtin", "Zc3", "table", "--window", "1"],
+    ["extend", "--both", "--builtin", "star"],
+    ["extend", "--unital", "--builtin", "TZ", "--window", "0"],
+    ["extend", "--unital", F + "truss_tz4.json", F + "truss_tz4.json"],
     ["extend", "--unital", "--builtin", "XYZ"],
     ["extend", "--unital"],
     ["extend", "--unital", F + "heap_c4.json"],

@@ -667,6 +667,21 @@ def test_morphism_validation_rejects_non_morphism():
         HeapMorphism(h, h, (0, 0, 1))
 
 
+def test_morphism_refuses_a_carrier_that_is_not_a_heap():
+    # T has [x,x,y] = y = [y,x,x] (Mal'cev) but is no heap, so no frame; the
+    # map (0, 0, 1) preserves every [a,0,c] yet breaks [0,1,0] = 2:
+    # f(2) = 1 while [f0, f1, f0] = [0, 0, 0] = 0
+    T = [[[0, 1, 2], [2, 0, 1], [2, 0, 0]],
+         [[1, 0, 2], [0, 1, 2], [2, 0, 1]],
+         [[2, 2, 0], [1, 2, 0], [0, 1, 2]]]
+    h = FiniteHeap(3, table=T)
+    assert h.frame() is None and h.ternary(0, 1, 0) == 2
+    assert all(T[x][x][y] == y == T[y][x][x] for x in range(3) for y in range(3))
+    for source, target in ((h, h), (h, heap_from_group(Z(3))), (heap_from_group(Z(3)), h)):
+        with pytest.raises(StructureError, match="not a heap"):
+            HeapMorphism(source, target, (0, 0, 1))
+
+
 def brute_force_is_morphism(h, m):
     n = h.size
     return all(m[h.ternary(a, b, c)] == h.ternary(m[a], m[b], m[c])
@@ -681,7 +696,7 @@ def test_pair_check_matches_brute_force_on_all_self_maps(group, endomorphisms):
     h = heap_from_group(group)
     accepted = 0
     for m in itertools.product(range(h.size), repeat=h.size):
-        bad = _first_unpreserved(h.ternary, h.ternary, m)
+        bad = _first_unpreserved(h.ternary, h.ternary, m, h.elements(), h.frame()[1:])
         assert (bad is None) == brute_force_is_morphism(h, m), m
         if bad is None:
             accepted += 1

@@ -6,7 +6,7 @@ current set until a round adds nothing.  ``absorber_classes_oracle`` builds
 the absorber classes of a finite module from their definition.  Both stay
 here as references for ``core._closure`` and ``core._quotient_classes``.
 ``rmodule_homs_oracle`` and ``tmodule_homs_to_TN_oracle`` try all |N|^|M|
-maps; they are the references for the hom-sets built by ``core._group_maps``.
+maps; they are the references for the hom-sets of ``rings._module_maps``.
 ``all_pairs_group_maps`` builds the same candidates and checks each on all
 n^2 pairs; it is the reference for the maps ``core._group_maps`` yields, and
 for their order.
@@ -33,7 +33,6 @@ from trusskit import core, modules
 from trusskit.core import (
     FiniteGroup,
     HeapMorphism,
-    _first_unpreserved,
     StructureError,
     find_isomorphism,
     generated_subheap,
@@ -345,18 +344,20 @@ def rmodule_homs_oracle(m1, m2):
 
 
 def tmodule_homs_to_TN_oracle(m, n_mod):
-    """All module maps m -> T(N), from all |N|^|m| maps."""
-    size_m, size_n = m.size, n_mod.size
-
-    def tn_ternary(x, y, z):
-        return n_mod.plus(n_mod.plus(x, n_mod.neg(y)), z)
-
+    """All module maps m -> T(N), from all |N|^|m| maps, each checked on all
+    pairs: f[a,0,c] = f(a) - f(0) + f(c), with m's [a,0,c] and N's
+    x - y + z tabulated once."""
+    ids_m, ids_n = range(m.size), range(n_mod.size)
+    src = [[m.heap.ternary(a, 0, c) for c in ids_m] for a in ids_m]
+    tn = [[[n_mod.plus(n_mod.plus(x, n_mod.neg(y)), z) for z in ids_n] for y in ids_n]
+          for x in ids_n]
     out = []
-    for mapping in itertools.product(range(size_n), repeat=size_m):
-        if _first_unpreserved(m.heap.ternary, tn_ternary, mapping) is not None:
+    for mapping in itertools.product(ids_n, repeat=m.size):
+        if any(mapping[src[a][c]] != tn[mapping[a]][mapping[0]][mapping[c]]
+               for a in ids_m for c in ids_m):
             continue
         if all(mapping[m.act(r, x)] == n_mod.act(r, mapping[x])
-               for r in m.truss.heap.elements() for x in range(size_m)):
+               for r in m.truss.heap.elements() for x in ids_m):
             out.append(mapping)
     return out
 
@@ -469,12 +470,17 @@ def pointed(g):
     return heap_from_group(g), g.neutral
 
 
+def op_rows(g):
+    """The table of a group and its neutral element, a target of ``_group_maps``."""
+    return g.op_table(), g.neutral
+
+
 def test_group_maps_match_the_oracle_on_small_groups():
     groups = small_groups(8)
     checked = 0
     for (la, ga), (lb, gb) in itertools.product(groups, repeat=2):
         if gb.size ** ga.size <= 10 ** 5:
-            got = sorted(tuple(f) for f in core._group_maps(pointed(ga), pointed(gb)))
+            got = sorted(tuple(f) for f in core._group_maps(pointed(ga), op_rows(gb)))
             assert got == group_homs_oracle(ga, gb), (la, lb)
             checked += 1
     assert checked > 40
@@ -527,7 +533,7 @@ def test_group_maps_decided_on_generators_match_the_all_pairs_engine():
             rng.shuffle(perm)
         for g, h in ((ga, gb), (relabel_group(ga, perms[0]), relabel_group(gb, perms[1]))):
             for iso in (False, True):
-                got = list(core._group_maps(pointed(g), pointed(h), iso=iso))
+                got = list(core._group_maps(pointed(g), op_rows(h), iso=iso))
                 assert got == list(all_pairs_group_maps(g, h, iso=iso)), (la, lb, iso)
             checked += 1
     assert checked == 2 * 255

@@ -430,6 +430,17 @@ def test_module_morphism_rejects_a_map_that_is_not_into_the_target(mapping, mess
         ModuleMorphism(m, m, mapping)
 
 
+def test_module_morphism_checks_the_action_on_frames(monkeypatch):
+    # the 2 frame points of TZ2 by the 4 of Z2^3, two actions each; 32 when
+    # every scalar met every element
+    m = FiniteTModule.from_rmodule(RModule.power(Z2, 3))
+    calls, act = [], FiniteTModule.act
+    monkeypatch.setattr(FiniteTModule, "act",
+                        lambda self, t, x: calls.append(1) or act(self, t, x))
+    ModuleMorphism(m, m, tuple(range(m.size)))
+    assert len(calls) == 16
+
+
 def test_module_morphism_names_the_first_unequivariant_pair():
     src = trivial_action_module()
     dst = FiniteTModule.from_rmodule(RModule.regular(Z2))
@@ -496,6 +507,18 @@ def test_hom_set_cardinality_example():
     # linear maps (Z2)^2 -> Z2: exactly four
     m = FiniteTModule.from_rmodule(RModule.power(Z2, 2))
     assert len(tmodule_homs_to_TN(m, RModule.regular(Z2))) == 4
+
+
+def test_hom_sets_into_TN_tabulate_the_sums_of_N_once(monkeypatch):
+    # |N|^2 heap operations on N, read as group products and as
+    # translations alike; 2|N|^2 when the translations had their own table
+    m = FiniteTModule.from_rmodule(RModule.power(Z2, 4))
+    n_mod = RModule.power(Z2, 3)
+    calls, ternary = [], FiniteHeap.ternary
+    monkeypatch.setattr(FiniteHeap, "ternary", lambda self, a, b, c: (
+        calls.append(1) if self is n_mod.heap else None) or ternary(self, a, b, c))
+    assert len(tmodule_homs_to_TN(m, n_mod)) == 2 ** 12    # Hom(Z2^4, Z2^3)
+    assert len(calls) == n_mod.size ** 2 == 64
 
 
 # every (n, a, b) with n <= 8, n^a <= 16, n^b <= 16 and n^(ab) <= 256
@@ -833,6 +856,19 @@ def test_freeness_of_TN_negative_with_witness():
         assert any("distinct absorbers" in f.law for f in report.findings)
         assert report.stats["absorbers_of_TN"] == [
             FiniteTModule.from_rmodule(RModule.power(ring, 2)).names[0]]
+
+
+def test_freeness_of_TN_scans_r_x_with_no_search_and_no_regular_module(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("freeness_of_TN must decide by the scan")
+
+    z2_squared, z4 = RModule.power(Z2, 2), RModule.regular(FiniteRing.Zn(4))
+    monkeypatch.setattr(modules, "_module_maps", refuse)
+    monkeypatch.setattr(RModule, "regular", refuse)
+    assert not freeness_of_TN(z2_squared).ok
+    report = freeness_of_TN(z4)
+    # r |-> r.x is a bijection first at x = 1, so the isomorphism is its inverse
+    assert report.ok and report.stats["isomorphism"] == [0, 1, 2, 3]
 
 
 def _rings_without_one():

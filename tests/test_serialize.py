@@ -65,6 +65,12 @@ def test_documents_with_a_window_key_still_load():
     assert serialize.loads(json.dumps(obj)) == modules.free_module(TZ3, 2)
 
 
+def test_builtin_truss_documents_load_star_and_refuse_an_unknown_name():
+    assert serialize.loads(json.dumps({"kind": "truss", "builtin": "star"})) == terminal_truss()
+    with pytest.raises(StructureError, match="unknown builtin truss 'XYZ'"):
+        serialize.loads(json.dumps({"kind": "truss", "builtin": "XYZ"}))
+
+
 MALFORMED = {
     "group table is a number": {"kind": "group", "table": 5},
     "Zc with a text c": {"kind": "truss", "builtin": "Zc", "c": "x"},
