@@ -322,9 +322,7 @@ def cmd_abs(args) -> tuple[int, str]:
     if isinstance(structure, (FiniteTModule, TrivialIntModule, FreeTModule)):
         aset = absorbers(structure)
         if aset.kind == "finite":
-            names = [structure.names[x] for x in aset.members] \
-                if isinstance(structure, FiniteTModule) else list(aset.members)
-            return 0, dumps({"absorbers": names})
+            return 0, dumps({"absorbers": [structure.names[x] for x in aset.members]})
         if aset.kind == "all":
             return 0, dumps({"absorbers": "all"})
         return 0, dumps({"absorbers": "tails", "tail_rank": structure.n - 1})

@@ -16,11 +16,12 @@ over that ring; its classes and projection come from
 the quotient of a free module is R^n by construction, and
 ``verify_abs_of_free`` decides on a frame that it is right.  Maps are
 checked on frames and maps into T(N) found by ``rings._module_maps``;
-``freeness_of_TN`` is a scan of r |-> r.x.  The module laws run on the law
-engine of ``laws`` (``_action_laws``), exactly, as the truss laws do.  Free
-sets and bases are decided exactly from the linear part of the copaired
-sigma map.  Frames come from the carrier, ``heap.frame()``, so no module
-defines one.
+``freeness_of_TN`` is a scan of r |-> r.x; absorbers are read off the
+action table in hand (``_fixed``), so no T(N) is built.  The module laws run
+on the law engine of ``laws`` (``_action_laws``), exactly, as the truss laws
+do.  Free sets and bases are decided exactly from the linear part of the
+copaired sigma map.  Frames come from the carrier, ``heap.frame()``, so no
+module defines one.
 """
 
 from __future__ import annotations
@@ -143,14 +144,10 @@ class FreeTModule:
             raise StructureError("free modules are built over unital trusses")
         if basepoint is None:
             basepoint = _default_basepoint(truss)
-        if not truss.heap.contains(basepoint):
-            raise StructureError(f"base point {basepoint!r} is not in the truss")
         self.truss = truss
         self.n = n
         self.basepoint = basepoint
         self.heap = DirectSum(tuple(HeapSummand(truss.heap, basepoint) for _ in range(n)))
-        # the base point absorbs: absorbers and the quotient need this
-        self._fast = truss.absorber is not None and basepoint == truss.absorber
 
     def generators(self):
         return [self.heap.inject(i, self.truss.identity) for i in range(self.n)]
@@ -268,22 +265,24 @@ class AbsorberSet:
                 and all(c == zero for c in x.components))
 
 
+def _fixed(action, size) -> tuple:
+    """The x that every row of an action table fixes, in id order."""
+    return tuple(x for x in range(size) if all(row[x] == x for row in action))
+
+
 def absorbers(m) -> AbsorberSet:
-    """The absorber set.  Finite carriers are scanned directly; over the
-    truss of a ring the set equals {0.m}; for a free module over a ring
-    truss it is the sub-heap of tails (zero components, arbitrary tails)."""
-    t = m.truss
+    """The absorber set of a module of this package: read off a finite
+    module's action table (``_fixed``), {0.m} over the truss of a ring; for
+    a free module at the absorber of a ring truss, the sub-heap of tails."""
     if isinstance(m, FreeTModule):
-        if not m._fast:
+        if m.basepoint != m.truss.absorber:
             raise StructureError("absorbers of a free module are computed over"
                                  " ring trusses with the zero as base point")
         return AbsorberSet(m, "tails")
     if isinstance(m, TrivialIntModule):
         return AbsorberSet(m, "all")
-    if m.heap.is_finite and t.heap.is_finite:
-        members = tuple(x for x in m.heap.elements()
-                        if all(m.act(a, x) == x for a in t.heap.elements()))
-        return AbsorberSet(m, "finite", members)
+    if isinstance(m, FiniteTModule):
+        return AbsorberSet(m, "finite", _fixed(m.action, m.size))
     raise StructureError("cannot decide the absorber set for this module")
 
 
@@ -331,15 +330,14 @@ def abs_quotient(m):
     """M_Abs: the quotient by the absorbers, pointed at the absorber class.
 
     For a finite module over the truss of a ring this is an R-module on the
-    quotient heap with the descended action.  For a free module over the
-    truss of a finite ring R it is R^n on the product heap by construction,
-    projecting x to the id of its component vector (``verify_abs_of_free``
-    decides that this is right).  Returns (module, projection).
+    quotient heap with the action descended from each class's least member.
+    For a free module over the truss of a finite ring R it is R^n on the
+    product heap by construction, projecting x to the id of its component
+    vector (``verify_abs_of_free`` decides that this is right).  Returns
+    (module, projection).
     """
     if isinstance(m, FreeTModule):
-        if not m._fast:
-            raise StructureError("the absorber quotient of a free module needs"
-                                 " a ring truss with the zero as base point")
+        absorbers(m)    # raises unless the base point is the zero of a ring truss
         if not m.truss.heap.is_finite:
             raise StructureError("the absorber quotient of a free module is R^n,"
                                  " which needs a finite ring R")
@@ -359,10 +357,8 @@ def abs_quotient(m):
         raise StructureError("the empty module has no absorber quotient")
     members, distinct, proj = _absorber_quotient(m)
     qheap, proj = _quotient_heap(m.heap, distinct, proj)
-    # classes are ordered by least member, so each first hit is that member
-    reps = [proj.mapping.index(i) for i in range(qheap.size)]
     action = tuple(
-        tuple(proj(m.act(t, rep)) for rep in reps)
+        tuple(proj(m.act(t, min(c))) for c in distinct)
         for t in m.truss.heap.elements()
     )
     if m.truss.absorber is not None:
@@ -417,7 +413,7 @@ def tmodule_homs_to_TN(m: FiniteTModule, n_mod: RModule):
     into T(N) is x |-> phi(x) + c for c = f(0) in N and a group map phi of
     the heaps pointed at 0 and zero, which is how ``rings._module_maps``
     with translations finds them."""
-    if m.truss != truss_from_ring(n_mod.ring):
+    if (m.truss.heap, m.truss.mul_table) != (n_mod.ring.heap, n_mod.ring.mul_table):
         raise StructureError("hom-sets into T(N) need a module over T(R) for N's ring R")
     if m.size == 0:
         return [()]
@@ -456,12 +452,7 @@ class SigmaMorphism:
         t = self.module.truss
         if not t.heap.is_finite:
             raise StructureError("enumerating the image needs a finite truss")
-        seen = []
-        for a in t.heap.elements():
-            v = self(a)
-            if v not in seen:
-                seen.append(v)
-        return seen
+        return list(dict.fromkeys(map(self, t.heap.elements())))
 
 
 def sigma(m, x) -> SigmaMorphism:
@@ -636,7 +627,9 @@ def freeness_of_TN(rm: RModule) -> Report:
 
     Each r |-> r.x is a module map R -> N, so they are isomorphic exactly
     when one is a bijection (its inverse is ``isomorphism``): a scan, no
-    search.  A negative verdict carries the structural witness: T(N) has a
+    search.  ``absorbers_of_TN`` are the x that every r fixes, read off N's
+    action table (``_fixed``), which is T(N)'s: a pass builds no T(N) and
+    no T(R).  A negative verdict carries the structural witness: T(N) has a
     unique absorber, while a free module on two or more generators has the
     distinct absorbers 0x != 0y.
     """
@@ -644,9 +637,8 @@ def freeness_of_TN(rm: RModule) -> Report:
     if ring.one is None:
         raise StructureError("free modules are built over unital trusses")
     column = next((c for c in zip(*rm.action) if len(set(c)) == rm.size == ring.size), None)
-    tn = FiniteTModule.from_rmodule(rm)
     stats = {"module": rm.size, "ring": ring.size,
-             "absorbers_of_TN": [tn.names[x] for x in absorbers(tn).members]}
+             "absorbers_of_TN": [rm.names[x] for x in _fixed(rm.action, rm.size)]}
     if column is not None:
         stats["isomorphism"] = [column.index(y) for y in range(rm.size)]
         return Report("freeness of T(N)", PASS, [], stats)

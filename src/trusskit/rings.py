@@ -178,7 +178,9 @@ class RModule(_Additive):
 
     @classmethod
     def product(cls, *modules: "RModule") -> "RModule":
-        """M1 x ... x Mk over their common ring, acting digit by digit."""
+        """M1 x ... x Mk over their common ring, acting digit by digit; k >= 1."""
+        if not modules:
+            raise StructureError("a module product needs at least one factor")
         ring = modules[0].ring
         if any(m.ring != ring for m in modules):
             raise StructureError("module product needs one common ring")
@@ -186,9 +188,9 @@ class RModule(_Additive):
 
     @classmethod
     def power(cls, ring: FiniteRing, n: int) -> "RModule":
-        """R^n, the n-fold product of the regular module (R itself for n = 1)."""
+        """R^n, the n-fold product of the regular module (R itself for n = 1), n >= 1."""
         regular = cls.regular(ring)
-        return regular if n <= 1 else cls.product(*[regular] * n)
+        return regular if n == 1 else cls.product(*[regular] * n)
 
 
 def validate_rmodule(m: RModule) -> Report:

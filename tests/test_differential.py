@@ -710,6 +710,29 @@ def test_TN_is_free_exactly_when_N_is_Zn_on_every_small_module(n):
                                           report.stats["isomorphism"]), label
 
 
+def powers_and_relabellings():
+    """(label, N) for every Z_n^k with n <= 8 and n^k <= 64, plain and
+    relabelled, and every module of ``cyclic_products`` up to 16 elements."""
+    rng = random.Random(20263)
+    for n in range(2, 9):
+        for k in range(1, 7):
+            if n ** k <= 64:
+                m = RModule.power(FiniteRing.Zn(n), k)
+                perm = list(range(m.size))
+                rng.shuffle(perm)
+                yield f"Z{n}^{k}", m
+                yield f"relabelled Z{n}^{k}", relabel_rmodule(m, perm)
+        for label, _, m in cyclic_products(n, 16):
+            yield label, m
+
+
+def test_absorbers_of_TN_are_the_points_every_scalar_fixes():
+    for label, m in powers_and_relabellings():
+        want = [m.names[x] for x in range(m.size)
+                if all(m.act(r, x) == x for r in range(m.ring.size))]
+        assert freeness_of_TN(m).stats["absorbers_of_TN"] == want, label
+
+
 def is_normal_search(s):
     """(verdict, base, counterexample, witnesses) of normality at the least
     member e, each witness t of [t,e,a] = [a,e,s'] found by trying every

@@ -970,6 +970,113 @@ def test_abs_quotient_of_a_free_module_needs_a_finite_ring():
         abs_quotient(free_module(integer_truss(), 2))
 
 
+def _two_absorber_module():
+    """TZ3 fixing the C2 factor of C2 x Z3: absorbers (0, 0) and (1, 0)."""
+    return FiniteTModule(truss_TZn(3), core.product(Z2.heap, Z3.heap),
+                         [[x - x % 3 + r * x % 3 for x in range(6)] for r in range(3)])
+
+
+_REFUSALS = {
+    "a table-backed module over TZ": (
+        lambda: FiniteTModule(integer_truss(), Z3.heap, []),
+        "table-backed modules need a finite truss"),
+    "a table-backed module on the heap of S3": (
+        lambda: FiniteTModule(truss_TZn(2), heap_from_group(FiniteGroup.dihedral(3)),
+                              [list(range(6))] * 2),
+        "a module carrier must be an Abelian heap"),
+    "the universal lift of F(2) given one image": (
+        lambda: free_module(truss_TZn(3), 2).universal_lift(
+            FiniteTModule.regular(truss_TZn(3)), [0]),
+        "one image per generator is required"),
+    "a free module at a base point outside the truss": (
+        lambda: free_module(truss_TZn(3), 2, 7),
+        "base element 7 is not in the carrier"),
+    "the absorbers of F(2) over TZ3 at base point 1": (
+        lambda: absorbers(free_module(truss_TZn(3), 2, 1)),
+        "absorbers of a free module are computed over ring trusses with the zero as base point"),
+    "the absorber quotient of F(2) over TZ3 at base point 1": (
+        lambda: abs_quotient(free_module(truss_TZn(3), 2, 1)),
+        "absorbers of a free module are computed over ring trusses with the zero as base point"),
+    "the ring-module test over TC2": (
+        lambda: is_ring_module(FiniteTModule.regular(tc2_brace_truss())),
+        "the ring-module test needs a ring-type truss"),
+    "the ring module of a module with two absorbers": (
+        lambda: to_ring_module(_two_absorber_module()),
+        "not a ring module: the absorber is not unique"),
+    "the absorber quotient of the trivial integer module": (
+        lambda: abs_quotient(TrivialIntModule()),
+        "the absorber quotient needs a finite carrier or a canonical free module"),
+    "the image of a sigma map over TZ": (
+        lambda: sigma(TrivialIntModule(), 3).image(),
+        "enumerating the image needs a finite truss"),
+    "a sigma map at an element outside T(Z3)": (
+        lambda: sigma(FiniteTModule.regular(truss_TZn(3)), 9),
+        "9 is not in the module carrier"),
+    "a free-set candidate outside T(Z3)": (
+        lambda: free_set_check(FiniteTModule.regular(truss_TZn(3)), [9]),
+        "candidate 9 is not in the module"),
+}
+
+
+@pytest.mark.parametrize("label", list(_REFUSALS))
+def test_each_refusal_of_modules_states_its_reason(label):
+    # a free module's base point is checked once, by its summands, and
+    # the absorber quotient of F(s) asks ``absorbers`` for its precondition
+    call, message = _REFUSALS[label]
+    with pytest.raises(StructureError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_R_to_the_n_needs_n_at_least_1(n):
+    with pytest.raises(StructureError, match="a module product needs at least one factor"):
+        RModule.power(Z3, n)
+
+
+def test_a_product_of_no_modules_is_refused():
+    with pytest.raises(StructureError, match="a module product needs at least one factor"):
+        RModule.product()
+
+
+def _spy(monkeypatch, cls, name, calls):
+    original = getattr(cls, name)
+    monkeypatch.setattr(cls, name, lambda self, *args, **kwargs: calls.append(cls.__name__)
+                        or original(self, *args, **kwargs))
+
+
+def test_freeness_of_TN_passes_with_no_truss_and_no_truss_module(monkeypatch):
+    cases = [RModule.regular(FiniteRing.Zn(n)) for n in (2, 4, 6)]
+    cases.append(RModule.regular(FiniteRing.product(Z2, Z3)))
+    calls = []
+    for cls in (FiniteTruss, FiniteTModule):
+        _spy(monkeypatch, cls, "__init__", calls)
+    reports = [freeness_of_TN(rm) for rm in cases]
+    assert all(r.ok for r in reports) and calls == []
+    assert [r.stats["absorbers_of_TN"] for r in reports] == [["0"]] * 3 + [["(0,0)"]]
+    # the fail path still builds F(2) over T(R) for its witness
+    assert not freeness_of_TN(RModule.power(Z2, 2)).ok and calls == ["FiniteTruss"]
+
+
+def test_maps_into_TN_compare_the_truss_with_no_T_of_R(monkeypatch):
+    m, n_mod = FiniteTModule.from_rmodule(RModule.regular(Z2)), RModule.power(Z2, 2)
+    calls = []
+    _spy(monkeypatch, FiniteTruss, "__init__", calls)
+    # f(0) = f(0.0) = 0.f(0) = 0, and f(1) is any of the four elements
+    assert tmodule_homs_to_TN(m, n_mod) == [(0, y) for y in range(4)] and calls == []
+    with pytest.raises(StructureError, match="hom-sets into T"):
+        tmodule_homs_to_TN(FiniteTModule.regular(truss_TZn(2)), RModule.regular(Z3))
+
+
+def test_absorbers_of_a_finite_module_read_the_action_table(monkeypatch):
+    cases = [FiniteTModule.from_rmodule(RModule.power(Z3, 2)), trivial_action_module(),
+             _two_absorber_module(), FiniteTModule.regular(tc2_brace_truss())]
+    calls = []
+    _spy(monkeypatch, FiniteTModule, "act", calls)
+    assert [absorbers(m).members for m in cases] == [(0,), (0, 1), (0, 3), ()]
+    assert calls == []
+
+
 _RMODULE_REPLAY = {
     "module associativity r(sx) = (rs)x": lambda m, r, s, x:
     m.act(r, m.act(s, x)) != m.act(m.ring.mul(r, s), x),

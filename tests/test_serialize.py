@@ -91,6 +91,45 @@ def test_malformed_document_is_a_structure_error(label, tmp_path, capsys):
     assert out == "" and err.startswith("error: ")
 
 
+TZ2_DOC = {"kind": "truss", "builtin": "TZn", "n": 2}
+
+OUTSIDE_INPUT = {
+    "names that are not strings": (
+        {"kind": "group", "table": [[0]], "names": [1]},
+        "'names' must be a list of 1 strings"),
+    "a module whose heap is a group document": (
+        {"kind": "module", "truss": TZ2_DOC, "heap": {"kind": "group", "table": [[0]]},
+         "action": [[0], [0]]},
+        "'heap' must be a FiniteHeap document"),
+    "a truss document that is not an object": (
+        {"kind": "free-module", "truss": [1], "generators": 2},
+        "a truss document must be an object"),
+    "a document that is not an object": (
+        [1], "a structure document must be an object with a 'kind'"),
+    "subheap members that are not ids": (
+        {"kind": "subheap", "members": [True]},
+        "'members' must be a list of element ids or names"),
+    "a table-backed module over TZ": (
+        {"kind": "module", "truss": {"kind": "truss", "builtin": "TZ"},
+         "heap": serialize.structure_to_obj(TZ3.heap), "action": []},
+        "table-backed modules need a finite truss"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(OUTSIDE_INPUT))
+def test_outside_input_is_refused_with_its_reason(label, tmp_path, capsys):
+    doc, message = OUTSIDE_INPUT[label]
+    text = json.dumps(doc)
+    with pytest.raises(StructureError) as caught:
+        serialize.loads(text)
+    assert str(caught.value) == message
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert cli.main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # every kind round-trips: Hypothesis draws relabelled and renamed structures
 
