@@ -1,9 +1,10 @@
-"""Finite heaps and finite groups as exact, integer-indexed operation tables.
+"""Finite heaps, groups and trusses as exact, integer-indexed tables.
 
 Element ids are dense integers ``0..n-1``; display names live in a separate
 tuple.  A heap either stores its full ternary table or computes the operation
 on demand from a backing function (e.g. a group), behind one interface.  All
 values are immutable after construction and every operation is pure.
+``FiniteTruss`` sits here, below ``rings``: a ring is a truss and a zero.
 
 These routines are the only ones of their kind in the package:
 ``_closure`` gives the sub-heap that a finite set generates (generated
@@ -11,8 +12,10 @@ sub-heaps and spans) as the subgroup walk ``_bfs_recipe`` of the retract at
 its first member, the walk that also carries group maps along generators;
 ``is_normal`` takes each normality witness and ``_quotient_classes`` each
 class of a quotient by a normal sub-heap in closed form, with no search
-(``quotient``, absorber quotients of modules), and
-``_descend`` turns a map on elements into the map on those classes;
+(``quotient``, absorber quotients of modules), ``_quotient_heap`` is the
+heap on those classes, a view that makes one operation of the source heap
+per call and no table, and ``_descend`` turns a map on elements into the
+map on those classes;
 ``_group_maps`` yields the group maps or isomorphisms from a pointed heap
 (heap, e) into a group table, on generators (``find_isomorphism``, the
 module-map search of ``rings``); every map is checked on frames, its heap
@@ -61,6 +64,47 @@ def _unit(rows, absorbing=False):
     ids = range(len(rows))
     return next((e for e in ids
                  if all(rows[e][x] == (e if absorbing else x) == rows[x][e] for x in ids)), None)
+
+
+class FiniteTruss:
+    """A truss on a finite Abelian heap, with an explicit product table; a
+    finite ring is one pointed at its absorber (``rings.Ring``)."""
+
+    __slots__ = ("heap", "mul_table", "size", "names", "identity", "absorber")
+
+    def __init__(self, heap: FiniteHeap, mul_table, names=None):
+        if not heap.abelian:
+            raise StructureError("a truss carrier must be an Abelian heap")
+        self.heap = heap
+        self.size = heap.size
+        self.mul_table = _id_table(mul_table, self.size, self.size, "the product table")
+        self.names = tuple(names) if names is not None else heap.names
+        self.identity = _unit(self.mul_table)
+        self.absorber = _unit(self.mul_table, absorbing=True)
+
+    @property
+    def unital(self):
+        return self.identity is not None
+
+    @property
+    def ring_type(self):
+        return self.absorber is not None
+
+    def mul(self, a, b):
+        return self.mul_table[a][b]
+
+    def sample_elements(self, window):
+        return self.heap.elements()
+
+    def format_element(self, x) -> str:
+        return self.names[x]
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, FiniteTruss) and self.heap == other.heap
+                                 and self.mul_table == other.mul_table)
+
+    def __repr__(self):
+        return f"FiniteTruss(order={self.size}, unital={self.unital}, ring_type={self.ring_type})"
 
 
 # ---------------------------------------------------------------------------
@@ -880,17 +924,16 @@ def quotient(h: FiniteHeap, s: SubHeap):
 
 def _quotient_heap(h: FiniteHeap, distinct, proj):
     """The heap on the classes ``distinct`` of h with projection ``proj``, as
-    ``_quotient_classes`` gives them, and the projection map.  The table is
-    taken on the least member of each class, which names the class.  A
-    quotient of a group heap is one, so its frame is walked with no scan."""
-    reps = [min(c) for c in distinct]
-    table = tuple(
-        tuple(tuple(proj[h.ternary(a, b, c)] for c in reps) for b in reps)
-        for a in reps
-    )
+    ``_quotient_classes`` gives them, and the projection map.  The heap is a
+    view: [a, b, c] is the class of [rep a, rep b, rep c], on the least
+    member of each class, which names the class, one operation of h per
+    call; ``table()`` builds the table when asked.  A quotient of a group
+    heap is one, so its frame is walked with no scan."""
+    reps, ternary = [min(c) for c in distinct], h.ternary
     names = tuple("{" + ",".join(h.names[m] for m in sorted(c)) + "}" for c in distinct)
-    qheap = FiniteHeap(len(distinct), table=table, names=names, abelian=h.abelian,
-                       frame=_walked_frame if h.frame() is not None else _scanned_frame)
+    qheap = FiniteHeap.from_function(
+        len(distinct), lambda a, b, c: proj[ternary(reps[a], reps[b], reps[c])], names=names,
+        abelian=h.abelian, frame=_walked_frame if h.frame() is not None else _scanned_frame)
     return qheap, HeapMorphism(h, qheap, proj)
 
 

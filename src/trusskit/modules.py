@@ -10,11 +10,13 @@ canonical coordinates, and maps out of a free module (universal lifts,
 copaired sigma maps) are direct-sum copairs into the target's carrier
 (``DirectSum.copair``), so no word is built.  The quotient by the
 absorber sub-heap turns a module over the truss of a ring back into a module
-over that ring; its classes and projection come from
-``core._quotient_classes``, once per module, and its heap from
-``core._quotient_heap``, and maps descend to it through ``core._descend``;
-the quotient of a free module is R^n by construction, and
-``verify_abs_of_free`` decides on a frame that it is right.  Maps are
+over that ring, the truss pointed at its absorber (``retract_ring``); its
+classes and projection come from ``core._quotient_classes``, once per
+module, its heap is the view ``core._quotient_heap``, with no table, and
+maps descend to it through ``core._descend``; the quotient of a free module
+is R^n by construction, and ``verify_abs_of_free`` decides on a frame that
+it is right.  T(R) is the ring's own truss, ``ring.truss``, and T(N) is N's
+action on N's heap over it, so no truss is rebuilt from a ring.  Maps are
 checked on frames and maps into T(N) found by ``rings._module_maps``;
 ``freeness_of_TN`` is a scan of r |-> r.x; absorbers are read off the
 action table in hand (``_fixed``), so no T(N) is built.  The module laws run
@@ -47,8 +49,8 @@ from .core import (
 )
 from .laws import LINEAR_IN_M, LINEAR_IN_T, _Memo, _action_laws, _pool
 from .reports import FAIL, PASS, Finding, Report
-from .rings import FiniteRing, RModule, _module_maps
-from .trusses import IntegerTruss, _default_basepoint, _product_laws, retract_ring, truss_from_ring
+from .rings import RModule, Ring, _module_maps
+from .trusses import IntegerTruss, _default_basepoint, _product_laws, retract_ring
 
 
 class FiniteTModule:
@@ -77,9 +79,9 @@ class FiniteTModule:
 
     @classmethod
     def from_rmodule(cls, rm: RModule) -> "FiniteTModule":
-        """T(N): a module over a ring viewed as a module over T(R), on N's
-        carrier heap."""
-        return cls(truss_from_ring(rm.ring), rm.heap, rm.action)
+        """T(N): a module over a ring viewed as a module over T(R), the
+        ring's own truss, on N's carrier heap."""
+        return cls(rm.ring.truss, rm.heap, rm.action)
 
     def act(self, t, m):
         return self.action[t][m]
@@ -409,11 +411,11 @@ def abs_on_morphism(phi: ModuleMorphism):
 
 def tmodule_homs_to_TN(m: FiniteTModule, n_mod: RModule):
     """All module maps from m into T(N), as mapping tuples in lexicographic
-    order.  m must be a module over T(R) for the ring R of N.  A heap map
-    into T(N) is x |-> phi(x) + c for c = f(0) in N and a group map phi of
-    the heaps pointed at 0 and zero, which is how ``rings._module_maps``
-    with translations finds them."""
-    if (m.truss.heap, m.truss.mul_table) != (n_mod.ring.heap, n_mod.ring.mul_table):
+    order.  m must be a module over T(R), ``ring.truss``, for the ring R of
+    N.  A heap map into T(N) is x |-> phi(x) + c for c = f(0) in N and a
+    group map phi of the heaps pointed at 0 and zero, which is how
+    ``rings._module_maps`` with translations finds them."""
+    if m.truss != n_mod.ring.truss:
         raise StructureError("hom-sets into T(N) need a module over T(R) for N's ring R")
     if m.size == 0:
         return [()]
@@ -628,10 +630,10 @@ def freeness_of_TN(rm: RModule) -> Report:
     Each r |-> r.x is a module map R -> N, so they are isomorphic exactly
     when one is a bijection (its inverse is ``isomorphism``): a scan, no
     search.  ``absorbers_of_TN`` are the x that every r fixes, read off N's
-    action table (``_fixed``), which is T(N)'s: a pass builds no T(N) and
-    no T(R).  A negative verdict carries the structural witness: T(N) has a
-    unique absorber, while a free module on two or more generators has the
-    distinct absorbers 0x != 0y.
+    action table (``_fixed``), which is T(N)'s: no T(N) is built.  A
+    negative verdict carries the structural witness, F(2) over T(R), the
+    ring's own truss: T(N) has a unique absorber, while a free module on two
+    or more generators has the distinct absorbers 0x != 0y.
     """
     ring = rm.ring
     if ring.one is None:
@@ -642,7 +644,7 @@ def freeness_of_TN(rm: RModule) -> Report:
     if column is not None:
         stats["isomorphism"] = [column.index(y) for y in range(rm.size)]
         return Report("freeness of T(N)", PASS, [], stats)
-    fm = free_module(truss_from_ring(ring), 2)
+    fm = free_module(ring.truss, 2)
     zx = fm.heap.inject(0, ring.zero)
     zy = fm.heap.inject(1, ring.zero)
     return Report("freeness of T(N)", FAIL, [
@@ -651,7 +653,7 @@ def freeness_of_TN(rm: RModule) -> Report:
                 note="0x != 0y, but T(N) has a unique absorber")], stats)
 
 
-def verify_abs_of_free(ring: FiniteRing, n: int) -> Report:
+def verify_abs_of_free(ring: Ring, n: int) -> Report:
     """Decide, for the rank-n free module F(n) over T(R), that its absorbers
     are the tail sub-heap H(Z^{n-1}) and that ``abs_quotient`` (R^n and the
     component projection, by construction) is its quotient by them.
@@ -666,7 +668,7 @@ def verify_abs_of_free(ring: FiniteRing, n: int) -> Report:
     generators to the unit vectors of R^n.  Findings are located at scalars
     and elements of F(n), so each one replays."""
     findings = []
-    t = truss_from_ring(ring)
+    t = ring.truss
     fm = free_module(t, n)
     frame = fm.heap.frame()
     zero_comps = (ring.zero,) * n

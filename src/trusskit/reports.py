@@ -91,10 +91,3 @@ class Report:
     def to_json(self) -> str:
         return dumps(self.to_obj())
 
-    def __str__(self):
-        head = f"[{self.status}] {self.subject}"
-        if not self.findings:
-            return head
-        lines = [head] + [f"  - {f}" for f in self.findings]
-        return "\n".join(lines)
-

@@ -1,18 +1,22 @@
-"""Finite rings and modules over them, as exact id-indexed tables on an
-Abelian carrier ``heap`` pointed at ``zero``, as trusses and truss modules
-are tables on theirs.  A group is a pointed heap, a + b = [a, 0, b]
-(Certaine 1943), so no group table is kept: ``ring.add`` and
-``module.group`` are views, a constructor takes a ``FiniteGroup`` or
-(heap, zero), T(R) and T(N) share the heap, and R^n is ``core.product``.
+"""Rings and modules over them.  A ring is a ring-type truss pointed at an
+absorber, its zero (Brzezinski, Trans. AMS 2019): ``Ring`` holds the truss
+and the zero, and T(R) is that truss, ``ring.truss``, so a ring and its T(R)
+share one product table and one heap.  A group is a pointed heap, a + b =
+[a, 0, b] (Certaine 1943), so no group table is kept: ``ring.add`` and
+``module.group`` are views.  ``FiniteRing`` only builds a finite ring's
+truss from tables, once (``Zn``, ``product``, documents); ``RModule`` is an
+exact id-indexed action table on its carrier heap pointed at zero, a
+constructor takes a ``FiniteGroup`` or (heap, zero), T(N) shares the heap,
+and R^n is ``core.product``.
 
-These are the classical (binary-operation) structures that trusses and
-truss modules are compared against: ring retracts, the quotient-by-absorbers
-module, and the hom-sets and isomorphisms behind the adjunction, all found
-by one search, ``_module_maps``, on generators and frames.  Ring and
-ring-module laws are decided on the ring and the module themselves, on
-generators, by the law engine of ``laws``, which reads only their ``heap``
-and ``mul`` or ``act``, and swept only when they fail.  So ``rings`` imports neither ``trusses`` nor
-``modules``, which are built on it.
+These are the classical structures that trusses and truss modules are
+compared against: ring retracts, the quotient-by-absorbers module, and the
+hom-sets and isomorphisms behind the adjunction, all found by one search,
+``_module_maps``, on generators and frames.  Ring and ring-module laws are
+decided on the ring and the module themselves, on generators, by the law
+engine of ``laws``, which reads only their ``heap`` and ``mul`` or ``act``,
+and swept only when they fail.  ``FiniteTruss`` sits in ``core``, so
+``rings`` imports neither ``trusses`` nor ``modules``, which are built on it.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from __future__ import annotations
 import itertools
 
 from .coproduct import shift
-from .core import (FiniteGroup, FiniteHeap, StructureError, _first_unequivariant, _group_maps,
-                   _id_table, _rows, _unit, _walked_frame, heap_from_group, product, retract)
+from .core import (FiniteGroup, FiniteHeap, FiniteTruss, StructureError, _first_unequivariant,
+                   _group_maps, _id_table, _rows, _walked_frame, heap_from_group, product, retract)
 from .laws import _action_laws, _pool
 from .reports import FAIL, PASS, Finding, Report
 
@@ -42,17 +46,6 @@ class _Additive:
     def scale(self, k: int, a):
         return shift(self.heap, self.zero, k, a, self.zero)
 
-    def _hold(self, carrier, message):
-        """Hold a finite carrier, a ``FiniteGroup`` (its heap built once) or
-        (heap, zero); StructureError(message) unless it is Abelian."""
-        self.heap, self.zero = ((heap_from_group(carrier), carrier.neutral)
-                                if isinstance(carrier, FiniteGroup) else carrier)
-        if not self.heap.abelian:
-            raise StructureError(message)
-        if not self.heap.contains(self.zero):
-            raise StructureError(f"the zero {self.zero!r} is not in the carrier")
-        self.size = self.heap.size
-
     @property
     def group(self):
         """The additive group of a finite carrier, a view: the retract at zero."""
@@ -61,6 +54,18 @@ class _Additive:
     def plus_table(self):
         """a + b for every pair of ids of a finite carrier, read off the heap."""
         return _rows(self.heap, self.zero)
+
+
+def _pointed(carrier, message):
+    """A finite carrier, a ``FiniteGroup`` (its heap built once) or (heap,
+    zero), as (heap, zero); StructureError(message) unless it is Abelian."""
+    heap, zero = ((heap_from_group(carrier), carrier.neutral)
+                  if isinstance(carrier, FiniteGroup) else carrier)
+    if not heap.abelian:
+        raise StructureError(message)
+    if not heap.contains(zero):
+        raise StructureError(f"the zero {zero!r} is not in the carrier")
+    return heap, zero
 
 
 def _product(parts, rows):
@@ -78,50 +83,62 @@ def _product(parts, rows):
     return (product(*(p.heap for p in parts)), zero), [digitwise(r) for r in rows]
 
 
-class FiniteRing(_Additive):
-    """Ring on ids 0..n-1: a pointed Abelian heap and a multiplication table."""
+class Ring(_Additive):
+    """A ring-type truss pointed at an absorber, its ``zero``: the sum is
+    [a, 0, b] on the truss's heap and the product is the truss's own ``mul``,
+    bound once.  The truss is finite (a ``FiniteTruss``) or symbolic;
+    ``validate`` decides the laws of a finite ring, raising on the first
+    finding."""
 
-    __slots__ = ("heap", "zero", "mul_table", "size", "one", "names")
+    __slots__ = ("truss", "heap", "zero", "size", "one", "mul")
 
-    def __init__(self, add, mul_table, names=None, validate=True):
-        self._hold(add, "ring addition must be Abelian")
-        self.mul_table = _id_table(mul_table, self.size, self.size, "the multiplication table")
-        self.names = tuple(names) if names is not None else self.heap.names
-        self.one = _unit(self.mul_table)
+    def __init__(self, truss, zero, validate=False):
+        self.truss, self.heap, self.zero = truss, truss.heap, zero
+        self.size, self.one, self.mul = truss.heap.size, truss.identity, truss.mul
         if validate:
             report = validate_ring(self)
             if not report.ok:
                 raise StructureError(f"not a ring: {report.findings[0]}")
 
     add = _Additive.group
-
-    def mul(self, a, b):
-        return self.mul_table[a][b]
+    mul_table = property(lambda self: self.truss.mul_table)
+    names = property(lambda self: self.truss.names)
 
     def __eq__(self, other):
-        return self is other or (isinstance(other, FiniteRing) and self.zero == other.zero
-                                 and self.mul_table == other.mul_table and self.heap == other.heap)
+        return self is other or (isinstance(other, Ring) and self.zero == other.zero
+                                 and self.truss == other.truss)
 
     def __repr__(self):
-        one = self.names[self.one] if self.one is not None else "-"
-        return f"FiniteRing(order={self.size}, one={one})"
+        return f"Ring({self.truss!r}, zero={self.zero!r})"
+
+
+class FiniteRing(Ring):
+    """The table constructors of a finite ring: a pointed Abelian heap and a
+    multiplication table, held as their ``FiniteTruss``, built once."""
+
+    __slots__ = ()
+
+    def __init__(self, add, mul_table, names=None, validate=True):
+        heap, zero = _pointed(add, "ring addition must be Abelian")
+        super().__init__(FiniteTruss(heap, mul_table, names), zero, validate)
 
     @classmethod
-    def Zn(cls, n) -> "FiniteRing":
+    def Zn(cls, n, names=None) -> "FiniteRing":
         if n < 1:
             raise StructureError(f"Z_n needs n >= 1, got {n}")
         heap = FiniteHeap.from_function(n, lambda a, b, c: (a - b + c) % n, abelian=True,
                                         frame=_walked_frame)
-        return cls((heap, 0), [[(a * b) % n for b in range(n)] for a in range(n)], validate=False)
+        return cls((heap, 0), [[(a * b) % n for b in range(n)] for a in range(n)], names,
+                   validate=False)
 
     @classmethod
-    def product(cls, *rings: "FiniteRing") -> "FiniteRing":
+    def product(cls, *rings: Ring) -> "FiniteRing":
         """R1 x ... x Rk on the product heap, multiplied digit by digit."""
         return cls(*_product(rings, itertools.product(*(r.mul_table for r in rings))),
                    validate=False)
 
 
-def validate_ring(r: FiniteRing) -> Report:
+def validate_ring(r: Ring) -> Report:
     """Associativity of multiplication and both distributive laws, exactly.
 
     An affine map that fixes zero is additive, so r is a ring exactly when
@@ -151,9 +168,9 @@ class RModule(_Additive):
 
     __slots__ = ("ring", "heap", "zero", "action", "size", "names")
 
-    def __init__(self, ring: FiniteRing, group, action, validate=True):
-        self._hold(group, "a module's additive group must be Abelian")
-        self.ring = ring
+    def __init__(self, ring: Ring, group, action, validate=True):
+        self.heap, self.zero = _pointed(group, "a module's additive group must be Abelian")
+        self.ring, self.size = ring, self.heap.size
         self.action = _id_table(action, ring.size, self.size, "the action table")
         self.names = self.heap.names
         if validate:
@@ -173,7 +190,7 @@ class RModule(_Additive):
         return f"RModule(order={self.size} over ring of order {self.ring.size})"
 
     @classmethod
-    def regular(cls, ring: FiniteRing) -> "RModule":
+    def regular(cls, ring: Ring) -> "RModule":
         return cls(ring, (ring.heap, ring.zero), ring.mul_table, validate=False)
 
     @classmethod
@@ -187,7 +204,7 @@ class RModule(_Additive):
         return cls(ring, *_product(modules, zip(*(m.action for m in modules))), validate=False)
 
     @classmethod
-    def power(cls, ring: FiniteRing, n: int) -> "RModule":
+    def power(cls, ring: Ring, n: int) -> "RModule":
         """R^n, the n-fold product of the regular module (R itself for n = 1), n >= 1."""
         regular = cls.regular(ring)
         return regular if n == 1 else cls.product(*[regular] * n)

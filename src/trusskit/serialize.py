@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import reports
 from .core import FiniteGroup, FiniteHeap, StructureError, _id_table as core_id_table
 from .modules import FiniteTModule, FreeTModule, TrivialIntModule, free_module
-from .rings import FiniteRing
+from .rings import FiniteRing, Ring
 from .trusses import (
     ConstantTruss,
     ExtensionTruss,
@@ -53,7 +53,7 @@ def structure_to_obj(x) -> dict:
                 "table": [[list(l) for l in p] for p in x.table()]}
     if isinstance(x, SubHeapSpec):
         return {"kind": "subheap", "members": list(x.members)}
-    if isinstance(x, FiniteRing):
+    if isinstance(x, Ring) and x.heap.is_finite:     # a symbolic ring has no document
         return {"kind": "ring", "names": list(x.names),
                 "add": x.plus_table(),
                 "mul": [list(r) for r in x.mul_table]}

@@ -1,10 +1,12 @@
 """Trusses: Abelian heaps with an associative, two-sided distributive product.
 
 A truss holds its carrier as ``heap`` and adds only the product: finite
-trusses have a table over a ``FiniteHeap``, the symbolic ones (the integer
-truss, the constant-product trusses) live on the integer line ``INT_LINE``,
-and unital and ring extensions adjoin a new identity or absorber by forming
-the ``DirectSum`` with a singleton.  An extension's product distributes over
+trusses have a table over a ``FiniteHeap`` (``FiniteTruss``, from ``core``),
+the symbolic ones (the integer truss, the constant-product trusses) live on
+the integer line ``INT_LINE``, and unital and ring extensions adjoin a new
+identity or absorber by forming the ``DirectSum`` with a singleton.  T(R)
+is ``ring.truss``, and ``retract_ring`` points a truss, shared, at an
+absorber (``rings.Ring``).  An extension's product distributes over
 the heap operation in each argument, so it is the bi-affine closed form of
 ``ExtensionTruss`` in four base products; the letter-wise product over word
 forms and the closed formulas of the worked examples live in the tests as
@@ -23,50 +25,10 @@ from __future__ import annotations
 import itertools
 
 from .coproduct import CoproductElement, DirectSum, HeapSummand, shift
-from .core import INT_LINE, FiniteHeap, StructureError, _id_table, _unit
+from .core import INT_LINE, FiniteHeap, FiniteTruss, StructureError
 from .laws import ASSOCIATIVE, LINEAR_IN_M, _action_laws, _pool
 from .reports import FAIL, PASS, Finding, Report
-from .rings import FiniteRing, _Additive
-
-
-class FiniteTruss:
-    """A truss on a finite Abelian heap, with an explicit product table."""
-
-    __slots__ = ("heap", "mul_table", "size", "names", "identity", "absorber")
-
-    def __init__(self, heap: FiniteHeap, mul_table, names=None):
-        if not heap.abelian:
-            raise StructureError("a truss carrier must be an Abelian heap")
-        self.heap = heap
-        self.size = heap.size
-        self.mul_table = _id_table(mul_table, self.size, self.size, "the product table")
-        self.names = tuple(names) if names is not None else heap.names
-        self.identity = _unit(self.mul_table)
-        self.absorber = _unit(self.mul_table, absorbing=True)
-
-    @property
-    def unital(self):
-        return self.identity is not None
-
-    @property
-    def ring_type(self):
-        return self.absorber is not None
-
-    def mul(self, a, b):
-        return self.mul_table[a][b]
-
-    def sample_elements(self, window):
-        return self.heap.elements()
-
-    def format_element(self, x) -> str:
-        return self.names[x]
-
-    def __eq__(self, other):
-        return (isinstance(other, FiniteTruss)
-                and self.heap == other.heap and self.mul_table == other.mul_table)
-
-    def __repr__(self):
-        return f"FiniteTruss(order={self.size}, unital={self.unital}, ring_type={self.ring_type})"
+from .rings import FiniteRing, Ring
 
 
 class IntegerTruss:
@@ -126,17 +88,17 @@ class ConstantTruss:
 
 
 def truss_from_ring(ring) -> FiniteTruss | IntegerTruss:
-    """T(R): the ring's carrier heap, shared, with the ring multiplication."""
+    """T(R): the truss the ring is pointed on, ``ring.truss``, itself."""
     if ring == "Z" or isinstance(ring, IntegerTruss):
         return IntegerTruss()
-    if not isinstance(ring, FiniteRing):
-        raise StructureError("expected a FiniteRing or the symbolic ring 'Z'")
-    return FiniteTruss(ring.heap, ring.mul_table, names=ring.names)
+    if not isinstance(ring, Ring):
+        raise StructureError("expected a ring or the symbolic ring 'Z'")
+    return ring.truss
 
 
 def truss_TZn(n: int) -> FiniteTruss:
-    ring = FiniteRing.Zn(n)
-    return FiniteTruss(ring.heap, ring.mul_table, names=tuple(f"i{k}" for k in range(n)))
+    """T(Z_n), its elements named i0, ..., i(n-1)."""
+    return FiniteRing.Zn(n, names=[f"i{k}" for k in range(n)]).truss
 
 
 def tc2_brace_truss() -> FiniteTruss:
@@ -442,25 +404,6 @@ def validate_truss(t, *, samples=None, window=None, seed=None) -> Report:
 # retract rings
 
 
-class RetractRing(_Additive):
-    """The ring on a symbolic ring-type truss: its carrier heap pointed at
-    the absorber, as a ``FiniteRing`` is at its zero, and the truss product."""
-
-    __slots__ = ("truss", "heap", "zero", "one")
-
-    def __init__(self, truss, zero):
-        self.truss = truss
-        self.heap = truss.heap
-        self.zero = zero
-        self.one = truss.identity
-
-    def mul(self, a, b):
-        return self.truss.mul(a, b)
-
-    def __repr__(self):
-        return f"RetractRing({self.truss!r})"
-
-
 def _check_absorber(t, zero):
     """Raise unless zero absorbs on both sides, decided on the pool of t:
     every element, or the frame once a symbolic t is a truss; a first failing law decides."""
@@ -473,17 +416,16 @@ def _check_absorber(t, zero):
         raise StructureError(f"cannot decide that {zero!r} absorbs: not a truss with a frame")
 
 
-def retract_ring(t, zero):
-    """The ring on a ring-type truss with the given absorber as its zero."""
+def retract_ring(t, zero) -> Ring:
+    """The ring on a ring-type truss t, shared, with the absorber zero as its
+    zero; on a finite t the ring laws are decided, as by ``FiniteRing``."""
     if not t.heap.contains(zero):
         raise StructureError(f"{zero!r} is not in the carrier")
     _check_absorber(t, zero)
-    if t.heap.is_finite:
-        return FiniteRing((t.heap, zero), t.mul_table, names=t.names)
-    return RetractRing(t, zero)
+    return Ring(t, zero, validate=t.heap.is_finite)
 
 
-def dorroh_compare(ring: FiniteRing, window: int = 3) -> Report:
+def dorroh_compare(ring: Ring, window: int = 3) -> Report:
     """Check the unital-extension retract of T(R) against the Dorroh product
     (r+n)(r'+n') = rr' + rn' + nr' + nn' on every tail pair in Z^2, up to the
     first mismatch, at (r, n, r', n').  Both sides are a + n.b + n'.c + nn'.d
@@ -491,7 +433,7 @@ def dorroh_compare(ring: FiniteRing, window: int = 3) -> Report:
     ``window`` decides nothing and is only checked and echoed, for the CLI."""
     if window <= 0:
         raise StructureError("window must be positive")
-    t1 = unital_extension(truss_from_ring(ring))
+    t1 = unital_extension(ring.truss)
     stats = {"ring": ring.size, "window": window, "algorithm": "frame"}
     frame = itertools.product(range(ring.size), range(ring.size), (0, 1), (0, 1))
     for checked, (r, rp, n, np_) in enumerate(frame, 1):

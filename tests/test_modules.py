@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from trusskit import core, laws, modules
+from trusskit import core, laws, modules, serialize
 from trusskit.coproduct import CoproductElement, DirectSum
 from trusskit.core import FiniteGroup, FiniteHeap, IntLineHeap, StructureError, heap_from_group
 from trusskit.modules import (
@@ -50,6 +50,7 @@ from trusskit.trusses import (
     constant_truss,
     double_extension,
     integer_truss,
+    retract_ring,
     ring_extension,
     tc2_brace_truss,
     truss_TZn,
@@ -346,6 +347,79 @@ def test_quotient_projection_respects_structure():
     for t in fm.truss.heap.elements():
         for x in xs:
             assert proj(fm.act(t, x)) == q.act(t, proj(x))
+
+
+def _fixing_z3():
+    """TZ2 fixing the Z3 factor of C2 x Z3: absorbers (0, v), two classes."""
+    return FiniteTModule(truss_TZn(2), core.product(Z2.heap, Z3.heap),
+                         [[x % 3 if t == 0 else x for x in range(6)] for t in range(2)])
+
+
+# the finite modules of these tests that have an absorber, built on use
+FINITE_MODULES = {
+    **{f"regular TZ{n}": lambda n=n: FiniteTModule.regular(truss_TZn(n)) for n in range(1, 7)},
+    **{f"T(Z{n}^{a})": lambda n=n, a=a: FiniteTModule.from_rmodule(
+        RModule.power(FiniteRing.Zn(n), a)) for n, a in ((2, 2), (2, 3), (3, 2), (4, 2))},
+    "TZ2 acting trivially on C2": trivial_action_module,
+    "TZ3 fixing the C2 factor of C2 x Z3": lambda: _two_absorber_module(),
+    "TZ2 fixing the Z3 factor of C2 x Z3": _fixing_z3,
+    "TC2 acting trivially on C3": lambda: FiniteTModule(
+        tc2_brace_truss(), heap_from_group(FiniteGroup.cyclic(3)), [[0, 1, 2], [0, 1, 2]]),
+}
+
+
+def table_backed_abs_quotient(m):
+    """M_Abs from the definitions, with every table built: x ~ y when
+    [x, y, a] absorbs for an absorber a, the classes ordered by least
+    member, and the heap and the action read off every member of each class,
+    where they must agree.  (classes, projection, heap table, action)."""
+    ids, ts, h = m.heap.elements(), m.truss.heap.elements(), m.heap
+    fixed = [x for x in ids if all(m.act(t, x) == x for t in ts)]
+    classes = []
+    for x in ids:
+        same = next((c for c in classes if h.ternary(x, c[0], fixed[0]) in fixed), None)
+        if same is None:
+            classes.append([x])
+        else:
+            same.append(x)
+    proj = tuple(next(i for i, c in enumerate(classes) if x in c) for x in ids)
+
+    def one(values):
+        (value,) = set(values)
+        return value
+    table = tuple(tuple(tuple(one(proj[h.ternary(x, y, z)] for x in a for y in b for z in c)
+                              for c in classes) for b in classes) for a in classes)
+    action = tuple(tuple(one(proj[m.act(t, x)] for x in c) for c in classes) for t in ts)
+    return classes, proj, table, action
+
+
+@pytest.mark.parametrize("label", list(FINITE_MODULES))
+def test_the_absorber_quotient_heap_is_a_view_equal_to_the_table_backed_one(label):
+    m = FINITE_MODULES[label]()
+    classes, proj, table, action = table_backed_abs_quotient(m)
+    distinct, projection = absorber_classes(m)
+    assert [sorted(c) for c in distinct] == classes and projection == proj
+    q, p = abs_quotient(m)
+    assert p.mapping == proj and q.action == action
+    assert q.heap._table is None        # a view until the table is asked for
+    assert q.heap.table() == table
+
+
+def test_the_absorber_quotient_of_T_of_Z2_to_the_8_makes_no_cubic_table(monkeypatch):
+    """The quotient heap is a view, so M_Abs of T(Z2^8) reads the source
+    heap O(|T|.|Q| + |M|.|S|) times, not the 256^3 of a table."""
+    rm = RModule.power(Z2, 8)
+    m, calls, ternary = FiniteTModule.from_rmodule(rm), [], FiniteHeap.ternary
+
+    def counted(h, a, b, c):
+        if h is m.heap:
+            calls.append(1)
+        return ternary(h, a, b, c)
+
+    monkeypatch.setattr(FiniteHeap, "ternary", counted)
+    q, proj = abs_quotient(m)
+    assert q.size == 256 and q.action == rm.action and proj.mapping == tuple(range(256))
+    assert len(calls) <= 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -1028,6 +1102,82 @@ def test_each_refusal_of_modules_states_its_reason(label):
     assert str(caught.value) == message
 
 
+def _retract_at(t, zero):
+    return lambda: retract_ring(t, zero)
+
+
+def _t1_absorbing_on_the_frame_only():
+    """T1 of a product on C60 that is 0 except 0.59 = 59.0 = 1: (0; 0)
+    absorbs on the frame, but the product does not distribute."""
+    table = [[0] * 60 for _ in range(60)]
+    table[0][59] = table[59][0] = 1
+    return unital_extension(FiniteTruss(heap_from_group(FiniteGroup.cyclic(60)), table))
+
+
+_T1 = _t1_absorbing_on_the_frame_only()
+_NO_FRAME_T1 = Frameless(truss_TZn(3), "one")
+
+# each refusal of a ring, of a ring's truss and of maps across two rings,
+# and the pattern its message matches
+_RING_REFUSALS = {
+    "the retract ring of a finite truss that is not a ring": (
+        _retract_at(FiniteTruss(truss_TZn(4).heap,
+                                [[a * b * b % 4 for b in range(4)] for a in range(4)]), 0),
+        r"not a ring: left distributivity; at \(1, 1, 1\); lhs=0 rhs=2"),
+    "the retract ring of TZ4 at 7": (
+        _retract_at(truss_TZn(4), 7), "7 is not in the carrier"),
+    "the retract ring of TZ at 'x'": (
+        _retract_at(integer_truss(), "x"), "'x' is not in the carrier"),
+    "the retract ring of TZ4 at 1": (
+        _retract_at(truss_TZn(4), 1), "1 is not a two-sided absorber"),
+    "the retract ring of TZ at 1": (
+        _retract_at(integer_truss(), 1), "1 is not a two-sided absorber"),
+    "the retract ring of a T1 that is no truss": (
+        _retract_at(_T1, _T1.inject(0)),
+        r"cannot decide that .* absorbs: not a truss with a frame"),
+    "the retract ring of a T1 with no frame": (
+        _retract_at(_NO_FRAME_T1, _NO_FRAME_T1.inject(1)),
+        r"cannot decide that .* absorbs: not a truss with a frame"),
+    "Z_0": (lambda: FiniteRing.Zn(0), r"Z_n needs n >= 1, got 0"),
+    "T of a truss": (lambda: truss_from_ring(truss_TZn(2)), "or the symbolic ring 'Z'"),
+    "the product of a Z2- and a Z3-module": (
+        lambda: RModule.product(RModule.regular(Z2), RModule.regular(Z3)),
+        "module product needs one common ring"),
+    "the hom-set from a Z2- to a Z3-module": (
+        lambda: rmodule_homs(RModule.regular(Z2), RModule.regular(Z3)),
+        "hom-sets need one common ring"),
+    "the maps from a T(Z2)-module into T(Z3)": (
+        lambda: tmodule_homs_to_TN(FiniteTModule.from_rmodule(RModule.regular(Z2)),
+                                   RModule.regular(Z3)),
+        r"hom-sets into T\(N\) need a module over T\(R\) for N's ring R"),
+    "the document of the ring of TZ": (
+        lambda: serialize.dumps(retract_ring(integer_truss(), 0)), "cannot serialize"),
+}
+
+
+def test_ring_modules_are_equal_when_their_zero_action_ring_and_heap_are():
+    z4 = FiniteRing.Zn(4)
+    m = RModule.regular(z4)
+    assert m == RModule(FiniteRing.Zn(4), (FiniteRing.Zn(4).heap, 0), z4.mul_table)
+    action = [list(row) for row in z4.mul_table]
+    action[3][3] = 0
+    zero_ring = FiniteRing((z4.heap, 0), [[0] * 4 for _ in range(4)])
+    klein = core.product(Z2.heap, Z2.heap)
+    for other in (RModule(z4, (z4.heap, 2), z4.mul_table, validate=False),    # zero
+                  RModule(z4, (z4.heap, 0), action, validate=False),          # action
+                  RModule(zero_ring, (z4.heap, 0), z4.mul_table, validate=False),  # ring
+                  RModule(z4, (klein, 0), z4.mul_table, validate=False),      # heap
+                  FiniteTModule.from_rmodule(m)):
+        assert m != other and other != m
+
+
+@pytest.mark.parametrize("label", list(_RING_REFUSALS))
+def test_each_refusal_of_a_ring_states_its_reason(label):
+    call, pattern = _RING_REFUSALS[label]
+    with pytest.raises(StructureError, match=pattern):
+        call()
+
+
 @pytest.mark.parametrize("n", [0, -2])
 def test_R_to_the_n_needs_n_at_least_1(n):
     with pytest.raises(StructureError, match="a module product needs at least one factor"):
@@ -1054,8 +1204,8 @@ def test_freeness_of_TN_passes_with_no_truss_and_no_truss_module(monkeypatch):
     reports = [freeness_of_TN(rm) for rm in cases]
     assert all(r.ok for r in reports) and calls == []
     assert [r.stats["absorbers_of_TN"] for r in reports] == [["0"]] * 3 + [["(0,0)"]]
-    # the fail path still builds F(2) over T(R) for its witness
-    assert not freeness_of_TN(RModule.power(Z2, 2)).ok and calls == ["FiniteTruss"]
+    # the fail path builds F(2) over T(R), the ring's own truss, for its witness
+    assert not freeness_of_TN(RModule.power(Z2, 2)).ok and calls == []
 
 
 def test_maps_into_TN_compare_the_truss_with_no_T_of_R(monkeypatch):

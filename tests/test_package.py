@@ -75,21 +75,51 @@ def test_rings_decide_their_laws_without_trusses_or_modules():
 
 
 def test_ring_validators_build_no_truss_and_no_truss_module(monkeypatch):
-    built = []
-    for cls in (trusses.FiniteTruss, modules.FiniteTModule):
-        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__, **kwargs:
-                            built.append(type(self).__name__) or init(self, *args, **kwargs))
+    # a ring holds its truss, so the rings are built before the spies
     ring = FiniteRing.Zn(6)
     bad = FiniteRing(ring.add, [[(a * b + 1) % 6 for b in range(6)] for a in range(6)],
                      validate=False)
     module = RModule.power(FiniteRing.Zn(2), 2)
     bad_module = RModule(module.ring, module.group, [[0, 1, 2, 3], [0, 1, 3, 2]], validate=False)
+    built = []
+    for cls in (trusses.FiniteTruss, modules.FiniteTModule):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__, **kwargs:
+                            built.append(type(self).__name__) or init(self, *args, **kwargs))
     assert validate_ring(ring).ok and not validate_ring(bad).ok
     assert validate_rmodule(module).ok and not validate_rmodule(bad_module).ok
     assert built == []
     # the spies do see a truss and a truss module built
     modules.FiniteTModule.regular(trusses.truss_TZn(2))
     assert built == ["FiniteTruss", "FiniteTModule"]
+
+
+def test_a_ring_and_T_of_it_share_one_truss(monkeypatch):
+    """T(R) is the ring's own truss and a retract ring is the truss pointed
+    at an absorber: no truss and no table-built ring is made from the other's
+    heap and table (every table constructor of a ring goes through
+    ``FiniteRing.__init__``)."""
+    z3, tz6 = FiniteRing.Zn(3), trusses.truss_TZn(6)
+    t0, tz = trusses.ring_extension(trusses.truss_TZn(3)), trusses.integer_truss()
+    rm, free, not_free = RModule.power(z3, 2), RModule.regular(z3), RModule.power(z3, 2)
+    built = []
+    for cls in (trusses.FiniteTruss, FiniteRing):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__,
+                            name=cls.__name__, **kwargs:
+                            built.append(name) or init(self, *args, **kwargs))
+    for t, zero in ((tz6, 0), (t0, t0.absorber), (tz, 0)):
+        assert trusses.retract_ring(t, zero).truss is t
+    assert trusses.truss_from_ring(z3) is z3.truss
+    assert trusses.truss_from_ring(trusses.retract_ring(tz6, 0)) is tz6
+    t_module = modules.FiniteTModule.from_rmodule(rm)
+    assert t_module.truss is z3.truss
+    assert modules.to_ring_module(t_module).ring.truss is z3.truss
+    assert trusses.dorroh_compare(z3).ok
+    assert modules.freeness_of_TN(free).ok and not modules.freeness_of_TN(not_free).ok
+    assert modules.verify_abs_of_free(z3, 2).ok
+    assert built == []
+    # the spies do see a ring built from tables, and its truss
+    FiniteRing.Zn(2)
+    assert built == ["FiniteRing", "FiniteTruss"]
 
 
 def test_ring_modules_and_rings_on_heaps_build_no_group_and_no_heap_table(monkeypatch):
