@@ -280,8 +280,8 @@ def cmd_extend(args) -> tuple[int, str]:
         return 0, emit_table(ext, args.window, args.json)
     info = {
         "extension": ext.adjoined if not args.both else "zero of unital",
-        "unital": ext.unital,
-        "ring_type": ext.ring_type,
+        "unital": ext.identity is not None,
+        "ring_type": ext.absorber is not None,
         "identity": None if ext.identity is None else ext.format_element(ext.identity),
         "absorber": None if ext.absorber is None else ext.format_element(ext.absorber),
     }

@@ -4,7 +4,8 @@ Element ids are dense integers ``0..n-1``; display names live in a separate
 tuple.  A heap either stores its full ternary table or computes the operation
 on demand from a backing function (e.g. a group), behind one interface.  All
 values are immutable after construction and every operation is pure.
-``FiniteTruss`` sits here, below ``rings``: a ring is a truss and a zero.
+``FiniteTruss`` and ``FiniteTModule`` sit here, below ``rings``: a ring is a
+truss and a zero; an R-module is a T(R)-module and a zero.
 
 These routines are the only ones of their kind in the package:
 ``_closure`` gives the sub-heap that a finite set generates (generated
@@ -82,14 +83,6 @@ class FiniteTruss:
         self.identity = _unit(self.mul_table)
         self.absorber = _unit(self.mul_table, absorbing=True)
 
-    @property
-    def unital(self):
-        return self.identity is not None
-
-    @property
-    def ring_type(self):
-        return self.absorber is not None
-
     def mul(self, a, b):
         return self.mul_table[a][b]
 
@@ -104,7 +97,51 @@ class FiniteTruss:
                                  and self.mul_table == other.mul_table)
 
     def __repr__(self):
-        return f"FiniteTruss(order={self.size}, unital={self.unital}, ring_type={self.ring_type})"
+        return (f"FiniteTruss(order={self.size}, unital={self.identity is not None},"
+                f" ring_type={self.absorber is not None})")
+
+
+class FiniteTModule:
+    """A left module over a finite truss, with an explicit action table; an
+    R-module is one over T(R) pointed at its absorber, and holds it
+    (``rings.RModule``)."""
+
+    __slots__ = ("truss", "heap", "action", "size", "names", "_absorbers")
+
+    def __init__(self, truss, heap: FiniteHeap, action):
+        if not truss.heap.is_finite:
+            raise StructureError("table-backed modules need a finite truss")
+        if not heap.abelian:
+            raise StructureError("a module carrier must be an Abelian heap")
+        self.truss = truss
+        self.heap = heap
+        self.size = heap.size
+        self.names = heap.names
+        self.action = _id_table(action, truss.size, heap.size, "the action table")
+        # the absorbers, their classes and the projection
+        # (``modules._absorber_quotient``), computed on first use
+        self._absorbers = None
+
+    @classmethod
+    def regular(cls, truss) -> "FiniteTModule":
+        """The truss acting on its own carrier by multiplication."""
+        return cls(truss, truss.heap, truss.mul_table)
+
+    @classmethod
+    def from_rmodule(cls, rm) -> "FiniteTModule":
+        """T(N): the T(R)-module that the R-module N holds, shared, with its
+        table and absorber cache; nothing is rebuilt."""
+        return rm.module
+
+    def act(self, t, m):
+        return self.action[t][m]
+
+    def __eq__(self, other):
+        return (isinstance(other, FiniteTModule) and self.truss == other.truss
+                and self.heap == other.heap and self.action == other.action)
+
+    def __repr__(self):
+        return f"FiniteTModule(order={self.size} over truss of order {self.truss.size})"
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ Besides the action it is given, it reads only the ``heap`` of both sides
 (``ternary``, ``frame()``, ``is_finite``) and the ``mul`` of t, so every
 structure is decided on itself: trusses and truss modules by
 ``validate_truss`` and ``validate_module``, finite rings and ring modules
-by ``validate_ring`` and ``validate_rmodule``, with no truss built from a
-ring.  It sits below ``rings``, which ``trusses`` and ``modules`` are
-built on, so every validator imports it at module level and the import
-graph has no cycle.
+by ``validate_ring`` and ``validate_rmodule``, with no truss and no truss
+module built (a ring holds T(R), and a ring module T(N)).  It sits below
+``rings``, which ``trusses`` and ``modules`` are built on, so every
+validator imports it at module level and the import graph has no cycle.
 """
 
 from __future__ import annotations

@@ -15,15 +15,16 @@ classes and projection come from ``core._quotient_classes``, once per
 module, its heap is the view ``core._quotient_heap``, with no table, and
 maps descend to it through ``core._descend``; the quotient of a free module
 is R^n by construction, and ``verify_abs_of_free`` decides on a frame that
-it is right.  T(R) is the ring's own truss, ``ring.truss``, and T(N) is N's
-action on N's heap over it, so no truss is rebuilt from a ring.  Maps are
-checked on frames and maps into T(N) found by ``rings._module_maps``;
-``freeness_of_TN`` is a scan of r |-> r.x; absorbers are read off the
-action table in hand (``_fixed``), so no T(N) is built.  The module laws run
-on the law engine of ``laws`` (``_action_laws``), exactly, as the truss laws
-do.  Free sets and bases are decided exactly from the linear part of the
-copaired sigma map.  Frames come from the carrier, ``heap.frame()``, so no
-module defines one.
+it is right.  ``FiniteTModule`` lives in ``core``, below ``rings``, and is
+exported here.  T(R) is the ring's own truss, ``ring.truss``, and T(N) is
+the T(R)-module that N holds, ``rm.module``, so no truss and no module is
+rebuilt from a ring or an R-module.  Maps are checked on frames and maps
+into T(N) found by ``rings._module_maps``; ``freeness_of_TN`` is a scan of
+r |-> r.x; absorbers are read off the action table in hand.  The module
+laws run on the law engine of ``laws`` (``_action_laws``), exactly, as the
+truss laws do.  Free sets and bases are decided exactly from the linear
+part of the copaired sigma map.  Frames come from the carrier,
+``heap.frame()``, so no module defines one.
 """
 
 from __future__ import annotations
@@ -36,62 +37,21 @@ from fractions import Fraction
 from .coproduct import CoproductElement, DirectSum, HeapSummand, shift
 from .core import (
     FiniteHeap,
+    FiniteTModule,
     HeapMorphism,
     INT_LINE,
     StructureError,
     _descend,
     _first_unequivariant,
     _first_unpreserved,
-    _id_table,
     _quotient_classes,
     _quotient_heap,
     SubHeap,
 )
 from .laws import LINEAR_IN_M, LINEAR_IN_T, _Memo, _action_laws, _pool
 from .reports import FAIL, PASS, Finding, Report
-from .rings import RModule, Ring, _module_maps
+from .rings import RModule, Ring, _finite, _module_maps
 from .trusses import IntegerTruss, _default_basepoint, _product_laws, retract_ring
-
-
-class FiniteTModule:
-    """A left module over a finite truss, with an explicit action table."""
-
-    __slots__ = ("truss", "heap", "action", "size", "names", "_absorbers")
-
-    def __init__(self, truss, heap: FiniteHeap, action):
-        if not truss.heap.is_finite:
-            raise StructureError("table-backed modules need a finite truss")
-        if not heap.abelian:
-            raise StructureError("a module carrier must be an Abelian heap")
-        self.truss = truss
-        self.heap = heap
-        self.size = heap.size
-        self.names = heap.names
-        self.action = _id_table(action, truss.size, heap.size, "the action table")
-        # the absorbers, their classes and the projection (``_absorber_quotient``),
-        # computed on first use
-        self._absorbers = None
-
-    @classmethod
-    def regular(cls, truss) -> "FiniteTModule":
-        """The truss acting on its own carrier by multiplication."""
-        return cls(truss, truss.heap, truss.mul_table)
-
-    @classmethod
-    def from_rmodule(cls, rm: RModule) -> "FiniteTModule":
-        """T(N): a module over a ring viewed as a module over T(R), the
-        ring's own truss, on N's carrier heap."""
-        return cls(rm.ring.truss, rm.heap, rm.action)
-
-    def act(self, t, m):
-        return self.action[t][m]
-
-    def __eq__(self, other):
-        return (isinstance(other, FiniteTModule) and self.truss == other.truss
-                and self.heap == other.heap and self.action == other.action)
-
-    def __repr__(self):
-        return f"FiniteTModule(order={self.size} over truss of order {self.truss.size})"
 
 
 def empty_module(truss) -> FiniteTModule:
@@ -267,15 +227,11 @@ class AbsorberSet:
                 and all(c == zero for c in x.components))
 
 
-def _fixed(action, size) -> tuple:
-    """The x that every row of an action table fixes, in id order."""
-    return tuple(x for x in range(size) if all(row[x] == x for row in action))
-
-
 def absorbers(m) -> AbsorberSet:
-    """The absorber set of a module of this package: read off a finite
-    module's action table (``_fixed``), {0.m} over the truss of a ring; for
-    a free module at the absorber of a ring truss, the sub-heap of tails."""
+    """The absorber set of a module of this package: the x that every row of
+    a finite module's action table fixes, in id order, {0.m} over the truss
+    of a ring; for a free module at the absorber of a ring truss, the
+    sub-heap of tails."""
     if isinstance(m, FreeTModule):
         if m.basepoint != m.truss.absorber:
             raise StructureError("absorbers of a free module are computed over"
@@ -284,7 +240,8 @@ def absorbers(m) -> AbsorberSet:
     if isinstance(m, TrivialIntModule):
         return AbsorberSet(m, "all")
     if isinstance(m, FiniteTModule):
-        return AbsorberSet(m, "finite", _fixed(m.action, m.size))
+        return AbsorberSet(m, "finite", tuple(
+            x for x in range(m.size) if all(row[x] == x for row in m.action)))
     raise StructureError("cannot decide the absorber set for this module")
 
 
@@ -340,9 +297,6 @@ def abs_quotient(m):
     """
     if isinstance(m, FreeTModule):
         absorbers(m)    # raises unless the base point is the zero of a ring truss
-        if not m.truss.heap.is_finite:
-            raise StructureError("the absorber quotient of a free module is R^n,"
-                                 " which needs a finite ring R")
         ring = retract_ring(m.truss, m.truss.absorber)
 
         def project(x):
@@ -351,7 +305,7 @@ def abs_quotient(m):
                 out = out * ring.size + c
             return out
 
-        return RModule.power(ring, m.n), project
+        return RModule.power(ring, m.n), project    # R^n raises unless R is finite
     if not (m.heap.is_finite and m.truss.heap.is_finite):
         raise StructureError("the absorber quotient needs a finite carrier"
                              " or a canonical free module")
@@ -419,7 +373,7 @@ def tmodule_homs_to_TN(m: FiniteTModule, n_mod: RModule):
         raise StructureError("hom-sets into T(N) need a module over T(R) for N's ring R")
     if m.size == 0:
         return [()]
-    return sorted(_module_maps(m, 0, m.truss, n_mod, translate=True))
+    return sorted(_module_maps(m, 0, n_mod, translate=True))
 
 
 def adjunction_theta(m: FiniteTModule, n_mod: RModule, phi):
@@ -629,8 +583,8 @@ def freeness_of_TN(rm: RModule) -> Report:
 
     Each r |-> r.x is a module map R -> N, so they are isomorphic exactly
     when one is a bijection (its inverse is ``isomorphism``): a scan, no
-    search.  ``absorbers_of_TN`` are the x that every r fixes, read off N's
-    action table (``_fixed``), which is T(N)'s: no T(N) is built.  A
+    search.  ``absorbers_of_TN`` are the ``absorbers`` of T(N), the module
+    that N holds, read off the action table they share: no T(N) is built.  A
     negative verdict carries the structural witness, F(2) over T(R), the
     ring's own truss: T(N) has a unique absorber, while a free module on two
     or more generators has the distinct absorbers 0x != 0y.
@@ -640,7 +594,7 @@ def freeness_of_TN(rm: RModule) -> Report:
         raise StructureError("free modules are built over unital trusses")
     column = next((c for c in zip(*rm.action) if len(set(c)) == rm.size == ring.size), None)
     stats = {"module": rm.size, "ring": ring.size,
-             "absorbers_of_TN": [rm.names[x] for x in _fixed(rm.action, rm.size)]}
+             "absorbers_of_TN": [rm.names[x] for x in absorbers(rm.module).members]}
     if column is not None:
         stats["isomorphism"] = [column.index(y) for y in range(rm.size)]
         return Report("freeness of T(N)", PASS, [], stats)
@@ -668,7 +622,7 @@ def verify_abs_of_free(ring: Ring, n: int) -> Report:
     generators to the unit vectors of R^n.  Findings are located at scalars
     and elements of F(n), so each one replays."""
     findings = []
-    t = ring.truss
+    t = _finite(ring).truss
     fm = free_module(t, n)
     frame = fm.heap.frame()
     zero_comps = (ring.zero,) * n

@@ -1,13 +1,17 @@
 """Rings and modules over them.  A ring is a ring-type truss pointed at an
 absorber, its zero (Brzezinski, Trans. AMS 2019): ``Ring`` holds the truss
 and the zero, and T(R) is that truss, ``ring.truss``, so a ring and its T(R)
-share one product table and one heap.  A group is a pointed heap, a + b =
-[a, 0, b] (Certaine 1943), so no group table is kept: ``ring.add`` and
-``module.group`` are views.  ``FiniteRing`` only builds a finite ring's
-truss from tables, once (``Zn``, ``product``, documents); ``RModule`` is an
-exact id-indexed action table on its carrier heap pointed at zero, a
-constructor takes a ``FiniteGroup`` or (heap, zero), T(N) shares the heap,
-and R^n is ``core.product``.
+share one product table and one heap.  An R-module N is, in the same way,
+a T(R)-module pointed at its one absorber, its zero: ``RModule`` holds its
+``FiniteTModule`` over ``ring.truss`` and the zero, and T(N) is that module,
+``rm.module``, so N and T(N) share one heap, one action table and one
+absorber cache.  A group is a pointed heap, a + b = [a, 0, b] (Certaine
+1943), so no group table is kept: ``ring.add`` and ``module.group`` are
+views.  ``FiniteRing`` only builds a finite ring's truss from tables, once
+(``Zn``, ``product``, documents); an ``RModule`` constructor takes a
+``FiniteGroup`` or (heap, zero) and an action table, and R^n is
+``core.product``.  A ring on a symbolic truss has no tables, and whatever
+needs them refuses it (``_finite``).
 
 These are the classical structures that trusses and truss modules are
 compared against: ring retracts, the quotient-by-absorbers module, and the
@@ -15,8 +19,9 @@ hom-sets and isomorphisms behind the adjunction, all found by one search,
 ``_module_maps``, on generators and frames.  Ring and ring-module laws are
 decided on the ring and the module themselves, on generators, by the law
 engine of ``laws``, which reads only their ``heap`` and ``mul`` or ``act``,
-and swept only when they fail.  ``FiniteTruss`` sits in ``core``, so
-``rings`` imports neither ``trusses`` nor ``modules``, which are built on it.
+and swept only when they fail.  ``FiniteTruss`` and ``FiniteTModule`` sit
+in ``core``, so ``rings`` imports neither ``trusses`` nor ``modules``, which
+are built on it.
 """
 
 from __future__ import annotations
@@ -24,8 +29,9 @@ from __future__ import annotations
 import itertools
 
 from .coproduct import shift
-from .core import (FiniteGroup, FiniteHeap, FiniteTruss, StructureError, _first_unequivariant,
-                   _group_maps, _id_table, _rows, _walked_frame, heap_from_group, product, retract)
+from .core import (FiniteGroup, FiniteHeap, FiniteTModule, FiniteTruss, StructureError,
+                   _first_unequivariant, _group_maps, _rows, _walked_frame, heap_from_group,
+                   product, retract)
 from .laws import _action_laws, _pool
 from .reports import FAIL, PASS, Finding, Report
 
@@ -49,11 +55,19 @@ class _Additive:
     @property
     def group(self):
         """The additive group of a finite carrier, a view: the retract at zero."""
-        return retract(self.heap, self.zero)
+        return retract(_finite(self).heap, self.zero)
 
     def plus_table(self):
         """a + b for every pair of ids of a finite carrier, read off the heap."""
-        return _rows(self.heap, self.zero)
+        return _rows(_finite(self).heap, self.zero)
+
+
+def _finite(x):
+    """x once its carrier heap is finite, as every table of a ring needs;
+    StructureError otherwise (a ring on a symbolic truss)."""
+    if not x.heap.is_finite:
+        raise StructureError(f"a finite ring is needed, not {x!r}")
+    return x
 
 
 def _pointed(carrier, message):
@@ -101,7 +115,7 @@ class Ring(_Additive):
                 raise StructureError(f"not a ring: {report.findings[0]}")
 
     add = _Additive.group
-    mul_table = property(lambda self: self.truss.mul_table)
+    mul_table = property(lambda self: _finite(self).truss.mul_table)
     names = property(lambda self: self.truss.names)
 
     def __eq__(self, other):
@@ -163,16 +177,19 @@ def validate_ring(r: Ring) -> Report:
 
 
 class RModule(_Additive):
-    """A left module over a finite ring: a pointed Abelian heap and an action
-    table.  The regular module shares its ring's heap."""
+    """A left module over a finite ring: its T(R)-module ``module``, the
+    ring's truss acting on the carrier heap by the action table, pointed at
+    ``zero``; T(N) is that module.  The carrier heap, the action table, the
+    size and the names are the module's, bound once.  The regular module
+    shares its ring's heap."""
 
-    __slots__ = ("ring", "heap", "zero", "action", "size", "names")
+    __slots__ = ("ring", "module", "heap", "zero", "action", "size", "names")
 
     def __init__(self, ring: Ring, group, action, validate=True):
-        self.heap, self.zero = _pointed(group, "a module's additive group must be Abelian")
-        self.ring, self.size = ring, self.heap.size
-        self.action = _id_table(action, ring.size, self.size, "the action table")
-        self.names = self.heap.names
+        heap, self.zero = _pointed(group, "a module's additive group must be Abelian")
+        self.ring = ring
+        m = self.module = FiniteTModule(ring.truss, heap, action)
+        self.heap, self.action, self.size, self.names = m.heap, m.action, m.size, m.names
         if validate:
             report = validate_rmodule(self)
             if not report.ok:
@@ -183,8 +200,7 @@ class RModule(_Additive):
 
     def __eq__(self, other):
         return self is other or (isinstance(other, RModule) and self.zero == other.zero
-                                 and self.action == other.action and self.ring == other.ring
-                                 and self.heap == other.heap)
+                                 and self.ring == other.ring and self.module == other.module)
 
     def __repr__(self):
         return f"RModule(order={self.size} over ring of order {self.ring.size})"
@@ -244,14 +260,16 @@ def validate_rmodule(m: RModule) -> Report:
                   {"size": n, "ring": R.size})
 
 
-def _module_maps(m, e, scalars, target, iso=False, translate=False):
-    """Every module map from m, pointed at e and acted on by ``scalars``, into
-    the R-module target, lazily: each group map phi at e and zero
-    (``core._group_maps``; with ``iso`` the isomorphisms), with ``translate``
-    (into T(N)) each phi + c read off the same table, kept when it commutes
-    with the action on frames (``core._first_unequivariant``)."""
+def _module_maps(m, e, target, iso=False, translate=False):
+    """Every module map from m, pointed at e, into the R-module target,
+    lazily: m is acted on by the target's ring R or by T(R), whose heap is
+    R's, so the scalars are ``target.ring.heap``.  Each group map phi at e
+    and zero (``core._group_maps``; with ``iso`` the isomorphisms), with
+    ``translate`` (into T(N)) each phi + c read off the same table, is kept
+    when it commutes with the action on frames
+    (``core._first_unequivariant``)."""
     rows = _rows(target.heap, target.zero)
-    ts, xs = (h.frame() or h.elements() for h in (scalars.heap, m.heap))
+    ts, xs = (h.frame() or h.elements() for h in (target.ring.heap, m.heap))
     for phi in _group_maps((m.heap, e), (rows, target.zero), iso=iso):
         # c + y = y + c: the target is Abelian
         for f in (tuple(map(row.__getitem__, phi)) for row in rows) if translate else (phi,):
@@ -264,7 +282,7 @@ def rmodule_isomorphism(m1: RModule, m2: RModule):
     that ``_module_maps`` finds; m1 and m2 must be modules."""
     if m1.ring != m2.ring:
         return None
-    return next(_module_maps(m1, m1.zero, m1.ring, m2, iso=True), None)
+    return next(_module_maps(m1, m1.zero, m2, iso=True), None)
 
 
 def rmodule_homs(m1: RModule, m2: RModule):
@@ -272,4 +290,4 @@ def rmodule_homs(m1: RModule, m2: RModule):
     lexicographic order (``_module_maps``); m1 and m2 must be modules."""
     if m1.ring != m2.ring:
         raise StructureError("hom-sets need one common ring")
-    return sorted(map(tuple, _module_maps(m1, m1.zero, m1.ring, m2)))
+    return sorted(map(tuple, _module_maps(m1, m1.zero, m2)))

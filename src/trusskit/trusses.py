@@ -28,7 +28,7 @@ from .coproduct import CoproductElement, DirectSum, HeapSummand, shift
 from .core import INT_LINE, FiniteHeap, FiniteTruss, StructureError
 from .laws import ASSOCIATIVE, LINEAR_IN_M, _action_laws, _pool
 from .reports import FAIL, PASS, Finding, Report
-from .rings import FiniteRing, Ring
+from .rings import FiniteRing, Ring, _finite
 
 
 class IntegerTruss:
@@ -37,8 +37,6 @@ class IntegerTruss:
     heap = INT_LINE
     identity = 1
     absorber = 0
-    unital = True
-    ring_type = True
 
     def mul(self, a, b):
         return a * b
@@ -64,8 +62,6 @@ class ConstantTruss:
 
     heap = INT_LINE
     identity = None
-    unital = False
-    ring_type = True
 
     def __init__(self, c: int):
         self.c = c
@@ -184,14 +180,6 @@ class ExtensionTruss:
         else:
             self.absorber = self.adjoined_element
             self.identity = None if base.identity is None else self.inject(base.identity)
-
-    @property
-    def unital(self):
-        return self.identity is not None
-
-    @property
-    def ring_type(self):
-        return self.absorber is not None
 
     def inject(self, t) -> CoproductElement:
         return self.heap.inject(0, t)
@@ -433,7 +421,7 @@ def dorroh_compare(ring: Ring, window: int = 3) -> Report:
     ``window`` decides nothing and is only checked and echoed, for the CLI."""
     if window <= 0:
         raise StructureError("window must be positive")
-    t1 = unital_extension(ring.truss)
+    t1 = unital_extension(_finite(ring).truss)
     stats = {"ring": ring.size, "window": window, "algorithm": "frame"}
     frame = itertools.product(range(ring.size), range(ring.size), (0, 1), (0, 1))
     for checked, (r, rp, n, np_) in enumerate(frame, 1):

@@ -48,6 +48,7 @@ from trusskit.trusses import (
     FiniteTruss,
     IntegerTruss,
     constant_truss,
+    dorroh_compare,
     double_extension,
     integer_truss,
     retract_ring,
@@ -1155,6 +1156,29 @@ _RING_REFUSALS = {
 }
 
 
+# a ring on a symbolic truss has no tables: one refusal, stated once
+_NEEDS_A_FINITE_RING = {
+    "the regular module": (RModule.regular, None),
+    "R^2": (lambda r: RModule.power(r, 2), None),
+    "Z2 x R": (lambda r: FiniteRing.product(Z2, r), None),
+    "validate_ring": (validate_ring, None),
+    "the additive group": (lambda r: r.add, None),
+    "the addition table": (lambda r: r.plus_table(), None),
+    "dorroh_compare": (dorroh_compare, None),
+    "verify_abs_of_free": (lambda r: verify_abs_of_free(r, 2), None),
+    "an R-module on the integer line": (lambda r: RModule(r, (IntLineHeap(), 0), [[0]]),
+                                        "table-backed modules need a finite truss"),
+}
+
+
+@pytest.mark.parametrize("label", list(_NEEDS_A_FINITE_RING))
+def test_a_ring_on_a_symbolic_truss_refuses_what_needs_a_finite_ring(label):
+    call, pattern = _NEEDS_A_FINITE_RING[label]
+    with pytest.raises(StructureError, match=pattern or
+                       r"^a finite ring is needed, not Ring\(IntegerTruss\(\), zero=0\)$"):
+        call(retract_ring(integer_truss(), 0))
+
+
 def test_ring_modules_are_equal_when_their_zero_action_ring_and_heap_are():
     z4 = FiniteRing.Zn(4)
     m = RModule.regular(z4)
@@ -1196,8 +1220,10 @@ def _spy(monkeypatch, cls, name, calls):
 
 
 def test_freeness_of_TN_passes_with_no_truss_and_no_truss_module(monkeypatch):
+    # an R-module holds its T(R)-module, so the modules are built before the spies
     cases = [RModule.regular(FiniteRing.Zn(n)) for n in (2, 4, 6)]
     cases.append(RModule.regular(FiniteRing.product(Z2, Z3)))
+    not_free = RModule.power(Z2, 2)
     calls = []
     for cls in (FiniteTruss, FiniteTModule):
         _spy(monkeypatch, cls, "__init__", calls)
@@ -1205,7 +1231,7 @@ def test_freeness_of_TN_passes_with_no_truss_and_no_truss_module(monkeypatch):
     assert all(r.ok for r in reports) and calls == []
     assert [r.stats["absorbers_of_TN"] for r in reports] == [["0"]] * 3 + [["(0,0)"]]
     # the fail path builds F(2) over T(R), the ring's own truss, for its witness
-    assert not freeness_of_TN(RModule.power(Z2, 2)).ok and calls == []
+    assert not freeness_of_TN(not_free).ok and calls == []
 
 
 def test_maps_into_TN_compare_the_truss_with_no_T_of_R(monkeypatch):

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from trusskit import core, modules, trusses
-from trusskit.rings import FiniteRing, RModule, validate_ring, validate_rmodule
+from trusskit.rings import (FiniteRing, RModule, rmodule_homs, rmodule_isomorphism,
+                            validate_ring, validate_rmodule)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SOURCES = sorted((SRC / "trusskit").glob("*.py"))
@@ -120,6 +121,32 @@ def test_a_ring_and_T_of_it_share_one_truss(monkeypatch):
     # the spies do see a ring built from tables, and its truss
     FiniteRing.Zn(2)
     assert built == ["FiniteRing", "FiniteTruss"]
+
+
+def test_an_R_module_and_T_of_it_share_one_module(monkeypatch):
+    """T(N) is the T(R)-module that the R-module N holds, on T(R), the
+    ring's own truss: no R-module routine builds a truss module or a truss
+    from N's heap and table."""
+    z2, z3 = FiniteRing.Zn(2), FiniteRing.Zn(3)
+    rm, regular, target = RModule.power(z3, 2), RModule.regular(z2), RModule.power(z2, 2)
+    bad = RModule(target.ring, target.group, [[0, 1, 2, 3], [0, 1, 3, 2]], validate=False)
+    assert rm.module.truss is rm.ring.truss is z3.truss
+    assert rm.action is rm.module.action and rm.heap is rm.module.heap
+    built = []
+    for cls in (trusses.FiniteTruss, modules.FiniteTModule):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__,
+                            name=cls.__name__, **kwargs:
+                            built.append(name) or init(self, *args, **kwargs))
+    assert modules.FiniteTModule.from_rmodule(rm) is rm.module
+    assert validate_rmodule(rm).ok and not validate_rmodule(bad).ok
+    assert len(rmodule_homs(rm, rm)) == 81 and rmodule_isomorphism(rm, rm) is not None
+    t_regular = modules.FiniteTModule.from_rmodule(regular)
+    assert modules.tmodule_homs_to_TN(t_regular, target) == [(0, y) for y in range(4)]
+    assert modules.freeness_of_TN(regular).ok and not modules.freeness_of_TN(target).ok
+    assert built == []
+    # the spies do see an R-module build its T(R)-module
+    RModule.regular(z2)
+    assert built == ["FiniteTModule"]
 
 
 def test_ring_modules_and_rings_on_heaps_build_no_group_and_no_heap_table(monkeypatch):
