@@ -142,9 +142,9 @@ def _sample_size(heap, window: int) -> int:
 def _table_form(structure, window: int):
     """(kind, labels, tables): the display names of the elements and each
     operation table as rows of display names.  Symbolic trusses show the
-    elements of a window.  A truss's table comes from
-    ``trusses.product_table``: an extension makes each distinct base product
-    once, not three per cell, and checks that it lies in the carrier.
+    elements of a window.  A truss's table is ``trusses.product_table``, an
+    extension's in row form (A_x(h) once per row and component, M_x(n) once
+    per row and tail, each cell A + M); each distinct element is labelled once.
 
     A table of more than ``MAX_TABLE_CELLS`` cells raises StructureError,
     naming its cells and the largest window that fits, before anything is
@@ -174,7 +174,7 @@ def _table_form(structure, window: int):
             f"the table would have {cells(window)} cells, more than {MAX_TABLE_CELLS}; "
             + (f"the largest window that fits is {fits}" if fits else "no window fits"))
     if kind == "truss-table":
-        pool, fmt = structure.sample_elements(window), structure.format_element
+        pool, fmt = structure.sample_elements(window), functools.cache(structure.format_element)
     else:
         pool, fmt = range(structure.size), structure.names.__getitem__
     tables = {name: [[fmt(v) for v in row] for row in table(pool, pool)]

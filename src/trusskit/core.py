@@ -109,8 +109,9 @@ class FiniteTModule:
     __slots__ = ("truss", "heap", "action", "size", "names", "_absorbers")
 
     def __init__(self, truss, heap: FiniteHeap, action):
-        if not truss.heap.is_finite:
-            raise StructureError("table-backed modules need a finite truss")
+        if not (truss.heap.is_finite and heap.is_finite):
+            what = "carrier" if truss.heap.is_finite else "truss"
+            raise StructureError(f"table-backed modules need a finite {what}")
         if not heap.abelian:
             raise StructureError("a module carrier must be an Abelian heap")
         self.truss = truss

@@ -116,7 +116,7 @@ class Ring(_Additive):
 
     add = _Additive.group
     mul_table = property(lambda self: _finite(self).truss.mul_table)
-    names = property(lambda self: self.truss.names)
+    names = property(lambda self: _finite(self).truss.names)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Ring) and self.zero == other.zero

@@ -10,18 +10,22 @@ absorber (``rings.Ring``).  An extension's product distributes over
 the heap operation in each argument, so it is the bi-affine closed form of
 ``ExtensionTruss`` in four base products; the letter-wise product over word
 forms and the closed formulas of the worked examples live in the tests as
-oracles, not here.  ``ExtensionTruss.mul`` makes only the base products the
-closed form reads, ge and eh only against a non-zero tail, and
-``product_table`` makes each distinct one of a table once, not per cell;
-both check that it lies in the carrier.  ``validate_truss`` decides the
-product laws on the law engine of ``laws`` (``_action_laws``), the truss
-acting on itself, exactly and on generators; ``_product_laws`` stays here,
-as an extension decides its base first.  Frames belong to the carrier, so
-no truss defines one.
+oracles, not here.  That form has two halves: A reads the right factor
+only through its component and M only through its tail.
+``ExtensionTruss.mul`` applies M to A by shifts, making only the base
+products they read (ge and eh only against a non-zero tail), and
+``product_table`` is its row form: each distinct base product once, A once
+per row and distinct component, M once per row and distinct tail, each
+cell the sum of the two; both check that a base product lies in the
+carrier.  ``validate_truss`` decides the product laws on the law engine of
+``laws`` (``_action_laws``), the truss acting on itself, exactly and on
+generators; ``_product_laws`` stays here, as an extension decides its base
+first.  Frames belong to the carrier, so no truss defines one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .coproduct import CoproductElement, DirectSum, HeapSummand, shift
@@ -136,18 +140,19 @@ class ExtensionTruss:
     component and an integer tail, the singleton component suppressed.  In
     the retract of the base carrier at the basepoint e, (g; m) is
     g + m(adjoined - e), and the product is bi-affine in four base products:
+    for x = (g; m) and y = (h; n), xy = (A_x(h) + M_x(n); tail), where A
+    reads y only through h and M only through n:
 
-        T1: (g; m)(h; n) = (gh + n(g - ge) + m(h - eh) + mn.ee;  mn)
-        T0: (g; m)(h; n) = (gh - n.ge - m.eh + mn.ee;  n + m - mn)
+        T1: A_x(h) = gh + m(h - eh),  M_x(n) = n(g - ge) + mn(ee - e),  tail mn
+        T0: A_x(h) = gh - m(eh - e),  M_x(n) = -n(ge - e) + mn(ee - e), tail n + m - mn
 
-    Over the integer truss with e = 0, T1 is the Dorroh product.  ge enters
-    only as a multiple of y's tail n and eh only as one of x's tail m, so
-    ``mul`` makes gh always, ge only when n != 0 and eh only when m != 0 (ee
-    is made once, when the extension is built); ``product_table`` makes each
-    distinct base product that some cell reads once.  Both raise
-    StructureError where a base product they make is outside the carrier,
-    which a nested extension's products never are (they are built in its
-    carrier, so they are not checked), and both combine by ``_combine``.
+    Over the integer truss with e = 0, T1 is the Dorroh product.  ``mul``
+    makes gh always, ge only when n != 0 and eh only when m != 0 (ee is made
+    once, when the extension is built), and applies M to A by shifts, 3 per
+    product; ``product_table`` runs the same halves, ``_by_component`` and
+    ``_by_tail``, in row form.  Both raise StructureError where a base
+    product they make is outside the carrier, which a nested extension's
+    products never are (they are built in its carrier, so not checked).
 
     The base products never see a tail and, over a base truss, are affine
     in g and in h.  So every truss law equates maps affine in each
@@ -205,23 +210,24 @@ class ExtensionTruss:
         (g, _), (m,) = x
         (h, _), (n,) = y
         e, times = self.basepoint, self._base_mul
-        return self._combine(x, y, times(g, h), times(g, e) if n else None,
-                             times(e, h) if m else None)
+        a = self._by_component(g, m, h, times(g, h), times(e, h) if m else None)
+        c, tail = self._by_tail(a, g, m, n, times(g, e) if n else None)
+        return CoproductElement((c, 0), (tail,))
 
-    def _combine(self, x, y, gh, ge, eh) -> CoproductElement:
-        """xy from the base products gh, ge and eh of the components g of x
-        and h of y (and the kept ee): the closed form of the class docstring.
-        ge is read only when y's tail n != 0, and eh only when x's tail m != 0."""
-        (g, _), (m,) = x.components, x.tails
-        (h, _), (n,) = y.components, y.tails
-        e, heap, ee = self.basepoint, self.base_heap, self._ee
+    def _by_component(self, g, m, h, gh, eh):
+        """A_x(h) for x = (g; m), from gh and eh (read only when m != 0)."""
         if self.adjoined == "one":
-            c = shift(heap, shift(heap, gh, n, g, ge), m, h, eh)
-            tail = m * n
+            return shift(self.base_heap, gh, m, h, eh)
+        return shift(self.base_heap, gh, -m, eh, self.basepoint)
+
+    def _by_tail(self, acc, g, m, n, ge):
+        """(acc + M_x(n), xy's tail) for x = (g; m), from ge (read only when n != 0)."""
+        heap, e = self.base_heap, self.basepoint
+        if self.adjoined == "one":
+            acc, tail = shift(heap, acc, n, g, ge), m * n
         else:
-            c = shift(heap, shift(heap, gh, -n, ge, e), -m, eh, e)
-            tail = n + m - m * n
-        return CoproductElement((shift(heap, c, m * n, ee, e), 0), (tail,))
+            acc, tail = shift(heap, acc, -n, ge, e), n + m - m * n
+        return shift(heap, acc, m * n, self._ee, e), tail
 
     def format_element(self, x) -> str:
         """(g; m) as g + m*1 in T1 at an absorber, in T0 as a multiple of the
@@ -266,8 +272,7 @@ def double_extension(t) -> ExtensionTruss:
 
 
 def product_table(t, xs, ys):
-    """[[t.mul(x, y) for y in ys] for x in xs], each distinct base product
-    made once.
+    """[[t.mul(x, y) for y in ys] for x in xs], in row form.
 
     An extension product reads the base products gh, ge and eh of the
     components g of x and h of y, ge only when y's tail is not 0 and eh only
@@ -276,10 +281,12 @@ def product_table(t, xs, ys):
     basepoint e as a column when some y has a tail and as a row when some x
     has one: every product made is one that ``mul`` makes on some cell, so
     the table raises exactly when ``mul`` raises on some cell.  Each is
-    checked to lie in the carrier (a nested extension's always does), and
-    ``ExtensionTruss._combine``, the closed form that ``mul`` uses, makes
-    every cell from the table.  Nothing assumes that the base is a truss.
-    Any other truss multiplies cell by cell.
+    checked to lie in the carrier (a nested extension's always does).  Each
+    row x then makes the two halves of ``mul``'s closed form once per
+    distinct entry of ys, A_x(h) per component h and M_x(n) per tail n, M
+    as an element of the base carrier, and each cell is [A, e, M], each
+    distinct sum made once per call.  Nothing assumes that the base is a
+    truss.  Any other truss multiplies cell by cell.
     """
     if not isinstance(t, ExtensionTruss):
         return [[t.mul(x, y) for y in ys] for x in xs]
@@ -292,9 +299,15 @@ def product_table(t, xs, ys):
             for g, row in zip(rows, product_table(t.base, list(rows), list(cols)))]
     eh = base[rows[e]] if e in rows else [None] * len(cols)
     je = cols.get(e, -1)    # else the None past each row: no y has a tail
-    xrows = [(x, base[rows[x.components[0]]]) for x in xs]
-    ycols = [(y, cols[y.components[0]]) for y in ys]
-    return [[t._combine(x, y, row[j], row[je], eh[j]) for y, j in ycols] for x, row in xrows]
+    ycols = [(cols[h], n) for (h, _), (n,) in ys]
+    js, ns = {cols[h]: h for (h, _), _ in ys}, dict.fromkeys(n for _, n in ycols)
+    plus, table = functools.cache(lambda a, c: t.base_heap.ternary(a, e, c)), []
+    for (g, _), (m,) in xs:
+        row = base[rows[g]]
+        a = {j: t._by_component(g, m, h, row[j], eh[j]) for j, h in js.items()}
+        mt = {n: t._by_tail(e, g, m, n, row[je] if n else None) for n in ns}
+        table.append([CoproductElement((plus(a[j], mt[n][0]), 0), (mt[n][1],)) for j, n in ycols])
+    return table
 
 
 # ---------------------------------------------------------------------------

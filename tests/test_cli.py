@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from trusskit import cli, serialize
+from trusskit.coproduct import DirectSum
 from trusskit.core import FiniteGroup, StructureError, heap_from_group
 from trusskit.trusses import FiniteTruss, double_extension, integer_truss, unital_extension
 
@@ -192,6 +193,23 @@ def test_an_extension_table_makes_each_base_product_once(monkeypatch, capsys):
     code, out, err = run(["extend", "--both", "--builtin", "TC2", "table", "--window", "2"], capsys)
     assert (code, err) == (0, "") and len(out.splitlines()) == 2 + 50
     assert len(products) <= 16
+
+
+@pytest.mark.parametrize("window, bound", [(2, 2000), (4, 20000)])
+def test_an_extension_table_adds_each_distinct_cell_once(window, bound, monkeypatch, capsys):
+    """The outer extension of T0(T1(TC2)) computes on the carrier of
+    T1(TC2), a direct sum.  In row form each row makes one A per
+    component and one M per tail of the columns, and each distinct sum
+    [A, e, M] is one ternary: 1 229 direct-sum ternaries at window 2 and
+    11 873 at window 4, where three shifts per cell made 5 400 and 99 144."""
+    calls, ternary = [], DirectSum.ternary
+    monkeypatch.setattr(DirectSum, "ternary",
+                        lambda ds, x, y, z: calls.append(1) or ternary(ds, x, y, z))
+    argv = ["extend", "--both", "--builtin", "TC2", "table", "--window", str(window)]
+    code, out, err = run(argv, capsys)
+    side = 2 * (2 * window + 1) ** 2
+    assert (code, err) == (0, "") and len(out.splitlines()) == 2 + side
+    assert len(calls) <= bound
 
 
 TABLE_TRUSSES = ["TZ", "Zc3", "TC2", "TZ3", "truss_t1_tz.json", "truss_t1_bad.json",

@@ -1059,6 +1059,12 @@ _REFUSALS = {
         lambda: FiniteTModule(truss_TZn(2), heap_from_group(FiniteGroup.dihedral(3)),
                               [list(range(6))] * 2),
         "a module carrier must be an Abelian heap"),
+    "a table-backed module on the integer line": (
+        lambda: FiniteTModule(truss_TZn(2), IntLineHeap(), [[0], [0]]),
+        "table-backed modules need a finite carrier"),
+    "an R-module over Z2 on the integer line": (
+        lambda: RModule(Z2, (IntLineHeap(), 0), [[0], [0]]),
+        "table-backed modules need a finite carrier"),
     "the universal lift of F(2) given one image": (
         lambda: free_module(truss_TZn(3), 2).universal_lift(
             FiniteTModule.regular(truss_TZn(3)), [0]),
@@ -1164,6 +1170,7 @@ _NEEDS_A_FINITE_RING = {
     "validate_ring": (validate_ring, None),
     "the additive group": (lambda r: r.add, None),
     "the addition table": (lambda r: r.plus_table(), None),
+    "the names": (lambda r: r.names, None),
     "dorroh_compare": (dorroh_compare, None),
     "verify_abs_of_free": (lambda r: verify_abs_of_free(r, 2), None),
     "an R-module on the integer line": (lambda r: RModule(r, (IntLineHeap(), 0), [[0]]),

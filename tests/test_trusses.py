@@ -593,6 +593,18 @@ def test_double_extension_validation_makes_at_most_341_base_products(monkeypatch
     assert len(calls) <= 341
 
 
+def test_an_extension_product_makes_three_shifts(monkeypatch):
+    # mul applies M_x(n) to A_x(h) by shifts; the row form of a table is no
+    # detour for a single product
+    calls, shift = [], trusses.shift
+    monkeypatch.setattr(trusses, "shift", lambda *a: calls.append(1) or shift(*a))
+    for kind in ("T1", "T0"):
+        t = EXTEND[kind](truss_TZn(5))
+        calls.clear()
+        t.mul(t.element(2, 3), t.element(4, -2))
+        assert len(calls) == 3
+
+
 # sha256 of the reprs of t.mul(x, y) over the window-2 pool squared, computed
 # with the closed form making every gh, ge and eh; the pool is window_pool(t,
 # 2), but over an extension base its window is drawn from the base's heap
@@ -947,6 +959,27 @@ def test_product_table_over_a_base_that_is_no_truss(kind, name):
     pool = window_pool(t, 2)
     assert product_table(t, pool, pool) == cell_by_cell(t, pool, pool)
     assert product_table(t.base, range(3), range(3)) == [list(row) for row in t.base.mul_table]
+
+
+NESTED = {
+    "T0(T1(T0(TC2)))": lambda: ring_extension(unital_extension(ring_extension(tc2_brace_truss()))),
+    "T1(T0(TZ3))": lambda: unital_extension(ring_extension(truss_TZn(3))),
+}
+
+
+@pytest.mark.parametrize("window", [1, 2])
+@pytest.mark.parametrize("name", sorted(NESTED))
+def test_product_table_in_row_form_over_a_nested_carrier(name, window):
+    # the outer rows and columns sum A and M on a direct sum whose base
+    # carrier is itself a direct sum (or, for T1(T0(TZ3)), a finite heap)
+    t = NESTED[name]()
+    pool = window_pool(t, window)
+    cols = pool[::-1][::max(1, len(pool) // 40)]
+    assert isinstance(t.base_heap, DirectSum)
+    assert product_table(t, pool, cols) == cell_by_cell(t, pool, cols)
+    assert product_table(t, cols, pool) == cell_by_cell(t, cols, pool)
+    if window == 1:
+        assert product_table(t, pool, pool) == cell_by_cell(t, pool, pool)
 
 
 def violated(t, f):
