@@ -48,19 +48,16 @@ from .modules import (
 from .reports import PASS, dumps
 from .rings import FiniteRing, validate_ring
 from .trusses import (
+    BUILTIN_TRUSSES,
     ConstantTruss,
     ExtensionTruss,
     FiniteTruss,
     IntegerTruss,
-    constant_truss,
     dorroh_compare,
     double_extension,
     product_table,
     retract_ring,
     ring_extension,
-    tc2_brace_truss,
-    terminal_truss,
-    truss_TZn,
     unital_extension,
     validate_truss,
 )
@@ -81,20 +78,15 @@ def _resolve(names, token):
 
 
 def parse_builtin_truss(spec: str):
-    if spec == "TZ":
-        return IntegerTruss()
-    if spec == "TC2":
-        return tc2_brace_truss()
-    if spec == "star":
-        return terminal_truss()
-    m = re.fullmatch(r"TZ(\d+)", spec)
-    if m:
-        return truss_TZn(int(m.group(1)))
-    m = re.fullmatch(r"Zc(-?\d+)", spec)
-    if m:
-        return constant_truss(int(m.group(1)))
-    raise StructureError(f"unknown builtin truss {spec!r} "
-                         "(expected TZ, TZ<n>, Zc<c>, TC2, or star)")
+    """A truss of ``BUILTIN_TRUSSES``, TZn written TZ<n> and Zc written Zc<c>."""
+    m = re.fullmatch(r"(TZ|TC2|star)|TZ(\d+)|Zc(-?\d+)", spec)
+    if m is None:
+        raise StructureError(f"unknown builtin truss {spec!r} "
+                             "(expected TZ, TZ<n>, Zc<c>, TC2, or star)")
+    name, n, c = m.groups()
+    if name:
+        return BUILTIN_TRUSSES[name]()
+    return BUILTIN_TRUSSES["TZn"](int(n)) if n else BUILTIN_TRUSSES["Zc"](int(c))
 
 
 def parse_ring_spec(spec: str) -> FiniteRing:

@@ -14,7 +14,7 @@ of maps f_i on x = (c; t) in closed form:
 
     f(x) = f_0(c_0) + sum_{i>=1} [(f_i(c_i) - f_i(e_i)) + t_{i-1}(f_i(e_i) - f_0(e_0))]
 
-(``copair_value``).  Word forms over the disjoint union of the summands
+(``CopairMorphism``).  Word forms over the disjoint union of the summands
 remain for display and parsing; a word's value is the one fold of words
 into Abelian heaps, ``words.eval_word_in_heap``, over its injected letters.
 """
@@ -295,29 +295,10 @@ def shift(heap, acc, k: int, p, q):
     return acc
 
 
-def copair_value(ds: DirectSum, maps, target, x):
-    """The copair of ``maps`` (summand i into the Abelian ``target``) at the
-    canonical form x = (c; t), in closed form:
-
-        f_0(c_0) + sum_{i>=1} [(f_i(c_i) - f_i(e_i)) + t_{i-1}(f_i(e_i) - f_0(e_0))]
-
-    One call of each map per component and base element; no word is built.
-    """
-    f0e0 = maps[0](ds.summands[0].base)
-    acc = maps[0](x.components[0])
-    for i in range(1, ds.k):
-        fe = maps[i](ds.summands[i].base)
-        acc = shift(target, acc, 1, maps[i](x.components[i]), fe)
-        acc = shift(target, acc, x.tails[i - 1], fe, f0e0)
-    return acc
-
-
 @dataclass(frozen=True)
 class CopairMorphism:
     """The unique filler through a direct sum of the maps f_i from summand i
-    into a common Abelian target; it is affine, so ``copair_value`` gives it
-    in closed form and it restricts to f_i along the i-th injection.
-    """
+    into a common Abelian target; it restricts to f_i along the i-th injection."""
 
     coproduct: DirectSum
     maps: tuple
@@ -330,7 +311,20 @@ class CopairMorphism:
             raise StructureError("the copair target must be an Abelian heap")
 
     def __call__(self, x):
-        return copair_value(self.coproduct, self.maps, self.target, x)
+        """The copair at the canonical form x = (c; t), in closed form:
+
+            f_0(c_0) + sum_{i>=1} [(f_i(c_i) - f_i(e_i)) + t_{i-1}(f_i(e_i) - f_0(e_0))]
+
+        One call of each map per component and base element; no word is built.
+        """
+        ds, maps, target = self.coproduct, self.maps, self.target
+        f0e0 = maps[0](ds.summands[0].base)
+        acc = maps[0](x.components[0])
+        for i in range(1, ds.k):
+            fe = maps[i](ds.summands[i].base)
+            acc = shift(target, acc, 1, maps[i](x.components[i]), fe)
+            acc = shift(target, acc, x.tails[i - 1], fe, f0e0)
+        return acc
 
 
 def direct_sum(*summands) -> DirectSum:

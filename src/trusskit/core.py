@@ -222,9 +222,6 @@ class FiniteGroup:
     def op_table(self):
         return self._op
 
-    def __len__(self):
-        return self.size
-
     def __eq__(self, other):
         return (isinstance(other, FiniteGroup)
                 and self._op == other._op and self.neutral == other.neutral)
@@ -707,9 +704,6 @@ class FiniteHeap:
     def sample(self, window):
         return range(self.size)
 
-    def __len__(self):
-        return self.size
-
     def __eq__(self, other):
         if not isinstance(other, FiniteHeap):
             return NotImplemented
@@ -874,9 +868,6 @@ class SubHeap:
             v = ternary(a, b, c)
             if v not in mset:
                 raise StructureError(f"not closed: [{a},{b},{c}] = {v} falls outside the subset")
-
-    def __len__(self):
-        return len(self.members)
 
 
 def generated_subheap(h: FiniteHeap, xs) -> SubHeap:

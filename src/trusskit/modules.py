@@ -104,12 +104,10 @@ class FreeTModule:
                                  " (the empty module has its own constructor)")
         if truss.identity is None:
             raise StructureError("free modules are built over unital trusses")
-        if basepoint is None:
-            basepoint = _default_basepoint(truss)
         self.truss = truss
         self.n = n
-        self.basepoint = basepoint
-        self.heap = DirectSum(tuple(HeapSummand(truss.heap, basepoint) for _ in range(n)))
+        self.heap = _source_sum(truss, n, basepoint)
+        self.basepoint = self.heap.summands[0].base
 
     def generators(self):
         return [self.heap.inject(i, self.truss.identity) for i in range(self.n)]
@@ -258,6 +256,8 @@ def to_ring_module(m: FiniteTModule) -> RModule:
     aset = absorbers(m)
     if not aset.is_singleton():
         raise StructureError("not a ring module: the absorber is not unique")
+    if aset.members is None:        # F(1): the tails of a direct sum
+        raise StructureError("a ring module needs an action table, not a direct-sum carrier")
     return RModule(retract_ring(m.truss, m.truss.absorber), (m.heap, *aset.members), m.action)
 
 
@@ -379,7 +379,10 @@ def tmodule_homs_to_TN(m: FiniteTModule, n_mod: RModule):
 def adjunction_theta(m: FiniteTModule, n_mod: RModule, phi):
     """Turn an R-module map M_Abs -> N into the module map M -> T(N),
     m |-> phi(class of m)."""
-    _, proj = absorber_classes(m)
+    distinct, proj = absorber_classes(m)
+    if len(phi) != len(distinct):
+        raise StructureError(f"phi needs one image per absorber class, {len(distinct)},"
+                             f" not {len(phi)}")
     return tuple(phi[proj[x]] for x in m.heap.elements())
 
 
@@ -387,6 +390,8 @@ def adjunction_theta_inv(m: FiniteTModule, n_mod: RModule, psi):
     """Turn a module map M -> T(N) into the R-module map M_Abs -> N on
     class representatives; representative independence is re-checked."""
     _, proj = absorber_classes(m)
+    if len(psi) != m.size:
+        raise StructureError(f"psi needs one image per element, {m.size}, not {len(psi)}")
     return _descend(proj, psi, "map does not descend to the absorber quotient")
 
 
@@ -417,8 +422,9 @@ def sigma(m, x) -> SigmaMorphism:
     return SigmaMorphism(m, x)
 
 
-def _source_sum(truss, count):
-    base = _default_basepoint(truss)
+def _source_sum(truss, count, base=None):
+    """count copies of the truss heap, each at base (by default the truss's)."""
+    base = _default_basepoint(truss) if base is None else base
     return DirectSum(tuple(HeapSummand(truss.heap, base) for _ in range(count)))
 
 

@@ -155,15 +155,14 @@ class FiniteRing(Ring):
 def validate_ring(r: Ring) -> Report:
     """Associativity of multiplication and both distributive laws, exactly.
 
-    An affine map that fixes zero is additive, so r is a ring exactly when
-    0 absorbs on both sides and r, acting on itself by its product, passes
-    the law engine (``laws._action_laws``), which decides on generators
-    (Certaine's lemma: an affine map is fixed by its values on a frame).
-    Otherwise the n^3 sweep lists every violated instance."""
+    An affine map that fixes zero is additive, so r is a ring exactly when 0
+    is the truss's absorber (a two-sided one is unique) and r, acting on
+    itself by its product, passes the law engine (``laws._action_laws``),
+    which decides on generators (Certaine's lemma: an affine map is fixed by
+    its values on a frame).  Otherwise the n^3 sweep lists every violated instance."""
     n, zero, mul = r.size, r.zero, r.mul_table
     pool = _pool(r)
-    if (all(mul[zero][x] == zero == mul[x][zero] for x in pool)
-            and not _action_laws(r, r.mul, r, (pool, pool), sweep=False)[0]):
+    if zero == r.truss.absorber and not _action_laws(r, r.mul, r, (pool, pool), sweep=False)[0]:
         return Report("ring", PASS, [], {"size": n})
     add, findings = r.plus_table(), []
     for a, b, c in itertools.product(range(n), repeat=3):

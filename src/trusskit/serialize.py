@@ -16,14 +16,12 @@ from .core import FiniteGroup, FiniteHeap, StructureError, _id_table as core_id_
 from .modules import FiniteTModule, FreeTModule, TrivialIntModule, free_module
 from .rings import FiniteRing, Ring
 from .trusses import (
+    BUILTIN_TRUSSES,
     ConstantTruss,
     ExtensionTruss,
     FiniteTruss,
     IntegerTruss,
     _default_basepoint,
-    tc2_brace_truss,
-    terminal_truss,
-    truss_TZn,
 )
 
 
@@ -136,17 +134,14 @@ def _load_truss(obj):
         raise StructureError("a truss document must be an object")
     builtin = obj.get("builtin")
     if builtin is not None:
-        if builtin == "TZ":
-            return IntegerTruss()
+        make = BUILTIN_TRUSSES.get(builtin) if isinstance(builtin, str) else None
+        if make is None:
+            raise StructureError(f"unknown builtin truss {builtin!r}")
         if builtin == "TZn":
-            return truss_TZn(_integer(_require(obj, "n"), "'n'"))
+            return make(_integer(_require(obj, "n"), "'n'"))
         if builtin == "Zc":
-            return ConstantTruss(_integer(obj.get("c", 0), "'c'"))
-        if builtin == "TC2":
-            return tc2_brace_truss()
-        if builtin == "star":
-            return terminal_truss()
-        raise StructureError(f"unknown builtin truss {builtin!r}")
+            return make(_integer(obj.get("c", 0), "'c'"))
+        return make()
     if "extension" in obj:
         base = _load_truss(_require(obj, "base"))
         basepoint = _integer(obj["basepoint"], "'basepoint'") if "basepoint" in obj else None

@@ -120,6 +120,11 @@ def constant_truss(c: int) -> ConstantTruss:
     return ConstantTruss(c)
 
 
+# every builtin truss by its document name; TZn takes n and Zc takes c
+BUILTIN_TRUSSES = {"TZ": integer_truss, "TZn": truss_TZn, "Zc": constant_truss,
+                   "TC2": tc2_brace_truss, "star": terminal_truss}
+
+
 # ---------------------------------------------------------------------------
 # extensions
 
@@ -406,14 +411,15 @@ def validate_truss(t, *, samples=None, window=None, seed=None) -> Report:
 
 
 def _check_absorber(t, zero):
-    """Raise unless zero absorbs on both sides, decided on the pool of t:
-    every element, or the frame once a symbolic t is a truss; a first failing law decides."""
-    if t.absorber is not None and zero == t.absorber:
+    """Raise unless zero absorbs on both sides: a finite t holds its one absorber
+    (``core._unit``); a symbolic t is decided on its frame once it is a truss."""
+    if zero == t.absorber:
         return
     pool = _pool(t)
-    if pool is not None and any(t.mul(zero, x) != zero or t.mul(x, zero) != zero for x in pool):
+    if t.heap.is_finite or pool is not None and any(
+            t.mul(zero, x) != zero or t.mul(x, zero) != zero for x in pool):
         raise StructureError(f"{zero!r} is not a two-sided absorber")
-    if pool is None or not t.heap.is_finite and _product_laws(t, pool, sweep=False)[0]:
+    if pool is None or _product_laws(t, pool, sweep=False)[0]:
         raise StructureError(f"cannot decide that {zero!r} absorbs: not a truss with a frame")
 
 

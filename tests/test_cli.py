@@ -255,7 +255,9 @@ def test_a_table_over_the_cell_bound_is_refused_before_it_is_built(monkeypatch, 
     assert err == "error: the table would have 16 cells, more than 15; no window fits\n"
 
 
-def test_python_dash_m_runs_the_command_line():
+def test_python_dash_m_runs_the_command_line(capsys):
+    assert cli.main(["reduce", "--free", "a b b"]) == 0
+    in_process = capsys.readouterr().out
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -272,6 +274,11 @@ def test_python_dash_m_runs_the_command_line():
         dorroh = main(module, "dorroh", "--ring", "Z2")
         assert dorroh.returncode == 0 and dorroh.stderr == "", module
         assert json.loads(dorroh.stdout)["stats"]["checked"] == 16, module
+        reduce = main(module, "reduce", "--free", "a b b")
+        assert (reduce.returncode, reduce.stdout, reduce.stderr) == (0, in_process, ""), module
+        unknown = main(module, "frobnicate")
+        assert unknown.returncode == 2 and unknown.stdout == "", module
+        assert "invalid choice" in unknown.stderr and "Traceback" not in unknown.stderr, module
 
 
 def test_an_element_is_a_name_else_a_numeric_id(tmp_path, capsys):

@@ -477,3 +477,33 @@ def test_window_retract_matches_group_tables():
             out = ds.ternary(x, zero, y)  # retract addition at the left base point
             gx, gy = ds.to_group_form(x), ds.to_group_form(y)
             assert ds.to_group_form(out) == ((gx[0] + gy[0]) % 2, (gx[1] + gy[1]) % 2, gx[2] + gy[2])
+
+
+# ---------------------------------------------------------------------------
+# refusals: each with its exact message
+
+_REFUSALS = {
+    "a tail that is no integer": (
+        lambda: c2_pair().make((0, 0), ("x",)), "tails must be integers"),
+    "an injection into no summand": (lambda: c2_pair().inject(2, 0), "no summand 2"),
+    "an injection from outside the summand": (
+        lambda: c2_pair().inject(0, 5), "element 5 is not in summand 0"),
+    "inject_right on a ternary sum": (
+        lambda: direct_sum(*[HeapSummand(C2, 0)] * 3).inject_right(0),
+        "inject_right needs a binary direct sum"),
+    "a letter that is no pair": (
+        lambda: c2_pair().normalize_word([5]), "letter 5 is not (summand, element)"),
+    "a group form of the wrong length": (
+        lambda: c2_pair().from_group_form((0, 0)),
+        "group form needs one coordinate per summand and tail"),
+    "a copair of one map on two summands": (
+        lambda: c2_pair().copair([lambda a: a], C2), "one map per summand is required"),
+}
+
+
+@pytest.mark.parametrize("label", list(_REFUSALS))
+def test_each_refusal_of_a_direct_sum_states_its_reason(label):
+    call, message = _REFUSALS[label]
+    with pytest.raises(StructureError) as caught:
+        call()
+    assert str(caught.value) == message

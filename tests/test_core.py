@@ -705,3 +705,31 @@ def test_pair_check_matches_brute_force_on_all_self_maps(group, endomorphisms):
             a, e, c = bad
             assert m[h.ternary(a, e, c)] != h.ternary(m[a], m[e], m[c])
     assert accepted == endomorphisms
+
+
+# ---------------------------------------------------------------------------
+# refusals: each with its exact message
+
+_REFUSALS = {
+    "group names that do not match the size": (
+        lambda: FiniteGroup(Z(2).op_table(), names=["a"]),
+        "names do not match the carrier size"),
+    "heap names that do not match the size": (
+        lambda: FiniteHeap.from_table(mod_heap_table(2), names=["a"]),
+        "names do not match the carrier size"),
+    "a translation at a basepoint outside the carrier": (
+        lambda: translation_iso(heap_from_group(Z(3)), 0, 5), "basepoint 5 is not in the carrier"),
+    "a sub-heap member outside the parent": (
+        lambda: SubHeap(heap_from_group(Z(3)), (0, 7)), "member 7 is not in the parent carrier"),
+    "a generator outside the carrier": (
+        lambda: generated_subheap(heap_from_group(Z(3)), [9]),
+        "generator 9 is not in the carrier"),
+}
+
+
+@pytest.mark.parametrize("label", list(_REFUSALS))
+def test_each_refusal_of_the_kernel_states_its_reason(label):
+    call, message = _REFUSALS[label]
+    with pytest.raises(StructureError) as caught:
+        call()
+    assert str(caught.value) == message

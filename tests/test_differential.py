@@ -19,7 +19,8 @@ orbit closure ``resweep_closure`` are the references for the free-set and
 basis verdicts; ``sigma_oracle`` folds sigma over word forms.
 ``nested_loop_product``, the group product table filled pair by pair, and
 ``zn_power_table``, Z_m^n from its digits, are the references for products
-on ``core.product``.
+on ``core.product``.  ``absorbs_oracle``, the two-sided scan of a product
+table, is the reference for the absorber step of ``retract_ring``.
 """
 
 import functools
@@ -59,8 +60,8 @@ from trusskit.modules import (
     verify_abs_of_free,
 )
 from trusskit.rings import FiniteRing, RModule, rmodule_homs, rmodule_isomorphism
-from trusskit.trusses import (integer_truss, retract_ring, tc2_brace_truss, truss_from_ring,
-                              truss_TZn)
+from trusskit.trusses import (FiniteTruss, integer_truss, retract_ring, tc2_brace_truss,
+                              truss_from_ring, truss_TZn)
 from trusskit.words import eval_word_in_heap
 
 
@@ -897,6 +898,39 @@ def test_retract_rings_of_finite_trusses_share_the_truss_heap():
         r = retract_ring(t, ring.zero)
         assert r.heap is t.heap and r.zero == ring.zero, label
         assert r == ring == FiniteRing(retract(t.heap, ring.zero), t.mul_table), label
+
+
+def absorbs_oracle(table, z):
+    return all(table[z][x] == z == table[x][z] for x in range(len(table)))
+
+
+def one_entry_changes(table):
+    n = len(table)
+    for a, b in itertools.product(range(n), repeat=2):
+        for v in range(n):
+            if v != table[a][b]:
+                yield [[v if (x, y) == (a, b) else table[x][y] for y in range(n)]
+                       for x in range(n)]
+
+
+def test_the_absorber_step_matches_the_two_sided_scan_on_every_change_of_TZ4():
+    tz4 = truss_TZn(4)
+    tables = list(one_entry_changes(tz4.mul_table))
+    assert len(tables) == 48
+    refused = 0
+    for table in tables:
+        for z in range(4):
+            try:
+                retract_ring(FiniteTruss(tz4.heap, table), z)
+                message = None
+            except StructureError as e:
+                message = str(e)
+            assert (message == f"{z} is not a two-sided absorber") != absorbs_oracle(table, z), \
+                (table, z, message)
+            refused += message == f"{z} is not a two-sided absorber"
+    # a change in row or column 0 (7 cells, 3 new values each) stops 0
+    # absorbing, and no single change makes another element absorb
+    assert refused == 7 * 3 + 48 * 3
 
 
 # verify_abs_of_free's frame sizes and basis images for n = 1, 2, 3, as

@@ -1051,6 +1051,9 @@ def _two_absorber_module():
                          [[x - x % 3 + r * x % 3 for x in range(6)] for r in range(3)])
 
 
+_FRAMELESS_F1 = free_module(Frameless(truss_TZn(3), "one"), 1)
+_TZ2_SQUARED = FiniteTModule.from_rmodule(RModule.power(Z2, 2))    # 4 absorber classes
+
 _REFUSALS = {
     "a table-backed module over TZ": (
         lambda: FiniteTModule(integer_truss(), Z3.heap, []),
@@ -1096,6 +1099,30 @@ _REFUSALS = {
     "a free-set candidate outside T(Z3)": (
         lambda: free_set_check(FiniteTModule.regular(truss_TZn(3)), [9]),
         "candidate 9 is not in the module"),
+    "a free-set check of no candidates": (
+        lambda: free_set_check(FiniteTModule.regular(truss_TZn(3)), []),
+        "free-set check needs at least one candidate"),
+    "a free-set check over a truss carrier with no frame": (
+        lambda: free_set_check(_FRAMELESS_F1, _FRAMELESS_F1.generators()),
+        "the truss carrier has no group form to decide freeness on"),
+    "the empty module over TZ": (
+        lambda: empty_module(integer_truss()),
+        "the empty module constructor needs a finite truss"),
+    "the absorbers of a truss": (
+        lambda: absorbers(truss_TZn(3)), "cannot decide the absorber set for this module"),
+    # F(1) has one absorber, but its carrier is a direct sum, not a table
+    "the ring module of F(1) over TZ3": (
+        lambda: to_ring_module(free_module(truss_TZn(3), 1)),
+        "a ring module needs an action table, not a direct-sum carrier"),
+    "the ring module of F(1) over TZ": (
+        lambda: to_ring_module(free_module(integer_truss(), 1)),
+        "a ring module needs an action table, not a direct-sum carrier"),
+    "theta of a map with too few images": (
+        lambda: adjunction_theta(_TZ2_SQUARED, RModule.regular(Z2), (0, 0, 0)),
+        "phi needs one image per absorber class, 4, not 3"),
+    "theta inverse of a map with too few images": (
+        lambda: adjunction_theta_inv(_TZ2_SQUARED, RModule.regular(Z2), (0, 0)),
+        "psi needs one image per element, 4, not 2"),
 }
 
 
@@ -1159,6 +1186,15 @@ _RING_REFUSALS = {
         r"hom-sets into T\(N\) need a module over T\(R\) for N's ring R"),
     "the document of the ring of TZ": (
         lambda: serialize.dumps(retract_ring(integer_truss(), 0)), "cannot serialize"),
+    "a ring on the heap of S3": (
+        lambda: FiniteRing(FiniteGroup.dihedral(3), [[0] * 6] * 6),
+        r"^ring addition must be Abelian$"),
+    "a Z2-module on the heap of S3": (
+        lambda: RModule(Z2, FiniteGroup.dihedral(3), [[0] * 6] * 2),
+        r"^a module's additive group must be Abelian$"),
+    "a ring whose zero is outside its carrier": (
+        lambda: FiniteRing((Z3.heap, 5), [[0] * 3] * 3),
+        r"^the zero 5 is not in the carrier$"),
 }
 
 

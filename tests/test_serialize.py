@@ -109,6 +109,8 @@ OUTSIDE_INPUT = {
     "subheap members that are not ids": (
         {"kind": "subheap", "members": [True]},
         "'members' must be a list of element ids or names"),
+    "a builtin truss named by a list": (
+        {"kind": "truss", "builtin": ["TZ"]}, "unknown builtin truss ['TZ']"),
     "a table-backed module over TZ": (
         {"kind": "module", "truss": {"kind": "truss", "builtin": "TZ"},
          "heap": serialize.structure_to_obj(TZ3.heap), "action": []},
@@ -246,3 +248,26 @@ def test_every_kind_round_trips(label, data):
     assert json.loads(text)["kind"] == kind
     assert serialize.loads(text) == x
     assert serialize.dumps(serialize.loads(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# structures with no document: each refusal with its exact message
+
+_T1 = unital_extension(integer_truss())
+
+UNSERIALIZABLE = {
+    "an extension at a basepoint that is no integer": (
+        ExtensionTruss(_T1, "zero", basepoint=_T1.element(1, 0)),
+        "only integer basepoints can be serialized"),
+    "a free module at a basepoint that is no integer": (
+        modules.free_module(_T1, 2, basepoint=_T1.element(1, 0)),
+        "only integer basepoints can be serialized"),
+}
+
+
+@pytest.mark.parametrize("label", list(UNSERIALIZABLE))
+def test_a_structure_with_no_document_is_refused_with_its_reason(label):
+    x, message = UNSERIALIZABLE[label]
+    with pytest.raises(StructureError) as caught:
+        serialize.dumps(x)
+    assert str(caught.value) == message

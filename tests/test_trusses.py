@@ -1218,3 +1218,20 @@ def test_validating_a_function_backed_carrier_builds_no_table():
     t = truss_TZn(5)
     assert validate_truss(t).ok
     assert t.heap._table is None
+
+
+# ---------------------------------------------------------------------------
+# refusals: each with its exact message
+
+_REFUSALS = {
+    "an extension adjoining neither one nor zero": (
+        lambda: ExtensionTruss(truss_TZn(3), "two"), "adjoined element must be 'one' or 'zero'"),
+}
+
+
+@pytest.mark.parametrize("label", list(_REFUSALS))
+def test_each_refusal_of_trusses_states_its_reason(label):
+    call, message = _REFUSALS[label]
+    with pytest.raises(StructureError) as caught:
+        call()
+    assert str(caught.value) == message

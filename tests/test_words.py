@@ -585,3 +585,25 @@ def test_counts_are_the_direct_sum_of_singletons(node):
     # tail i - 1 counts x_i, and x_0 takes the rest of the total 1
     counts = dict(zip(symbols, (1 - sum(x.tails),) + x.tails))
     assert eval_expr_abelian(node) == {s: c for s, c in counts.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# refusals: each with its exact message
+
+_REFUSALS = {
+    "the free heap operation on an even-length word": (
+        lambda: free_heap_op(("a", "b"), ("a",), ("a",)),
+        "free heap operation needs three odd-length words"),
+    "a free group word with exponent 2": (
+        lambda: FreeGroupWord((("a", 2),)), "exponent must be +-1, got 2"),
+    "a free group word that is not freely reduced": (
+        lambda: FreeGroupWord((("a", 1), ("a", -1))), "word is not freely reduced"),
+}
+
+
+@pytest.mark.parametrize("label", list(_REFUSALS))
+def test_each_refusal_of_words_states_its_reason(label):
+    call, message = _REFUSALS[label]
+    with pytest.raises(StructureError) as caught:
+        call()
+    assert str(caught.value) == message
