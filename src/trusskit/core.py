@@ -1,11 +1,11 @@
 """Finite heaps, groups and trusses as exact, integer-indexed tables.
 
 Element ids are dense integers ``0..n-1``; display names live in a separate
-tuple.  A heap either stores its full ternary table or computes the operation
-on demand from a backing function (e.g. a group), behind one interface.  All
-values are immutable after construction and every operation is pure.
-``FiniteTruss`` and ``FiniteTModule`` sit here, below ``rings``: a ring is a
-truss and a zero; an R-module is a T(R)-module and a zero.
+tuple.  A heap stores its full ternary table or computes the operation on
+demand from a backing function, behind one interface; a group is a heap
+pointed at its neutral element, shared.  Values are immutable and every
+operation is pure.  ``FiniteTruss`` and ``FiniteTModule`` sit here, below
+``rings``: a ring is a truss and a zero, an R-module a T(R)-module and a zero.
 
 These routines are the only ones of their kind in the package:
 ``_closure`` gives the sub-heap that a finite set generates (generated
@@ -186,9 +186,11 @@ def validate_group_table(op_table) -> Report:
 
 
 class FiniteGroup:
-    """Group on ids ``0..n-1`` with an explicit Cayley table."""
+    """A finite heap pointed at its neutral e: a.b = [a, e, b] and a^-1 = [e, a, e]
+    (Certaine 1943), and no Cayley table beside the heap.  A table is made its
+    heap once, [x, y, z] = x.y^-1.z, whose frame is walked with no scan."""
 
-    __slots__ = ("size", "names", "neutral", "abelian", "_op", "_inv")
+    __slots__ = ("heap", "neutral")
 
     def __init__(self, op_table, names=None, validate=True):
         rows = tuple(tuple(row) for row in op_table)
@@ -196,38 +198,38 @@ class FiniteGroup:
             report = validate_group_table(rows)
             if not report.ok:
                 raise StructureError(f"not a group: {report.findings[0]}")
-        self.size = len(rows)
-        self._op = rows
-        names = tuple(names) if names is not None else tuple(str(i) for i in range(self.size))
-        if len(names) != self.size:
-            raise StructureError("names do not match the carrier size")
-        self.names = names
-        self.neutral = _unit(rows)
-        if self.neutral is None:
+        self.neutral = e = _unit(rows)
+        if e is None:
             raise StructureError("no identity element")
         # in a group a right inverse is the two-sided one, and the table is
         # commutative when it equals its transpose
-        self._inv = tuple(row.index(self.neutral) for row in rows)
-        self.abelian = rows == tuple(zip(*rows))
+        inv = [row.index(e) for row in rows]
+        self.heap = FiniteHeap.from_function(
+            len(rows), lambda a, b, c: rows[rows[a][inv[b]]][c], names=names,
+            abelian=rows == tuple(zip(*rows)), frame=_walked_frame)
+
+    size = property(lambda self: self.heap.size)
+    names = property(lambda self: self.heap.names)
+    abelian = property(lambda self: self.heap.abelian)
 
     def op(self, a, b):
-        return self._op[a][b]
+        return self.heap.ternary(a, self.neutral, b)
 
     def inv(self, a):
-        return self._inv[a]
+        return self.heap.ternary(self.neutral, a, self.neutral)
 
     def elements(self):
         return range(self.size)
 
     def op_table(self):
-        return self._op
+        return tuple(map(tuple, _rows(self.heap, self.neutral)))
 
     def __eq__(self, other):
         return (isinstance(other, FiniteGroup)
-                and self._op == other._op and self.neutral == other.neutral)
+                and self.neutral == other.neutral and self.heap == other.heap)
 
     def __hash__(self):
-        return hash((self._op, self.neutral))
+        return hash((self.size, self.neutral))
 
     def __repr__(self):
         return f"FiniteGroup(order={self.size}, neutral={self.names[self.neutral]})"
@@ -245,9 +247,9 @@ class FiniteGroup:
 
     @classmethod
     def product(cls, g, h) -> "FiniteGroup":
-        """The retract of the heaps' ``product`` at (neutral, neutral)."""
-        return retract(product(heap_from_group(g), heap_from_group(h)),
-                       g.neutral * h.size + h.neutral)
+        """The rows of the heaps' ``product`` at the neutral pair, its frame walked afresh."""
+        heap = product(g.heap, h.heap)
+        return cls(_rows(heap, g.neutral * h.size + h.neutral), heap.names, validate=False)
 
     @classmethod
     def dihedral(cls, n) -> "FiniteGroup":
@@ -410,7 +412,7 @@ def _group_maps(source, target, iso=False):
 def group_isomorphism(g1: FiniteGroup, g2: FiniteGroup):
     """An isomorphism g1 -> g2 as an id mapping, or None: the first that
     ``_group_maps`` finds from the heap of g1 at its neutral into g2's table."""
-    return next(_group_maps((heap_from_group(g1), g1.neutral), (g2._op, g2.neutral),
+    return next(_group_maps((g1.heap, g1.neutral), (_rows(g2.heap, g2.neutral), g2.neutral),
                             iso=True), None)
 
 
@@ -615,7 +617,7 @@ class FiniteHeap:
     """Heap on ids ``0..n-1``.
 
     Either table-backed (``from_table``) or computed on demand from a backing
-    function (``from_function``), e.g. a group via ``heap_from_group``.  Full
+    function (``from_function``), e.g. the heap x.y^-1.z of a group table.  Full
     O(n^3) tables are wasteful above a few dozen elements, so derived heaps
     stay function-backed until ``table()`` is asked for.
     """
@@ -773,23 +775,17 @@ INT_LINE = IntLineHeap()
 
 
 def heap_from_group(g: FiniteGroup) -> FiniteHeap:
-    """The heap of a group: [x,y,z] = x y^{-1} z.  It is a heap by
-    construction, so its frame is walked with no scan."""
-    op, inv = g._op, g._inv
-    return FiniteHeap.from_function(
-        g.size,
-        lambda a, b, c: op[op[a][inv[b]]][c],
-        names=g.names,
-        abelian=g.abelian,
-        frame=_walked_frame,
-    )
+    """The heap of a group, [x,y,z] = x y^{-1} z: the heap it is, shared."""
+    return g.heap
 
 
 def retract(h: FiniteHeap, e: int) -> FiniteGroup:
-    """The group on h with product a . b = [a,e,b], neutral e, inverse [e,a,e]."""
+    """h pointed at e, shared: the group a . b = [a,e,b], neutral e, inverse [e,a,e]."""
     if not h.contains(e):
         raise StructureError(f"basepoint {e!r} is not in the carrier")
-    return FiniteGroup(_rows(h, e), h.names, validate=False)
+    g = FiniteGroup.__new__(FiniteGroup)
+    g.heap, g.neutral = h, e
+    return g
 
 
 @dataclass(frozen=True)
@@ -957,12 +953,16 @@ def _quotient_heap(h: FiniteHeap, distinct, proj):
     view: [a, b, c] is the class of [rep a, rep b, rep c], on the least
     member of each class, which names the class, one operation of h per
     call; ``table()`` builds the table when asked.  A quotient of a group
-    heap is one, so its frame is walked with no scan."""
-    reps, ternary = [min(c) for c in distinct], h.ternary
+    heap is one, its frame walked with no scan, Abelian exactly when the
+    classes of the generators of h's frame commute, k^2 operations."""
+    reps, ternary, frame = [min(c) for c in distinct], h.ternary, h.frame()
     names = tuple("{" + ",".join(h.names[m] for m in sorted(c)) + "}" for c in distinct)
+    abelian = h.abelian or frame is not None and all(  # class 0 holds 0
+        proj[ternary(a, 0, b)] == proj[ternary(b, 0, a)]
+        for a, b in itertools.combinations(frame[1:], 2))
     qheap = FiniteHeap.from_function(
         len(distinct), lambda a, b, c: proj[ternary(reps[a], reps[b], reps[c])], names=names,
-        abelian=h.abelian, frame=_walked_frame if h.frame() is not None else _scanned_frame)
+        abelian=abelian, frame=_walked_frame if frame is not None else _scanned_frame)
     return qheap, HeapMorphism(h, qheap, proj)
 
 

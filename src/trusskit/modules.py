@@ -10,7 +10,7 @@ canonical coordinates, and maps out of a free module (universal lifts,
 copaired sigma maps) are direct-sum copairs into the target's carrier
 (``DirectSum.copair``), so no word is built.  The quotient by the
 absorber sub-heap turns a module over the truss of a ring back into a module
-over that ring, the truss pointed at its absorber (``retract_ring``); its
+over that ring, the truss pointed at its absorber, unchecked (``Ring``); its
 classes and projection come from ``core._quotient_classes``, once per
 module, its heap is the view ``core._quotient_heap``, with no table, and
 maps descend to it through ``core._descend``; the quotient of a free module
@@ -51,7 +51,7 @@ from .core import (
 from .laws import LINEAR_IN_M, LINEAR_IN_T, _Memo, _action_laws, _pool
 from .reports import FAIL, PASS, Finding, Report
 from .rings import RModule, Ring, _finite, _module_maps
-from .trusses import IntegerTruss, _default_basepoint, _product_laws, retract_ring
+from .trusses import IntegerTruss, _default_basepoint, _product_laws
 
 
 def empty_module(truss) -> FiniteTModule:
@@ -258,7 +258,7 @@ def to_ring_module(m: FiniteTModule) -> RModule:
         raise StructureError("not a ring module: the absorber is not unique")
     if aset.members is None:        # F(1): the tails of a direct sum
         raise StructureError("a ring module needs an action table, not a direct-sum carrier")
-    return RModule(retract_ring(m.truss, m.truss.absorber), (m.heap, *aset.members), m.action)
+    return RModule(Ring(m.truss, m.truss.absorber), (m.heap, *aset.members), m.action)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +297,7 @@ def abs_quotient(m):
     """
     if isinstance(m, FreeTModule):
         absorbers(m)    # raises unless the base point is the zero of a ring truss
-        ring = retract_ring(m.truss, m.truss.absorber)
+        ring = Ring(m.truss, m.truss.absorber)
 
         def project(x):
             out = 0
@@ -318,7 +318,7 @@ def abs_quotient(m):
         for t in m.truss.heap.elements()
     )
     if m.truss.absorber is not None:
-        ring = retract_ring(m.truss, m.truss.absorber)
+        ring = Ring(m.truss, m.truss.absorber)
         return RModule(ring, (qheap, proj(members[0])), action), proj
     return FiniteTModule(m.truss, qheap, action), proj
 

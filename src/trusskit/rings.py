@@ -6,12 +6,12 @@ a T(R)-module pointed at its one absorber, its zero: ``RModule`` holds its
 ``FiniteTModule`` over ``ring.truss`` and the zero, and T(N) is that module,
 ``rm.module``, so N and T(N) share one heap, one action table and one
 absorber cache.  A group is a pointed heap, a + b = [a, 0, b] (Certaine
-1943), so no group table is kept: ``ring.add`` and ``module.group`` are
-views.  ``FiniteRing`` only builds a finite ring's truss from tables, once
-(``Zn``, ``product``, documents); an ``RModule`` constructor takes a
-``FiniteGroup`` or (heap, zero) and an action table, and R^n is
-``core.product``.  A ring on a symbolic truss has no tables, and whatever
-needs them refuses it (``_finite``).
+1943): ``ring.add`` and ``module.group`` are views, the carrier heap pointed
+at zero, shared, and a ``FiniteGroup`` carrier is its heap.  ``FiniteRing``
+only builds a finite ring's truss from tables, once (``Zn``, ``product``,
+documents); an ``RModule`` constructor takes a ``FiniteGroup`` or (heap,
+zero) and an action table, and R^n is ``core.product``.  A ring on a
+symbolic truss has no tables, and whatever needs them refuses it (``_finite``).
 
 These are the classical structures that trusses and truss modules are
 compared against: ring retracts, the quotient-by-absorbers module, and the
@@ -30,8 +30,7 @@ import itertools
 
 from .coproduct import shift
 from .core import (FiniteGroup, FiniteHeap, FiniteTModule, FiniteTruss, StructureError,
-                   _first_unequivariant, _group_maps, _rows, _walked_frame, heap_from_group,
-                   product, retract)
+                   _first_unequivariant, _group_maps, _rows, _walked_frame, product, retract)
 from .laws import _action_laws, _pool
 from .reports import FAIL, PASS, Finding, Report
 
@@ -71,9 +70,9 @@ def _finite(x):
 
 
 def _pointed(carrier, message):
-    """A finite carrier, a ``FiniteGroup`` (its heap built once) or (heap,
+    """A finite carrier, a ``FiniteGroup`` (its heap, shared) or (heap,
     zero), as (heap, zero); StructureError(message) unless it is Abelian."""
-    heap, zero = ((heap_from_group(carrier), carrier.neutral)
+    heap, zero = ((carrier.heap, carrier.neutral)
                   if isinstance(carrier, FiniteGroup) else carrier)
     if not heap.abelian:
         raise StructureError(message)

@@ -292,6 +292,17 @@ def test_an_element_is_a_name_else_a_numeric_id(tmp_path, capsys):
     assert (code, out) == (2, "") and "unknown element 'z'" in err
 
 
+@pytest.mark.parametrize("members, abelian", [([0, 1, 2], True), ([0], False)])
+def test_the_quotient_of_s3_is_flagged_abelian_exactly_when_it_is(members, abelian, tmp_path,
+                                                                  capsys):
+    by = tmp_path / "sub.json"
+    by.write_text(json.dumps({"kind": "subheap", "members": members}))
+    code, out, err = run(["quotient", "--by", str(by), str(FIXTURES / "heap_s3.json")], capsys)
+    quotient = json.loads(out)["quotient"]
+    assert (code, err, len(quotient["names"])) == (0, "", 6 // len(members))
+    assert quotient["abelian"] is abelian
+
+
 def contract_argvs(path):
     """Each verb that reads a structure file, run on ``path`` (only read)."""
     c4, sub = str(FIXTURES / "heap_c4.json"), str(FIXTURES / "subheap_c4.json")

@@ -304,6 +304,15 @@ def test_round_trip_all_small_groups_all_basepoints():
             assert again.table() == base, (label, e)
 
 
+def test_a_group_shares_its_heap_and_a_retract_the_heap_it_is_handed():
+    for label, g in small_groups(8):
+        assert heap_from_group(g) is g.heap, label
+        for h in (g.heap, FiniteHeap.from_table(g.heap.table())):
+            for e in h.elements():
+                r = retract(h, e)
+                assert r.heap is h and r.neutral == e, (label, e)
+
+
 def test_retract_at_neutral_recovers_group():
     g = Z(4)
     r = retract(heap_from_group(g), 0)
@@ -358,7 +367,9 @@ def test_heap_equality_on_frames_matches_the_entrywise_comparison():
         rng.shuffle(shuffled)
         functions += [h, relabelled(h, [h.ternary(n - 1, 0, x) for x in range(n)]),
                       relabelled(h, shuffled)]
-        table = FiniteHeap.from_table(heap_from_group(g).table())
+        # entry by entry: h is g's own heap, and its table() would be kept on it
+        table = FiniteHeap.from_table(
+            [[[h.ternary(a, b, c) for c in range(n)] for b in range(n)] for a in range(n)])
         by_size.setdefault(n, []).extend(functions[-3:] + [table])
     for n, heaps in by_size.items():
         non_heaps = [FiniteHeap.from_function(n, lambda a, b, c, n=n: (a + c) % n)]
@@ -568,6 +579,30 @@ def test_retract_of_the_heap_quotient_matches_the_coset_oracle():
         qg, proj = group_quotient(g, members)
         want, want_proj = coset_quotient(g, members)
         assert (qg, proj) == (want, want_proj) and qg.names == want.names
+
+
+def test_a_quotient_is_flagged_abelian_exactly_when_it_commutes():
+    """The flag is decided on the quotient, not copied from the source heap:
+    S3/A3, D4 by its centre and Q8 by {1, -1} are Abelian quotients of
+    non-Abelian heaps, and the retract of every quotient of every small group
+    heap, at every basepoint, is flagged as the commutativity scan says."""
+    flags = {}
+    for label, g in small_groups(8):
+        h = heap_from_group(g)
+        subs = {tuple(generated_subheap(h, seed).members)
+                for k in (1, 2) for seed in itertools.combinations(range(g.size), k)}
+        for members in sorted(subs):
+            s = SubHeap(h, members)
+            if not is_normal(s).normal:
+                continue
+            q, _ = quotient(h, s)
+            for e in q.elements():
+                assert retract(q, e).abelian == all(
+                    q.ternary(a, e, b) == q.ternary(b, e, a)
+                    for a in q.elements() for b in q.elements()), (label, members, e)
+            flags[label, members] = q.abelian
+    assert flags["S3", (0, 1, 2)] and flags["D4", (0, 2)] and flags["Q8", (0, 1)]
+    assert not (flags["S3", (0,)] or flags["D4", (0,)] or flags["Q8", (0,)])
 
 
 def test_heap_quotient_rejects_a_non_normal_or_empty_subgroup():

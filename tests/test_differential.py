@@ -768,6 +768,40 @@ def small_groups_and_relabellings():
         yield label + " relabelled", relabel_group(g, perm)
 
 
+def test_a_group_is_its_heap_pointed_at_the_neutral_element():
+    """Every group of ``small_groups(8)`` and its seeded relabellings, each
+    retract of its heap and the group built from each table: == is op-table
+    equality, equal groups hash alike, and the table, the inverses and the
+    flag are those that scans of the table give, and those of the group
+    built from it; the heap is x.y^-1.z of the table."""
+    groups = []
+    for label, g in small_groups_and_relabellings():
+        for e in range(g.size):
+            r = retract(g.heap, e)
+            groups += [(f"{label} at {e}", r), (f"{label} at {e} rebuilt",
+                                                  FiniteGroup(r.op_table(), r.names))]
+    tables = []
+    for label, g in groups:
+        ids, e = range(g.size), g.neutral
+        table = tuple(tuple(g.heap.ternary(a, e, b) for b in ids) for a in ids)
+        rebuilt = FiniteGroup(table)
+        inverses = tuple(table[a].index(e) for a in ids)
+        assert g.op_table() == table == rebuilt.op_table(), label
+        assert tuple(map(g.inv, ids)) == inverses == tuple(map(rebuilt.inv, ids)), label
+        assert g.abelian == (table == tuple(zip(*table))) == rebuilt.abelian, label
+        assert all(g.heap.ternary(x, y, z) == table[table[x][inverses[y]]][z]
+                   for x in ids for y in ids for z in ids), label
+        tables.append(table)
+    equal = 0
+    for (x, tx), (y, ty) in itertools.combinations(zip(groups, tables), 2):
+        if x[1].size == y[1].size:
+            assert (x[1] == y[1]) == (tx == ty), (x[0], y[0])
+            if tx == ty:
+                equal += 1
+                assert hash(x[1]) == hash(y[1]), (x[0], y[0])
+    assert equal >= len(groups) // 2
+
+
 def test_closed_form_normality_and_classes_match_the_search_on_every_small_seed():
     non_normal = set()
     for label, g in small_groups_and_relabellings():
@@ -791,8 +825,8 @@ def test_closed_form_normality_and_classes_match_the_search_on_every_small_seed(
 def test_group_inverses_and_commutativity_match_the_scans():
     for label, g in small_groups_and_relabellings():
         ids = range(g.size)
-        assert g._inv == tuple(next(b for b in ids if g.op(a, b) == g.neutral == g.op(b, a))
-                               for a in ids), label
+        assert tuple(map(g.inv, ids)) == tuple(
+            next(b for b in ids if g.op(a, b) == g.neutral == g.op(b, a)) for a in ids), label
         assert g.abelian == all(g.op(a, b) == g.op(b, a) for a in ids for b in ids), label
         rows = heap_from_group(g).table()
         assert core.FiniteHeap.from_table(rows).abelian == all(

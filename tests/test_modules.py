@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from trusskit import core, laws, modules, serialize
+from trusskit import core, laws, modules, rings, serialize
 from trusskit.coproduct import CoproductElement, DirectSum
 from trusskit.core import FiniteGroup, FiniteHeap, IntLineHeap, StructureError, heap_from_group
 from trusskit.modules import (
@@ -278,6 +278,42 @@ def test_T_of_a_ring_and_of_its_modules_share_their_carrier_heaps():
         assert RModule.regular(r).heap is r.heap
         for rm in (RModule.regular(r), RModule.power(r, 2)):
             assert FiniteTModule.from_rmodule(rm).heap is rm.heap
+
+
+def test_the_additive_groups_and_retracts_are_views(monkeypatch):
+    """ring.add, module.group and retract point the heap in hand at a point:
+    they share it, make no heap operation and build no heap, and a ring or
+    a module built on such a group shares its heap."""
+    ring, rm = FiniteRing.Zn(64), RModule.power(Z2, 3)
+    h = heap_from_group(FiniteGroup.dihedral(4))
+    calls = []
+    for name in ("ternary", "__init__"):
+        monkeypatch.setattr(FiniteHeap, name, lambda self, *args, f=getattr(FiniteHeap, name),
+                            name=name, **kwargs: calls.append(name) or f(self, *args, **kwargs))
+    groups = [ring.add, rm.group] + [core.retract(h, e) for e in h.elements()]
+    assert calls == []
+    assert groups[0].heap is ring.heap and groups[1].heap is rm.heap
+    assert all(g.heap is h for g in groups[2:])
+    assert FiniteRing(ring.add, ring.mul_table, validate=False).heap is ring.heap
+    assert RModule(Z2, rm.group, rm.action, validate=False).heap is rm.heap
+
+
+def test_converters_to_ring_modules_decide_no_ring_law_again(monkeypatch):
+    """A truss with an absorber is a ring on its retract there, so the ring
+    module of a truss module, the absorber quotients of finite and free
+    modules and ``verify_abs_of_free`` point it at the absorber and decide
+    no ring law; ``retract_ring`` still does."""
+    t_module = FiniteTModule.from_rmodule(RModule.power(FiniteRing.Zn(3), 2))
+    free = free_module(truss_TZn(2), 3)
+    decided = []
+    monkeypatch.setattr(rings, "validate_ring",
+                        lambda r, f=rings.validate_ring: decided.append(r) or f(r))
+    assert to_ring_module(t_module).heap is t_module.heap
+    assert abs_quotient(t_module)[0].size == 9
+    assert abs_quotient(free)[0].size == 8
+    assert verify_abs_of_free(FiniteRing.Zn(5), 3).ok
+    assert decided == []
+    assert retract_ring(truss_TZn(4), 0).size == 4 and len(decided) == 1
 
 
 def test_a_ring_frame_is_walked_once_by_its_validators(monkeypatch):

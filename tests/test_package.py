@@ -174,5 +174,5 @@ def test_ring_modules_and_rings_on_heaps_build_no_group_and_no_heap_table(monkey
     assert trusses.retract_ring(truss, 0).heap is truss.heap
     assert fired == []
     # the spies do see a group and a table built
-    assert FiniteRing.Zn(2).add.size == 2 and core.product(z3.heap).table()
+    assert core.FiniteGroup.cyclic(2).size == 2 and core.product(z3.heap).table()
     assert fired == ["__init__", "table"]
