@@ -2,10 +2,11 @@
 
 Element ids are dense integers ``0..n-1``; display names live in a separate
 tuple.  A heap stores its full ternary table or computes the operation on
-demand from a backing function, behind one interface; a group is a heap
-pointed at its neutral element, shared.  Values are immutable and every
-operation is pure.  ``FiniteTruss`` and ``FiniteTModule`` sit here, below
-``rings``: a ring is a truss and a zero, an R-module a T(R)-module and a zero.
+demand from a backing function, behind one interface, and decides on first
+read whether it is Abelian (``abelian``); a group is a heap pointed at its
+neutral element, shared.  Values are immutable and every operation is
+pure.  ``FiniteTruss`` and ``FiniteTModule`` sit here, below ``rings``: a
+ring is a truss and a zero, an R-module a T(R)-module and a zero.
 
 These routines are the only ones of their kind in the package:
 ``_closure`` gives the sub-heap that a finite set generates (generated
@@ -201,12 +202,11 @@ class FiniteGroup:
         self.neutral = e = _unit(rows)
         if e is None:
             raise StructureError("no identity element")
-        # in a group a right inverse is the two-sided one, and the table is
-        # commutative when it equals its transpose
+        # in a group a right inverse is the two-sided one
         inv = [row.index(e) for row in rows]
         self.heap = FiniteHeap.from_function(
             len(rows), lambda a, b, c: rows[rows[a][inv[b]]][c], names=names,
-            abelian=rows == tuple(zip(*rows)), frame=_walked_frame)
+            frame=_walked_frame)
 
     size = property(lambda self: self.heap.size)
     names = property(lambda self: self.heap.names)
@@ -614,20 +614,19 @@ def _first_unequivariant(mapping, src_act, dst_act, scalars, pool):
 
 
 class FiniteHeap:
-    """Heap on ids ``0..n-1``.
-
-    Either table-backed (``from_table``) or computed on demand from a backing
-    function (``from_function``), e.g. the heap x.y^-1.z of a group table.  Full
-    O(n^3) tables are wasteful above a few dozen elements, so derived heaps
-    stay function-backed until ``table()`` is asked for.
+    """Heap on ids ``0..n-1``, table-backed (``from_table``) or computed on
+    demand from a backing function (``from_function``), e.g. the heap x.y^-1.z
+    of a group table.  Full O(n^3) tables are wasteful above a few dozen
+    elements, so derived heaps stay function-backed until ``table()`` is asked
+    for; the frame and the ``abelian`` flag are also found on first use, and
+    no constructor takes the flag.
     """
 
-    __slots__ = ("size", "names", "abelian", "_fn", "_table", "_frame")
+    __slots__ = ("size", "names", "_abelian", "_fn", "_table", "_frame")
 
     is_finite = True
 
-    def __init__(self, size, *, table=None, fn=None, names=None, abelian=False,
-                 frame=None):
+    def __init__(self, size, *, table=None, fn=None, names=None, frame=None):
         self.size = size
         self._table = table
         self._fn = fn
@@ -638,38 +637,35 @@ class FiniteHeap:
         if len(names) != size:
             raise StructureError("names do not match the carrier size")
         self.names = names
-        self.abelian = abelian
+        self._abelian = None        # decided on first read (``abelian``)
 
     @classmethod
     def from_table(cls, table, names=None):
         """Build a heap from a full ternary table, exactly validated at every
         size; a non-heap raises StructureError naming its first violation.
         A table that passes is a group heap, so its frame is walked with no
-        second scan (the empty heap has none), and it is Abelian exactly
-        when its retract at 0 is, n^2 reads."""
+        second scan (the empty heap has none)."""
         rows = _normalize_ternary(table)
         first = next(_heap_violations(rows, False, {}), None)
         if first is not None:
             raise StructureError(f"not a heap: {first}")
         n = len(rows)
-        abelian = all(rows[a][0][c] == rows[c][0][a] for a in range(n) for c in range(a))
-        return cls(n, table=rows, names=names, abelian=abelian,
-                   frame=_walked_frame if n else None)
+        return cls(n, table=rows, names=names, frame=_walked_frame if n else None)
 
     @classmethod
-    def from_function(cls, size, fn, names=None, abelian=False, frame=None):
+    def from_function(cls, size, fn, names=None, frame=None):
         """Wrap a trusted ternary function (group-backed, products, ...);
         ``frame``, a function of the heap, gives a group heap's frame with no
         scan."""
-        return cls(size, fn=fn, names=names, abelian=abelian, frame=frame)
+        return cls(size, fn=fn, names=names, frame=frame)
 
     @classmethod
     def empty(cls):
-        return cls(0, table=(), abelian=True)
+        return cls(0, table=())
 
     @classmethod
     def singleton(cls, name="*"):
-        return cls(1, table=(((0,),),), names=(name,), abelian=True)
+        return cls(1, table=(((0,),),), names=(name,))
 
     def ternary(self, a, b, c):
         if self._table is not None:
@@ -696,6 +692,21 @@ class FiniteHeap:
         if callable(self._frame):
             self._frame = self._frame(self)
         return self._frame
+
+    @property
+    def abelian(self) -> bool:
+        """[a,b,c] = [c,b,a] for all a, b, c, decided on first read and kept.
+        With the frame in hand (given by construction or already found) this
+        is a group heap, Abelian exactly when its retract at 0 is, so when the
+        frame's generators commute at 0 (Certaine 1943): k^2 operations; else
+        the definition on every triple with c < a, n^3/2 operations, no scan."""
+        if self._abelian is None:
+            frame = None if self._frame is _scanned_frame else self.frame()
+            t, ids = self.ternary, range(self.size)
+            gens, mids = (ids, ids) if frame is None else (frame[1:], (0,))
+            self._abelian = all(t(a, b, c) == t(c, b, a) for i, a in enumerate(gens)
+                                for b in mids for c in gens[:i])
+        return self._abelian
 
     def elements(self):
         return range(self.size)
@@ -727,7 +738,7 @@ class FiniteHeap:
 
     def __repr__(self):
         kind = "table" if self._table is not None else "fn"
-        return f"FiniteHeap(order={self.size}, {kind}-backed, abelian={self.abelian})"
+        return f"FiniteHeap(order={self.size}, {kind}-backed, abelian={self._abelian})"
 
 
 def _walked_frame(h):
@@ -953,16 +964,12 @@ def _quotient_heap(h: FiniteHeap, distinct, proj):
     view: [a, b, c] is the class of [rep a, rep b, rep c], on the least
     member of each class, which names the class, one operation of h per
     call; ``table()`` builds the table when asked.  A quotient of a group
-    heap is one, its frame walked with no scan, Abelian exactly when the
-    classes of the generators of h's frame commute, k^2 operations."""
-    reps, ternary, frame = [min(c) for c in distinct], h.ternary, h.frame()
+    heap is one, its frame walked with no scan."""
+    reps, ternary = [min(c) for c in distinct], h.ternary
     names = tuple("{" + ",".join(h.names[m] for m in sorted(c)) + "}" for c in distinct)
-    abelian = h.abelian or frame is not None and all(  # class 0 holds 0
-        proj[ternary(a, 0, b)] == proj[ternary(b, 0, a)]
-        for a, b in itertools.combinations(frame[1:], 2))
     qheap = FiniteHeap.from_function(
         len(distinct), lambda a, b, c: proj[ternary(reps[a], reps[b], reps[c])], names=names,
-        abelian=abelian, frame=_walked_frame if frame is not None else _scanned_frame)
+        frame=_walked_frame if h.frame() is not None else _scanned_frame)
     return qheap, HeapMorphism(h, qheap, proj)
 
 
@@ -989,8 +996,7 @@ def product(*heaps: FiniteHeap) -> FiniteHeap:
         return None if None in frames else (
             (0,) + tuple(g * w for f, w in zip(frames, weights) for g in f[1:]))
 
-    return FiniteHeap.from_function(math.prod(sizes), fn, names=names,
-                                    abelian=all(h.abelian for h in heaps), frame=frame)
+    return FiniteHeap.from_function(math.prod(sizes), fn, names=names, frame=frame)
 
 
 def find_isomorphism(a: FiniteHeap, b: FiniteHeap):

@@ -139,8 +139,7 @@ class FiniteRing(Ring):
     def Zn(cls, n, names=None) -> "FiniteRing":
         if n < 1:
             raise StructureError(f"Z_n needs n >= 1, got {n}")
-        heap = FiniteHeap.from_function(n, lambda a, b, c: (a - b + c) % n, abelian=True,
-                                        frame=_walked_frame)
+        heap = FiniteHeap.from_function(n, lambda a, b, c: (a - b + c) % n, frame=_walked_frame)
         return cls((heap, 0), [[(a * b) % n for b in range(n)] for a in range(n)], names,
                    validate=False)
 

@@ -3,7 +3,8 @@
 Documents are dicts with a "kind" discriminator; tables are row-major nested
 arrays of element ids, ternary tables are nested as table[a][b][c].  Dumps
 are deterministic (sorted keys, fixed separators) so byte-stable output can
-be asserted.  Every emitted document re-parses to an equal value.
+be asserted.  Every emitted document re-parses to an equal value.  A heap
+document's "abelian" is written for readers and never read on load.
 """
 
 from __future__ import annotations

@@ -103,8 +103,7 @@ def truss_TZn(n: int) -> FiniteTruss:
 
 def tc2_brace_truss() -> FiniteTruss:
     """The truss of the two-element brace: heap of C2, product x.y = x+y."""
-    heap = FiniteHeap.from_function(
-        2, lambda x, y, z: x ^ y ^ z, names=("a", "b"), abelian=True)
+    heap = FiniteHeap.from_function(2, lambda x, y, z: x ^ y ^ z, names=("a", "b"))
     return FiniteTruss(heap, ((0, 1), (1, 0)))
 
 

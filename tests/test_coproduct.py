@@ -415,6 +415,15 @@ def test_sample_beyond_sys_maxsize_is_lazy():
     assert ds.contains(second)
 
 
+def test_a_direct_sum_contains_only_forms_of_its_shape_in_its_summands():
+    ds = direct_sum(HeapSummand(C2, 0), HeapSummand(C3, 0))
+    assert ds.contains(CoproductElement((1, 2), (5,)))
+    assert not ds.contains(CoproductElement((1, 2, 0), (5, 0)))     # three components
+    assert not ds.contains(CoproductElement((1, 2), ()))            # no tail
+    assert not ds.contains(CoproductElement((2, 2), (5,)))          # 2 is not in C2
+    assert not ds.contains(CoproductElement((1, 3), (5,)))          # 3 is not in C3
+
+
 # ---------------------------------------------------------------------------
 # every operation returns the element type, not a bare pair
 #

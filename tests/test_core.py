@@ -6,10 +6,15 @@ import random
 import pytest
 
 from trusskit import core
+from trusskit.coproduct import HeapSummand
 from trusskit.core import (
+    INT_LINE,
     FiniteGroup,
     FiniteHeap,
+    FiniteTModule,
+    FiniteTruss,
     HeapMorphism,
+    IntLineHeap,
     StructureError,
     SubHeap,
     _closure,
@@ -28,6 +33,8 @@ from trusskit.core import (
     validate_group_table,
 )
 from trusskit.reports import Finding
+from trusskit.rings import FiniteRing, RModule
+from trusskit.trusses import truss_TZn
 
 Z = FiniteGroup.cyclic
 
@@ -352,7 +359,7 @@ def relabelled(h, perm):
     """h carried along the bijection perm, function-backed, frame scanned."""
     inv = {v: i for i, v in enumerate(perm)}
     return FiniteHeap.from_function(
-        h.size, lambda a, b, c: perm[h.ternary(inv[a], inv[b], inv[c])], abelian=h.abelian)
+        h.size, lambda a, b, c: perm[h.ternary(inv[a], inv[b], inv[c])])
 
 
 def test_heap_equality_on_frames_matches_the_entrywise_comparison():
@@ -603,6 +610,84 @@ def test_a_quotient_is_flagged_abelian_exactly_when_it_commutes():
             flags[label, members] = q.abelian
     assert flags["S3", (0, 1, 2)] and flags["D4", (0, 2)] and flags["Q8", (0, 1)]
     assert not (flags["S3", (0,)] or flags["D4", (0,)] or flags["Q8", (0,)])
+
+
+def bare_heaps(table):
+    """A ternary table as a heap two ways, given no frame and no flag."""
+    n = len(table)
+    return (FiniteHeap(n, table=table),
+            FiniteHeap.from_function(n, lambda a, b, c: table[a][b][c]))
+
+
+S3_TABLE = heap_from_group(FiniteGroup.dihedral(3)).table()
+
+
+def test_a_bare_c4_heap_is_abelian_and_carries_every_abelian_structure():
+    mul = [[a * b % 4 for b in range(4)] for a in range(4)]
+    for h in bare_heaps(mod_heap_table(4)):
+        assert h.abelian and retract(h, 0).abelian
+        assert FiniteTruss(h, mul).heap is h
+        assert FiniteTModule(truss_TZn(4), h, mul).heap is h
+        assert HeapSummand(h, 0).heap is h
+        assert RModule(FiniteRing.Zn(4), (h, 0), mul).heap is h
+
+
+def test_a_bare_s3_heap_is_not_abelian_and_carries_no_truss():
+    for h in bare_heaps(S3_TABLE):
+        assert not h.abelian and not retract(h, 0).abelian
+        with pytest.raises(StructureError, match="a truss carrier must be an Abelian heap"):
+            FiniteTruss(h, [[0] * 6] * 6)
+
+
+def test_the_flag_of_a_bare_heap_is_decided_with_no_frame_scan(monkeypatch):
+    calls = []
+    scan = core._retract_defects
+    monkeypatch.setattr(core, "_retract_defects", lambda c, e: calls.append(c) or scan(c, e))
+    for table, flag in ((mod_heap_table(4), True), (S3_TABLE, False)):
+        for h in bare_heaps(table):
+            assert h.abelian is flag and calls == []
+            assert h.frame() is not None and calls == [h]   # its first frame is a scan
+            calls.clear()
+
+
+def counted_ternaries(monkeypatch):
+    count = []
+    ternary = FiniteHeap.ternary
+    monkeypatch.setattr(FiniteHeap, "ternary",
+                        lambda h, a, b, c: count.append((a, b, c)) or ternary(h, a, b, c))
+    return count
+
+
+def test_a_framed_heap_decides_its_flag_on_its_generators(monkeypatch):
+    """With the frame of k generators in hand, at most k(k-1) operations."""
+    c8 = Z(8).heap
+    heaps = [g.heap for _, g in small_groups(8)] + [
+        product(Z(4).heap, FiniteGroup.dihedral(3).heap, Z(2).heap),
+        product(*[Z(2).heap] * 6), FiniteHeap.from_table(mod_heap_table(6)),
+        quotient(c8, SubHeap(c8, (0, 4)))[0]]
+    count = counted_ternaries(monkeypatch)
+    for h in heaps:
+        k = len(h.frame()) - 1
+        count.clear()
+        assert repr(h).endswith("abelian=None)") and h.abelian in (True, False)
+        assert len(count) <= k * (k - 1) and all(b == 0 for _, b, _ in count), h
+
+
+def test_printing_a_heap_decides_nothing(monkeypatch):
+    heaps = [*bare_heaps(mod_heap_table(4)), FiniteHeap.from_table(mod_heap_table(4)),
+             Z(4).heap, product(Z(2).heap, Z(2).heap)]
+    calls, count, scan = [], counted_ternaries(monkeypatch), core._retract_defects
+    monkeypatch.setattr(core, "_retract_defects", lambda c, e: calls.append(c) or scan(c, e))
+    for h in heaps:
+        assert repr(h).endswith("abelian=None)") and count == [] and calls == []
+    for h in heaps:
+        assert h.abelian and repr(h).endswith("abelian=True)")
+
+
+def test_heaps_of_different_kinds_are_unequal():
+    assert IntLineHeap() == INT_LINE and hash(IntLineHeap()) == hash(INT_LINE)
+    assert FiniteHeap.singleton().__eq__(INT_LINE) is NotImplemented
+    assert (FiniteHeap.singleton() == INT_LINE) is False
 
 
 def test_heap_quotient_rejects_a_non_normal_or_empty_subgroup():

@@ -21,6 +21,8 @@ basis verdicts; ``sigma_oracle`` folds sigma over word forms.
 ``zn_power_table``, Z_m^n from its digits, are the references for products
 on ``core.product``.  ``absorbs_oracle``, the two-sided scan of a product
 table, is the reference for the absorber step of ``retract_ring``.
+``symmetric_everywhere``, [a,b,c] = [c,b,a] on every triple, is the
+reference for the ``abelian`` flag a heap decides.
 """
 
 import functools
@@ -63,6 +65,8 @@ from trusskit.rings import FiniteRing, RModule, rmodule_homs, rmodule_isomorphis
 from trusskit.trusses import (FiniteTruss, integer_truss, retract_ring, tc2_brace_truss,
                               truss_from_ring, truss_TZn)
 from trusskit.words import eval_word_in_heap
+
+from test_trusses import not_a_heap
 
 
 def resweep_closure(seed, ternary):
@@ -831,6 +835,62 @@ def test_group_inverses_and_commutativity_match_the_scans():
         rows = heap_from_group(g).table()
         assert core.FiniteHeap.from_table(rows).abelian == all(
             rows[a][b][c] == rows[c][b][a] for a in ids for b in ids for c in ids), label
+
+
+def symmetric_everywhere(h):
+    ids = range(h.size)
+    return all(h.ternary(a, b, c) == h.ternary(c, b, a) for a in ids for b in ids for c in ids)
+
+
+def heaps_to_flag():
+    """Every small group heap as a group heap, read from its table, as a bare
+    table and bare relabelled; each quotient by a normal sub-heap; pairwise
+    products; the empty heap, a singleton and two non-heaps."""
+    rng = random.Random(3636)
+    group_heaps = []
+    for label, g in small_groups(8):
+        rows = g.heap.table()
+        perm = list(range(g.size))
+        rng.shuffle(perm)
+        inv = {v: i for i, v in enumerate(perm)}
+        group_heaps.append((label, g.heap))
+        yield label, g.heap
+        yield label + " read", core.FiniteHeap.from_table(rows)
+        yield label + " bare", core.FiniteHeap(g.size, table=rows)
+        yield label + " relabelled", core.FiniteHeap.from_function(
+            g.size, lambda a, b, c, rows=rows, perm=perm, inv=inv:
+            perm[rows[inv[a]][inv[b]][inv[c]]])
+        subs = {tuple(generated_subheap(g.heap, seed).members)
+                for k in (1, 2) for seed in itertools.combinations(range(g.size), k)}
+        for members in sorted(subs):
+            s = core.SubHeap(g.heap, members)
+            if core.is_normal(s).normal:
+                yield f"{label}/{members}", core.quotient(g.heap, s)[0]
+    small = [(label, h) for label, h in group_heaps if h.size <= 6]
+    for (la, a), (lb, b) in itertools.combinations_with_replacement(small, 2):
+        yield f"{la} x {lb}", core.product(a, b)
+    named = dict(group_heaps)
+    bare_s3 = core.FiniteHeap(6, table=named["S3"].table())
+    yield "C2 x bare S3", core.product(named["C2"], bare_s3)
+    yield "empty", core.FiniteHeap.empty()
+    yield "singleton", core.FiniteHeap.singleton()
+    yield "not a heap", not_a_heap()
+    malcev = [[[0, 1, 2], [2, 0, 1], [2, 0, 0]],    # Mal'cev, no heap
+              [[1, 0, 2], [0, 1, 2], [2, 0, 1]],
+              [[2, 2, 0], [1, 2, 0], [0, 1, 2]]]
+    yield "Mal'cev", core.FiniteHeap(3, table=malcev)
+    framed = core.FiniteHeap(3, table=malcev)
+    assert framed.frame() is None
+    yield "Mal'cev, frame found", framed
+
+
+def test_the_abelian_flag_of_a_heap_is_its_definition():
+    labels = set()
+    for label, h in heaps_to_flag():
+        labels.add(label)
+        assert h.abelian == symmetric_everywhere(h), label
+        assert h.abelian == symmetric_everywhere(h), label     # kept
+    assert {"C4 bare", "S3 bare", "S3/(0, 1, 2)", "C2 x S3", "not a heap"} <= labels
 
 
 def test_normality_and_classes_make_a_linear_number_of_heap_operations():

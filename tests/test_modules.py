@@ -209,6 +209,13 @@ def test_absorbers_trivial_action_is_everything():
     assert absorbers(m).members == (0, 1)
 
 
+def test_a_finite_absorber_set_contains_exactly_its_members():
+    aset = absorbers(FiniteTModule.from_rmodule(RModule.regular(Z3)))
+    assert aset.kind == "finite" and aset.members == (0,)
+    assert aset.contains(0) and not aset.contains(1) and not aset.contains(2)
+    assert all(map(absorbers(trivial_action_module()).contains, (0, 1)))
+
+
 def test_absorbers_trivial_integer_module():
     aset = absorbers(TrivialIntModule())
     assert aset.kind == "all"
@@ -1405,7 +1412,7 @@ def module_law_sweep(m):
 
 def not_a_heap():
     """[a,b,c] = a + b + c + ac (mod 3): symmetric in a and c, not a heap."""
-    return FiniteHeap.from_function(3, lambda a, b, c: (a + b + c + a * c) % 3, abelian=True)
+    return FiniteHeap.from_function(3, lambda a, b, c: (a + b + c + a * c) % 3)
 
 
 def test_morphism_rows_match_the_module_law_sweep():
@@ -1653,7 +1660,7 @@ def read_tz16():
     framed with no scan)."""
     tz16 = truss_TZn(16)
     table = tz16.heap.table()
-    heap = FiniteHeap.from_function(16, lambda a, b, c: table[a][b][c], abelian=True)
+    heap = FiniteHeap.from_function(16, lambda a, b, c: table[a][b][c])
     return FiniteTruss(heap, tz16.mul_table)
 
 
@@ -1699,7 +1706,7 @@ def test_group_heaps_by_construction_are_framed_with_no_scan(monkeypatch):
     read = FiniteHeap.from_table(c2.table())
     calls.clear()           # reading the table scans it once, to validate it
     assert core.product(c4, read).frame() == (0, 2, 1) and calls == []
-    bare = FiniteHeap.from_function(2, c2.ternary, abelian=True)
+    bare = FiniteHeap.from_function(2, c2.ternary)
     assert core.product(c4, bare).frame() == (0, 2, 1) and calls == [bare]
     assert core.product(c4, FiniteHeap.empty()).frame() is None
 

@@ -148,6 +148,11 @@ def test_basepoint_letter_maps_to_neutral():
     assert to_free_group(("a",), "a").factors == ()
 
 
+def test_a_free_group_word_prints_as_its_factors():
+    assert str(FreeGroupWord(())) == "e"
+    assert str(FreeGroupWord((("a", 1), ("b", -1)))) == "a b^-1"
+
+
 def test_two_symbol_alphabet_alternating_evaluation():
     # over {0,1} with basepoint 0, the word 101 maps to the squared generator
     g = to_free_group(("1", "0", "1"), "0")
